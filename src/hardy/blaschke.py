@@ -27,6 +27,7 @@ from .circlefn import (
     DEFAULT_N_SAMPLES,
     CircleFunction,
     evaluate_at,
+    gram_defect,
     grid,
 )
 from .errors import ParameterError, TruncationError
@@ -127,15 +128,16 @@ def partial_product(spec: BlaschkeSpec, j: int,
     return as_circle_function(head, n_samples)
 
 
-def _basis_samples(spec: BlaschkeSpec, j: int, m: int,
-                   z: np.ndarray) -> np.ndarray:
-    a = spec.zeros[j]
-    pref = np.sqrt(1.0 - abs(a) ** 2) / (1.0 - np.conj(a) * z)
+def _basis_carriers(spec: BlaschkeSpec, z: np.ndarray):
+    """Every carrier e(j, 0) and the product B, in one pass over the
+    zeros; the basis member e(j, m) is e(j, 0) * B^m."""
+    carriers = []
     bj = np.ones_like(z)
-    for zero in spec.zeros[:j]:
-        bj = bj * (z - zero) / (1.0 - np.conj(zero) * z)
-    b = blaschke_eval(spec, z)
-    return pref * bj * b ** m
+    for a in spec.zeros:
+        pref = np.sqrt(1.0 - abs(a) ** 2) / (1.0 - np.conj(a) * z)
+        carriers.append(pref * bj)
+        bj = bj * (z - a) / (1.0 - np.conj(a) * z)
+    return carriers, bj
 
 
 def basis_element(spec: BlaschkeSpec, index: BasisIndex,
@@ -145,9 +147,8 @@ def basis_element(spec: BlaschkeSpec, index: BasisIndex,
         raise ParameterError(
             f"factor slot {index.j} out of range for degree {spec.degree}"
         )
-    z = grid(n_samples)
-    return CircleFunction.from_samples(
-        _basis_samples(spec, index.j, index.m, z))
+    carriers, b = _basis_carriers(spec, grid(n_samples))
+    return CircleFunction.from_samples(carriers[index.j] * b ** index.m)
 
 
 def compose(f: CircleFunction, spec: BlaschkeSpec) -> CircleFunction:
@@ -189,11 +190,6 @@ def check_basis_orthonormality(spec: BlaschkeSpec, m_max: int,
     """Worst deviation of the e(j, m) Gram matrix from the identity."""
     if m_max < 0:
         raise ParameterError("m_max must be >= 0")
-    z = grid(n_samples)
-    rows = []
-    for m in range(m_max + 1):
-        for j in range(spec.degree):
-            rows.append(_basis_samples(spec, j, m, z))
-    mat = np.vstack(rows)
-    gram = (mat @ mat.conj().T) / n_samples
-    return float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
+    carriers, b = _basis_carriers(spec, grid(n_samples))
+    rows = [e0 * b ** m for m in range(m_max + 1) for e0 in carriers]
+    return gram_defect(np.vstack(rows))

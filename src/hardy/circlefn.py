@@ -34,7 +34,6 @@ __all__ = [
     "EPS_LOG",
     "COEFF_CUTOFF",
     "CircleFunction",
-    "HardyFlag",
     "grid",
     "freq_indices",
     "analyze",
@@ -46,7 +45,9 @@ __all__ = [
     "norm2",
     "pointwise",
     "evaluate_at",
-    "hardy_flag",
+    "horner",
+    "require_analytic",
+    "gram_defect",
 ]
 
 DEFAULT_N_SAMPLES = 1024
@@ -99,14 +100,6 @@ def analyze(samples: np.ndarray) -> np.ndarray:
 
 def _synthesize_array(coeffs: np.ndarray) -> np.ndarray:
     return np.fft.ifft(np.fft.ifftshift(coeffs)) * coeffs.size
-
-
-@dataclass(frozen=True, eq=False)
-class HardyFlag:
-    """Analyticity verdict: the flag plus the measured defect."""
-
-    is_analytic: bool
-    negative_energy: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -292,23 +285,34 @@ def norm2(f: CircleFunction) -> float:
     return float(np.sqrt(np.mean(np.abs(f.samples) ** 2)))
 
 
-def hardy_flag(f: CircleFunction, tol: float = TOL_ANALYTIC) -> HardyFlag:
-    ne = f.negative_energy
-    return HardyFlag(is_analytic=ne <= tol, negative_energy=ne)
+def require_analytic(f: CircleFunction, who: str):
+    """Raise DomainError unless f is analytic; ``who`` names the caller."""
+    if not f.is_analytic():
+        raise DomainError(
+            f"{who} needs an analytic input; negative coefficient mass "
+            f"is {f.negative_energy:.3e}"
+        )
 
 
-def _singularity_indices(mod: np.ndarray, floor: float) -> np.ndarray:
-    return np.nonzero(mod < floor)[0]
+def gram_defect(rows: np.ndarray, scale: float | None = None) -> float:
+    """max |G - I| for the Gram matrix G = rows @ rows^H / scale.
+
+    ``scale`` defaults to the row length, which makes G the matrix of
+    grid inner products of sample rows; rows of Taylor coefficients
+    pass scale=1.
+    """
+    G = rows @ rows.conj().T / (rows.shape[1] if scale is None else scale)
+    return float(np.max(np.abs(G - np.eye(rows.shape[0]))))
 
 
 def pointwise(f: CircleFunction, g: CircleFunction | None, op: str,
               regularize: bool = False) -> CircleFunction:
     """Pointwise operation on samples; coefficients re-derived by analyze.
 
-    op is one of "mul", "div", "abs", "log_modulus", "exp".  The unary
-    ops ignore g.  Products enforce the anti-aliasing margin
-    N >= 4 * (bandwidth(f) + bandwidth(g)).  Division and log_modulus
-    refuse moduli below EPS_LOG unless ``regularize`` clamps them.
+    op is one of "mul", "div", "abs"; "abs" ignores g.  Products enforce
+    the anti-aliasing margin N >= 4 * (bandwidth(f) + bandwidth(g)).
+    Division refuses moduli below EPS_LOG unless ``regularize`` clamps
+    them.
     """
     if op == "mul":
         if g is None:
@@ -326,7 +330,7 @@ def pointwise(f: CircleFunction, g: CircleFunction | None, op: str,
             raise ParameterError("div needs two operands")
         _check_same_grid(f, g)
         mod = np.abs(g.samples)
-        bad = _singularity_indices(mod, EPS_LOG)
+        bad = np.nonzero(mod < EPS_LOG)[0]
         if bad.size and not regularize:
             raise SingularityError(
                 f"denominator modulus below {EPS_LOG:g} at "
@@ -341,19 +345,16 @@ def pointwise(f: CircleFunction, g: CircleFunction | None, op: str,
         return CircleFunction.from_samples(f.samples / denom)
     if op == "abs":
         return CircleFunction.from_samples(np.abs(f.samples))
-    if op == "log_modulus":
-        mod = np.abs(f.samples)
-        bad = _singularity_indices(mod, EPS_LOG)
-        if bad.size and not regularize:
-            raise SingularityError(
-                f"modulus below {EPS_LOG:g} at {bad.size} grid points",
-                bad[:16]
-            )
-        return CircleFunction.from_samples(np.log(np.maximum(mod, EPS_LOG)))
-    if op == "exp":
-        return CircleFunction.from_samples(np.exp(f.samples))
     raise ParameterError(f"unknown pointwise op {op!r}")
 
+
+def horner(taylor: np.ndarray, z) -> np.ndarray:
+    """sum_k taylor[k] z^k by Horner's rule, from the top coefficient
+    down; z is a point or an array of points."""
+    acc = np.zeros_like(z, dtype=complex)
+    for a in taylor[::-1]:
+        acc = acc * z + a
+    return acc
 
 
 def evaluate_at(f: CircleFunction, z) -> complex:
@@ -362,20 +363,11 @@ def evaluate_at(f: CircleFunction, z) -> complex:
     Requires f analytic (negative coefficient mass within TOL_ANALYTIC)
     and |z| <= 1.  Accepts a scalar or an ndarray of points.
     """
-    if not f.is_analytic():
-        raise DomainError(
-            f"evaluate_at needs an analytic function; negative coefficient "
-            f"mass is {f.negative_energy:.3e}"
-        )
+    require_analytic(f, "evaluate_at")
     zarr = np.asarray(z, dtype=complex)
     if np.any(np.abs(zarr) > 1.0 + 1e-12):
         raise DomainError("evaluate_at is restricted to |z| <= 1")
-    half = f.n_samples // 2
-    taylor = f.coeffs[half:]
-    # Horner from the top coefficient down.
-    acc = np.zeros_like(zarr, dtype=complex)
-    for a in taylor[::-1]:
-        acc = acc * zarr + a
+    acc = horner(f.coeffs[f.n_samples // 2:], zarr)
     if np.isscalar(z) or zarr.ndim == 0:
         return complex(acc)
     return acc

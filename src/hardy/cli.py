@@ -8,7 +8,7 @@ atomic rename, so no partial output ever lands at the target path.
 Exit codes: 0 success (and, for check-style commands, the check
 passed); 1 unreadable or malformed input; 2 a numeric or structural
 failure (factorization failure, singular modulus, failed verification,
-non-invariant space, failed audit).
+non-invariant space, failed audit, a result JSON cannot carry).
 """
 
 from __future__ import annotations
@@ -24,9 +24,14 @@ from typing import List, Optional
 import numpy as np
 
 from .blaschke import BlaschkeSpec, blaschke_eval, check_basis_orthonormality
-from .circlefn import CircleFunction, grid, synthesize
+from .circlefn import CircleFunction, _check_n_samples, grid, synthesize
 from .decomp import decompose_blaschke, decompose_zn
-from .errors import FactorizationError, HardyError, SingularityError
+from .errors import (
+    FactorizationError,
+    HardyError,
+    SingularityError,
+    SizeError,
+)
 from .factor import b_inner_matrix_from, inner_outer, n_inner_outer_factorize
 from .invariance import (
     ConstrainedSpec,
@@ -77,7 +82,10 @@ def _default_n_samples() -> int:
 
 def _pick_n(args) -> int:
     n = getattr(args, "n_samples", None)
-    return int(n) if n is not None else _default_n_samples()
+    try:
+        return _check_n_samples(n if n is not None else _default_n_samples())
+    except SizeError as exc:
+        raise _InputError(str(exc))
 
 
 def _load_json_file(path: str):
@@ -93,28 +101,21 @@ def _load_json_file(path: str):
         )
 
 
-def _function_arg(path: str) -> CircleFunction:
+def _parsed_file(path: str, parse):
+    """Read a JSON file and parse it; any failure is an input error."""
     obj = _load_json_file(path)
     try:
-        return function_from_json(obj)
+        return parse(obj)
     except (HardyError, KeyError, TypeError, ValueError) as exc:
         raise _InputError(f"{path}: {exc}")
+
+
+def _function_arg(path: str) -> CircleFunction:
+    return _parsed_file(path, function_from_json)
 
 
 def _zeros_arg(path: str) -> BlaschkeSpec:
-    obj = _load_json_file(path)
-    try:
-        return zeros_from_json(obj)
-    except (HardyError, KeyError, TypeError, ValueError) as exc:
-        raise _InputError(f"{path}: {exc}")
-
-
-def _subspace_arg(path: str):
-    obj = _load_json_file(path)
-    try:
-        return subspace_from_json(obj)
-    except (HardyError, KeyError, TypeError, ValueError) as exc:
-        raise _InputError(f"{path}: {exc}")
+    return _parsed_file(path, zeros_from_json)
 
 
 def _norm_spec_arg(token: str, n_samples: int):
@@ -122,11 +123,7 @@ def _norm_spec_arg(token: str, n_samples: int):
     builtins = builtin_specs(n_samples)
     if token in builtins:
         return builtins[token]
-    obj = _load_json_file(token)
-    try:
-        return norm_spec_from_json(obj)
-    except (HardyError, KeyError, TypeError, ValueError) as exc:
-        raise _InputError(f"{token}: {exc}")
+    return _parsed_file(token, norm_spec_from_json)
 
 
 def _multiplier_arg(args, n_samples: int) -> CircleFunction:
@@ -148,7 +145,10 @@ def _multiplier_arg(args, n_samples: int) -> CircleFunction:
 
 
 def _emit(payload, out_path: Optional[str]):
-    text = dump_json(payload)
+    try:
+        text = dump_json(payload)
+    except ValueError as exc:
+        raise HardyError(f"the result is not finite: {exc}") from exc
     if out_path:
         atomic_write_text(out_path, text)
     else:
@@ -250,13 +250,10 @@ def _cmd_factor_classic(args) -> int:
 
 def _cmd_factor_ninner(args) -> int:
     f = _function_arg(args.fn)
-    bundle = n_inner_outer_factorize(
-        f, args.n, k_max=args.kmax, method=args.method,
-        sv_threshold=args.sv_threshold, regularize=args.regularize)
+    bundle = n_inner_outer_factorize(f, args.n, regularize=args.regularize)
     payload = {
         "n": bundle.n,
         "r": bundle.r,
-        "method": bundle.method,
         "n_samples": bundle.n_samples,
         "residual": bundle.residual,
         "gram_defect": bundle.gram_defect,
@@ -299,7 +296,7 @@ def _cmd_invariance_span(args) -> int:
 
 
 def _cmd_invariance_defect(args) -> int:
-    space = _subspace_arg(args.subspace)
+    space = _parsed_file(args.subspace, subspace_from_json)
     multiplier = _multiplier_arg(args, space.n_samples)
     defect = invariance_defect(space, multiplier)
     payload = {
@@ -312,7 +309,7 @@ def _cmd_invariance_defect(args) -> int:
 
 
 def _cmd_invariance_wandering(args) -> int:
-    space = _subspace_arg(args.subspace)
+    space = _parsed_file(args.subspace, subspace_from_json)
     multiplier = _multiplier_arg(args, space.n_samples)
     vectors = wandering_basis(space, multiplier)
     payload = {
@@ -323,27 +320,20 @@ def _cmd_invariance_wandering(args) -> int:
     return EXIT_OK
 
 
-def _constrained_spec_arg(path: str) -> ConstrainedSpec:
-    obj = _load_json_file(path)
-    try:
-        inners = tuple(function_from_json(o) for o in obj["inners"])
-        beta_rows = obj["beta"]
-        beta = np.array(
-            [[complex(float(re), float(im)) for re, im in row]
-             for row in beta_rows], dtype=complex)
-        mult = obj["multiplier"]
-        if "power" in mult:
-            multiplier = int(mult["power"])
-        else:
-            multiplier = zeros_from_json(mult)
-        return ConstrainedSpec(inners=inners, beta=beta,
-                               multiplier=multiplier)
-    except (HardyError, KeyError, TypeError, ValueError) as exc:
-        raise _InputError(f"{path}: {exc}")
+def _constrained_spec_from_json(obj) -> ConstrainedSpec:
+    inners = tuple(function_from_json(o) for o in obj["inners"])
+    beta = np.array([[complex(float(re), float(im)) for re, im in row]
+                     for row in obj["beta"]], dtype=complex)
+    mult = obj["multiplier"]
+    if "power" in mult:
+        multiplier = int(mult["power"])
+    else:
+        multiplier = zeros_from_json(mult)
+    return ConstrainedSpec(inners=inners, beta=beta, multiplier=multiplier)
 
 
 def _cmd_invariance_constrained(args) -> int:
-    spec = _constrained_spec_arg(args.spec)
+    spec = _parsed_file(args.spec, _constrained_spec_from_json)
     space = build_constrained(spec, D=args.band, k_max=args.kmax)
     report = verify_constrained(space, spec)
     payload = {
@@ -382,7 +372,6 @@ def _cmd_verify(args) -> int:
         n_samples=_pick_n(args),
         seed=args.seed,
         tol_overrides=dict(args.tol or ()),
-        output_path=args.out,
         modulus=args.n,
     )
     report = run_verification(args.theorem_id, config)
@@ -560,10 +549,6 @@ def build_parser() -> argparse.ArgumentParser:
         "ninner", help="n-inner times n-outer factorization")
     ninner.add_argument("--fn", required=True)
     ninner.add_argument("--n", type=int, required=True)
-    ninner.add_argument("--kmax", type=int, default=None)
-    ninner.add_argument("--method", choices=("direct", "wandering"),
-                        default="direct")
-    ninner.add_argument("--sv-threshold", type=float, default=1e-6)
     ninner.add_argument("--regularize", action="store_true")
     _add_out(ninner)
     ninner.set_defaults(func=_cmd_factor_ninner)

@@ -6,15 +6,12 @@ Two splittings of an analytic grid function f:
     cutoff m_max, giving one component per factor slot j.  Each
     component is a series in B and the carriers are the e(j, 0).
 
-  * decompose_zn averages f over the n-th roots of unity,
-
-        g_i(z) = (1/n) sum_l w^(l (n - i)) f(w^l z),    w = exp(2 pi i / n),
-
-    which selects the coefficients with index congruent to i mod n;
-    the component h_i = g_i / z^i is a series in z^n.  The root-of-unity
-    sum vanishes identically off the selected residue class, so those
-    coefficients are set to exact zeros rather than left as rounding
-    dust.
+  * decompose_zn selects the coefficients of f by residue class mod n:
+    f(z) = sum_i z^i h_i(z^n), where z^i h_i(z^n) collects the
+    coefficients with index congruent to i mod n.  This is the
+    roots-of-unity average (1/n) sum_l w^(-l i) f(w^l z), w = exp(2 pi i
+    / n), evaluated exactly: off the residue class the coefficients are
+    exact zeros and the recomposition is exact to rounding.
 
 Also here: grid rotation, Fejer (Cesaro) means, and the convergence
 profile of Fejer means measured in a gauge norm.
@@ -27,15 +24,18 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .blaschke import BlaschkeSpec, blaschke_eval
+from .blaschke import BlaschkeSpec, _basis_carriers
 from .circlefn import (
     CircleFunction,
     freq_indices,
     grid,
+    horner,
     monomial,
     norm2,
+    require_analytic,
+    resample,
 )
-from .errors import DomainError, ParameterError, TruncationError
+from .errors import ParameterError, TruncationError
 from .norms import GaugeNormSpec
 
 __all__ = [
@@ -79,14 +79,6 @@ class DecompositionResult:
             return tuple(float(np.linalg.norm(row))
                          for row in self.basis_coefficients)
         return tuple(norm2(c) for c in self.components)
-
-
-def _require_analytic(f: CircleFunction, who: str):
-    if not f.is_analytic():
-        raise DomainError(
-            f"{who} needs an analytic input; negative coefficient mass "
-            f"is {f.negative_energy:.3e}"
-        )
 
 
 def _winding_rates(spec: BlaschkeSpec) -> Tuple[float, float]:
@@ -179,42 +171,29 @@ def decompose_blaschke(f: CircleFunction, spec: BlaschkeSpec,
     limit; the returned functions live on the input's grid and their
     sample views drop only tail mass below the residual scale.
     """
-    _require_analytic(f, "decompose_blaschke")
+    require_analytic(f, "decompose_blaschke")
     degree = f.top_index()
     if m_max is None:
         m_max = _auto_m_max(spec, degree)
     if m_max < 0:
         raise ParameterError("m_max must be >= 0")
-    from .blaschke import _basis_samples  # shared pointwise kernel
-
     n = spec.degree
     n_desk = f.n_samples
     n_work = _work_grid_size(n_desk, spec, m_max, degree)
-    if n_work == n_desk:
-        f_work = f
-    else:
-        from .circlefn import resample
-        f_work = resample(f, n_work)
-    z = grid(n_work)
-    bz = blaschke_eval(spec, z)
+    f_work = resample(f, n_work)
+    carrier_samples, bz = _basis_carriers(spec, grid(n_work))
     coeffs = np.zeros((n, m_max + 1), dtype=complex)
-    carrier_samples = []
     for j in range(n):
-        e_j0 = _basis_samples(spec, j, 0, z)
-        carrier_samples.append(e_j0)
         # e(j, m) = e(j, 0) * B^m, so the pairings come from one
         # accumulating product.
-        acc = f_work.samples * np.conj(e_j0)
+        acc = f_work.samples * np.conj(carrier_samples[j])
         for m in range(m_max + 1):
             coeffs[j, m] = np.mean(acc)
             acc = acc * np.conj(bz)
     components = []
     recomposed = np.zeros(n_work, dtype=complex)
     for j in range(n):
-        # Horner in B for sum_m c_{jm} B^m.
-        comp = np.zeros(n_work, dtype=complex)
-        for c in coeffs[j, ::-1]:
-            comp = comp * bz + c
+        comp = horner(coeffs[j], bz)  # sum_m c_{jm} B^m
         components.append(_band_truncate(comp, n_desk))
         recomposed = recomposed + carrier_samples[j] * comp
     residual = float(np.sqrt(np.mean(np.abs(f_work.samples - recomposed) ** 2)))
@@ -236,7 +215,7 @@ def zn_series_components(f: CircleFunction, n: int) -> Tuple[CircleFunction, ...
     consecutive positions (the base-variable view).  Exact for
     band-limited f.
     """
-    _require_analytic(f, "zn_series_components")
+    require_analytic(f, "zn_series_components")
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
     N = f.n_samples
@@ -252,17 +231,13 @@ def zn_series_components(f: CircleFunction, n: int) -> Tuple[CircleFunction, ...
 
 
 def decompose_zn(f: CircleFunction, n: int) -> DecompositionResult:
-    """Split f into carriers z^i times series in z^n by root-of-unity
-    averaging.
+    """Split f into carriers z^i times series in z^n by coefficient
+    selection; any n up to half the grid works.
 
-    When n divides the grid size each rotation is a cyclic shift of the
-    samples; otherwise the same average is taken in coefficient space,
-    where rotation is an exact phase twist, so any n up to half the
-    grid works.  After averaging, coefficients off the selected residue
-    class are exact zeros (the root-of-unity sum is identically zero
-    there) and the recomposition is exact to rounding.
+    Component i holds the coefficients of f with index congruent to i
+    mod n, moved down by i; every other coefficient is an exact zero.
     """
-    _require_analytic(f, "decompose_zn")
+    require_analytic(f, "decompose_zn")
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
     N = f.n_samples
@@ -271,38 +246,14 @@ def decompose_zn(f: CircleFunction, n: int) -> DecompositionResult:
             f"n = {n} leaves no room for the carriers on a grid of {N}"
         )
     freqs = freq_indices(N)
-    omega_powers = np.exp(2j * np.pi * np.arange(n) / n)
     components = []
     carriers = []
     recomposed = np.zeros(N, dtype=complex)
     for i in range(n):
-        j = (n - i) % n
-        if N % n == 0:
-            shift = N // n
-            g = np.zeros(N, dtype=complex)
-            for l in range(n):
-                # f(w^l z) on the grid is a cyclic shift by l*N/n samples.
-                g += (omega_powers[(l * j) % n]) * np.roll(f.samples,
-                                                           -l * shift)
-            g /= n
-            gc = np.fft.fftshift(np.fft.fft(g)) / N
-        else:
-            gc = np.zeros(N, dtype=complex)
-            for l in range(n):
-                # f(w^l z) has coefficients a_m w^{lm}: an exact twist.
-                twist = np.exp(2j * np.pi * l * freqs / n)
-                gc += (omega_powers[(l * j) % n]) * (f.coeffs * twist)
-            gc /= n
-        # Identity: the average vanishes off the residue class i mod n.
-        gc[(freqs % n) != i] = 0.0
-        # h_i = g_i / z^i : shift the coefficient indices down by i.
-        # Entries that would leave the band at the bottom are rounding
-        # dust from a nominally analytic input; drop them.
+        # Coefficients moved below the band's bottom index are rounding
+        # dust from a nominally analytic input; they are dropped.
         hc = np.zeros(N, dtype=complex)
-        src = np.nonzero(gc)[0]
-        for pos in src:
-            if pos - i >= 0:
-                hc[pos - i] = gc[pos]
+        hc[:N - i] = np.where(freqs % n == i, f.coeffs, 0.0)[i:]
         comp = CircleFunction.from_coeffs(hc)
         carrier = monomial(i, N)
         components.append(comp)
@@ -335,7 +286,7 @@ def rotate(f: CircleFunction, w: complex) -> CircleFunction:
 def cesaro_mean(f: CircleFunction, l: int) -> CircleFunction:
     """Fejer mean of order l: coefficient j is scaled by 1 - j/(l+1)
     for 0 <= j <= l and dropped beyond."""
-    _require_analytic(f, "cesaro_mean")
+    require_analytic(f, "cesaro_mean")
     if l < 0:
         raise ParameterError("order must be >= 0")
     N = f.n_samples
@@ -353,7 +304,7 @@ def cesaro_convergence_profile(f: CircleFunction, spec: GaugeNormSpec,
     bandwidth/(l+1) once the spec is rotation symmetric; for other
     specs the profile is still well defined and simply reported.
     """
-    _require_analytic(f, "cesaro_convergence_profile")
+    require_analytic(f, "cesaro_convergence_profile")
     if l_max < 0:
         raise ParameterError("l_max must be >= 0")
     N = f.n_samples

@@ -7,25 +7,17 @@ sample, O(0) > 0 fixes the phase, and the inner part is the quotient.
 
 The same machinery drives the z^n variants.  A function J is n-inner
 when the shifted family {z^(n m) J} is orthonormal; a function g of the
-form s(z^n) is n-outer when s is outer in the base variable.  The
-factorization f = J_1 f_1 + ... + J_r f_r with n-inner J_i and n-outer
-f_i is computed two ways:
+form s(z^n) is n-outer when s is outer in the base variable.  A single
+generator factors as f = J f_1 with one n-inner J and one n-outer f_1:
+split f(z) = sum_i z^i H_i(z^n), form the pointwise modulus
+phi = sqrt(sum |H_i|^2) in the base variable, take its outer function
+O, and set
 
-  * method "direct": split f(z) = sum_i z^i H_i(z^n), form the
-    pointwise modulus phi = sqrt(sum |H_i|^2) in the base variable,
-    take its outer function O, and set
+    J(z) = sum_i z^i (H_i/O)(z^n),    f_1(z) = O(z^n).
 
-        J(z) = sum_i z^i (H_i/O)(z^n),    f_1(z) = O(z^n).
-
-    A single generator always yields r = 1 this way, the residual is
-    exact to rounding because every step is a sample identity, and the
-    only approximation is the working grid size (chosen adaptively).
-
-  * method "wandering": the subspace pipeline.  Orthonormalize the
-    shifts {z^(n k) f}, subtract the once-shifted span, read the rank
-    off the singular values, and least-squares the coefficients.  Kept
-    as the reference construction; its truncation converges slowly
-    whenever the true J is not a polynomial, so it is not the default.
+The residual is exact to rounding because every step is a sample
+identity; the only approximation is the working grid size, which grows
+until the quotient coefficients have decayed.
 """
 
 from __future__ import annotations
@@ -41,9 +33,11 @@ from .circlefn import (
     CircleFunction,
     analyze,
     freq_indices,
+    gram_defect,
     grid,
     norm2,
     pointwise,
+    require_analytic,
     resample,
 )
 from .decomp import decompose_blaschke, zn_series_components
@@ -166,9 +160,9 @@ class BInnerMatrix:
 class NInnerOuterBundle:
     """f = sum_i inners[i] * outers[i] with n-inner/n-outer parts.
 
-    The functions live on the grid they were computed on, which the
-    direct method grows beyond the input grid when coefficient decay
-    demands it; ``n_samples`` records it.
+    A single generator gives r = 1.  The functions live on the grid
+    they were computed on, which grows beyond the input grid when
+    coefficient decay demands it; ``n_samples`` records it.
     """
 
     n: int
@@ -177,7 +171,6 @@ class NInnerOuterBundle:
     outers: Tuple[CircleFunction, ...]
     residual: float
     gram_defect: float
-    method: str
     n_samples: int
     parseval_gap: float
     outer_reports: Tuple[NOuterReport, ...]
@@ -186,14 +179,6 @@ class NInnerOuterBundle:
     def meets_invariants(self, tol: float = TOL_FACTOR_RESIDUAL) -> bool:
         return (self.residual <= tol and self.gram_defect <= tol
                 and all(rep.passed for rep in self.outer_reports))
-
-
-def _require_analytic(f: CircleFunction, who: str):
-    if not f.is_analytic():
-        raise DomainError(
-            f"{who} needs an analytic input; negative coefficient mass "
-            f"is {f.negative_energy:.3e}"
-        )
 
 
 def harmonic_conjugate(u: CircleFunction) -> CircleFunction:
@@ -239,7 +224,7 @@ def outer_from_modulus(w: CircleFunction, regularize: bool = False) -> CircleFun
 
 def inner_outer(f: CircleFunction, regularize: bool = False) -> InnerOuterPair:
     """Split f into a unimodular part times the outer part of |f|."""
-    _require_analytic(f, "inner_outer")
+    require_analytic(f, "inner_outer")
     modulus = pointwise(f, None, "abs")
     outer = outer_from_modulus(modulus, regularize=regularize)
     inner = pointwise(f, outer, "div", regularize=regularize)
@@ -258,7 +243,7 @@ def is_outer(f: CircleFunction, regularize: bool = False) -> OuterReport:
     A zero value at the origin short-circuits to a failed report with
     an infinite defect.
     """
-    _require_analytic(f, "is_outer")
+    require_analytic(f, "is_outer")
     a0 = f.coeff(0)
     if abs(a0) < EPS_LOG:
         return OuterReport(passed=False, defect=float("inf"))
@@ -297,7 +282,7 @@ def _shift_gram(mult_samples: np.ndarray, phi_samples: np.ndarray,
 def is_B_inner(phi: CircleFunction, spec: BlaschkeSpec,
                m_max: int) -> BInnerReport:
     """Check that {B^m phi : m <= m_max} is orthonormal."""
-    _require_analytic(phi, "is_B_inner")
+    require_analytic(phi, "is_B_inner")
     if m_max < 0:
         raise ParameterError("m_max must be >= 0")
     bz = blaschke_eval(spec, grid(phi.n_samples))
@@ -316,9 +301,7 @@ def _joint_gram_defect(mult_samples: np.ndarray,
         for _ in range(m_max + 1):
             rows.append(acc)
             acc = acc * mult_samples
-    V = np.asarray(rows)
-    G = (V @ V.conj().T) / V.shape[1]
-    return float(np.max(np.abs(G - np.eye(V.shape[0]))))
+    return gram_defect(np.asarray(rows))
 
 
 def b_inner_matrix_from(phis: Sequence[CircleFunction], spec: BlaschkeSpec,
@@ -347,11 +330,7 @@ def b_inner_matrix_from(phis: Sequence[CircleFunction], spec: BlaschkeSpec,
         coeff_blocks.append(dec.basis_coefficients)
         entry_cols.append(dec.components)
         worst_resid = max(worst_resid, dec.residual)
-    AtA = np.empty((r, r), dtype=complex)
-    for p in range(r):
-        for q in range(r):
-            AtA[p, q] = np.vdot(coeff_blocks[p], coeff_blocks[q])
-    defect = float(np.max(np.abs(AtA - np.eye(r))))
+    defect = gram_defect(np.array([c.ravel() for c in coeff_blocks]), 1)
     bz = blaschke_eval(spec, grid(N))
     joint = _joint_gram_defect(bz, [phi.samples for phi in phis], m_max)
     entries = tuple(
@@ -362,11 +341,21 @@ def b_inner_matrix_from(phis: Sequence[CircleFunction], spec: BlaschkeSpec,
                         decomposition_residual=worst_resid)
 
 
-def _direct_n_factorization(f: CircleFunction, n: int, regularize: bool,
-                            m_max_check: int):
-    """Exact single-generator construction; see the module docstring."""
-    N = f.n_samples
-    n_work = max(N, WORK_GRID_FLOOR)
+def n_inner_outer_factorize(f: CircleFunction, n: int,
+                            regularize: bool = False,
+                            m_max_check: int = 8) -> NInnerOuterBundle:
+    """Factor f into an n-inner times an n-outer part.
+
+    The construction is described in the module docstring.  The bundle
+    records residual, joint orthonormality defect, and the component
+    validations; a residual above 1e-6 raises FactorizationError.
+    """
+    require_analytic(f, "n_inner_outer_factorize")
+    if n < 1:
+        raise ParameterError(f"n must be >= 1, got {n}")
+    if norm2(f) < EPS_LOG:
+        raise DomainError("cannot factor the zero function")
+    n_work = max(f.n_samples, WORK_GRID_FLOOR)
     while True:
         parts = [resample(s, n_work) for s in zn_series_components(f, n)]
         phi_sq = np.zeros(n_work)
@@ -397,130 +386,17 @@ def _direct_n_factorization(f: CircleFunction, n: int, regularize: bool,
         np.abs(J.samples * f1.samples - f_work.samples) ** 2)))
     gram = _joint_gram_defect(z ** n, [J.samples], m_max_check)
     parseval = abs(norm2(f_work) ** 2 - norm2(f1) ** 2)
-    return J, f1, residual, gram, parseval, n_work, tail
-
-
-def _wandering_n_factorization(f: CircleFunction, n: int, k_max: int,
-                               sv_threshold: float, m_max_check: int):
-    """Literal shifted-span pipeline at truncation k_max."""
-    N = f.n_samples
-    half = N // 2
-    top = f.top_index()
-    if k_max * n < 2 * top:
-        raise ParameterError(
-            f"k_max = {k_max} is too small: need k_max * n >= "
-            f"2 * top index = {2 * top}"
-        )
-    D = top + n * (k_max + 1)
-    if D >= half:
-        raise SizeError(
-            f"shifts reach coefficient index {D}, beyond the grid band "
-            f"{half - 1}; enlarge the grid or lower k_max"
-        )
-    taylor = f.coeffs[half:half + top + 1]
-    cols = np.zeros((D + 1, k_max + 2), dtype=complex)
-    for k in range(k_max + 2):
-        cols[n * k:n * k + top + 1, k] = taylor
-    span_cols = cols[:, :k_max + 1]
-    shifted_cols = cols[:, 1:]
-    QB, _ = np.linalg.qr(shifted_cols)
-    resid = span_cols - QB @ (QB.conj().T @ span_cols)
-    U, S, _ = np.linalg.svd(resid, full_matrices=False)
-    if S.size == 0 or S[0] < 1e-12:
-        raise FactorizationError(
-            "shifted span equals the span; no orthogonal complement",
-            diagnostics={"singular_values": S.tolist()})
-    r = int(np.sum(S >= sv_threshold * S[0]))
-    J_vecs = U[:, :r]
-    inners = []
-    for i in range(r):
-        c = np.zeros(N, dtype=complex)
-        c[half:half + D + 1] = J_vecs[:, i]
-        inners.append(CircleFunction.from_coeffs(c))
-    # Least squares for f = sum_{i,k} c_{ik} z^(n k) J_i over the band
-    # the shifted columns can reach.
-    rows = D + 1
-    design = np.zeros((rows, r * (k_max + 1)), dtype=complex)
-    for i in range(r):
-        for k in range(k_max + 1):
-            col = np.zeros(rows, dtype=complex)
-            src = J_vecs[:rows - n * k, i]
-            col[n * k:n * k + src.size] = src
-            design[:, i * (k_max + 1) + k] = col
-    target = np.zeros(rows, dtype=complex)
-    target[:top + 1] = taylor
-    sol, _, _, _ = np.linalg.lstsq(design, target, rcond=None)
-    outers = []
-    recomposed = np.zeros(N, dtype=complex)
-    for i in range(r):
-        c = np.zeros(N, dtype=complex)
-        for k in range(k_max + 1):
-            c[half + n * k] = sol[i * (k_max + 1) + k]
-        fi = CircleFunction.from_coeffs(c)
-        outers.append(fi)
-        recomposed += inners[i].samples * fi.samples
-    residual = float(np.sqrt(np.mean(np.abs(recomposed - f.samples) ** 2)))
-    gram = _joint_gram_defect(grid(N) ** n, [J.samples for J in inners],
-                              m_max_check)
-    parseval = abs(norm2(f) ** 2 - sum(norm2(fi) ** 2 for fi in outers))
-    return inners, outers, residual, gram, parseval, S
-
-
-def n_inner_outer_factorize(f: CircleFunction, n: int,
-                            k_max: Optional[int] = None,
-                            method: str = "direct",
-                            sv_threshold: float = 1e-6,
-                            regularize: bool = False,
-                            m_max_check: int = 8) -> NInnerOuterBundle:
-    """Factor f into n-inner times n-outer parts.
-
-    ``method`` selects the construction described in the module
-    docstring; "direct" is exact for a single generator and is the
-    default, "wandering" runs the shifted-span pipeline at truncation
-    k_max (defaulting to 4 * top_index / n + 8).  The bundle records
-    residual, joint orthonormality defect, and the component
-    validations; a residual above 1e-6 raises FactorizationError.
-    """
-    _require_analytic(f, "n_inner_outer_factorize")
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
-    if norm2(f) < EPS_LOG:
-        raise DomainError("cannot factor the zero function")
-    if method == "direct":
-        J, f1, residual, gram, parseval, n_work, tail = \
-            _direct_n_factorization(f, n, regularize, m_max_check)
-        inners = (J,)
-        outers = (f1,)
-        r = 1
-        n_out = n_work
-    elif method == "wandering":
-        if k_max is None:
-            k_max = 4 * f.top_index() // n + 8
-        inners, outers, residual, gram, parseval, _ = \
-            _wandering_n_factorization(f, n, k_max, sv_threshold,
-                                       m_max_check)
-        inners = tuple(inners)
-        outers = tuple(outers)
-        r = len(inners)
-        n_out = f.n_samples
-    else:
-        raise ParameterError(f"unknown method {method!r}")
-    inner_reports = tuple(
-        is_B_inner(J, power_spec(n), m_max_check) for J in inners
-    )
-    outer_reports = []
-    for fi in outers:
-        try:
-            outer_reports.append(is_n_outer(fi, n, regularize=regularize))
-        except SingularityError:
-            outer_reports.append(NOuterReport(
-                passed=False, rank1_defect=float("inf"),
-                outer_defect=float("inf")))
+    try:
+        outer_report = is_n_outer(f1, n, regularize=regularize)
+    except SingularityError:
+        outer_report = NOuterReport(
+            passed=False, rank1_defect=float("inf"),
+            outer_defect=float("inf"))
     bundle = NInnerOuterBundle(
-        n=n, r=r, inners=inners, outers=outers, residual=residual,
-        gram_defect=gram, method=method, n_samples=n_out,
-        parseval_gap=parseval, outer_reports=tuple(outer_reports),
-        inner_reports=inner_reports)
+        n=n, r=1, inners=(J,), outers=(f1,), residual=residual,
+        gram_defect=gram, n_samples=n_work, parseval_gap=parseval,
+        outer_reports=(outer_report,),
+        inner_reports=(is_B_inner(J, power_spec(n), m_max_check),))
     if residual > TOL_FACTOR_RESIDUAL:
         raise FactorizationError(
             f"factorization residual {residual:.3e} exceeds "
@@ -528,8 +404,7 @@ def n_inner_outer_factorize(f: CircleFunction, n: int,
             diagnostics={
                 "residual": residual,
                 "gram_defect": gram,
-                "r": r,
-                "method": method,
+                "r": 1,
             })
     return bundle
 
@@ -543,7 +418,7 @@ def is_n_outer(f: CircleFunction, n: int, tol: float = TOL_B_INNER,
     against the largest component as pivot) and the shared base series
     must be outer.
     """
-    _require_analytic(f, "is_n_outer")
+    require_analytic(f, "is_n_outer")
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
     parts = zn_series_components(f, n)
@@ -597,7 +472,7 @@ def outer_multiplier(f: CircleFunction, spec: Optional[BlaschkeSpec],
     """
     if m_index < 1:
         raise ParameterError("m_index must be >= 1")
-    _require_analytic(f, "outer_multiplier")
+    require_analytic(f, "outer_multiplier")
     g = compose(f, spec) if spec is not None else f
     root = np.sqrt(np.abs(g.samples))
     u = CircleFunction.from_samples(-root / m_index)

@@ -20,12 +20,18 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .blaschke import BlaschkeSpec, blaschke_eval, power_spec
-from .circlefn import CircleFunction, analyze, grid
+from .circlefn import (
+    CircleFunction,
+    analyze,
+    gram_defect,
+    grid,
+    horner,
+    require_analytic,
+)
 from .decomp import cesaro_mean
 from .errors import (
     ConstructionError,
     DegenerateSpaceError,
-    DomainError,
     ParameterError,
     SizeError,
     TruncationError,
@@ -71,16 +77,13 @@ class SubspaceBasis:
         for v in self.basis:
             if v.n_samples != N:
                 raise SizeError("basis members must share one grid")
-            if not v.is_analytic():
-                raise DomainError("basis members must be analytic")
+            require_analytic(v, "a subspace basis member")
             if v.top_index() > D:
                 raise TruncationError(
                     f"basis member reaches index {v.top_index()}, beyond "
                     f"the declared bandwidth {D}"
                 )
-        mat = _coeff_matrix(self.basis, D)
-        gram = mat.conj().T @ mat
-        dev = float(np.max(np.abs(gram - np.eye(mat.shape[1]))))
+        dev = gram_defect(_coeff_matrix(self.basis, D).T, scale=1)
         if dev > GRAM_TOL:
             raise ConstructionError(
                 f"basis is not orthonormal; Gram deviation {dev:.3e}"
@@ -116,10 +119,24 @@ def _functions_from_columns(mat: np.ndarray, D: int,
     return out
 
 
+def _svd(mat: np.ndarray, compute_uv: bool = True):
+    """Thin SVD.  When LAPACK fails to converge, retry on the R factor
+    of a QR decomposition mat = Q R, which has the same singular values
+    and whose left singular vectors map back through Q."""
+    try:
+        return np.linalg.svd(mat, full_matrices=False, compute_uv=compute_uv)
+    except np.linalg.LinAlgError:
+        Q, R = np.linalg.qr(mat)
+        if not compute_uv:
+            return np.linalg.svd(R, compute_uv=False)
+        U, S, Vh = np.linalg.svd(R, full_matrices=False)
+        return Q @ U, S, Vh
+
+
 def _orthonormal_columns(mat: np.ndarray, rel_cutoff: float = 1e-10) -> np.ndarray:
     """Orthonormal basis of the column span, rank-revealing and
     deterministic."""
-    U, S, _ = np.linalg.svd(mat, full_matrices=False)
+    U, S, _ = _svd(mat)
     if S.size == 0 or S[0] <= 0.0:
         raise ConstructionError("the given columns span nothing")
     rank = int(np.sum(S > rel_cutoff * S[0]))
@@ -172,8 +189,7 @@ def span_invariant(generators: Sequence[CircleFunction],
     for g in generators:
         if g.n_samples != N:
             raise SizeError("generators must share one grid")
-        if not g.is_analytic():
-            raise DomainError("generators must be analytic")
+        require_analytic(g, "span_invariant")
     cols = []
     for g in generators:
         acc = g.samples
@@ -284,7 +300,7 @@ def invariance_defect(space: SubspaceBasis,
             w[d_eff + 1:] = 0.0
             resids.append(w - Q @ (Q.conj().T @ w))
     R = np.stack(resids, axis=1)
-    return float(np.linalg.svd(R, compute_uv=False)[0])
+    return float(_svd(R, compute_uv=False)[0])
 
 
 def wandering_basis(space: SubspaceBasis,
@@ -308,7 +324,7 @@ def wandering_basis(space: SubspaceBasis,
          for v in space.basis], axis=1)
     QB = _orthonormal_columns(shifted)
     resid = Q - QB @ (QB.conj().T @ Q)
-    U, S, _ = np.linalg.svd(resid, full_matrices=False)
+    U, S, _ = _svd(resid)
     if S.size == 0 or S[0] < 1e-8:
         raise DegenerateSpaceError(
             "the multiplier maps the space onto itself; the complement "
@@ -333,7 +349,7 @@ def subspace_distance(a: SubspaceBasis, b: SubspaceBasis) -> float:
     Qa = _coeff_matrix(a.basis, D)
     Qb = _coeff_matrix(b.basis, D)
     resid = Qb - Qa @ (Qa.conj().T @ Qb)
-    sig = np.linalg.svd(resid, compute_uv=False)
+    sig = _svd(resid, compute_uv=False)
     return float(np.clip(sig[0], 0.0, 1.0))
 
 
@@ -368,7 +384,8 @@ class ConstrainedSpec:
                 f"column count k = {k} must satisfy 1 <= k <= 2r-1 = {2*r - 1}"
             )
         col_norms = np.linalg.norm(beta, axis=0)
-        if np.max(np.abs(col_norms - 1.0)) > 1e-8:
+        # written so that a NaN entry fails too
+        if not np.max(np.abs(col_norms - 1.0)) <= 1e-8:
             raise ParameterError("beta columns must be unit vectors")
         if isinstance(self.multiplier, int):
             if self.multiplier < 1:
@@ -444,9 +461,7 @@ def build_constrained(spec: ConstrainedSpec, D: int,
             raise SizeError("inner functions must share one grid")
     z = grid(N)
     bz, phis = _constrained_vectors(spec, z)
-    phi_mat = np.stack(phis, axis=1)
-    gram = (phi_mat.conj().T @ phi_mat) / N
-    dev = float(np.max(np.abs(gram - np.eye(spec.k))))
+    dev = gram_defect(np.array(phis))
     if dev > 1e-8:
         raise ConstructionError(
             f"the phi_i are not orthonormal (deviation {dev:.3e}); "
@@ -460,9 +475,7 @@ def build_constrained(spec: ConstrainedSpec, D: int,
         for _ in range(k_max):
             acc = acc * bz
             sample_cols.append(acc)
-    smat = np.stack(sample_cols, axis=1)
-    gram_all = (smat.conj().T @ smat) / N
-    dev_all = float(np.max(np.abs(gram_all - np.eye(smat.shape[1]))))
+    dev_all = gram_defect(np.array(sample_cols))
     if dev_all > 1e-8:
         raise ConstructionError(
             f"the slot family is not orthonormal (deviation {dev_all:.3e}); "
@@ -525,8 +538,7 @@ def algebra_action_profile(multiplier: CircleFunction, h: CircleFunction,
     """
     if l_max < 0:
         raise ParameterError("l_max must be >= 0")
-    if not k_element.is_analytic():
-        raise DomainError("the symbol must be analytic")
+    require_analytic(k_element, "algebra_action_profile")
     if h.n_samples != multiplier.n_samples:
         raise SizeError("h and the multiplier must share one grid")
     bz = multiplier.samples
@@ -534,10 +546,7 @@ def algebra_action_profile(multiplier: CircleFunction, h: CircleFunction,
     def action(sym: CircleFunction) -> np.ndarray:
         half = sym.n_samples // 2
         taylor = sym.coeffs[half:half + sym.top_index() + 1]
-        acc = np.zeros_like(bz, dtype=complex)
-        for a in taylor[::-1]:
-            acc = acc * bz + a
-        return acc * h.samples
+        return horner(taylor, bz) * h.samples
 
     full = action(k_element)
     out = np.empty(l_max + 1)

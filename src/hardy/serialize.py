@@ -9,8 +9,10 @@ Formats:
 
 Numbers pass through float() so every emitted value is a plain Python
 float rendered by its shortest exact decimal form; identical inputs
-produce byte-identical files.  Files are written to a temporary in the
-same directory and renamed into place, never left half-written.
+produce byte-identical files.  NaN and infinity are refused on reading
+and on writing, since JSON has no token for them.  Files are written to
+a temporary in the same directory and renamed into place, never left
+half-written.
 """
 
 from __future__ import annotations
@@ -58,6 +60,12 @@ def _imag(x) -> float:
     return float(np.imag(x))
 
 
+def _finite(x: complex) -> complex:
+    if not np.isfinite(x):
+        raise ParameterError(f"non-finite number {x} in the input")
+    return x
+
+
 def function_to_json(f: CircleFunction) -> dict:
     N = f.n_samples
     half = N // 2
@@ -78,7 +86,8 @@ def function_from_json(obj: Mapping) -> CircleFunction:
     coeffs = {}
     for entry in entries:
         j, re, im = entry
-        coeffs[int(j)] = coeffs.get(int(j), 0.0) + complex(float(re), float(im))
+        coeffs[int(j)] = coeffs.get(int(j), 0.0) \
+            + _finite(complex(float(re), float(im)))
     return synthesize(coeffs, n)
 
 
@@ -91,7 +100,7 @@ def zeros_from_json(obj: Mapping) -> BlaschkeSpec:
         pairs = obj["zeros"]
     except (KeyError, TypeError) as exc:
         raise ParameterError("zeros JSON needs a 'zeros' list") from exc
-    return BlaschkeSpec(tuple(complex(float(re), float(im))
+    return BlaschkeSpec(tuple(_finite(complex(float(re), float(im)))
                               for re, im in pairs))
 
 
@@ -196,7 +205,7 @@ def subspace_from_json(obj: Mapping) -> SubspaceBasis:
     for row in rows:
         c = np.zeros(N, dtype=complex)
         for idx, (re, im) in enumerate(row):
-            c[half + idx] = complex(float(re), float(im))
+            c[half + idx] = _finite(complex(float(re), float(im)))
         members.append(CircleFunction.from_coeffs(c))
     generators = dict(obj.get("generators", {}))
     for key, value in dict(obj.get("recipe", {})).items():
@@ -230,9 +239,12 @@ def _plain(value):
 
 
 def dump_json(obj) -> str:
-    """Canonical text: sorted keys, two-space indent, trailing newline."""
+    """Canonical text: sorted keys, two-space indent, trailing newline.
+
+    A NaN or infinite value raises ValueError.
+    """
     return json.dumps(_plain(obj), sort_keys=True, indent=2,
-                      ensure_ascii=False) + "\n"
+                      ensure_ascii=False, allow_nan=False) + "\n"
 
 
 def atomic_write_text(path: str, text: str):

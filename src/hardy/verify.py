@@ -11,7 +11,8 @@ The ids are stable command-line tokens.  What each one checks:
               certified dual estimate
   lemma-4.1   Fejer smoothing converges in rotation-symmetric norms,
               under the coefficient-mass bound
-  lemma-4.2   roots-of-unity splitting is exact and support-sharp
+  lemma-4.2   roots-of-unity splitting is exact and support-sharp, and
+              agrees with the root-of-unity average
   thm-3.5     two-layer constrained spaces: invariant under the square
               and cube of the product but not the product (power case)
   thm-3.6     single-generator invariant spans return their generator
@@ -31,9 +32,16 @@ from typing import Callable, Dict, Mapping, Optional, Tuple
 import numpy as np
 
 from .blaschke import BlaschkeSpec, blaschke_eval
-from .circlefn import CircleFunction, grid, norm2, synthesize
+from .circlefn import (
+    CircleFunction,
+    _check_n_samples,
+    freq_indices,
+    grid,
+    norm2,
+    synthesize,
+)
 from .decomp import cesaro_convergence_profile, decompose_zn
-from .errors import ParameterError, SizeError
+from .errors import ParameterError
 from .factor import n_inner_outer_factorize
 from .invariance import (
     ConstrainedSpec,
@@ -87,16 +95,10 @@ class RunConfig:
     n_samples: int = 1024
     seed: int = 0
     tol_overrides: Mapping[str, float] = field(default_factory=dict)
-    output_path: Optional[str] = None
-    emit_plot_data: bool = False
     modulus: Optional[int] = None
 
     def __post_init__(self):
-        n = int(self.n_samples)
-        if n < 4 or n & (n - 1):
-            raise SizeError(
-                f"n_samples must be a power of two >= 4, got {self.n_samples}"
-            )
+        _check_n_samples(self.n_samples)
         for name, tol in dict(self.tol_overrides).items():
             if not (float(tol) > 0.0):
                 raise ParameterError(f"tolerance {name!r} must be positive")
@@ -221,6 +223,16 @@ def _run_smoothing(config: RunConfig) -> Tuple[Check, ...]:
 
 # --- lemma-4.2 -------------------------------------------------------------
 
+def _root_of_unity_average(f: CircleFunction, n: int, i: int) -> np.ndarray:
+    """Coefficients of g_i = (1/n) sum_l w^(-l i) f(w^l z), w = exp(2 pi i
+    / n).  f(w^l z) has coefficients a_m w^(l m), so the average is a
+    twist of f's coefficients by the mean of w^(l (m - i)) over l."""
+    m = freq_indices(f.n_samples)
+    w = np.exp(2j * np.pi * np.arange(n) / n)
+    twist = w[(np.arange(n)[:, None] * (m - i)[None, :]) % n]
+    return f.coeffs * np.mean(twist, axis=0)
+
+
 def _run_zn_split(config: RunConfig) -> Tuple[Check, ...]:
     rng = np.random.default_rng(config.seed)
     N = config.n_samples
@@ -228,6 +240,7 @@ def _run_zn_split(config: RunConfig) -> Tuple[Check, ...]:
     worst_residual = 0.0
     worst_support = 0.0
     worst_energy = 0.0
+    worst_average = 0.0
     for n in ns:
         for _ in range(100):
             f = _random_poly(rng, int(rng.integers(0, min(200, N // 4))), N)
@@ -236,12 +249,17 @@ def _run_zn_split(config: RunConfig) -> Tuple[Check, ...]:
             half = N // 2
             freqs = np.arange(-half, half)
             total = 0.0
-            for h in dec.components:
+            for i, h in enumerate(dec.components):
                 off = h.coeffs[(freqs % n) != 0]
                 if off.size:
                     worst_support = max(worst_support,
                                         float(np.max(np.abs(off))))
                 total += norm2(h) ** 2
+                # z^i h_i must be the average g_i: compare coefficients
+                # after moving h_i's up by i.
+                gap = np.abs(_root_of_unity_average(f, n, i)[i:]
+                             - h.coeffs[:N - i])
+                worst_average = max(worst_average, float(np.max(gap)))
             worst_energy = max(worst_energy,
                                abs(norm2(f) ** 2 - total))
     return (
@@ -250,6 +268,7 @@ def _run_zn_split(config: RunConfig) -> Tuple[Check, ...]:
         _check("component_support", worst_support, 0.0),
         _check("component_energy_sum", worst_energy,
                config.threshold("energy_sum", 1e-9)),
+        _check("averaging_agreement", worst_average, 1e-12),
     )
 
 

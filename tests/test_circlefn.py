@@ -12,7 +12,6 @@ from hardy import (
     constant,
     evaluate_at,
     grid,
-    hardy_flag,
     inner_product,
     monomial,
     norm2,
@@ -94,9 +93,7 @@ def test_analytic_flag():
     assert monomial(3, 64).is_analytic()
     back = monomial(-1, 64)
     assert not back.is_analytic()
-    flag = hardy_flag(back)
-    assert not flag.is_analytic
-    assert flag.negative_energy == pytest.approx(1.0, abs=1e-12)
+    assert back.negative_energy == pytest.approx(1.0, abs=1e-12)
 
 
 def test_bandwidth_and_top_index():

@@ -1,5 +1,6 @@
 """Command line surface: exit codes, JSON payloads, determinism."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 
 from hardy import (
     BlaschkeSpec,
+    decompose_zn,
     function_to_json,
     monomial,
     synthesize,
@@ -134,6 +136,43 @@ def test_nsamples_env_fallback(workdir):
                    "--mmax", "2", "--n-samples", "256",
                    env_extra={"HARDY_NSAMPLES": "512"})
     assert json.loads(res2.stdout)["n_samples"] == 256
+
+
+@pytest.mark.parametrize("how", ["env", "flag"])
+def test_grid_size_not_power_of_two_is_input_error(workdir, how):
+    args = ["blaschke", "basis", "--zeros", str(workdir / "zeros.json")]
+    if how == "flag":
+        res = run_cli(*args, "--n-samples", "1000")
+    else:
+        res = run_cli(*args, env_extra={"HARDY_NSAMPLES": "1000"})
+    assert res.returncode == 1
+    assert "power of two" in res.stderr
+    assert res.stdout == ""
+
+
+def test_nan_coefficient_is_input_error(workdir):
+    bad = workdir / "nan.json"
+    bad.write_text('{"n_samples": 1024, '
+                   '"coeffs": [[0, NaN, 0.0], [1, 1.0, 0.0]]}')
+    res = run_cli("decompose", "--fn", str(bad), "--mode", "zn", "--n", "2")
+    assert res.returncode == 1
+    assert "non-finite" in res.stderr
+    assert res.stdout == ""
+
+
+def test_non_finite_result_is_not_written(workdir, monkeypatch, capsys):
+    from hardy import cli
+
+    def nan_split(f, n):
+        return dataclasses.replace(decompose_zn(f, n), residual=float("nan"))
+
+    monkeypatch.setattr(cli, "decompose_zn", nan_split)
+    out = workdir / "split.json"
+    code = cli.main(["decompose", "--fn", str(workdir / "poly.json"),
+                     "--mode", "zn", "--n", "2", "--out", str(out)])
+    assert code == 2
+    assert "not finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_verify_exit_and_stderr_summary(workdir):

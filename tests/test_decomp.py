@@ -137,3 +137,17 @@ def test_blaschke_split_rejects_nonanalytic():
     from hardy import DomainError
     with pytest.raises(DomainError):
         decompose_blaschke(monomial(-2, 256), power_spec(2), m_max=2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
+def test_blaschke_power_split_matches_zn_split(n):
+    # The zeros of z^n are all at the origin, so e(j, m) = z^(j + n m) and
+    # the two splittings must agree component by component.
+    rng = np.random.default_rng(n)
+    c = rng.standard_normal(25) + 1j * rng.standard_normal(25)
+    f = synthesize({j: c[j] for j in range(25)}, 1024)
+    by_basis = decompose_blaschke(f, power_spec(n))
+    by_selection = decompose_zn(f, n)
+    for a, b in zip(by_basis.components + by_basis.carriers,
+                    by_selection.components + by_selection.carriers):
+        assert np.max(np.abs(a.coeffs - b.coeffs)) <= 1e-12

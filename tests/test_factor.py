@@ -169,13 +169,12 @@ def test_n_factorization_already_n_outer():
 
 def test_n_factorization_one_plus_z_is_rank_one():
     f = synthesize({0: 1.0, 1: 1.0}, 1024)
-    for method in ("direct", "wandering"):
-        bundle = n_inner_outer_factorize(f, 2, method=method)
-        assert bundle.meets_invariants(), method
-        assert bundle.r == 1, method
-        J = bundle.inners[0]
-        assert abs(J.coeff(0)) == pytest.approx(1 / np.sqrt(2), abs=1e-6)
-        assert abs(J.coeff(1)) == pytest.approx(1 / np.sqrt(2), abs=1e-6)
+    bundle = n_inner_outer_factorize(f, 2)
+    assert bundle.meets_invariants()
+    assert bundle.r == 1
+    J = bundle.inners[0]
+    assert abs(J.coeff(0)) == pytest.approx(1 / np.sqrt(2), abs=1e-6)
+    assert abs(J.coeff(1)) == pytest.approx(1 / np.sqrt(2), abs=1e-6)
 
 
 def test_n_factorization_parseval():

@@ -242,3 +242,45 @@ def test_algebra_action_profile_converges():
     assert prof.shape == (41,)
     assert prof[-1] <= prof[0] + 1e-12
     assert prof[-1] < 0.2
+
+
+def test_svd_failure_falls_back_to_qr(monkeypatch):
+    J = as_circle_function(BlaschkeSpec((0.3, 0.2j)), 1024)
+    z = monomial(1, 1024)
+    space = span_invariant([J], z, k_max=40, D=80)
+    want = wandering_basis(space, z)
+    want_defect = invariance_defect(space, z)
+
+    # Every SVD of a non-square matrix fails, as LAPACK occasionally does;
+    # the square R factors of the retries go through.
+    real_svd = np.linalg.svd
+    failed = []
+
+    def flaky_svd(a, *args, **kwargs):
+        if a.shape[0] != a.shape[1]:
+            failed.append(a.shape)
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", flaky_svd)
+    got = wandering_basis(space, z)
+    assert failed
+    assert len(got) == len(want) == 1
+    assert abs(inner_product(got[0], want[0])) == pytest.approx(1.0, abs=1e-12)
+    assert invariance_defect(space, z) == pytest.approx(want_defect, abs=1e-14)
+
+
+def test_wandering_basis_on_seed_204_span():
+    # The fourth trial of thm-3.6 at seed 204: its span once made the
+    # basis SVD in wandering_basis fail to converge.
+    rng = np.random.default_rng(204)
+    for _ in range(4):
+        zeros = tuple(
+            rng.uniform(0.0, 0.7) * np.exp(2j * np.pi * rng.random())
+            for _ in range(int(rng.integers(1, 4))))
+    J = as_circle_function(BlaschkeSpec(zeros), 1024)
+    z = monomial(1, 1024)
+    space = span_invariant([J], z, k_max=220, D=320)
+    vectors = wandering_basis(space, z)
+    assert len(vectors) == 1
+    assert abs(inner_product(vectors[0], J)) == pytest.approx(1.0, abs=1e-6)

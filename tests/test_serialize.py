@@ -17,6 +17,7 @@ from hardy import (
     gauge_eval,
     norm_spec_from_json,
     norm_spec_to_json,
+    subspace_from_json,
     synthesize,
     zeros_from_json,
     zeros_to_json,
@@ -81,3 +82,16 @@ def test_dump_json_rejects_nothing_common():
     import json
     parsed = json.loads(dump_json({"x": np.float64(0.5), "y": np.int64(3)}))
     assert parsed == {"x": 0.5, "y": 3}
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_numbers_are_refused(bad):
+    with pytest.raises(ParameterError):
+        function_from_json({"n_samples": 8, "coeffs": [[0, bad, 0.0]]})
+    with pytest.raises(ParameterError):
+        zeros_from_json({"zeros": [[0.1, bad]]})
+    with pytest.raises(ParameterError):
+        subspace_from_json({"ambient_bandwidth": 1, "n_samples": 8,
+                            "basis": [[[bad, 0.0], [0.0, 0.0]]]})
+    with pytest.raises(ValueError):
+        dump_json({"residual": bad})
