@@ -38,6 +38,8 @@ __all__ = [
     "freq_indices",
     "analyze",
     "synthesize",
+    "taylor_block",
+    "samples_of_taylor",
     "resample",
     "monomial",
     "constant",
@@ -100,6 +102,25 @@ def analyze(samples: np.ndarray) -> np.ndarray:
 
 def _synthesize_array(coeffs: np.ndarray) -> np.ndarray:
     return np.fft.ifft(np.fft.ifftshift(coeffs)) * coeffs.size
+
+
+def taylor_block(rows: np.ndarray, D: int) -> np.ndarray:
+    """Taylor coefficients 0..D of each row of a complex (k, N) sample
+    block, as the columns of a (D+1, k) matrix: bit for bit analyze()
+    sliced to 0..D, which is the head of the unshifted FFT.  ``rows``
+    is overwritten by its spectrum."""
+    np.fft.fft(rows, axis=1, out=rows)
+    return rows[:, :D + 1].T / rows.shape[1]
+
+
+def samples_of_taylor(mat: np.ndarray, N: int) -> np.ndarray:
+    """Sample rows of the functions whose Taylor coefficients 0..D are
+    the columns of mat; the inverse of taylor_block."""
+    rows = np.zeros((mat.shape[1], N), dtype=complex)
+    rows[:, :mat.shape[0]] = mat.T
+    np.fft.ifft(rows, axis=1, out=rows)
+    rows *= N
+    return rows
 
 
 @dataclass(frozen=True, eq=False)

@@ -56,6 +56,9 @@ class DecompositionResult:
     """Components, their carriers, and the recomposition residual.
 
     The reconstruction is sum_i carrier_i * component_i on samples.
+    Blaschke mode measures the residual on its work grid; on the input
+    grid the band-truncated functions recompose f far less closely for
+    zeros near the circle (3e-3 at radius 0.9, degree 24, N = 1024).
     ``basis_coefficients`` holds the raw expansion coefficients
     (slot j by power m) for the Blaschke mode; the squared l2 norm of
     row j is the squared subspace norm of component j, which is what
@@ -140,9 +143,7 @@ def _band_truncate(samples: np.ndarray, n_desk: int) -> CircleFunction:
     """View a work-grid sample array on the desk grid.
 
     Keeps the central frequency band; content beyond the desk band is
-    dropped without a mass check because callers only use this for
-    functions whose out-of-band tail is already below the reported
-    residual.
+    dropped without a mass check.
     """
     work = CircleFunction.from_samples(samples)
     n_work = work.n_samples
@@ -168,8 +169,9 @@ def decompose_blaschke(f: CircleFunction, spec: BlaschkeSpec,
     factor.  The pairings and the residual are computed on an internal
     work grid chosen so that the upward spectral spread of B^m (up to
     (1 + r)/(1 - r) per factor per power) stays below the Nyquist
-    limit; the returned functions live on the input's grid and their
-    sample views drop only tail mass below the residual scale.
+    limit; the returned functions live on the input's grid, and the
+    band they drop is not bounded by the residual (see
+    DecompositionResult).
     """
     require_analytic(f, "decompose_blaschke")
     degree = f.top_index()
@@ -313,18 +315,17 @@ def cesaro_convergence_profile(f: CircleFunction, spec: GaugeNormSpec,
     a = f.coeffs[half:half + top + 1]
     z = grid(N)
     # Rows j of V are a_j z^j; each difference sigma_l(f) - f is a short
-    # combination of these rows, so the profile is a matmul, done in
-    # blocks of rows to keep the intermediate small.
+    # combination of these rows.
     V = a[:, None] * z[None, :] ** np.arange(top + 1)[:, None]
     js = np.arange(top + 1)
     out = np.empty(l_max + 1)
-    block = 256
-    for lo in range(0, l_max + 1, block):
-        hi = min(lo + block, l_max + 1)
-        weights = np.empty((hi - lo, top + 1))
-        for row, l in enumerate(range(lo, hi)):
-            weights[row] = np.where(js <= l, -js / (l + 1.0), -1.0)
-        diffs = weights @ V
-        for row, l in enumerate(range(lo, hi)):
-            out[l] = spec._eval(np.abs(diffs[row]))
+    # From l = top on, sigma_l(f) - f = -z f'(z) / (l + 1) exactly, so by
+    # homogeneity the rest of the profile is alpha(z f') / (l + 1).
+    head = min(top, l_max + 1)
+    ls = np.arange(head)
+    weights = np.where(js[None, :] <= ls[:, None],
+                       -js[None, :] / (ls[:, None] + 1.0), -1.0)
+    for l, diff in enumerate(weights @ V):
+        out[l] = spec._eval(np.abs(diff))
+    out[head:] = spec._eval(np.abs(js @ V)) / (np.arange(head, l_max + 1) + 1.0)
     return out

@@ -89,7 +89,8 @@ class InnerOuterPair:
     unimodularity_defect: float
 
     def meets_invariants(self, tol: float = 1e-7) -> bool:
-        return self.residual <= tol and self.unimodularity_defect <= tol
+        return (self.residual <= tol and self.unimodularity_defect <= tol
+                and self.outer.is_analytic())
 
 
 @dataclass(frozen=True, eq=False)

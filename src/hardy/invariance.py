@@ -22,11 +22,12 @@ import numpy as np
 from .blaschke import BlaschkeSpec, blaschke_eval, power_spec
 from .circlefn import (
     CircleFunction,
-    analyze,
     gram_defect,
     grid,
     horner,
     require_analytic,
+    samples_of_taylor,
+    taylor_block,
 )
 from .decomp import cesaro_mean
 from .errors import (
@@ -100,22 +101,19 @@ class SubspaceBasis:
 
 def _coeff_matrix(members: Sequence[CircleFunction], D: int) -> np.ndarray:
     """Taylor coefficients 0..D of each member, as matrix columns."""
-    N = members[0].n_samples
-    half = N // 2
-    mat = np.empty((D + 1, len(members)), dtype=complex)
-    for j, v in enumerate(members):
-        mat[:, j] = v.coeffs[half:half + D + 1]
-    return mat
+    half = members[0].n_samples // 2
+    return np.stack([v.coeffs[half:half + D + 1] for v in members], axis=1)
 
 
-def _functions_from_columns(mat: np.ndarray, D: int,
+def _functions_from_columns(mat: np.ndarray,
                             n_samples: int) -> List[CircleFunction]:
+    """The functions whose Taylor coefficients are the columns of mat."""
     half = n_samples // 2
     out = []
-    for j in range(mat.shape[1]):
+    for j, samples in enumerate(samples_of_taylor(mat, n_samples)):
         c = np.zeros(n_samples, dtype=complex)
-        c[half:half + D + 1] = mat[:, j]
-        out.append(CircleFunction.from_coeffs(c))
+        c[half:half + mat.shape[0]] = mat[:, j]
+        out.append(CircleFunction(n_samples, samples, c))
     return out
 
 
@@ -139,10 +137,7 @@ def _orthonormal_columns(mat: np.ndarray, rel_cutoff: float = 1e-10) -> np.ndarr
     U, S, _ = _svd(mat)
     if S.size == 0 or S[0] <= 0.0:
         raise ConstructionError("the given columns span nothing")
-    rank = int(np.sum(S > rel_cutoff * S[0]))
-    if rank == 0:
-        raise ConstructionError("the given columns span nothing")
-    return U[:, :rank]
+    return U[:, :int(np.sum(S > rel_cutoff * S[0]))]
 
 
 def _check_multiplier(m: CircleFunction, who: str):
@@ -156,11 +151,15 @@ def _check_multiplier(m: CircleFunction, who: str):
         )
 
 
-def _truncated_taylor(samples: np.ndarray, D: int) -> np.ndarray:
-    """Taylor slice 0..D of a sample array's spectrum."""
-    c = analyze(samples)
-    half = samples.size // 2
-    return c[half:half + D + 1]
+def _graded_rows(head: Sequence[np.ndarray], starts: Sequence[np.ndarray],
+                 step: np.ndarray, count: int) -> np.ndarray:
+    """Sample block: the rows of head, then s, s*step, ..., s*step^(count-1)
+    for each s in starts, the powers formed by a running product."""
+    rows = list(head)
+    for s in starts:
+        for k in range(count):
+            rows.append(s if k == 0 else rows[-1] * step)
+    return np.array(rows, dtype=complex).reshape(-1, step.size)
 
 
 def span_invariant(generators: Sequence[CircleFunction],
@@ -190,16 +189,10 @@ def span_invariant(generators: Sequence[CircleFunction],
         if g.n_samples != N:
             raise SizeError("generators must share one grid")
         require_analytic(g, "span_invariant")
-    cols = []
-    for g in generators:
-        acc = g.samples
-        cols.append(_truncated_taylor(acc, D))
-        for _ in range(k_max):
-            acc = acc * multiplier.samples
-            cols.append(_truncated_taylor(acc, D))
-    mat = np.stack(cols, axis=1)
-    basis_mat = _orthonormal_columns(mat)
-    basis = _functions_from_columns(basis_mat, D, N)
+    rows = _graded_rows((), [g.samples for g in generators],
+                        multiplier.samples, k_max + 1)
+    basis_mat = _orthonormal_columns(taylor_block(rows, D))
+    basis = _functions_from_columns(basis_mat, N)
     prov = {
         "kind": "span_invariant",
         "n_generators": len(generators),
@@ -221,9 +214,9 @@ def _lowest_index(f: CircleFunction) -> int:
 
 
 def _graded_testable_columns(recipe: dict, multiplier: CircleFunction,
-                             N: int) -> Optional[List[np.ndarray]]:
-    """Rebuild the raw build columns whose image under the multiplier
-    stays inside the modeled grades.
+                             N: int) -> Optional[np.ndarray]:
+    """Rebuild, as the rows of a sample block, the raw build columns
+    whose image under the multiplier stays inside the modeled grades.
 
     Returns None when the space carries no build recipe, the recipe
     does not fit the grid, or the multiplier is not a small power of
@@ -235,47 +228,33 @@ def _graded_testable_columns(recipe: dict, multiplier: CircleFunction,
     base = np.asarray(recipe.get("base_samples"))
     if base.shape != (N,):
         return None
-    step = None
     acc = base
-    for s in (1, 2, 3):
+    for step in (1, 2, 3):
         if np.max(np.abs(multiplier.samples - acc)) <= 1e-8:
-            step = s
             break
         acc = acc * base
-    if step is None:
+    else:
         return None
     k_max = int(recipe.get("k_max", -1))
-    cols = [np.asarray(c) for c in recipe.get("extra_samples", ())]
     prefix = recipe.get("prefix_samples")
-    top = k_max - step
-    for g in recipe.get("generator_samples", ()):
-        col = np.asarray(g) if prefix is None else np.asarray(g) * prefix
-        for k in range(top + 1):
-            cols.append(col)
-            col = col * base
-    if not cols:
-        return None
-    return cols
+    starts = [np.asarray(g) if prefix is None else np.asarray(g) * prefix
+              for g in recipe.get("generator_samples", ())]
+    rows = _graded_rows(recipe.get("extra_samples", ()), starts, base,
+                        k_max - step + 1)
+    return rows if rows.shape[0] else None
 
 
-def invariance_defect(space: SubspaceBasis,
-                      multiplier: CircleFunction) -> float:
-    """How far multiplication leads out of the space.
+def _image(space: SubspaceBasis,
+           multiplier: CircleFunction) -> Tuple[np.ndarray, np.ndarray]:
+    """The space's Taylor matrix Q and the image W, under the
+    multiplier, of the vectors the space is tested on; columns on 0..D.
 
-    The defect is the largest singular value of the stacked
-    out-of-space residuals of multiplied test vectors, so it does not
-    depend on which orthonormal basis happens to represent the space.
-
-    Which vectors get multiplied depends on what the space knows about
-    itself.  A space whose provenance records its build recipe (the
-    graded columns and the build multiplier) is tested on the columns
-    whose image stays inside the modeled grades; the top-grade columns
-    are excluded because their image lands in grades the finite model
-    never included, which would register as a false defect for a
-    perfectly invariant space.  A space without a recipe is tested on
-    every basis vector, with the product cut back to the band
-    0..D - bandwidth(multiplier) so spill past the ambient band does
-    not count against it.
+    A space that records its build recipe is tested on an orthonormal
+    basis of the graded columns whose image stays inside the modeled
+    grades; the image of the top grade lies in a grade the finite model
+    never held.  A space without a recipe is tested on every basis
+    vector, truncated to the band.  The products are truncated to the
+    band 0..D too, so only spill past the ambient band is forgiven.
     """
     _check_multiplier(multiplier, "invariance_defect")
     D = space.ambient_bandwidth
@@ -284,54 +263,58 @@ def invariance_defect(space: SubspaceBasis,
         raise SizeError("multiplier must live on the space's grid")
     Q = _coeff_matrix(space.basis, D)
     recipe = space.generators if isinstance(space.generators, dict) else {}
-    cols = _graded_testable_columns(recipe, multiplier, N)
-    resids = []
-    if cols is not None:
-        mat = np.stack([_truncated_taylor(c, D) for c in cols], axis=1)
-        for q in _functions_from_columns(_orthonormal_columns(mat), D, N):
-            w = _truncated_taylor(q.samples * multiplier.samples, D)
-            resids.append(w - Q @ (Q.conj().T @ w))
-    else:
-        d_eff = D - multiplier.bandwidth()
-        if d_eff < 0:
-            raise SizeError("multiplier bandwidth exceeds the ambient band")
-        for v in space.basis:
-            w = _truncated_taylor(v.samples * multiplier.samples, D)
-            w[d_eff + 1:] = 0.0
-            resids.append(w - Q @ (Q.conj().T @ w))
-    R = np.stack(resids, axis=1)
-    return float(_svd(R, compute_uv=False)[0])
+    rows = _graded_testable_columns(recipe, multiplier, N)
+    tested = Q if rows is None else _orthonormal_columns(taylor_block(rows, D))
+    rows = samples_of_taylor(tested, N)
+    rows *= multiplier.samples
+    return Q, taylor_block(rows, D)
+
+
+def _defect(Q: np.ndarray, W: np.ndarray) -> float:
+    """Largest singular value of the part of W outside the span of Q."""
+    return float(_svd(W - Q @ (Q.conj().T @ W), compute_uv=False)[0])
+
+
+def invariance_defect(space: SubspaceBasis,
+                      multiplier: CircleFunction) -> float:
+    """How far multiplication leads out of the space.
+
+    The defect is the largest singular value of the out-of-space part
+    of W, the image of the space's test vectors (see _image), so it
+    does not depend on which orthonormal basis happens to represent
+    the space.  It is 0 for an invariant space and 1 when some unit
+    test vector is mapped wholly outside it.
+    """
+    return _defect(*_image(space, multiplier))
 
 
 def wandering_basis(space: SubspaceBasis,
                     multiplier: CircleFunction) -> List[CircleFunction]:
     """Orthonormal basis of space minus (multiplier times space).
 
-    Only meaningful on a space that is actually invariant, so the
-    defect precondition is enforced.  The dimension of the result is
-    the rank of the shift restricted to the space.
+    The shifted space is the span of the image W that invariance_defect
+    measures, and the defect is checked on that W.  W holds images of
+    orthonormal vectors; directions below RANK_CUTOFF are images that
+    left the band and shift nothing into the model.  The dimension of
+    the result is the rank of the shift restricted to the space.
     """
-    defect = invariance_defect(space, multiplier)
+    Q, W = _image(space, multiplier)
+    defect = _defect(Q, W)
     if defect > RANK_CUTOFF:
         raise ParameterError(
             f"space is not invariant under the multiplier "
             f"(defect {defect:.3e}); the complement is not meaningful"
         )
-    D = space.ambient_bandwidth
-    Q = _coeff_matrix(space.basis, D)
-    shifted = np.stack(
-        [_truncated_taylor(v.samples * multiplier.samples, D)
-         for v in space.basis], axis=1)
-    QB = _orthonormal_columns(shifted)
-    resid = Q - QB @ (QB.conj().T @ Q)
-    U, S, _ = _svd(resid)
+    U, S, _ = _svd(W)
+    QB = U[:, S > RANK_CUTOFF]
+    U, S, _ = _svd(Q - QB @ (QB.conj().T @ Q))
     if S.size == 0 or S[0] < 1e-8:
         raise DegenerateSpaceError(
             "the multiplier maps the space onto itself; the complement "
             "is trivial"
         )
     r = int(np.sum(S >= RANK_CUTOFF * S[0]))
-    return _functions_from_columns(U[:, :r], D, space.n_samples)
+    return _functions_from_columns(U[:, :r], space.n_samples)
 
 
 def subspace_distance(a: SubspaceBasis, b: SubspaceBasis) -> float:
@@ -346,11 +329,8 @@ def subspace_distance(a: SubspaceBasis, b: SubspaceBasis) -> float:
     D = max(a.ambient_bandwidth, b.ambient_bandwidth)
     if a.n_samples != b.n_samples:
         raise SizeError("subspaces must share one grid to be compared")
-    Qa = _coeff_matrix(a.basis, D)
-    Qb = _coeff_matrix(b.basis, D)
-    resid = Qb - Qa @ (Qa.conj().T @ Qb)
-    sig = _svd(resid, compute_uv=False)
-    return float(np.clip(sig[0], 0.0, 1.0))
+    return float(np.clip(
+        _defect(_coeff_matrix(a.basis, D), _coeff_matrix(b.basis, D)), 0.0, 1.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -468,24 +448,17 @@ def build_constrained(spec: ConstrainedSpec, D: int,
             f"check that the inners are jointly B-inner and the beta "
             f"columns orthonormal"
         )
-    sample_cols = list(phis)
-    for J in spec.inners:
-        acc = J.samples * bz * bz
-        sample_cols.append(acc)
-        for _ in range(k_max):
-            acc = acc * bz
-            sample_cols.append(acc)
-    dev_all = gram_defect(np.array(sample_cols))
+    rows = _graded_rows(phis, [J.samples * bz * bz for J in spec.inners],
+                        bz, k_max + 1)
+    dev_all = gram_defect(rows)
     if dev_all > 1e-8:
         raise ConstructionError(
             f"the slot family is not orthonormal (deviation {dev_all:.3e}); "
             f"the inners must form a jointly B-inner family with "
             f"uncorrelated slots"
         )
-    cols = [_truncated_taylor(s, D) for s in sample_cols]
-    mat = np.stack(cols, axis=1)
-    basis_mat = _orthonormal_columns(mat)
-    basis = _functions_from_columns(basis_mat, D, N)
+    basis_mat = _orthonormal_columns(taylor_block(rows, D))
+    basis = _functions_from_columns(basis_mat, N)
     prov = {
         "kind": "constrained",
         "k": spec.k,

@@ -84,11 +84,14 @@ def function_from_json(obj: Mapping) -> CircleFunction:
         raise ParameterError(
             "function JSON needs 'n_samples' and 'coeffs'") from exc
     coeffs = {}
-    for entry in entries:
-        j, re, im = entry
-        coeffs[int(j)] = coeffs.get(int(j), 0.0) \
-            + _finite(complex(float(re), float(im)))
-    return synthesize(coeffs, n)
+    for j, re, im in entries:
+        coeffs[int(j)] = coeffs.get(int(j), 0.0) + complex(float(re), float(im))
+    # NaN, inf and overflow in the inverse FFT leave non-finite samples.
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = synthesize(coeffs, n)
+    if not np.all(np.isfinite(f.samples)):
+        raise ParameterError("non-finite or overflowing function input")
+    return f
 
 
 def zeros_to_json(spec: BlaschkeSpec) -> dict:

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from hardy import (
@@ -158,6 +159,29 @@ def test_nan_coefficient_is_input_error(workdir):
     assert res.returncode == 1
     assert "non-finite" in res.stderr
     assert res.stdout == ""
+
+
+def test_overflowing_coefficients_are_input_error(workdir):
+    huge = workdir / "huge.json"
+    huge.write_text('{"n_samples": 1024, '
+                    '"coeffs": [[0, 1e308, 0.0], [1, 1e308, 0.0]]}')
+    for args in (["decompose", "--mode", "zn", "--n", "2"],
+                 ["factor", "classic"], ["factor", "ninner", "--n", "2"]):
+        res = run_cli(*args, "--fn", str(huge))
+        assert res.returncode == 1
+        assert "overflow" in res.stderr
+        assert "Warning" not in res.stderr
+        assert res.stdout == ""
+
+
+def test_factor_classic_aliased_outer_fails(workdir):
+    rng = np.random.default_rng(1)
+    c = rng.standard_normal(25) + 1j * rng.standard_normal(25)
+    write_json(str(workdir / "rand.json"),
+               function_to_json(synthesize(dict(enumerate(c)), 1024)))
+    res = run_cli("factor", "classic", "--fn", str(workdir / "rand.json"))
+    assert res.returncode == 2
+    assert json.loads(res.stdout)["residual"] <= 1e-9
 
 
 def test_non_finite_result_is_not_written(workdir, monkeypatch, capsys):

@@ -8,10 +8,12 @@ from hardy import (
     ParameterError,
     PNorm,
     TruncationError,
+    builtin_specs,
     cesaro_convergence_profile,
     cesaro_mean,
     decompose_blaschke,
     decompose_zn,
+    gauge_eval,
     monomial,
     norm2,
     power_spec,
@@ -106,6 +108,24 @@ def test_cesaro_profile_decreases_past_bandwidth():
     tail = prof[6:]
     assert np.all(np.diff(tail) <= 1e-12)
     assert prof[-1] < prof[6]
+
+
+def test_cesaro_profile_matches_direct_means():
+    # Rows from l = top on come from the identity
+    # sigma_l f - f = -z f' / (l + 1); check them, and the last direct
+    # row, against the Fejer means themselves.
+    N = 1024
+    rng = np.random.default_rng(3)
+    for degree in (1, 24):
+        c = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+        f = synthesize(dict(enumerate(c)), N)
+        top = f.top_index()
+        l_max = 1000 * top
+        for spec in builtin_specs(N).values():
+            prof = cesaro_convergence_profile(f, spec, l_max)
+            for l in (top - 1, top, top + 1, l_max):
+                want = gauge_eval(spec, cesaro_mean(f, l) - f)
+                assert abs(prof[l] - want) <= 1e-12 * want
 
 
 def test_blaschke_split_power_case_matches_zn():

@@ -88,6 +88,19 @@ def test_inner_outer_moebius_inner():
     assert pair.outer.coeff(1) == pytest.approx(-0.5, abs=1e-9)
 
 
+def test_inner_outer_aliased_outer_fails_invariants():
+    # Random polynomials have zeros close to the circle, where log|f|
+    # aliases on the input grid and the outer part picks up
+    # negative-index mass; residual and unimodularity do not see it.
+    rng = np.random.default_rng(1)
+    c = rng.standard_normal(25) + 1j * rng.standard_normal(25)
+    pair = inner_outer(synthesize(dict(enumerate(c)), 1024))
+    assert pair.residual <= 1e-7
+    assert pair.unimodularity_defect <= 1e-7
+    assert not pair.outer.is_analytic()
+    assert not pair.meets_invariants()
+
+
 def test_inner_outer_grid_zero_needs_regularize():
     f = synthesize({0: -1.0, 1: 1.0}, 1024)  # vanishes at z = 1
     with pytest.raises(SingularityError):

@@ -15,12 +15,16 @@ from hardy import (
     basis_element,
     BasisIndex,
     build_constrained,
+    grid,
     inner_product,
     invariance_defect,
     monomial,
+    n_inner_outer_factorize,
     norm2,
+    resample,
     span_invariant,
     subspace_distance,
+    synthesize,
     subspace_from_json,
     subspace_to_json,
     verify_constrained,
@@ -96,6 +100,62 @@ def test_wandering_requires_invariance():
     space = _monomial_space([0], D=64)
     with pytest.raises(ParameterError):
         wandering_basis(space, monomial(1, 1024))
+
+
+def test_band_filling_ladder_is_not_invariant():
+    # z^2 * z^61 = z^63 lies in the band 0..64 but not in the space.
+    space = _monomial_space(range(63), D=64)
+    assert invariance_defect(space, monomial(2, 1024)) == pytest.approx(
+        1.0, abs=1e-10)
+    with pytest.raises(ParameterError):
+        wandering_basis(space, monomial(2, 1024))
+
+
+def test_wandering_of_band_leaving_multiplier_is_whole_space():
+    # Every image leaves the band 0..64, so nothing is shifted into the
+    # model and the complement is the space itself.
+    space = _monomial_space(range(65), D=64)
+    assert invariance_defect(space, monomial(65, 1024)) <= 1e-10
+    assert len(wandering_basis(space, monomial(65, 1024))) == 65
+
+
+def test_wandering_vector_of_polynomial_span_stays_in_span():
+    # The complement is taken against the image of the modeled grades
+    # only; z^2 times the top grade is not in the truncated space.
+    N, D = 1024, 200
+    z2 = monomial(2, N)
+    rng = np.random.default_rng(1)
+    for _ in range(3):
+        c = rng.standard_normal(25) + 1j * rng.standard_normal(25)
+        g = synthesize(dict(enumerate(c)), N)
+        space = span_invariant([g], z2, k_max=64, D=D)
+        vs = wandering_basis(space, z2)
+        assert len(vs) == 1
+        w = vs[0].coeffs[N // 2:N // 2 + D + 1]
+        Q = np.stack([v.coeffs[N // 2:N // 2 + D + 1] for v in space.basis],
+                     axis=1)
+        assert np.linalg.norm(w - Q @ (Q.conj().T @ w)) <= 1e-12
+        shifted = g.samples
+        for _ in range(64):
+            shifted = shifted * z2.samples
+            ip = np.vdot(shifted, vs[0].samples) / N
+            assert abs(ip) <= 1e-12 * norm2(g)
+
+
+def test_wandering_vector_is_the_two_inner_factor():
+    # g = J (2 + z^2) with J = z (z^2 - 1/2) / (1 - z^2 / 2) 2-inner and
+    # 2 + z^2 2-outer: the wandering vector of g's z^2-span is J, and so
+    # is the 2-inner factor of the direct factorization.
+    N = 1024
+    z = grid(N)
+    J = CircleFunction.from_samples(z * (z ** 2 - 0.5) / (1 - 0.5 * z ** 2))
+    g = CircleFunction.from_samples(J.samples * (2 + z ** 2))
+    z2 = monomial(2, N)
+    vs = wandering_basis(span_invariant([g], z2, k_max=100, D=300), z2)
+    assert len(vs) == 1
+    inner = resample(n_inner_outer_factorize(g, 2).inners[0], N)
+    assert abs(inner_product(vs[0], inner)) >= 1 - 1e-10
+    assert abs(inner_product(vs[0], J)) >= 1 - 1e-10
 
 
 def test_beurling_recovery_moebius():
