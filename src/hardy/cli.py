@@ -29,6 +29,7 @@ from .decomp import decompose_blaschke, decompose_zn
 from .errors import (
     FactorizationError,
     HardyError,
+    ParameterError,
     SingularityError,
     SizeError,
 )
@@ -214,7 +215,10 @@ def _cmd_decompose(args) -> int:
         if args.zeros is None:
             raise _InputError("--mode blaschke needs --zeros")
         spec = _zeros_arg(args.zeros)
-        result = decompose_blaschke(f, spec, m_max=args.mmax)
+        try:
+            result = decompose_blaschke(f, spec, m_max=args.mmax)
+        except ParameterError as exc:  # a cutoff or zeros it cannot take
+            raise _InputError(str(exc)) from exc
     payload = {
         "mode": result.mode,
         "components": [function_to_json(c) for c in result.components],
@@ -224,6 +228,7 @@ def _cmd_decompose(args) -> int:
     }
     if result.basis_coefficients is not None:
         payload["m_max"] = int(result.basis_coefficients.shape[1]) - 1
+        payload["phase_grid"] = result.phase_grid
     _emit(payload, args.out)
     return EXIT_OK
 

@@ -24,7 +24,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .blaschke import BlaschkeSpec, _basis_carriers
+from .blaschke import BlaschkeSpec, _basis_carriers, blaschke_eval
 from .circlefn import (
     CircleFunction,
     freq_indices,
@@ -33,7 +33,6 @@ from .circlefn import (
     monomial,
     norm2,
     require_analytic,
-    resample,
 )
 from .errors import ParameterError, TruncationError
 from .norms import GaugeNormSpec
@@ -49,20 +48,26 @@ __all__ = [
 ]
 
 TOL_DECOMP = 1e-8
+# Largest phase-grid node count (grid size times degree) in Blaschke mode.
+MAX_PHASE_NODES = 2 ** 20
 
 
 @dataclass(frozen=True, eq=False)
 class DecompositionResult:
     """Components, their carriers, and the recomposition residual.
 
-    The reconstruction is sum_i carrier_i * component_i on samples.
-    Blaschke mode measures the residual on its work grid; on the input
-    grid the band-truncated functions recompose f far less closely for
-    zeros near the circle (3e-3 at radius 0.9, degree 24, N = 1024).
-    ``basis_coefficients`` holds the raw expansion coefficients
-    (slot j by power m) for the Blaschke mode; the squared l2 norm of
-    row j is the squared subspace norm of component j, which is what
-    the Pythagoras identity refers to.
+    The reconstruction is sum_i carrier_i * component_i on samples.  In
+    Blaschke mode component j at z_k is the point value sum_m c_jm
+    B(z_k)^m, so the pieces add back up to f at every grid point to
+    about the residual, a quadrature at the preimages of a
+    ``phase_grid``-point grid (None in z^n mode).  The price is the
+    coefficient view of a piece: once the spectrum of B^m exceeds the
+    grid (zero radii above about 0.85 at N = 1024) its ``coeffs``
+    alias; for the zeros (0, r, -ir) and a degree-24 input the largest
+    ``negative_energy`` of a piece is 4e-3 at r = 0.9 and 0.7 at
+    r = 0.958.  Piece j is exactly row j of ``basis_coefficients``
+    (slot j by power m), whose squared l2 norm is the squared subspace
+    norm the Pythagoras identity refers to.
     """
 
     mode: str
@@ -70,6 +75,7 @@ class DecompositionResult:
     carriers: Tuple[CircleFunction, ...]
     residual: float
     basis_coefficients: Optional[np.ndarray] = None
+    phase_grid: Optional[int] = None
 
     def component_norms(self) -> Tuple[float, ...]:
         """Subspace norms of the components.
@@ -84,33 +90,18 @@ class DecompositionResult:
         return tuple(norm2(c) for c in self.components)
 
 
-def _winding_rates(spec: BlaschkeSpec) -> Tuple[float, float]:
-    """Extreme boundary winding rates of the product.
-
-    The phase speed of one factor with zero radius r ranges over
-    [(1 - r)/(1 + r), (1 + r)/(1 - r)] as the point moves around the
-    circle; the product's speed is the sum over factors.  The slow rate
-    controls how many basis powers are needed to reach a given input
-    frequency, the fast rate controls how far the spectrum of a power
-    of the product spreads upward.
-    """
-    radii = np.abs(np.asarray(spec.zeros, dtype=complex))
-    w_min = float(np.sum((1.0 - radii) / (1.0 + radii)))
-    w_max = float(np.sum((1.0 + radii) / (1.0 - radii)))
-    return w_min, w_max
-
-
 def _auto_m_max(spec: BlaschkeSpec, degree: int) -> int:
     """Power cutoff sized so the expansion tail is below ~1e-10.
 
     Two pieces: enough powers for the slowest winding pocket to sweep
-    past the input's top frequency, then extra powers for the tail,
-    which decays by a factor of about sqrt(|zero|) per factor per
-    power.  Zeros at the origin wind at unit speed with no tail.
+    past the input's top frequency (a factor with zero radius r winds
+    at least at (1 - r)/(1 + r)), then extra powers for the tail, which
+    decays by a factor of about sqrt(|zero|) per factor per power.
+    Zeros at the origin wind at unit speed with no tail.
     """
-    w_min, _ = _winding_rates(spec)
-    coverage = int(np.ceil(max(degree, 1) / w_min))
     radii = np.abs(np.asarray(spec.zeros, dtype=complex))
+    w_min = float(np.sum((1.0 - radii) / (1.0 + radii)))
+    coverage = int(np.ceil(max(degree, 1) / w_min))
     positive = radii[radii > 0.0]
     if positive.size == 0:
         return coverage
@@ -118,39 +109,34 @@ def _auto_m_max(spec: BlaschkeSpec, degree: int) -> int:
     return coverage + int(np.ceil(27.0 / nats_per_power)) + 8
 
 
-def _work_grid_size(n_desk: int, spec: BlaschkeSpec, m_max: int,
-                    degree: int) -> int:
-    """Grid large enough that the pairing integrals do not alias.
+def _phase_speed(spec: BlaschkeSpec, z: np.ndarray) -> np.ndarray:
+    """psi'(theta) = sum_a (1 - |a|^2) / |z - a|^2 at z = exp(i theta)."""
+    return sum((1.0 - abs(a) ** 2) / np.abs(z - a) ** 2 for a in spec.zeros)
 
-    The integrand f * conj(e(j, 0)) * conj(B)^m has spectrum inside
-    [-(w_max * m + tail), degree], so the grid must exceed that width.
+
+def _phase_nodes(spec: BlaschkeSpec, M: int) -> Tuple[np.ndarray, float]:
+    """The preimages under B of the phase targets psi_0 + 2 pi l / M.
+
+    Returns them as a (degree, M) array, sheet s of target l at [s, l],
+    and psi_0 = arg B(1).  The unwrapped phase is sampled on a uniform
+    grid of P points joined with each nonzero zero's Moebius image of
+    it, so between neighbours every factor's phase moves by at most
+    2 pi / P and np.unwrap is exact for P > 2 * degree.  Linear
+    interpolation of the inverse seeds Newton's method on the phase.
     """
-    _, w_max = _winding_rates(spec)
-    needed = int(np.ceil(w_max * m_max)) + degree + 512
-    size = n_desk
-    while size < needed:
-        size *= 2
-    if size > 65536:
-        raise ParameterError(
-            f"decomposition would need a {size}-point work grid "
-            f"(m_max={m_max}, fast winding rate {w_max:.1f}); "
-            "reduce m_max or the zero radii"
-        )
-    return size
-
-
-def _band_truncate(samples: np.ndarray, n_desk: int) -> CircleFunction:
-    """View a work-grid sample array on the desk grid.
-
-    Keeps the central frequency band; content beyond the desk band is
-    dropped without a mass check.
-    """
-    work = CircleFunction.from_samples(samples)
-    n_work = work.n_samples
-    if n_work == n_desk:
-        return work
-    lo = n_work // 2 - n_desk // 2
-    return CircleFunction.from_coeffs(work.coeffs[lo:lo + n_desk].copy())
+    P = max(M, 4 * spec.degree)
+    w = np.exp(2j * np.pi * np.arange(P) / P)
+    pts = [w] + [(w + a) / (1.0 + np.conj(a) * w) for a in spec.zeros if a != 0]
+    theta = np.append(np.sort(np.angle(np.concatenate(pts)) % (2.0 * np.pi)),
+                      2.0 * np.pi)
+    psi = np.unwrap(np.angle(blaschke_eval(spec, np.exp(1j * theta))))
+    targets = psi[0] + 2.0 * np.pi * np.arange(spec.degree * M) / M
+    theta = np.interp(targets, psi, theta)
+    for _ in range(4):
+        z = np.exp(1j * theta)
+        miss = np.angle(blaschke_eval(spec, z) * np.exp(-1j * targets))
+        theta = theta - miss / _phase_speed(spec, z)
+    return np.exp(1j * theta).reshape(spec.degree, M), float(psi[0])
 
 
 def decompose_blaschke(f: CircleFunction, spec: BlaschkeSpec,
@@ -159,54 +145,63 @@ def decompose_blaschke(f: CircleFunction, spec: BlaschkeSpec,
     """Split f along the factor slots of B up to basis power m_max.
 
     Component j is sum_m <f, e(j, m)> B^m, a series in B; carrier j is
-    e(j, 0).  The residual is the grid L2 distance between f and the
-    recomposition; it measures the basis tail beyond m_max and is
-    reported rather than raised, unless ``strict`` is set.
+    e(j, 0).  With m_max=None the cutoff is sized automatically from
+    the input's top frequency and the slowest winding rate of B.
 
-    With m_max=None the cutoff is sized automatically from the input's
-    top frequency and the slowest winding rate of the product, which
-    for zeros of radius r can be as small as (1 - r)/(1 + r) per
-    factor.  The pairings and the residual are computed on an internal
-    work grid chosen so that the upward spectral spread of B^m (up to
-    (1 + r)/(1 - r) per factor per power) stays below the Nyquist
-    limit; the returned functions live on the input's grid, and the
-    band they drop is not bounded by the residual (see
-    DecompositionResult).
+    The pairings come by a change of variables to the phase psi of B,
+    which rises by 2 pi * degree once round the circle at speed psi':
+    <f, e(j, m)> is the m-th Fourier coefficient in phi of G_j(phi),
+    the sum of f conj(e(j, 0)) / psi' over the preimages of exp(i phi),
+    so one FFT of G_j on an M-point phase grid gives every power.  M is
+    the smallest power of two >= 64 and >= 2 (m + 1), m the larger of
+    m_max and the automatic cutoff; more than 2^20 nodes (M * degree)
+    raise ParameterError.  The residual is the L2 distance between f
+    and the recomposition, by quadrature at the nodes; it measures the
+    basis tail beyond m_max and is reported rather than raised, unless
+    ``strict`` is set.  The returned functions are point values on the
+    input's grid (see DecompositionResult).
     """
     require_analytic(f, "decompose_blaschke")
     degree = f.top_index()
+    m_auto = _auto_m_max(spec, degree)
     if m_max is None:
-        m_max = _auto_m_max(spec, degree)
+        m_max = m_auto
     if m_max < 0:
         raise ParameterError("m_max must be >= 0")
     n = spec.degree
-    n_desk = f.n_samples
-    n_work = _work_grid_size(n_desk, spec, m_max, degree)
-    f_work = resample(f, n_work)
-    carrier_samples, bz = _basis_carriers(spec, grid(n_work))
-    coeffs = np.zeros((n, m_max + 1), dtype=complex)
-    for j in range(n):
-        # e(j, m) = e(j, 0) * B^m, so the pairings come from one
-        # accumulating product.
-        acc = f_work.samples * np.conj(carrier_samples[j])
-        for m in range(m_max + 1):
-            coeffs[j, m] = np.mean(acc)
-            acc = acc * np.conj(bz)
-    components = []
-    recomposed = np.zeros(n_work, dtype=complex)
-    for j in range(n):
-        comp = horner(coeffs[j], bz)  # sum_m c_{jm} B^m
-        components.append(_band_truncate(comp, n_desk))
-        recomposed = recomposed + carrier_samples[j] * comp
-    residual = float(np.sqrt(np.mean(np.abs(f_work.samples - recomposed) ** 2)))
+    # Sized from the automatic cutoff too, so G_j does not alias.
+    M = 1 << max(6, (2 * max(m_max, m_auto) + 1).bit_length())
+    if M * n > MAX_PHASE_NODES:
+        raise ParameterError(f"decomposition needs {M * n} phase nodes, more "
+                             f"than {MAX_PHASE_NODES}; move the zeros inward")
+    nodes, psi0 = _phase_nodes(spec, M)
+    weights = 1.0 / _phase_speed(spec, nodes)
+    at_nodes, _ = _basis_carriers(spec, nodes)
+    # The negative-index part of f pairs to zero with every e(j, m).
+    f_nodes = horner(np.trim_zeros(f.coeffs[f.n_samples // 2:], "b"), nodes)
+    G = np.array([np.sum(f_nodes * np.conj(e) * weights, axis=0)
+                  for e in at_nodes])
+    spectrum = np.fft.fft(G, axis=1)
+    coeffs = spectrum[:, :m_max + 1] * np.exp(
+        -1j * psi0 * np.arange(m_max + 1)) / M
+    # h_j(exp(i phi_l)) = sum_m c_jm exp(i m phi_l), then the fibre
+    # identity f = sum_j e(j, 0) h_j(B) on every sheet.
+    h = np.fft.ifft(np.where(np.arange(M) <= m_max, spectrum, 0.0), axis=1)
+    recomposed = sum(e * hj for e, hj in zip(at_nodes, h))
+    residual = float(np.sqrt(
+        np.sum(np.abs(f_nodes - recomposed) ** 2 * weights) / M))
     if strict and residual > TOL_DECOMP:
         raise TruncationError(
             f"basis tail beyond m_max={m_max} has residual {residual:.3e}"
         )
-    carriers = tuple(_band_truncate(s, n_desk) for s in carrier_samples)
+    carrier_samples, bz = _basis_carriers(spec, grid(f.n_samples))
+    pieces = horner(coeffs.T, bz[:, None]).T  # row j: sum_m c_jm B^m
     return DecompositionResult(
-        mode="blaschke", components=tuple(components), carriers=carriers,
-        residual=residual, basis_coefficients=coeffs)
+        mode="blaschke",
+        components=tuple(CircleFunction.from_samples(p) for p in pieces),
+        carriers=tuple(CircleFunction.from_samples(s)
+                       for s in carrier_samples),
+        residual=residual, basis_coefficients=coeffs, phase_grid=M)
 
 
 def zn_series_components(f: CircleFunction, n: int) -> Tuple[CircleFunction, ...]:

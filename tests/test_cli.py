@@ -18,6 +18,7 @@ from hardy import (
     write_json,
     zeros_to_json,
 )
+from hardy.blaschke import MAX_ZERO_MODULUS
 
 
 def run_cli(*args, env_extra=None, cwd=None):
@@ -100,6 +101,28 @@ def test_decompose_zn_payload(workdir):
     assert payload["mode"] == "zn"
     assert len(payload["components"]) == 3
     assert payload["residual"] <= 1e-12
+
+
+def test_decompose_blaschke_zeros_near_circle(workdir):
+    zeros = workdir / "near.json"
+    write_json(str(zeros), zeros_to_json(BlaschkeSpec((0.0, 0.99, -0.99j))))
+    res = run_cli("decompose", "--fn", str(workdir / "poly.json"),
+                  "--mode", "blaschke", "--zeros", str(zeros))
+    assert res.returncode == 0
+    payload = json.loads(res.stdout)
+    assert payload["residual"] <= 1e-10
+    assert payload["phase_grid"] >= 2 * (payload["m_max"] + 1)
+
+
+def test_decompose_blaschke_refuses_zeros_at_max_modulus(workdir):
+    r = MAX_ZERO_MODULUS
+    zeros = workdir / "edge.json"
+    write_json(str(zeros), zeros_to_json(BlaschkeSpec((0.0, r, -1j * r))))
+    res = run_cli("decompose", "--fn", str(workdir / "poly.json"),
+                  "--mode", "blaschke", "--zeros", str(zeros))
+    assert res.returncode == 1
+    assert "phase nodes" in res.stderr
+    assert res.stdout == ""
 
 
 def test_norm_audit_passes_for_p2():

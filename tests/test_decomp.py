@@ -1,5 +1,7 @@
 """Decompositions: residue splitting, basis series, smoothing means."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from hardy import (
     synthesize,
     zn_series_components,
 )
+from hardy.blaschke import MAX_ZERO_MODULUS
 
 
 def test_zn_split_oracle_n2():
@@ -171,3 +174,90 @@ def test_blaschke_power_split_matches_zn_split(n):
     for a, b in zip(by_basis.components + by_basis.carriers,
                     by_selection.components + by_selection.carriers):
         assert np.max(np.abs(a.coeffs - b.coeffs)) <= 1e-12
+
+
+def _random_taylor(seed, degree=24):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+
+
+def _circle_factors(zeros, z):
+    """The carriers e(j, 0) and the product B at the points z."""
+    factors = [(z - a) / (1.0 - np.conj(a) * z) for a in zeros]
+    carriers = [np.sqrt(1.0 - abs(a) ** 2) / (1.0 - np.conj(a) * z)
+                * np.prod(factors[:j], axis=0) for j, a in enumerate(zeros)]
+    return carriers, np.prod(factors, axis=0)
+
+
+def _running_product_coeffs(taylor, zeros, m_max):
+    """<f, e(j, m)> as grid means of f conj(e(j, 0)) conj(B)^m, by one
+    accumulating product per slot on a grid wider than the integrands'
+    spectrum (up to (1 + r)/(1 - r) per factor per power)."""
+    radii = np.abs(np.asarray(zeros))
+    width = np.sum((1 + radii) / (1 - radii)) * m_max + taylor.size + 512
+    n_work = 1 << int(np.ceil(width)).bit_length()
+    z = np.exp(2j * np.pi * np.arange(n_work) / n_work)
+    carriers, b = _circle_factors(zeros, z)
+    out = np.empty((len(zeros), m_max + 1), dtype=complex)
+    for j, e0 in enumerate(carriers):
+        acc = np.polynomial.polynomial.polyval(z, taylor) * np.conj(e0)
+        for m in range(m_max + 1):
+            out[j, m] = np.mean(acc)
+            acc = acc * np.conj(b)
+    return out
+
+
+@pytest.mark.parametrize("r", [0.3, 0.6, 0.8, 0.9])
+def test_blaschke_pushforward_matches_running_product(r):
+    zeros = (0.0, r, -1j * r)
+    for seed in range(3):
+        taylor = _random_taylor(seed)
+        f = synthesize(dict(enumerate(taylor)), 1024)
+        res = decompose_blaschke(f, BlaschkeSpec(zeros))
+        oracle = _running_product_coeffs(taylor, zeros,
+                                         res.basis_coefficients.shape[1] - 1)
+        assert np.max(np.abs(res.basis_coefficients - oracle)) <= 1e-12
+
+
+@pytest.mark.parametrize("r", [0.9, 0.958])
+def test_blaschke_pieces_recompose_f_on_input_grid(r):
+    f = synthesize(dict(enumerate(_random_taylor(2))), 1024)
+    res = decompose_blaschke(f, BlaschkeSpec((0.0, r, -1j * r)))
+    total = sum(c.samples * p.samples
+                for c, p in zip(res.carriers, res.components))
+    assert np.max(np.abs(total - f.samples)) <= 1e-10
+    assert res.residual <= 1e-10
+
+
+def test_blaschke_zeros_near_circle_decompose():
+    zeros = (0.0, 0.99, -0.99j)
+    taylor = _random_taylor(7)
+    f = synthesize(dict(enumerate(taylor)), 1024)
+    res = decompose_blaschke(f, BlaschkeSpec(zeros))
+    energy = float(np.sum(np.abs(taylor) ** 2))
+    c = res.basis_coefficients
+    assert res.residual <= 1e-10
+    assert abs(float(np.sum(np.abs(c) ** 2)) - energy) <= 1e-9 * energy
+    assert res.phase_grid >= 2 * c.shape[1]
+    # Closed form: e(j, m) = e(j, 0) B^m sampled on a grid fine enough
+    # that conj(e(j, m)) aliases nothing onto f's band (0.99^16384 ~ 1e-72).
+    z = np.exp(2j * np.pi * np.arange(16384) / 16384)
+    carriers, b = _circle_factors(zeros, z)
+    fz = np.polynomial.polynomial.polyval(z, taylor)
+    for j, m in ((0, 0), (1, 1), (2, 4)):
+        want = np.mean(fz * np.conj(carriers[j] * b ** m))
+        assert abs(c[j, m] - want) <= 1e-10 * np.sqrt(energy)
+
+
+def test_blaschke_refuses_zeros_at_max_modulus_before_allocating():
+    f = synthesize(dict(enumerate(_random_taylor(7))), 1024)
+    r = MAX_ZERO_MODULUS
+    spec = BlaschkeSpec((0.0, r, -1j * r))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParameterError, match="phase nodes"):
+            decompose_blaschke(f, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
