@@ -17,44 +17,32 @@ truncated coefficient series are involved.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .circlefn import (
     DEFAULT_N_SAMPLES,
     CircleFunction,
-    evaluate_at,
     gram_defect,
     grid,
 )
-from .errors import ParameterError, TruncationError
+from .errors import ParameterError
 
 __all__ = [
     "MAX_ZERO_MODULUS",
     "BlaschkeSpec",
     "BasisIndex",
-    "ConventionWarning",
     "power_spec",
     "blaschke_eval",
     "as_circle_function",
-    "partial_product",
     "basis_element",
-    "compose",
     "check_basis_orthonormality",
-    "gram_matrix",
 ]
 
 # Zeros must stay this far inside the closed disk.
 MAX_ZERO_MODULUS = 1.0 - 1e-6
-
-
-class ConventionWarning(UserWarning):
-    """The first zero is nonzero, so composition is contractive rather
-    than isometric on the Hardy space; norm identities that assume a
-    vanishing first zero do not apply verbatim."""
 
 
 @dataclass(frozen=True)
@@ -115,19 +103,6 @@ def as_circle_function(spec: BlaschkeSpec,
     return CircleFunction.from_samples(blaschke_eval(spec, grid(n_samples)))
 
 
-def partial_product(spec: BlaschkeSpec, j: int,
-                    n_samples: int = DEFAULT_N_SAMPLES) -> CircleFunction:
-    """B_j, the product of the first j factors; B_0 is the constant 1."""
-    if j < 0 or j > spec.degree:
-        raise ParameterError(
-            f"partial product index must lie in 0..{spec.degree}, got {j}"
-        )
-    if j == 0:
-        return CircleFunction.from_samples(np.ones(n_samples, dtype=complex))
-    head = BlaschkeSpec(spec.zeros[:j])
-    return as_circle_function(head, n_samples)
-
-
 def _basis_carriers(spec: BlaschkeSpec, z: np.ndarray):
     """Every carrier e(j, 0) and the product B, in one pass over the
     zeros; the basis member e(j, m) is e(j, 0) * B^m."""
@@ -149,40 +124,6 @@ def basis_element(spec: BlaschkeSpec, index: BasisIndex,
         )
     carriers, b = _basis_carriers(spec, grid(n_samples))
     return CircleFunction.from_samples(carriers[index.j] * b ** index.m)
-
-
-def compose(f: CircleFunction, spec: BlaschkeSpec) -> CircleFunction:
-    """f composed with B, evaluated as the Taylor series of f at B(z_k).
-
-    Requires f analytic and a grid with margin
-    n_samples >= 4 * degree * bandwidth(f) so the composed spectrum
-    stays clear of the band edge.
-    """
-    need = 4 * spec.degree * max(f.top_index(), 1)
-    if f.n_samples < need:
-        raise TruncationError(
-            f"composition needs n_samples >= {need}, got {f.n_samples}"
-        )
-    if spec.zeros[0] != 0:
-        warnings.warn(
-            "first Blaschke zero is nonzero; composition preserves the "
-            "Hardy space but is only norm contractive, not isometric",
-            ConventionWarning,
-            stacklevel=2,
-        )
-    bz = blaschke_eval(spec, grid(f.n_samples))
-    return CircleFunction.from_samples(evaluate_at(f, bz))
-
-
-def gram_matrix(functions: Sequence[CircleFunction]) -> np.ndarray:
-    """Matrix of grid inner products <f_i, f_j>."""
-    if not functions:
-        raise ParameterError("need at least one function")
-    n = functions[0].n_samples
-    mat = np.vstack([f.samples for f in functions])
-    if mat.shape[1] != n:
-        raise ParameterError("functions must share one grid")
-    return (mat @ mat.conj().T) / n
 
 
 def check_basis_orthonormality(spec: BlaschkeSpec, m_max: int,

@@ -16,7 +16,7 @@ with.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
@@ -111,6 +111,17 @@ def taylor_block(rows: np.ndarray, D: int) -> np.ndarray:
     is overwritten by its spectrum."""
     np.fft.fft(rows, axis=1, out=rows)
     return rows[:, :D + 1].T / rows.shape[1]
+
+
+def _graded_rows(head: Sequence[np.ndarray], starts: Sequence[np.ndarray],
+                 step: np.ndarray, count: int) -> np.ndarray:
+    """Sample block: the rows of head, then s, s*step, ..., s*step^(count-1)
+    for each s in starts, the powers formed by a running product."""
+    rows = list(head)
+    for s in starts:
+        for k in range(count):
+            rows.append(s if k == 0 else rows[-1] * step)
+    return np.array(rows, dtype=complex).reshape(-1, step.size)
 
 
 def samples_of_taylor(mat: np.ndarray, N: int) -> np.ndarray:
@@ -371,10 +382,13 @@ def pointwise(f: CircleFunction, g: CircleFunction | None, op: str,
 
 def horner(taylor: np.ndarray, z) -> np.ndarray:
     """sum_k taylor[k] z^k by Horner's rule, from the top coefficient
-    down; z is a point or an array of points."""
-    acc = np.zeros_like(z, dtype=complex)
+    down; z is a point or an array of points, and each taylor[k] a
+    number or an array that broadcasts against z."""
+    acc = np.zeros(np.broadcast_shapes(np.shape(taylor[0]), np.shape(z)),
+                   dtype=complex)
     for a in taylor[::-1]:
-        acc = acc * z + a
+        acc *= z
+        acc += a
     return acc
 
 

@@ -274,7 +274,10 @@ def _cmd_factor_ninner(args) -> int:
 def _cmd_factor_checkbinner(args) -> int:
     phis = [_function_arg(p) for p in args.fn]
     spec = _zeros_arg(args.zeros)
-    matrix = b_inner_matrix_from(phis, spec, m_max=args.mmax)
+    try:
+        matrix = b_inner_matrix_from(phis, spec, m_max=args.mmax)
+    except ParameterError as exc:  # a cutoff or zeros it cannot take
+        raise _InputError(str(exc)) from exc
     payload = {
         "rows": matrix.rows,
         "cols": matrix.cols,
@@ -563,7 +566,8 @@ def build_parser() -> argparse.ArgumentParser:
     binner.add_argument("--fn", nargs="+", required=True,
                         help="one or more function JSON files")
     binner.add_argument("--zeros", required=True)
-    binner.add_argument("--mmax", type=int, default=8)
+    binner.add_argument("--mmax", type=int, default=8,
+                        help="shifts paired by the joint_defect cross-check")
     _add_out(binner)
     binner.set_defaults(func=_cmd_factor_checkbinner)
 

@@ -13,19 +13,20 @@ Two splittings of an analytic grid function f:
     / n), evaluated exactly: off the residue class the coefficients are
     exact zeros and the recomposition is exact to rounding.
 
-Also here: grid rotation, Fejer (Cesaro) means, and the convergence
-profile of Fejer means measured in a gauge norm.
+Also here: Fejer (Cesaro) means and the convergence profile of Fejer
+means measured in a gauge norm.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .blaschke import BlaschkeSpec, _basis_carriers, blaschke_eval
 from .circlefn import (
+    COEFF_CUTOFF,
     CircleFunction,
     freq_indices,
     grid,
@@ -42,7 +43,6 @@ __all__ = [
     "decompose_blaschke",
     "decompose_zn",
     "zn_series_components",
-    "rotate",
     "cesaro_mean",
     "cesaro_convergence_profile",
 ]
@@ -88,6 +88,14 @@ class DecompositionResult:
             return tuple(float(np.linalg.norm(row))
                          for row in self.basis_coefficients)
         return tuple(norm2(c) for c in self.components)
+
+
+def _taylor_degree(f: CircleFunction) -> int:
+    """Last Taylor index whose coefficient exceeds COEFF_CUTOFF times the
+    largest one, 0 for the zero function; c * f has the degree of f."""
+    taylor = np.abs(f.coeffs[f.n_samples // 2:])
+    idx = np.nonzero(taylor > COEFF_CUTOFF * np.max(taylor))[0]
+    return int(idx[-1]) if idx.size else 0
 
 
 def _auto_m_max(spec: BlaschkeSpec, degree: int) -> int:
@@ -146,7 +154,7 @@ def decompose_blaschke(f: CircleFunction, spec: BlaschkeSpec,
 
     Component j is sum_m <f, e(j, m)> B^m, a series in B; carrier j is
     e(j, 0).  With m_max=None the cutoff is sized automatically from
-    the input's top frequency and the slowest winding rate of B.
+    the input's scale-free degree and the slowest winding rate of B.
 
     The pairings come by a change of variables to the phase psi of B,
     which rises by 2 pi * degree once round the circle at speed psi':
@@ -161,9 +169,22 @@ def decompose_blaschke(f: CircleFunction, spec: BlaschkeSpec,
     ``strict`` is set.  The returned functions are point values on the
     input's grid (see DecompositionResult).
     """
-    require_analytic(f, "decompose_blaschke")
-    degree = f.top_index()
-    m_auto = _auto_m_max(spec, degree)
+    res, = _split_blaschke([f], spec, m_max)
+    if strict and res.residual > TOL_DECOMP:
+        m_max = res.basis_coefficients.shape[1] - 1
+        raise TruncationError(
+            f"basis tail beyond m_max={m_max} has residual {res.residual:.3e}")
+    return res
+
+
+def _split_blaschke(fs: Sequence[CircleFunction], spec: BlaschkeSpec,
+                    m_max: Optional[int]) -> List[DecompositionResult]:
+    """decompose_blaschke for inputs on one grid, on one phase grid;
+    m_max=None takes the largest of their automatic cutoffs."""
+    for f in fs:
+        require_analytic(f, "decompose_blaschke")
+    degrees = [_taylor_degree(f) for f in fs]
+    m_auto = _auto_m_max(spec, max(degrees))  # grows with the degree
     if m_max is None:
         m_max = m_auto
     if m_max < 0:
@@ -177,31 +198,34 @@ def decompose_blaschke(f: CircleFunction, spec: BlaschkeSpec,
     nodes, psi0 = _phase_nodes(spec, M)
     weights = 1.0 / _phase_speed(spec, nodes)
     at_nodes, _ = _basis_carriers(spec, nodes)
-    # The negative-index part of f pairs to zero with every e(j, m).
-    f_nodes = horner(np.trim_zeros(f.coeffs[f.n_samples // 2:], "b"), nodes)
-    G = np.array([np.sum(f_nodes * np.conj(e) * weights, axis=0)
-                  for e in at_nodes])
-    spectrum = np.fft.fft(G, axis=1)
-    coeffs = spectrum[:, :m_max + 1] * np.exp(
+    # The negative-index part of f pairs to zero with every e(j, m), and
+    # the Taylor tail beyond the degree is rounding dust.  Zeros padded
+    # above a lower degree leave Horner's sums as they are.
+    half = fs[0].n_samples // 2
+    taylor = np.zeros((max(degrees) + 1, len(fs)), dtype=complex)
+    for k, (f, degree) in enumerate(zip(fs, degrees)):
+        taylor[:degree + 1, k] = f.coeffs[half:half + degree + 1]
+    f_nodes = horner(taylor[:, :, None, None], nodes)  # input, sheet, target
+    G = np.array([[np.sum(fk * np.conj(e) * weights, axis=0)
+                   for e in at_nodes] for fk in f_nodes])
+    spectrum = np.fft.fft(G, axis=2)
+    coeffs = spectrum[:, :, :m_max + 1] * np.exp(
         -1j * psi0 * np.arange(m_max + 1)) / M
     # h_j(exp(i phi_l)) = sum_m c_jm exp(i m phi_l), then the fibre
     # identity f = sum_j e(j, 0) h_j(B) on every sheet.
-    h = np.fft.ifft(np.where(np.arange(M) <= m_max, spectrum, 0.0), axis=1)
-    recomposed = sum(e * hj for e, hj in zip(at_nodes, h))
-    residual = float(np.sqrt(
-        np.sum(np.abs(f_nodes - recomposed) ** 2 * weights) / M))
-    if strict and residual > TOL_DECOMP:
-        raise TruncationError(
-            f"basis tail beyond m_max={m_max} has residual {residual:.3e}"
-        )
-    carrier_samples, bz = _basis_carriers(spec, grid(f.n_samples))
-    pieces = horner(coeffs.T, bz[:, None]).T  # row j: sum_m c_jm B^m
-    return DecompositionResult(
+    h = np.fft.ifft(np.where(np.arange(M) <= m_max, spectrum, 0.0), axis=2)
+    recomposed = sum(e * h[:, j, None] for j, e in enumerate(at_nodes))
+    carrier_samples, bz = _basis_carriers(spec, grid(fs[0].n_samples))
+    carriers = tuple(CircleFunction.from_samples(s) for s in carrier_samples)
+    # piece j of input k: sum_m c_kjm B^m
+    pieces = horner(coeffs.transpose(2, 0, 1)[:, :, :, None], bz)
+    return [DecompositionResult(
         mode="blaschke",
-        components=tuple(CircleFunction.from_samples(p) for p in pieces),
-        carriers=tuple(CircleFunction.from_samples(s)
-                       for s in carrier_samples),
-        residual=residual, basis_coefficients=coeffs, phase_grid=M)
+        components=tuple(CircleFunction.from_samples(p) for p in pieces[k]),
+        carriers=carriers,
+        residual=float(np.sqrt(np.sum(
+            np.abs(f_nodes[k] - recomposed[k]) ** 2 * weights) / M)),
+        basis_coefficients=coeffs[k], phase_grid=M) for k in range(len(fs))]
 
 
 def zn_series_components(f: CircleFunction, n: int) -> Tuple[CircleFunction, ...]:
@@ -260,24 +284,6 @@ def decompose_zn(f: CircleFunction, n: int) -> DecompositionResult:
     return DecompositionResult(
         mode="zn", components=tuple(components), carriers=tuple(carriers),
         residual=residual)
-
-
-def rotate(f: CircleFunction, w: complex) -> CircleFunction:
-    """The rotated function z -> f(w z) for a grid root of unity w.
-
-    Samples shift cyclically and coefficient j picks up the factor w^j.
-    """
-    N = f.n_samples
-    theta = np.angle(complex(w))
-    j = int(np.round(theta / (2.0 * np.pi) * N)) % N
-    target = np.exp(2j * np.pi * j / N)
-    if abs(complex(w) - target) > 1e-9:
-        raise ParameterError(
-            f"rotation {w!r} is not a grid root of unity for N = {N}"
-        )
-    samples = np.roll(f.samples, -j)
-    coeffs = f.coeffs * target ** freq_indices(N)
-    return CircleFunction(N, samples, coeffs)
 
 
 def cesaro_mean(f: CircleFunction, l: int) -> CircleFunction:

@@ -22,15 +22,17 @@ until the quotient coefficients have decayed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .blaschke import BlaschkeSpec, blaschke_eval, compose, power_spec
+from .blaschke import BlaschkeSpec, blaschke_eval
 from .circlefn import (
     EPS_LOG,
     CircleFunction,
+    _graded_rows,
     analyze,
     freq_indices,
     gram_defect,
@@ -40,7 +42,7 @@ from .circlefn import (
     require_analytic,
     resample,
 )
-from .decomp import decompose_blaschke, zn_series_components
+from .decomp import _split_blaschke, zn_series_components
 from .errors import (
     DomainError,
     FactorizationError,
@@ -55,17 +57,14 @@ __all__ = [
     "NInnerOuterBundle",
     "BInnerMatrix",
     "OuterReport",
-    "BInnerReport",
     "NOuterReport",
     "harmonic_conjugate",
     "outer_from_modulus",
     "inner_outer",
     "is_outer",
-    "is_B_inner",
     "b_inner_matrix_from",
     "n_inner_outer_factorize",
     "is_n_outer",
-    "outer_multiplier",
 ]
 
 TOL_OUTER = 1e-6
@@ -105,16 +104,6 @@ class OuterReport:
 
 
 @dataclass(frozen=True, eq=False)
-class BInnerReport:
-    passed: bool
-    gram_defect: float
-    m_max: int
-
-    def __bool__(self) -> bool:
-        return self.passed
-
-
-@dataclass(frozen=True, eq=False)
 class NOuterReport:
     """Outcome of the n-outer test.
 
@@ -138,10 +127,11 @@ class NOuterReport:
 class BInnerMatrix:
     """Columns phi_j expanded over the factor slots of B.
 
-    entries[i][j] is the slot-i component of phi_j, a series in B.
-    defect measures the columns' joint orthonormality through the
-    coefficient pairing; joint_defect is the same statement measured
-    directly on the shifted family {B^m phi_j} and should agree.
+    entries[i][j] is the slot-i component h_ij(B) of phi_j at the
+    family's automatic cutoff.  defect, the verdict, is the largest
+    entry of H(w)^* H(w) - I over a uniform grid on the circle.  The
+    cross-check joint_defect, the Gram defect of {B^m phi_j : m <= m_max}
+    on the sample grid, sees only m_max Fourier coefficients of H^* H.
     """
 
     rows: int
@@ -175,7 +165,6 @@ class NInnerOuterBundle:
     n_samples: int
     parseval_gap: float
     outer_reports: Tuple[NOuterReport, ...]
-    inner_reports: Tuple[BInnerReport, ...] = field(default=())
 
     def meets_invariants(self, tol: float = TOL_FACTOR_RESIDUAL) -> bool:
         return (self.residual <= tol and self.gram_defect <= tol
@@ -259,61 +248,25 @@ def is_outer(f: CircleFunction, regularize: bool = False) -> OuterReport:
     return OuterReport(passed=defect <= TOL_OUTER, defect=defect)
 
 
-def _shift_gram(mult_samples: np.ndarray, phi_samples: np.ndarray,
-                m_max: int) -> np.ndarray:
-    """Gram of {mult^m phi : m <= m_max} for unimodular mult.
-
-    Unimodularity collapses the pairings to moments of |phi|^2 against
-    powers of mult, so the matrix is Hermitian Toeplitz.
-    """
-    weights = np.abs(phi_samples) ** 2
-    moments = np.empty(m_max + 1, dtype=complex)
-    acc = weights.astype(complex)
-    for d in range(m_max + 1):
-        moments[d] = np.mean(acc)
-        acc = acc * mult_samples
-    G = np.empty((m_max + 1, m_max + 1), dtype=complex)
-    for m in range(m_max + 1):
-        for mp in range(m_max + 1):
-            d = m - mp
-            G[m, mp] = moments[d] if d >= 0 else np.conj(moments[-d])
-    return G
-
-
-def is_B_inner(phi: CircleFunction, spec: BlaschkeSpec,
-               m_max: int) -> BInnerReport:
-    """Check that {B^m phi : m <= m_max} is orthonormal."""
-    require_analytic(phi, "is_B_inner")
-    if m_max < 0:
-        raise ParameterError("m_max must be >= 0")
-    bz = blaschke_eval(spec, grid(phi.n_samples))
-    G = _shift_gram(bz, phi.samples, m_max)
-    defect = float(np.max(np.abs(G - np.eye(m_max + 1))))
-    return BInnerReport(passed=defect <= TOL_B_INNER, gram_defect=defect,
-                        m_max=m_max)
-
-
 def _joint_gram_defect(mult_samples: np.ndarray,
                        members: Sequence[np.ndarray], m_max: int) -> float:
     """Orthonormality defect of {mult^m v : v in members, m <= m_max}."""
-    rows = []
-    for v in members:
-        acc = v
-        for _ in range(m_max + 1):
-            rows.append(acc)
-            acc = acc * mult_samples
-    return gram_defect(np.asarray(rows))
+    return gram_defect(_graded_rows((), members, mult_samples, m_max + 1))
 
 
 def b_inner_matrix_from(phis: Sequence[CircleFunction], spec: BlaschkeSpec,
                         m_max: int, tol: float = TOL_B_INNER) -> BInnerMatrix:
-    """Expand each phi_j over the factor slots of B and grade the result.
+    """Expand each phi_j = sum_i e(i, 0) h_ij(B) over the factor slots of
+    B and grade the result (see BInnerMatrix).
 
-    The column pairing sums coefficient inner products across slots; a
-    family is jointly B-inner exactly when this matrix of pairings is
-    the identity, and the directly measured shifted-family Gram is
-    reported alongside as a cross-check.
+    <B^m phi_a, phi_b> is the m-th Fourier coefficient of (H^* H)_ba, so
+    the family is jointly B-inner exactly when H^* H = I on the circle.
+    The columns are split at the family's largest automatic cutoff, on
+    one phase grid where an inverse FFT of the rows gives the h_ij.
     """
+    if (isinstance(m_max, bool) or not isinstance(m_max, numbers.Integral)
+            or m_max < 0):
+        raise ParameterError(f"m_max must be an integer >= 0, got {m_max!r}")
     r = len(phis)
     n = spec.degree
     if r == 0:
@@ -321,25 +274,21 @@ def b_inner_matrix_from(phis: Sequence[CircleFunction], spec: BlaschkeSpec,
     if r > n:
         raise RankError(f"{r} columns exceed the {n} factor slots of B")
     N = phis[0].n_samples
-    coeff_blocks = []
-    entry_cols = []
-    worst_resid = 0.0
-    for phi in phis:
-        if phi.n_samples != N:
-            raise SizeError("all columns must share one grid")
-        dec = decompose_blaschke(phi, spec, m_max)
-        coeff_blocks.append(dec.basis_coefficients)
-        entry_cols.append(dec.components)
-        worst_resid = max(worst_resid, dec.residual)
-    defect = gram_defect(np.array([c.ravel() for c in coeff_blocks]), 1)
-    bz = blaschke_eval(spec, grid(N))
-    joint = _joint_gram_defect(bz, [phi.samples for phi in phis], m_max)
-    entries = tuple(
-        tuple(entry_cols[j][i] for j in range(r)) for i in range(n)
-    )
+    if any(phi.n_samples != N for phi in phis):
+        raise SizeError("all columns must share one grid")
+    decs = _split_blaschke(phis, spec, None)
+    M = decs[0].phase_grid
+    # H[i, l, j] = h_ij(exp(2 pi i l / M))
+    H = M * np.fft.ifft(np.stack([d.basis_coefficients for d in decs], 2),
+                        n=M, axis=1)
+    gram = np.einsum("ila,ilb->lab", H.conj(), H)
+    defect = float(np.max(np.abs(gram - np.eye(r))))
+    joint = _joint_gram_defect(blaschke_eval(spec, grid(N)),
+                               [phi.samples for phi in phis], m_max)
+    entries = tuple(tuple(d.components[i] for d in decs) for i in range(n))
     return BInnerMatrix(rows=n, cols=r, entries=entries, defect=defect,
                         joint_defect=joint, tol=tol,
-                        decomposition_residual=worst_resid)
+                        decomposition_residual=max(d.residual for d in decs))
 
 
 def n_inner_outer_factorize(f: CircleFunction, n: int,
@@ -396,8 +345,7 @@ def n_inner_outer_factorize(f: CircleFunction, n: int,
     bundle = NInnerOuterBundle(
         n=n, r=1, inners=(J,), outers=(f1,), residual=residual,
         gram_defect=gram, n_samples=n_work, parseval_gap=parseval,
-        outer_reports=(outer_report,),
-        inner_reports=(is_B_inner(J, power_spec(n), m_max_check),))
+        outer_reports=(outer_report,))
     if residual > TOL_FACTOR_RESIDUAL:
         raise FactorizationError(
             f"factorization residual {residual:.3e} exceeds "
@@ -461,22 +409,3 @@ def is_n_outer(f: CircleFunction, n: int, tol: float = TOL_B_INNER,
                         carrier_polynomial=carrier,
                         base_series=base)
 
-
-def outer_multiplier(f: CircleFunction, spec: Optional[BlaschkeSpec],
-                     m_index: int) -> CircleFunction:
-    """Analytic damping factor exp(-( |g|^(1/2) + i conj(|g|^(1/2)) )/m).
-
-    g is f itself, or f composed with the Blaschke product when a spec
-    is supplied (for arguments stored in base-variable form).  The
-    output satisfies |q| <= 1 on the grid and tends to 1 as the index
-    grows, uniformly at rate |g|^(1/2)/m.
-    """
-    if m_index < 1:
-        raise ParameterError("m_index must be >= 1")
-    require_analytic(f, "outer_multiplier")
-    g = compose(f, spec) if spec is not None else f
-    root = np.sqrt(np.abs(g.samples))
-    u = CircleFunction.from_samples(-root / m_index)
-    conj_samples = harmonic_conjugate(u).samples.real
-    return CircleFunction.from_samples(
-        np.exp(u.samples.real + 1j * conj_samples))

@@ -22,14 +22,13 @@ import numpy as np
 from .blaschke import BlaschkeSpec, blaschke_eval, power_spec
 from .circlefn import (
     CircleFunction,
+    _graded_rows,
     gram_defect,
     grid,
-    horner,
     require_analytic,
     samples_of_taylor,
     taylor_block,
 )
-from .decomp import cesaro_mean
 from .errors import (
     ConstructionError,
     DegenerateSpaceError,
@@ -47,8 +46,6 @@ __all__ = [
     "wandering_basis",
     "build_constrained",
     "verify_constrained",
-    "subspace_distance",
-    "algebra_action_profile",
 ]
 
 GRAM_TOL = 1e-10
@@ -149,17 +146,6 @@ def _check_multiplier(m: CircleFunction, who: str):
             f"{who} needs a unimodular multiplier; modulus deviates "
             f"by {dev:.3e}"
         )
-
-
-def _graded_rows(head: Sequence[np.ndarray], starts: Sequence[np.ndarray],
-                 step: np.ndarray, count: int) -> np.ndarray:
-    """Sample block: the rows of head, then s, s*step, ..., s*step^(count-1)
-    for each s in starts, the powers formed by a running product."""
-    rows = list(head)
-    for s in starts:
-        for k in range(count):
-            rows.append(s if k == 0 else rows[-1] * step)
-    return np.array(rows, dtype=complex).reshape(-1, step.size)
 
 
 def span_invariant(generators: Sequence[CircleFunction],
@@ -315,22 +301,6 @@ def wandering_basis(space: SubspaceBasis,
         )
     r = int(np.sum(S >= RANK_CUTOFF * S[0]))
     return _functions_from_columns(U[:, :r], space.n_samples)
-
-
-def subspace_distance(a: SubspaceBasis, b: SubspaceBasis) -> float:
-    """Sine of the largest principal angle (1.0 when dimensions differ).
-
-    Computed from the part of b's basis orthogonal to a's span; this
-    stays accurate near zero, where the cosine formulation loses half
-    the digits to cancellation.
-    """
-    if a.dim != b.dim:
-        return 1.0
-    D = max(a.ambient_bandwidth, b.ambient_bandwidth)
-    if a.n_samples != b.n_samples:
-        raise SizeError("subspaces must share one grid to be compared")
-    return float(np.clip(
-        _defect(_coeff_matrix(a.basis, D), _coeff_matrix(b.basis, D)), 0.0, 1.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -497,33 +467,3 @@ def verify_constrained(space: SubspaceBasis,
         degenerate=not noninv,
     )
 
-
-def algebra_action_profile(multiplier: CircleFunction, h: CircleFunction,
-                           k_element: CircleFunction,
-                           l_max: int) -> np.ndarray:
-    """L2 gap between smoothed and full symbol action through the
-    multiplier.
-
-    For each l, the truncated symbol's Fejer mean is composed with the
-    multiplier and applied to h; the returned sequence is the distance
-    to the action of the full (truncated) symbol.  Band-limited symbols
-    stand in for bounded ones here.
-    """
-    if l_max < 0:
-        raise ParameterError("l_max must be >= 0")
-    require_analytic(k_element, "algebra_action_profile")
-    if h.n_samples != multiplier.n_samples:
-        raise SizeError("h and the multiplier must share one grid")
-    bz = multiplier.samples
-
-    def action(sym: CircleFunction) -> np.ndarray:
-        half = sym.n_samples // 2
-        taylor = sym.coeffs[half:half + sym.top_index() + 1]
-        return horner(taylor, bz) * h.samples
-
-    full = action(k_element)
-    out = np.empty(l_max + 1)
-    for l in range(l_max + 1):
-        smoothed = action(cesaro_mean(k_element, l))
-        out[l] = float(np.sqrt(np.mean(np.abs(smoothed - full) ** 2)))
-    return out

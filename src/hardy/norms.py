@@ -34,7 +34,6 @@ __all__ = [
     "ContinuityReport",
     "check_continuity",
     "dual_norm_estimate",
-    "holder_check",
 ]
 
 # Worst tolerated axiom violation before an audit reports failure.
@@ -390,9 +389,3 @@ def dual_norm_estimate(spec: GaugeNormSpec, h: CircleFunction,
         consider(g)
     return best
 
-
-def holder_check(f: CircleFunction, h: CircleFunction,
-                 spec: GaugeNormSpec, dual_value: float) -> bool:
-    """Does ||f h||_1 <= alpha(f) * dual_value hold within AXIOM_TOL?"""
-    lhs = float(np.mean(np.abs(f.samples * h.samples)))
-    return lhs <= gauge_eval(spec, f) * float(dual_value) + AXIOM_TOL

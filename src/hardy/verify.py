@@ -16,7 +16,9 @@ The ids are stable command-line tokens.  What each one checks:
   thm-3.5     two-layer constrained spaces: invariant under the square
               and cube of the product but not the product (power case)
   thm-3.6     single-generator invariant spans return their generator
-              as the shift complement
+              as the shift complement; under a finite Blaschke product
+              the complement of a span of B-inner generators is jointly
+              B-inner and holds them
   thm-4.5     constrained spaces for curved products, plus gauge-norm
               isometry of unimodular multiplication
   thm-4.6     power splitting adds component energies exactly
@@ -31,7 +33,7 @@ from typing import Callable, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
-from .blaschke import BlaschkeSpec, blaschke_eval
+from .blaschke import BlaschkeSpec, _basis_carriers, blaschke_eval
 from .circlefn import (
     CircleFunction,
     _check_n_samples,
@@ -42,7 +44,7 @@ from .circlefn import (
 )
 from .decomp import cesaro_convergence_profile, decompose_zn
 from .errors import ParameterError
-from .factor import n_inner_outer_factorize
+from .factor import b_inner_matrix_from, n_inner_outer_factorize
 from .invariance import (
     ConstrainedSpec,
     build_constrained,
@@ -385,11 +387,52 @@ def _run_beurling(config: RunConfig) -> Tuple[Check, ...]:
         phase = ip / abs(ip) if abs(ip) > 0 else 1.0
         err = norm2(J - phase * w)
         worst_err = max(worst_err, err)
+    b_rank, b_defect, b_recovery = _beurling_for_b(rng, N)
     return (
         _check("generator_rank", worst_rank, 0.0),
         _check("generator_recovery", worst_err,
                config.threshold("generator_recovery", 1e-6)),
+        _check("b_wandering_rank", b_rank, 0.0),
+        _check("b_wandering_inner_defect", b_defect, 1e-10),
+        _check("b_generator_recovery", b_recovery, 1e-12),
     )
+
+
+def _beurling_for_b(rng: np.random.Generator,
+                    N: int) -> Tuple[float, float, float]:
+    """Worst rank miss, B-inner defect and generator residual of the
+    wandering space of r <= deg B jointly B-inner generators g_a = sum_i
+    U_ia e(i, 0) b_a(B): U an n x r isometry, B of degree 1-3 with zero
+    radii <= 0.5, b_a Blaschke products with zero radii 0.1-0.4."""
+    worst_rank = worst_defect = worst_recovery = 0.0
+    for trial in range(5):
+        n = int(rng.integers(1, 4))
+        spec = BlaschkeSpec(tuple(
+            rng.uniform(0.0, 0.5) * np.exp(2j * np.pi * rng.random())
+            for _ in range(n)))
+        r = int(rng.integers(1, n + 1))
+        U, _ = np.linalg.qr(rng.standard_normal((n, r))
+                            + 1j * rng.standard_normal((n, r)))
+        carriers, bz = _basis_carriers(spec, grid(N))
+        generators = []
+        for a in range(r):
+            inner = BlaschkeSpec(tuple(
+                rng.uniform(0.1, 0.4) * np.exp(2j * np.pi * rng.random())
+                for _ in range(int(rng.integers(1, 3)))))
+            generators.append(CircleFunction.from_samples(
+                (U[:, a] @ np.array(carriers)) * blaschke_eval(inner, bz)))
+        multiplier = CircleFunction.from_samples(bz)
+        space = span_invariant(generators, multiplier, k_max=60, D=400)
+        vectors = wandering_basis(space, multiplier)
+        worst_rank = max(worst_rank, abs(len(vectors) - r))
+        worst_defect = max(worst_defect,
+                           b_inner_matrix_from(vectors, spec, 8).defect)
+        V = np.array([v.samples for v in vectors])
+        for g in generators:
+            rest = g.samples - (V.conj() @ g.samples / N) @ V
+            worst_recovery = max(worst_recovery,
+                                 float(np.sqrt(np.mean(np.abs(rest) ** 2))))
+    return worst_rank, worst_defect, worst_recovery
 
 
 def _run_constrained_curved(config: RunConfig) -> Tuple[Check, ...]:
@@ -516,7 +559,7 @@ REGISTRY: Dict[str, Tuple[str, Callable[[RunConfig], Tuple[Check, ...]]]] = {
         "two-layer spaces: invariant under square and cube, not the base",
         _run_constrained_power),
     "thm-3.6": (
-        "invariant spans return their single generator",
+        "invariant spans return their generators as the wandering space",
         _run_beurling),
     "thm-4.5": (
         "two-layer spaces for curved products; unimodular isometry",

@@ -11,10 +11,13 @@ import pytest
 
 from hardy import (
     BlaschkeSpec,
+    as_circle_function,
     decompose_zn,
     function_to_json,
     monomial,
+    span_invariant,
     synthesize,
+    wandering_basis,
     write_json,
     zeros_to_json,
 )
@@ -220,6 +223,55 @@ def test_non_finite_result_is_not_written(workdir, monkeypatch, capsys):
     assert code == 2
     assert "not finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _check_binner(paths, spec, tmp_path, *extra):
+    from hardy import cli
+    zeros = tmp_path / "binner_zeros.json"
+    write_json(str(zeros), zeros_to_json(spec))
+    return cli.main(["factor", "check-binner", "--fn", *map(str, paths),
+                     "--zeros", str(zeros), *extra])
+
+
+@pytest.mark.parametrize("zeros", [(0.0,), (0.0, 0.5)])
+def test_check_binner_fails_one_plus_z(workdir, capsys, zeros):
+    fn = workdir / "one_plus_z.json"
+    s = 1 / np.sqrt(2)
+    write_json(str(fn), function_to_json(synthesize({0: s, 1: s}, 1024)))
+    assert _check_binner([fn], BlaschkeSpec(zeros), workdir) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["pass"] is False
+    assert payload["defect"] >= 0.5 - 1e-10
+
+
+def test_check_binner_rejects_negative_mmax(workdir, capsys):
+    code = _check_binner([workdir / "unit.json"], BlaschkeSpec((0.0, 0.5)),
+                         workdir, "--mmax", "-1")
+    assert code == 1
+    assert "m_max" in capsys.readouterr().err
+
+
+def test_check_binner_passes_wandering_pair(workdir, capsys):
+    # The wandering space of an invariant span under B is jointly
+    # B-inner.  Its slot rows outlast 8 powers of B, which the default
+    # --mmax cross-check pairs; the verdict reads them whole.
+    spec = BlaschkeSpec((0.5, -0.4j, 0.3 + 0.2j))
+    rng = np.random.default_rng(1)
+    N = 2048
+    generators = [synthesize(dict(enumerate(
+        rng.standard_normal(8) + 1j * rng.standard_normal(8))), N)
+        for _ in range(2)]
+    B = as_circle_function(spec, N)
+    vectors = wandering_basis(span_invariant(generators, B, k_max=140, D=900),
+                              B)
+    assert len(vectors) == 2
+    paths = [workdir / f"wander{k}.json" for k in range(2)]
+    for path, v in zip(paths, vectors):
+        write_json(str(path), function_to_json(v))
+    assert _check_binner(paths, spec, workdir) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["pass"] is True
+    assert payload["defect"] <= payload["tol"] / 100
 
 
 def test_verify_exit_and_stderr_summary(workdir):

@@ -19,7 +19,6 @@ from hardy import (
     monomial,
     norm2,
     power_spec,
-    rotate,
     synthesize,
     zn_series_components,
 )
@@ -81,19 +80,6 @@ def test_series_components_base_variable_view():
     assert s[1].coeff(1) == pytest.approx(1.0, abs=1e-13)
     assert norm2(s[0]) < 1e-13
     assert norm2(s[2]) < 1e-13
-
-
-def test_rotate_by_grid_root():
-    f = synthesize({0: 1.0, 1: 1.0}, 256)
-    w = np.exp(2j * np.pi * 3 / 256)
-    g = rotate(f, w)
-    assert g.coeff(0) == pytest.approx(1.0, abs=1e-12)
-    assert g.coeff(1) == pytest.approx(w, abs=1e-12)
-
-
-def test_rotate_rejects_off_grid_root():
-    with pytest.raises(ParameterError):
-        rotate(monomial(1, 256), np.exp(0.1j))
 
 
 def test_cesaro_mean_weights():
@@ -227,6 +213,30 @@ def test_blaschke_pieces_recompose_f_on_input_grid(r):
                 for c, p in zip(res.carriers, res.components))
     assert np.max(np.abs(total - f.samples)) <= 1e-10
     assert res.residual <= 1e-10
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-14, 1e-150])
+def test_blaschke_cutoff_does_not_depend_on_scale(scale):
+    rng = np.random.default_rng(2)
+    c = rng.standard_normal(25) + 1j * rng.standard_normal(25)
+    ref = decompose_blaschke(synthesize(dict(enumerate(c)), 1024),
+                             power_spec(2))
+    res = decompose_blaschke(synthesize(dict(enumerate(scale * c)), 1024),
+                             power_spec(2))
+    assert res.basis_coefficients.shape == ref.basis_coefficients.shape
+    energy = float(np.sum(np.abs(c) ** 2))
+    pieces = float(np.sum(np.abs(res.basis_coefficients / scale) ** 2))
+    assert pieces == pytest.approx(energy, rel=1e-12)
+    assert res.residual <= 1e-13 * scale * np.sqrt(energy)
+
+
+def test_blaschke_splits_a_tiny_monomial():
+    # 1.8e-85 z^2 against a zero at the origin: one power per index.
+    res = decompose_blaschke(synthesize({2: 1.8e-85}, 1024),
+                             BlaschkeSpec((0.0,)))
+    assert res.basis_coefficients.shape == (1, 3)
+    assert res.basis_coefficients[0, 2] == pytest.approx(1.8e-85, rel=1e-12)
+    assert res.residual <= 1e-12 * 1.8e-85
 
 
 def test_blaschke_zeros_near_circle_decompose():

@@ -11,18 +11,17 @@ from hardy import (
     b_inner_matrix_from,
     basis_element,
     BasisIndex,
+    as_circle_function,
     constant,
     grid,
     harmonic_conjugate,
     inner_outer,
-    is_B_inner,
     is_n_outer,
     is_outer,
     monomial,
     n_inner_outer_factorize,
     norm2,
     outer_from_modulus,
-    outer_multiplier,
     power_spec,
     synthesize,
 )
@@ -125,17 +124,63 @@ def test_jensen_gap_single_zero():
 
 
 def test_is_b_inner_monomial_cases():
-    assert is_B_inner(monomial(1, 512), power_spec(2), m_max=5).passed
+    assert b_inner_matrix_from([monomial(1, 512)], power_spec(2), 5).passed
     mix = synthesize({0: 1 / np.sqrt(2), 2: 1 / np.sqrt(2)}, 512)
-    rep = is_B_inner(mix, power_spec(2), m_max=3)
-    assert not rep.passed
-    assert rep.gram_defect == pytest.approx(0.5, abs=1e-10)
+    mat = b_inner_matrix_from([mix], power_spec(2), 3)
+    assert not mat.passed
+    # |h(w)|^2 = 1 + Re w on the circle; the first shifts see only its
+    # mean and first Fourier coefficient.
+    assert mat.defect == pytest.approx(1.0, abs=1e-10)
+    assert mat.joint_defect == pytest.approx(0.5, abs=1e-10)
 
 
 def test_is_b_inner_curved_basis_element():
     spec = BlaschkeSpec((0.0, 0.5))
     e10 = basis_element(spec, BasisIndex(1, 0), 1024)
-    assert is_B_inner(e10, spec, m_max=6).passed
+    mat = b_inner_matrix_from([e10], spec, 6)
+    assert mat.passed
+    assert mat.defect <= 1e-12
+
+
+@pytest.mark.parametrize("zeros,defect,joint", [((0.0,), 1.0, 0.5),
+                                                ((0.0, 0.5), 0.5, 0.25)])
+def test_b_inner_matrix_fails_one_plus_z(zeros, defect, joint):
+    # (1 + z)/sqrt(2) has unit norm but is not B-inner: its first shift
+    # pairing is 1/2 under z.  The pointwise slot test sees it whatever
+    # the cross-check's shift count.
+    f = synthesize({0: 1 / np.sqrt(2), 1: 1 / np.sqrt(2)}, 1024)
+    mat = b_inner_matrix_from([f], BlaschkeSpec(zeros), 8)
+    assert not mat.passed
+    assert mat.defect == pytest.approx(defect, abs=1e-10)
+    assert mat.joint_defect == pytest.approx(joint, abs=1e-10)
+
+
+def test_b_inner_matrix_exact_families():
+    N = 1024
+    # a Blaschke product under z
+    J = as_circle_function(BlaschkeSpec((0.3, -0.4j, 0.5)), N)
+    assert b_inner_matrix_from([J], power_spec(1), 8).defect <= 1e-12
+    # a seeded isometric mix of the carriers e(j, 0)
+    spec = BlaschkeSpec((0.5, -0.5j, 0.4))
+    rng = np.random.default_rng(3)
+    U, _ = np.linalg.qr(rng.standard_normal((3, 2))
+                        + 1j * rng.standard_normal((3, 2)))
+    e0 = np.array([basis_element(spec, BasisIndex(j, 0), N).samples
+                   for j in range(3)])
+    phis = [CircleFunction.from_samples(U[:, k] @ e0) for k in range(2)]
+    mat = b_inner_matrix_from(phis, spec, 8)
+    assert mat.defect <= 1e-12
+    assert mat.joint_defect <= 1e-12
+    for i in range(3):
+        for k in range(2):
+            assert mat.entries[i][k].coeff(0) == pytest.approx(U[i, k],
+                                                               abs=1e-10)
+
+
+@pytest.mark.parametrize("m_max", [None, -1, 2.5, True])
+def test_b_inner_matrix_rejects_bad_m_max(m_max):
+    with pytest.raises(ParameterError):
+        b_inner_matrix_from([monomial(1, 512)], power_spec(2), m_max)
 
 
 def test_b_inner_matrix_single_column():
@@ -225,29 +270,6 @@ def test_is_n_outer_rejects_rank_two():
     rep = is_n_outer(synthesize({0: 1.0, 1: 2.0, 3: 1.0}, 1024), 2)
     assert not rep.passed
     assert rep.rank1_defect > 0.1
-
-
-def test_outer_multiplier_basics():
-    q0 = outer_multiplier(constant(0.0, 512), None, 1)
-    assert np.max(np.abs(q0.samples - 1.0)) < 1e-12
-    q1 = outer_multiplier(constant(1.0, 512), None, 1)
-    assert np.max(np.abs(q1.samples - np.exp(-1.0))) < 1e-10
-    f = synthesize({0: 1.0, 1: 2.0}, 1024)
-    for m in (1, 2, 8):
-        q = outer_multiplier(f, None, m)
-        assert np.max(np.abs(q.samples)) <= 1.0 + 1e-10
-        assert q.is_analytic()
-    with pytest.raises(ParameterError):
-        outer_multiplier(f, None, 0)
-
-
-def test_outer_multiplier_composes_through_spec():
-    # 2 + z stays away from 0 on the circle, so both paths are clean.
-    spec = power_spec(2)
-    f = synthesize({0: 2.0, 1: 1.0}, 1024)
-    q = outer_multiplier(f, spec, 4)
-    direct = outer_multiplier(synthesize({0: 2.0, 2: 1.0}, 1024), None, 4)
-    assert np.max(np.abs(q.samples - direct.samples)) < 1e-10
 
 
 def test_factor_rejects_nonanalytic():

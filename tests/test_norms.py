@@ -17,7 +17,6 @@ from hardy import (
     dual_norm_estimate,
     gauge_eval,
     grid,
-    holder_check,
     monomial,
     synthesize,
 )
@@ -110,7 +109,6 @@ def test_holder_pairing():
             lhs = float(np.mean(np.abs(f.samples * h.samples)))
             dual_value = gauge_eval(dual, h)
             assert lhs <= gauge_eval(alpha, f) * dual_value + 1e-9
-            assert holder_check(f, h, alpha, dual_value)
 
 
 def test_cauchy_schwarz_is_tight_for_aligned_pair():
