@@ -46,7 +46,6 @@ __all__ = [
     "inner_product",
     "norm2",
     "pointwise",
-    "evaluate_at",
     "horner",
     "require_analytic",
     "gram_defect",
@@ -389,20 +388,4 @@ def horner(taylor: np.ndarray, z) -> np.ndarray:
     for a in taylor[::-1]:
         acc *= z
         acc += a
-    return acc
-
-
-def evaluate_at(f: CircleFunction, z) -> complex:
-    """Evaluate the truncated Taylor series at a point of the closed disk.
-
-    Requires f analytic (negative coefficient mass within TOL_ANALYTIC)
-    and |z| <= 1.  Accepts a scalar or an ndarray of points.
-    """
-    require_analytic(f, "evaluate_at")
-    zarr = np.asarray(z, dtype=complex)
-    if np.any(np.abs(zarr) > 1.0 + 1e-12):
-        raise DomainError("evaluate_at is restricted to |z| <= 1")
-    acc = horner(f.coeffs[f.n_samples // 2:], zarr)
-    if np.isscalar(z) or zarr.ndim == 0:
-        return complex(acc)
     return acc

@@ -30,6 +30,7 @@ from .errors import (
     FactorizationError,
     HardyError,
     ParameterError,
+    RankError,
     SingularityError,
     SizeError,
 )
@@ -276,7 +277,9 @@ def _cmd_factor_checkbinner(args) -> int:
     spec = _zeros_arg(args.zeros)
     try:
         matrix = b_inner_matrix_from(phis, spec, m_max=args.mmax)
-    except ParameterError as exc:  # a cutoff or zeros it cannot take
+    # a cutoff or zeros it cannot take, columns on different grids, or
+    # more columns than B has slots: all malformed input
+    except (ParameterError, RankError, SizeError) as exc:
         raise _InputError(str(exc)) from exc
     payload = {
         "rows": matrix.rows,

@@ -43,7 +43,6 @@ __all__ = [
     "decompose_blaschke",
     "decompose_zn",
     "zn_series_components",
-    "cesaro_mean",
     "cesaro_convergence_profile",
 ]
 
@@ -284,19 +283,6 @@ def decompose_zn(f: CircleFunction, n: int) -> DecompositionResult:
     return DecompositionResult(
         mode="zn", components=tuple(components), carriers=tuple(carriers),
         residual=residual)
-
-
-def cesaro_mean(f: CircleFunction, l: int) -> CircleFunction:
-    """Fejer mean of order l: coefficient j is scaled by 1 - j/(l+1)
-    for 0 <= j <= l and dropped beyond."""
-    require_analytic(f, "cesaro_mean")
-    if l < 0:
-        raise ParameterError("order must be >= 0")
-    N = f.n_samples
-    freqs = freq_indices(N)
-    weights = np.where((freqs >= 0) & (freqs <= l),
-                       1.0 - freqs / (l + 1.0), 0.0)
-    return CircleFunction.from_coeffs(f.coeffs * weights)
 
 
 def cesaro_convergence_profile(f: CircleFunction, spec: GaugeNormSpec,

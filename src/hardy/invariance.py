@@ -21,6 +21,8 @@ import numpy as np
 
 from .blaschke import BlaschkeSpec, blaschke_eval, power_spec
 from .circlefn import (
+    COEFF_CUTOFF,
+    TOL_ANALYTIC,
     CircleFunction,
     _graded_rows,
     gram_defect,
@@ -32,6 +34,7 @@ from .circlefn import (
 from .errors import (
     ConstructionError,
     DegenerateSpaceError,
+    DomainError,
     ParameterError,
     SizeError,
     TruncationError,
@@ -72,16 +75,29 @@ class SubspaceBasis:
                 f"ambient bandwidth {D} does not fit the grid band "
                 f"0..{N // 2 - 1}"
             )
-        for v in self.basis:
-            if v.n_samples != N:
-                raise SizeError("basis members must share one grid")
-            require_analytic(v, "a subspace basis member")
-            if v.top_index() > D:
-                raise TruncationError(
-                    f"basis member reaches index {v.top_index()}, beyond "
-                    f"the declared bandwidth {D}"
+        if any(v.n_samples != N for v in self.basis):
+            raise SizeError("basis members must share one grid")
+        # The analyticity and band checks run once over the stacked
+        # coefficients; the first member failing either is reported.
+        C = np.stack([v.coeffs for v in self.basis])
+        half = N // 2
+        negative = np.linalg.norm(C[:, :half], axis=1)
+        beyond = np.any(np.abs(C[:, half + D + 1:]) > COEFF_CUTOFF, axis=1)
+        analytic = negative <= TOL_ANALYTIC  # False on NaN, as is_analytic
+        bad = ~analytic | beyond
+        if bad.any():
+            j = int(np.argmax(bad))
+            if not analytic[j]:
+                raise DomainError(
+                    f"subspace basis member {j} needs an analytic input; "
+                    f"negative coefficient mass is {negative[j]:.3e}"
                 )
-        dev = gram_defect(_coeff_matrix(self.basis, D).T, scale=1)
+            raise TruncationError(
+                f"basis member {j} reaches index "
+                f"{self.basis[j].top_index()}, beyond the declared "
+                f"bandwidth {D}"
+            )
+        dev = gram_defect(C[:, half:half + D + 1], scale=1)
         if dev > GRAM_TOL:
             raise ConstructionError(
                 f"basis is not orthonormal; Gram deviation {dev:.3e}"
@@ -114,23 +130,32 @@ def _functions_from_columns(mat: np.ndarray,
     return out
 
 
-def _svd(mat: np.ndarray, compute_uv: bool = True):
+def _svd(mat: np.ndarray):
     """Thin SVD.  When LAPACK fails to converge, retry on the R factor
     of a QR decomposition mat = Q R, which has the same singular values
     and whose left singular vectors map back through Q."""
     try:
-        return np.linalg.svd(mat, full_matrices=False, compute_uv=compute_uv)
+        return np.linalg.svd(mat, full_matrices=False)
     except np.linalg.LinAlgError:
         Q, R = np.linalg.qr(mat)
-        if not compute_uv:
-            return np.linalg.svd(R, compute_uv=False)
         U, S, Vh = np.linalg.svd(R, full_matrices=False)
         return Q @ U, S, Vh
 
 
 def _orthonormal_columns(mat: np.ndarray, rel_cutoff: float = 1e-10) -> np.ndarray:
     """Orthonormal basis of the column span, rank-revealing and
-    deterministic."""
+    deterministic.
+
+    Columns that are already orthonormal to within GRAM_TOL are
+    polished by Cholesky QR, mat L^{-H} with G = mat^H mat = L L^H: the
+    same span, full rank (every singular value is within about k
+    GRAM_TOL of 1, far above the cutoff) and orthonormal to about
+    eps cond(mat)^2, that is to rounding.  Any other input goes through
+    the rank-revealing SVD.
+    """
+    G = mat.conj().T @ mat
+    if G.size and np.max(np.abs(G - np.eye(G.shape[0]))) <= GRAM_TOL:
+        return mat @ np.linalg.inv(np.linalg.cholesky(G)).conj().T
     U, S, _ = _svd(mat)
     if S.size == 0 or S[0] <= 0.0:
         raise ConstructionError("the given columns span nothing")
@@ -257,8 +282,16 @@ def _image(space: SubspaceBasis,
 
 
 def _defect(Q: np.ndarray, W: np.ndarray) -> float:
-    """Largest singular value of the part of W outside the span of Q."""
-    return float(_svd(W - Q @ (Q.conj().T @ W), compute_uv=False)[0])
+    """Largest singular value of the part X of W outside the span of Q,
+    as the root of the largest eigenvalue of X^H X.
+
+    That eigenvalue is accurate to eps ||X||^2, so the root is accurate
+    to rounding relative to itself.  X is formed before its Gram on
+    purpose: W^H W - (Q^H W)^H (Q^H W) would cancel down to about 1e-8
+    on an invariant space.
+    """
+    X = W - Q @ (Q.conj().T @ W)
+    return float(np.sqrt(max(np.linalg.eigvalsh(X.conj().T @ X)[-1], 0.0)))
 
 
 def invariance_defect(space: SubspaceBasis,

@@ -12,7 +12,6 @@ from hardy import (
     basis_element,
     blaschke_eval,
     check_basis_orthonormality,
-    evaluate_at,
     grid,
     power_spec,
     synthesize,
@@ -84,11 +83,16 @@ def test_gram_matrix_orthonormality_curved():
     assert dev <= 1e-10
 
 
+def _taylor_at(f, z):
+    """f's Taylor series at the points z, by Horner's rule."""
+    return np.polyval(f.coeffs[f.n_samples // 2:][::-1], z)
+
+
 def test_compose_with_power_spec():
     # f(B) as the Taylor series of f evaluated at the samples of B
     f = synthesize({0: 1.0, 1: 2.0, 2: -1.0}, 512)
     bz = blaschke_eval(power_spec(2), grid(512))
-    g = CircleFunction.from_samples(evaluate_at(f, bz))
+    g = CircleFunction.from_samples(_taylor_at(f, bz))
     assert g.coeff(0) == pytest.approx(1.0, abs=1e-12)
     assert g.coeff(2) == pytest.approx(2.0, abs=1e-12)
     assert g.coeff(4) == pytest.approx(-1.0, abs=1e-12)
@@ -98,6 +102,6 @@ def test_compose_with_moebius_matches_pointwise():
     spec = BlaschkeSpec((0.4,))
     f = synthesize({0: 1.0, 1: 1.0, 3: 0.5}, 1024)
     bz = blaschke_eval(spec, grid(1024))
-    g = evaluate_at(f, bz)
+    g = _taylor_at(f, bz)
     direct = 1.0 + bz + 0.5 * bz ** 3
     assert np.max(np.abs(g - direct)) < 1e-10

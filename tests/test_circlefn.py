@@ -10,7 +10,6 @@ from hardy import (
     SizeError,
     TruncationError,
     constant,
-    evaluate_at,
     grid,
     inner_product,
     monomial,
@@ -124,16 +123,6 @@ def test_pointwise_division_guard():
     assert 0 in list(err.value.indices)
     q = pointwise(one, f, "div", regularize=True)
     assert np.isfinite(q.samples).all()
-
-
-def test_evaluate_at():
-    f = synthesize({0: 1.0, 1: 2.0}, 64)
-    assert evaluate_at(f, 0.5) == pytest.approx(2.0, abs=1e-12)
-    assert evaluate_at(f, 0.0) == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(DomainError):
-        evaluate_at(f, 1.5)
-    with pytest.raises(DomainError):
-        evaluate_at(monomial(-1, 64), 0.5)
 
 
 def test_immutability():

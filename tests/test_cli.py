@@ -251,6 +251,22 @@ def test_check_binner_rejects_negative_mmax(workdir, capsys):
     assert "m_max" in capsys.readouterr().err
 
 
+def test_check_binner_rejects_columns_on_different_grids(workdir, capsys):
+    small = workdir / "unit512.json"
+    write_json(str(small), function_to_json(monomial(1, 512)))
+    code = _check_binner([workdir / "unit.json", small],
+                         BlaschkeSpec((0.0, 0.5)), workdir)
+    assert code == 1
+    assert "one grid" in capsys.readouterr().err
+
+
+def test_check_binner_rejects_more_columns_than_slots(workdir, capsys):
+    code = _check_binner([workdir / "unit.json", workdir / "poly.json"],
+                         BlaschkeSpec((0.0,)), workdir)
+    assert code == 1
+    assert "exceed" in capsys.readouterr().err
+
+
 def test_check_binner_passes_wandering_pair(workdir, capsys):
     # The wandering space of an invariant span under B is jointly
     # B-inner.  Its slot rows outlast 8 powers of B, which the default

@@ -7,14 +7,15 @@ import pytest
 
 from hardy import (
     BlaschkeSpec,
+    CircleFunction,
     ParameterError,
     PNorm,
     TruncationError,
     builtin_specs,
     cesaro_convergence_profile,
-    cesaro_mean,
     decompose_blaschke,
     decompose_zn,
+    freq_indices,
     gauge_eval,
     monomial,
     norm2,
@@ -82,14 +83,6 @@ def test_series_components_base_variable_view():
     assert norm2(s[2]) < 1e-13
 
 
-def test_cesaro_mean_weights():
-    f = monomial(1, 256)
-    assert cesaro_mean(f, 1).coeff(1) == pytest.approx(0.5, abs=1e-13)
-    assert cesaro_mean(f, 9).coeff(1) == pytest.approx(0.9, abs=1e-13)
-    one = monomial(0, 256)
-    assert cesaro_mean(one, 1).coeff(0) == pytest.approx(1.0, abs=1e-13)
-
-
 def test_cesaro_profile_decreases_past_bandwidth():
     f = synthesize({j: 1.0 / (1 + j) for j in range(6)}, 512)
     prof = cesaro_convergence_profile(f, PNorm(2.0), 200)
@@ -97,6 +90,14 @@ def test_cesaro_profile_decreases_past_bandwidth():
     tail = prof[6:]
     assert np.all(np.diff(tail) <= 1e-12)
     assert prof[-1] < prof[6]
+
+
+def _fejer_mean(f, l):
+    """Fejer mean of order l: Taylor coefficient j scaled by
+    1 - j/(l+1) for 0 <= j <= l, dropped beyond."""
+    j = freq_indices(f.n_samples)
+    weights = np.where((j >= 0) & (j <= l), 1.0 - j / (l + 1.0), 0.0)
+    return CircleFunction.from_coeffs(f.coeffs * weights)
 
 
 def test_cesaro_profile_matches_direct_means():
@@ -113,7 +114,7 @@ def test_cesaro_profile_matches_direct_means():
         for spec in builtin_specs(N).values():
             prof = cesaro_convergence_profile(f, spec, l_max)
             for l in (top - 1, top, top + 1, l_max):
-                want = gauge_eval(spec, cesaro_mean(f, l) - f)
+                want = gauge_eval(spec, _fejer_mean(f, l) - f)
                 assert abs(prof[l] - want) <= 1e-12 * want
 
 

@@ -65,8 +65,8 @@ def test_geometric_mean_normalization():
     # exp of the log-modulus mean of |2 + z| is 2.
     z = grid(1024)
     F = outer_from_modulus(_from_mod(np.abs(2.0 + z)))
-    from hardy import evaluate_at
-    assert evaluate_at(F, 0.0) == pytest.approx(2.0, abs=1e-10)
+    taylor = F.coeffs[F.n_samples // 2:]
+    assert np.polyval(taylor[::-1], 0.0) == pytest.approx(2.0, abs=1e-10)
 
 
 def test_inner_outer_oracle():

@@ -7,6 +7,7 @@ from hardy import (
     BlaschkeSpec,
     ConstrainedSpec,
     ConstructionError,
+    DomainError,
     ParameterError,
     SubspaceBasis,
     TruncationError,
@@ -28,7 +29,9 @@ from hardy import (
     verify_constrained,
     wandering_basis,
 )
+from hardy import invariance
 from hardy.circlefn import CircleFunction
+from hardy.verify import _orthonormal_beta, _power_inner_family
 
 
 def _subspace_distance(a, b):
@@ -57,6 +60,21 @@ def test_subspace_validation():
                       generators={})
     with pytest.raises(TruncationError):
         _monomial_space([20], D=16, N=256)
+
+
+def test_subspace_validation_names_first_offending_member():
+    N = 256
+    with pytest.raises(DomainError, match="member 1 "):
+        SubspaceBasis(ambient_bandwidth=16,
+                      basis=(monomial(0, N), monomial(-2, N), monomial(30, N)),
+                      generators={})
+    with pytest.raises(TruncationError, match="member 1 reaches index 20"):
+        _monomial_space([0, 20, 3], D=16, N=N)
+    # Member 0 leaves the band before member 1 leaves the analytic part.
+    with pytest.raises(TruncationError, match="member 0"):
+        SubspaceBasis(ambient_bandwidth=16,
+                      basis=(monomial(20, N), monomial(-2, N)),
+                      generators={})
 
 
 def test_span_of_shifts_is_monomial_ladder():
@@ -334,3 +352,119 @@ def test_wandering_basis_on_seed_204_span():
     vectors = wandering_basis(space, z)
     assert len(vectors) == 1
     assert abs(inner_product(vectors[0], J)) == pytest.approx(1.0, abs=1e-6)
+
+
+def _record_orthonormalizations(monkeypatch):
+    """Capture the input of every _orthonormal_columns call, and count
+    the SVDs taken by the invariance module."""
+    seen, svds = [], []
+    real_columns, real_svd = invariance._orthonormal_columns, invariance._svd
+
+    def columns(mat, *args, **kwargs):
+        seen.append(mat.copy())
+        return real_columns(mat, *args, **kwargs)
+
+    def svd(mat):
+        svds.append(mat.shape)
+        return real_svd(mat)
+
+    monkeypatch.setattr(invariance, "_orthonormal_columns", columns)
+    monkeypatch.setattr(invariance, "_svd", svd)
+    return seen, svds
+
+
+def _svd_basis(mat):
+    U, S, _ = np.linalg.svd(mat, full_matrices=False)
+    return U[:, S > 1e-10 * S[0]]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_cholesky_basis_matches_svd_basis_on_constrained_spaces(
+        monkeypatch, seed):
+    # Spaces drawn as in thm-3.5 (powers of z) and thm-4.5 (a curved
+    # B): every build and test matrix is orthonormal, is polished by
+    # Cholesky QR instead of an SVD, and spans what an SVD basis spans.
+    seen, svds = _record_orthonormalizations(monkeypatch)
+    rng = np.random.default_rng(seed)
+    N = 1024
+    n = int(rng.integers(1, 3))
+    r = int(rng.integers(1, min(n, 2) + 1))
+    specs = [(ConstrainedSpec(
+        inners=_power_inner_family(rng, n, r, N),
+        beta=_orthonormal_beta(rng, r, int(rng.integers(1, 2 * r))),
+        multiplier=n), 400, 60)]
+    bspec = BlaschkeSpec((0.0, rng.uniform(0.1, 0.4)
+                          * np.exp(2j * np.pi * rng.random())))
+    specs.append((ConstrainedSpec(
+        inners=tuple(basis_element(bspec, BasisIndex(j, 0), N)
+                     for j in range(2)),
+        beta=_orthonormal_beta(rng, 2, 3), multiplier=bspec), 420, 80))
+    for spec, D, k_max in specs:
+        assert verify_constrained(build_constrained(spec, D, k_max),
+                                  spec).passed
+    assert seen and svds == []
+    monkeypatch.undo()
+    for mat in seen:
+        Q = invariance._orthonormal_columns(mat)
+        U = _svd_basis(mat)
+        assert Q.shape == U.shape
+        assert np.max(np.abs(Q @ Q.conj().T - U @ U.conj().T)) <= 1e-12
+
+
+def test_cholesky_qr_polishes_nearly_orthonormal_columns(monkeypatch):
+    # Columns off orthonormal by about 1e-11, inside GRAM_TOL: the
+    # basis keeps their span and is orthonormal to rounding.
+    seen, svds = _record_orthonormalizations(monkeypatch)
+    rng = np.random.default_rng(7)
+    Q0, _ = np.linalg.qr(rng.standard_normal((300, 40))
+                         + 1j * rng.standard_normal((300, 40)))
+    E = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
+    mat = Q0 @ (np.eye(40) + 3e-12 * E)
+    G = mat.conj().T @ mat
+    assert 1e-12 < np.max(np.abs(G - np.eye(40))) <= invariance.GRAM_TOL
+    Q = invariance._orthonormal_columns(mat)
+    assert svds == []
+    assert np.max(np.abs(Q.conj().T @ Q - np.eye(40))) <= 1e-14
+    assert np.max(np.abs(Q @ Q.conj().T - Q0 @ Q0.conj().T)) <= 1e-13
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-15, 1e100])
+def test_defect_matches_largest_singular_value(scale):
+    rng = np.random.default_rng(5)
+    Q, _ = np.linalg.qr(rng.standard_normal((300, 40))
+                        + 1j * rng.standard_normal((300, 40)))
+    W = scale * (rng.standard_normal((300, 25))
+                 + 1j * rng.standard_normal((300, 25)))
+    want = np.linalg.svd(W - Q @ (Q.conj().T @ W), compute_uv=False)[0]
+    assert abs(invariance._defect(Q, W) - want) <= 1e-12 * want
+
+
+def test_defect_of_columns_inside_the_span_is_roundoff():
+    # Forming the residual before its Gram keeps an invariant defect at
+    # rounding; expanding W^H W - (Q^H W)^H (Q^H W) would not.
+    rng = np.random.default_rng(6)
+    Q, _ = np.linalg.qr(rng.standard_normal((300, 40))
+                        + 1j * rng.standard_normal((300, 40)))
+    W = Q @ (rng.standard_normal((40, 25)) + 1j * rng.standard_normal((40, 25)))
+    assert invariance._defect(Q, W) <= 1e-13
+
+
+@pytest.mark.parametrize("generators, multiplier, k_max, D, rank", [
+    (["poly"], 1, 12, 40, 13),
+    (["poly", "poly"], 1, 12, 40, 13),
+    (["inner", "inner"], 1, 20, 100, 21),
+    (["poly", "line"], 2, 8, 40, 18),
+])
+def test_span_of_non_orthonormal_columns_keeps_svd_rank(
+        monkeypatch, generators, multiplier, k_max, D, rank):
+    N = 512
+    named = {
+        "poly": synthesize({0: 1.0, 1: -0.5j, 3: 0.25}, N),
+        "line": synthesize({1: 1.0, 2: 1.0}, N),
+        "inner": as_circle_function(BlaschkeSpec((0.3, -0.2j)), N),
+    }
+    seen, svds = _record_orthonormalizations(monkeypatch)
+    space = span_invariant([named[g] for g in generators],
+                           monomial(multiplier, N), k_max, D)
+    assert space.dim == rank
+    assert len(seen) == 1 and len(svds) == 1
