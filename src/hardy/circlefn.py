@@ -340,10 +340,9 @@ def pointwise(f: CircleFunction, g: CircleFunction | None, op: str,
               regularize: bool = False) -> CircleFunction:
     """Pointwise operation on samples; coefficients re-derived by analyze.
 
-    op is one of "mul", "div", "abs"; "abs" ignores g.  Products enforce
-    the anti-aliasing margin N >= 4 * (bandwidth(f) + bandwidth(g)).
-    Division refuses moduli below EPS_LOG unless ``regularize`` clamps
-    them.
+    op is "mul" or "div".  Products enforce the anti-aliasing margin
+    N >= 4 * (bandwidth(f) + bandwidth(g)).  Division refuses moduli
+    below EPS_LOG unless ``regularize`` clamps them.
     """
     if op == "mul":
         if g is None:
@@ -374,8 +373,6 @@ def pointwise(f: CircleFunction, g: CircleFunction | None, op: str,
             phase = np.where(mod[bad] == 0.0, 1.0, denom[bad] / safe_mod)
             denom[bad] = phase * EPS_LOG
         return CircleFunction.from_samples(f.samples / denom)
-    if op == "abs":
-        return CircleFunction.from_samples(np.abs(f.samples))
     raise ParameterError(f"unknown pointwise op {op!r}")
 
 

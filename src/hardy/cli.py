@@ -245,7 +245,7 @@ def _cmd_factor_classic(args) -> int:
     }
     _emit(payload, args.out)
     if args.emit_plot_data:
-        N = f.n_samples
+        N = pair.inner.n_samples
         theta = 2.0 * np.pi * np.arange(N) / N
         rows = zip(theta, np.abs(pair.inner.samples),
                    np.log(np.abs(pair.outer.samples)))

@@ -35,7 +35,7 @@ from .circlefn import (
     norm2,
     require_analytic,
 )
-from .errors import ParameterError, TruncationError
+from .errors import ParameterError
 from .norms import GaugeNormSpec
 
 __all__ = [
@@ -46,7 +46,6 @@ __all__ = [
     "cesaro_convergence_profile",
 ]
 
-TOL_DECOMP = 1e-8
 # Largest phase-grid node count (grid size times degree) in Blaschke mode.
 MAX_PHASE_NODES = 2 ** 20
 
@@ -147,8 +146,7 @@ def _phase_nodes(spec: BlaschkeSpec, M: int) -> Tuple[np.ndarray, float]:
 
 
 def decompose_blaschke(f: CircleFunction, spec: BlaschkeSpec,
-                       m_max: Optional[int] = None,
-                       strict: bool = False) -> DecompositionResult:
+                       m_max: Optional[int] = None) -> DecompositionResult:
     """Split f along the factor slots of B up to basis power m_max.
 
     Component j is sum_m <f, e(j, m)> B^m, a series in B; carrier j is
@@ -164,15 +162,11 @@ def decompose_blaschke(f: CircleFunction, spec: BlaschkeSpec,
     m_max and the automatic cutoff; more than 2^20 nodes (M * degree)
     raise ParameterError.  The residual is the L2 distance between f
     and the recomposition, by quadrature at the nodes; it measures the
-    basis tail beyond m_max and is reported rather than raised, unless
-    ``strict`` is set.  The returned functions are point values on the
-    input's grid (see DecompositionResult).
+    basis tail beyond m_max and is reported, not raised.  The returned
+    functions are point values on the input's grid (see
+    DecompositionResult).
     """
     res, = _split_blaschke([f], spec, m_max)
-    if strict and res.residual > TOL_DECOMP:
-        m_max = res.basis_coefficients.shape[1] - 1
-        raise TruncationError(
-            f"basis tail beyond m_max={m_max} has residual {res.residual:.3e}")
     return res
 
 

@@ -1,23 +1,23 @@
 """Inner-outer structure on the circle grid.
 
-Classical factorization f = (unimodular) * (outer) is built from the
-boundary modulus: u = log|f|, its harmonic conjugate, and
-O = exp(u + i*conj(u)).  The modulus of O matches |f| sample for
-sample, O(0) > 0 fixes the phase, and the inner part is the quotient.
+A function J is n-inner when the shifted family {z^(n m) J} is
+orthonormal; a function of the form s(z^n) is n-outer when s is outer.
+Every f factors as f = J F with one n-inner J and one n-outer F, and
+n = 1 is the classical split into an inner part and the outer part of
+|f|.  One construction serves every n, on a work grid in z:
 
-The same machinery drives the z^n variants.  A function J is n-inner
-when the shifted family {z^(n m) J} is orthonormal; a function g of the
-form s(z^n) is n-outer when s is outer in the base variable.  A single
-generator factors as f = J f_1 with one n-inner J and one n-outer f_1:
-split f(z) = sum_i z^i H_i(z^n), form the pointwise modulus
-phi = sqrt(sum |H_i|^2) in the base variable, take its outer function
-O, and set
-
-    J(z) = sum_i z^i (H_i/O)(z^n),    f_1(z) = O(z^n).
+  1. split f(z) = sum_i z^i h_i(z^n) by residue class (decompose_zn);
+  2. form phi = sqrt(sum_i |h_i(z^n)|^2), a function of z^n;
+  3. take F = exp(u + i*conj(u)) with u = log phi (outer_from_modulus).
+     The conjugate of a series in z^n is a series in z^n, so F = O(z^n)
+     with O the outer function of phi, and F(0) > 0 fixes the phase;
+  4. set J = f / F, so that J(z) = sum_i z^i (h_i/O)(z^n) and
+     sum_i |h_i/O|^2 = 1: J is n-inner.
 
 The residual is exact to rounding because every step is a sample
-identity; the only approximation is the working grid size, which grows
-until the quotient coefficients have decayed.
+identity.  The only approximation is the work grid, which starts at
+WORK_GRID_FLOOR points and doubles, up to WORK_GRID_CAP, until the
+Taylor tail of J beyond three quarters of the band has decayed.
 """
 
 from __future__ import annotations
@@ -33,16 +33,14 @@ from .circlefn import (
     EPS_LOG,
     CircleFunction,
     _graded_rows,
-    analyze,
     freq_indices,
     gram_defect,
     grid,
     norm2,
-    pointwise,
     require_analytic,
     resample,
 )
-from .decomp import _split_blaschke, zn_series_components
+from .decomp import _split_blaschke, decompose_zn, zn_series_components
 from .errors import (
     DomainError,
     FactorizationError,
@@ -71,8 +69,8 @@ TOL_OUTER = 1e-6
 TOL_B_INNER = 1e-7
 TOL_FACTOR_RESIDUAL = 1e-6
 
-# Working-grid control for the direct n-inner construction.  The grid
-# doubles until the quotient coefficients have decayed by mid-band.
+# Work-grid control for the inner-outer construction.  The grid doubles
+# until the quotient's Taylor tail has decayed.
 WORK_TAIL_TARGET = 1e-9
 WORK_GRID_FLOOR = 8192
 WORK_GRID_CAP = 1 << 17
@@ -212,18 +210,43 @@ def outer_from_modulus(w: CircleFunction, regularize: bool = False) -> CircleFun
     return CircleFunction.from_samples(np.exp(u_samples + 1j * conj_samples))
 
 
+def _factor(f: CircleFunction, n: int, regularize: bool
+            ) -> Tuple[CircleFunction, CircleFunction, CircleFunction]:
+    """The construction of the module docstring: (J, F, f) with f
+    resampled to the work grid that J and F live on."""
+    n_work = max(f.n_samples, WORK_GRID_FLOOR)
+    while True:
+        f_work = resample(f, n_work)
+        phi = np.sqrt(sum(np.abs(h.samples) ** 2
+                          for h in decompose_zn(f_work, n).components))
+        outer = outer_from_modulus(CircleFunction.from_samples(phi),
+                                   regularize=regularize)
+        inner = CircleFunction.from_samples(f_work.samples / outer.samples)
+        tail = float(np.linalg.norm(inner.coeffs[3 * n_work // 4:]))
+        if tail <= WORK_TAIL_TARGET or n_work >= WORK_GRID_CAP:
+            return inner, outer, f_work
+        n_work *= 2
+
+
+def _residual(inner: CircleFunction, outer: CircleFunction,
+              f: CircleFunction) -> float:
+    """RMS of inner * outer - f, formed sample-wise: a verification
+    number, not a new bandwidth-guarded function."""
+    return float(np.sqrt(np.mean(
+        np.abs(inner.samples * outer.samples - f.samples) ** 2)))
+
+
 def inner_outer(f: CircleFunction, regularize: bool = False) -> InnerOuterPair:
-    """Split f into a unimodular part times the outer part of |f|."""
+    """Split f into a unimodular part times the outer part of |f|.
+
+    The construction is n_inner_outer_factorize's at n = 1, so both
+    parts live on its work grid of at least WORK_GRID_FLOOR points.
+    """
     require_analytic(f, "inner_outer")
-    modulus = pointwise(f, None, "abs")
-    outer = outer_from_modulus(modulus, regularize=regularize)
-    inner = pointwise(f, outer, "div", regularize=regularize)
-    # The product is re-formed sample-wise: it is a verification
-    # number, not a new bandwidth-guarded function.
-    prod = inner.samples * outer.samples
-    residual = float(np.sqrt(np.mean(np.abs(prod - f.samples) ** 2)))
+    inner, outer, f_work = _factor(f, 1, regularize)
     unimod = float(np.max(np.abs(np.abs(inner.samples) - 1.0)))
-    return InnerOuterPair(inner=inner, outer=outer, residual=residual,
+    return InnerOuterPair(inner=inner, outer=outer,
+                          residual=_residual(inner, outer, f_work),
                           unimodularity_defect=unimod)
 
 
@@ -305,40 +328,16 @@ def n_inner_outer_factorize(f: CircleFunction, n: int,
         raise ParameterError(f"n must be >= 1, got {n}")
     if norm2(f) < EPS_LOG:
         raise DomainError("cannot factor the zero function")
-    n_work = max(f.n_samples, WORK_GRID_FLOOR)
-    while True:
-        parts = [resample(s, n_work) for s in zn_series_components(f, n)]
-        phi_sq = np.zeros(n_work)
-        for p in parts:
-            phi_sq += np.abs(p.samples) ** 2
-        modulus = CircleFunction.from_samples(np.sqrt(phi_sq))
-        outer = outer_from_modulus(modulus, regularize=regularize)
-        thetas = [p.samples / outer.samples for p in parts]
-        # Quotient coefficient tails drive every grid-level error here;
-        # grow the grid until they have died by mid-band.
-        half = n_work // 2
-        start = half + max(half // (2 * n), 1)
-        tail = max(
-            float(np.linalg.norm(analyze(t)[start:])) for t in thetas
-        )
-        if tail <= WORK_TAIL_TARGET or n_work >= WORK_GRID_CAP:
-            break
-        n_work *= 2
-    z = grid(n_work)
-    idx = (n * np.arange(n_work)) % n_work
-    J_samples = np.zeros(n_work, dtype=complex)
-    for i, t in enumerate(thetas):
-        J_samples += (z ** i) * t[idx]
-    J = CircleFunction.from_samples(J_samples)
-    f1 = CircleFunction.from_samples(outer.samples[idx])
-    f_work = resample(f, n_work)
-    residual = float(np.sqrt(np.mean(
-        np.abs(J.samples * f1.samples - f_work.samples) ** 2)))
-    gram = _joint_gram_defect(z ** n, [J.samples], m_max_check)
+    J, f1, f_work = _factor(f, n, regularize)
+    n_work = f_work.n_samples
+    residual = _residual(J, f1, f_work)
+    gram = _joint_gram_defect(grid(n_work) ** n, [J.samples], m_max_check)
     parseval = abs(norm2(f_work) ** 2 - norm2(f1) ** 2)
+    # A modulus that vanishes on the grid, or an outer part that is not
+    # analytic at the grid cap, fails the outer test rather than the call.
     try:
         outer_report = is_n_outer(f1, n, regularize=regularize)
-    except SingularityError:
+    except (SingularityError, DomainError):
         outer_report = NOuterReport(
             passed=False, rank1_defect=float("inf"),
             outer_defect=float("inf"))

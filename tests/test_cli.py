@@ -14,6 +14,7 @@ from hardy import (
     as_circle_function,
     decompose_zn,
     function_to_json,
+    inner_outer,
     monomial,
     span_invariant,
     synthesize,
@@ -72,7 +73,11 @@ def test_factor_classic_plot_csv(workdir):
     assert res.returncode == 0
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "theta,abs_inner,log_abs_outer"
-    assert len(lines) == 1025
+    # the pair lives on the work grid, and so do the rows
+    N = inner_outer(synthesize({1: 2.0, 2: 1.0}, 1024)).inner.n_samples
+    assert len(lines) == N + 1
+    theta = np.array([float(line.split(",")[0]) for line in lines[1:]])
+    assert np.allclose(np.diff(theta), 2.0 * np.pi / N, rtol=0, atol=1e-12)
 
 
 def test_factor_grid_zero_diagnostic(workdir):
@@ -200,14 +205,28 @@ def test_overflowing_coefficients_are_input_error(workdir):
         assert res.stdout == ""
 
 
-def test_factor_classic_aliased_outer_fails(workdir):
+def test_factor_classic_near_circle_zero_passes(workdir):
+    # zeros near the circle once aliased log|f| on the input grid
     rng = np.random.default_rng(1)
     c = rng.standard_normal(25) + 1j * rng.standard_normal(25)
     write_json(str(workdir / "rand.json"),
                function_to_json(synthesize(dict(enumerate(c)), 1024)))
     res = run_cli("factor", "classic", "--fn", str(workdir / "rand.json"))
-    assert res.returncode == 2
+    assert res.returncode == 0
     assert json.loads(res.stdout)["residual"] <= 1e-9
+
+
+def test_factor_ninner_failed_outer_check_prints_payload(workdir):
+    # the outer part at the grid cap is not analytic; the verdict fails
+    # and the payload is still written
+    write_json(str(workdir / "edge.json"),
+               function_to_json(synthesize({0: -0.9999, 1: 1.0}, 1024)))
+    res = run_cli("factor", "ninner", "--fn", str(workdir / "edge.json"),
+                  "--n", "1")
+    assert res.returncode == 2
+    payload = json.loads(res.stdout)
+    assert payload["outers_passed"] == [False]
+    assert payload["residual"] <= 1e-9
 
 
 def test_non_finite_result_is_not_written(workdir, monkeypatch, capsys):

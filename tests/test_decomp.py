@@ -10,7 +10,6 @@ from hardy import (
     CircleFunction,
     ParameterError,
     PNorm,
-    TruncationError,
     builtin_specs,
     cesaro_convergence_profile,
     decompose_blaschke,
@@ -136,11 +135,10 @@ def test_blaschke_split_curved_recomposition():
     assert pieces == pytest.approx(norm2(f) ** 2, abs=1e-9)
 
 
-def test_blaschke_split_strict_raises_on_tail():
+def test_blaschke_split_residual_exposes_tail():
     spec = BlaschkeSpec((0.8, 0.8j))
     f = synthesize({j: 1.0 for j in range(20)}, 1024)
-    with pytest.raises(TruncationError):
-        decompose_blaschke(f, spec, m_max=2, strict=True)
+    assert decompose_blaschke(f, spec, m_max=2).residual > 1e-8 * norm2(f)
 
 
 def test_blaschke_split_rejects_nonanalytic():

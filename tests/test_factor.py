@@ -23,9 +23,12 @@ from hardy import (
     norm2,
     outer_from_modulus,
     power_spec,
+    resample,
     synthesize,
+    zn_series_components,
 )
-from hardy.circlefn import CircleFunction
+from hardy.circlefn import CircleFunction, analyze
+from hardy.factor import WORK_GRID_CAP, WORK_GRID_FLOOR, WORK_TAIL_TARGET
 
 
 def _from_mod(values):
@@ -73,7 +76,8 @@ def test_inner_outer_oracle():
     f = synthesize({1: 2.0, 2: 1.0}, 1024)  # z (2 + z)
     pair = inner_outer(f)
     assert pair.meets_invariants()
-    assert np.max(np.abs(pair.inner.samples - grid(1024))) < 1e-9
+    assert np.max(np.abs(pair.inner.samples
+                         - grid(pair.inner.n_samples))) < 1e-9
     assert pair.outer.coeff(0) == pytest.approx(2.0, abs=1e-9)
     assert pair.outer.coeff(1) == pytest.approx(1.0, abs=1e-9)
 
@@ -87,17 +91,73 @@ def test_inner_outer_moebius_inner():
     assert pair.outer.coeff(1) == pytest.approx(-0.5, abs=1e-9)
 
 
-def test_inner_outer_aliased_outer_fails_invariants():
+def test_inner_outer_near_circle_zero_outer_is_analytic():
     # Random polynomials have zeros close to the circle, where log|f|
-    # aliases on the input grid and the outer part picks up
-    # negative-index mass; residual and unimodularity do not see it.
+    # aliases on the input grid; the work grid grows until it does not.
     rng = np.random.default_rng(1)
     c = rng.standard_normal(25) + 1j * rng.standard_normal(25)
     pair = inner_outer(synthesize(dict(enumerate(c)), 1024))
-    assert pair.residual <= 1e-7
-    assert pair.unimodularity_defect <= 1e-7
-    assert not pair.outer.is_analytic()
-    assert not pair.meets_invariants()
+    assert pair.outer.is_analytic()
+    assert pair.outer.negative_energy <= 1e-12
+    assert pair.meets_invariants()
+
+
+def _classic_oracle(f, n_samples):
+    """The input-grid classical split, run on a finer grid."""
+    f = resample(f, n_samples)
+    outer = outer_from_modulus(_from_mod(np.abs(f.samples)))
+    return CircleFunction.from_samples(f.samples / outer.samples), outer
+
+
+def _base_variable_oracle(f, n):
+    """The n-inner construction in the base variable w = z^n: outer
+    function of phi on a w-grid, mapped back to z by the index map
+    k -> n k mod N, the grid doubling until each quotient's w-tail dies."""
+    n_work = max(f.n_samples, WORK_GRID_FLOOR)
+    while True:
+        parts = [resample(s, n_work) for s in zn_series_components(f, n)]
+        phi = np.sqrt(sum(np.abs(p.samples) ** 2 for p in parts))
+        outer = outer_from_modulus(_from_mod(phi))
+        thetas = [p.samples / outer.samples for p in parts]
+        half = n_work // 2
+        start = half + max(half // (2 * n), 1)
+        tail = max(float(np.linalg.norm(analyze(t)[start:])) for t in thetas)
+        if tail <= WORK_TAIL_TARGET or n_work >= WORK_GRID_CAP:
+            break
+        n_work *= 2
+    z = grid(n_work)
+    idx = (n * np.arange(n_work)) % n_work
+    J = sum(z ** i * t[idx] for i, t in enumerate(thetas))
+    return (CircleFunction.from_samples(J),
+            CircleFunction.from_samples(outer.samples[idx]))
+
+
+def _relative_gap(got, want):
+    size = max(got.n_samples, want.n_samples)
+    got, want = resample(got, size), resample(want, size)
+    return norm2(got - want) / norm2(want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_factorization_matches_old_constructions(n):
+    rng = np.random.default_rng(40 + n)
+    for degree in (1, 5, 12, 18, 24):
+        c = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(
+            degree + 1)
+        f = synthesize(dict(enumerate(c)), 1024)
+        bundle = n_inner_outer_factorize(f, n)
+        J, F = bundle.inners[0], bundle.outers[0]
+        oracles = [_base_variable_oracle(f, n)]
+        if n == 1:
+            pair = inner_outer(f)
+            assert np.array_equal(pair.inner.samples, J.samples)
+            assert np.array_equal(pair.outer.samples, F.samples)
+            # the finer of 2^15 and the work grid, for inputs whose
+            # log-modulus still aliases on 2^15 points
+            oracles.append(_classic_oracle(f, max(1 << 15, J.n_samples)))
+        for J_old, F_old in oracles:
+            assert _relative_gap(J, J_old) <= 1e-12
+            assert _relative_gap(F, F_old) <= 1e-12
 
 
 def test_inner_outer_grid_zero_needs_regularize():
@@ -233,6 +293,18 @@ def test_n_factorization_one_plus_z_is_rank_one():
     J = bundle.inners[0]
     assert abs(J.coeff(0)) == pytest.approx(1 / np.sqrt(2), abs=1e-6)
     assert abs(J.coeff(1)) == pytest.approx(1 / np.sqrt(2), abs=1e-6)
+
+
+@pytest.mark.parametrize("a", [0.9999, 1.0001])
+def test_n_factorization_outer_check_failure_is_a_verdict(a):
+    # A zero this close to the circle leaves the outer part short of
+    # analytic even at the grid cap; is_n_outer's DomainError becomes a
+    # failed outer report.
+    bundle = n_inner_outer_factorize(synthesize({0: -a, 1: 1.0}, 1024), 1)
+    assert bundle.n_samples == WORK_GRID_CAP
+    assert not bundle.outers[0].is_analytic()
+    assert not bundle.outer_reports[0].passed
+    assert not bundle.meets_invariants()
 
 
 def test_n_factorization_parseval():
