@@ -100,7 +100,9 @@ def analyze(samples: np.ndarray) -> np.ndarray:
 
 
 def _synthesize_array(coeffs: np.ndarray) -> np.ndarray:
-    return np.fft.ifft(np.fft.ifftshift(coeffs)) * coeffs.size
+    """Samples of coefficient rows (storage order, last axis); each row of
+    a block comes out bit for bit as from its own 1-D call."""
+    return np.fft.ifft(np.fft.ifftshift(coeffs, axes=-1)) * coeffs.shape[-1]
 
 
 def taylor_block(rows: np.ndarray, D: int) -> np.ndarray:
@@ -125,7 +127,8 @@ def _graded_rows(head: Sequence[np.ndarray], starts: Sequence[np.ndarray],
 
 def samples_of_taylor(mat: np.ndarray, N: int) -> np.ndarray:
     """Sample rows of the functions whose Taylor coefficients 0..D are
-    the columns of mat; the inverse of taylor_block."""
+    the columns of mat; the inverse of taylor_block, and bit for bit
+    _synthesize_array of the same rows in storage order."""
     rows = np.zeros((mat.shape[1], N), dtype=complex)
     rows[:, :mat.shape[0]] = mat.T
     np.fft.ifft(rows, axis=1, out=rows)

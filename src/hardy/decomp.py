@@ -11,7 +11,8 @@ Two splittings of an analytic grid function f:
     coefficients with index congruent to i mod n.  This is the
     roots-of-unity average (1/n) sum_l w^(-l i) f(w^l z), w = exp(2 pi i
     / n), evaluated exactly: off the residue class the coefficients are
-    exact zeros and the recomposition is exact to rounding.
+    exact zeros and the recomposition is exact to rounding.  All n
+    components come from one (n, N) block and one inverse FFT.
 
 Also here: Fejer (Cesaro) means and the convergence profile of Fejer
 means measured in a gauge norm.
@@ -28,10 +29,9 @@ from .blaschke import BlaschkeSpec, _basis_carriers, blaschke_eval
 from .circlefn import (
     COEFF_CUTOFF,
     CircleFunction,
-    freq_indices,
+    _synthesize_array,
     grid,
     horner,
-    monomial,
     norm2,
     require_analytic,
 )
@@ -221,27 +221,39 @@ def _split_blaschke(fs: Sequence[CircleFunction], spec: BlaschkeSpec,
         basis_coefficients=coeffs[k], phase_grid=M) for k in range(len(fs))]
 
 
-def zn_series_components(f: CircleFunction, n: int) -> Tuple[CircleFunction, ...]:
-    """The n series s_0 .. s_{n-1} with f(z) = sum_i z^i s_i(z^n).
-
-    Works for any n >= 1 by direct coefficient selection: s_i collects
-    the coefficients of f at indices congruent to i mod n, reindexed to
-    consecutive positions (the base-variable view).  Exact for
-    band-limited f.
-    """
-    require_analytic(f, "zn_series_components")
+def _residue_rows(f: CircleFunction, n: int, base_variable: bool
+                  ) -> Tuple[np.ndarray, np.ndarray]:
+    """(n, N) coefficient and sample blocks whose row i holds the a_(kn+i)
+    of f at index k n (h_i(z^n), negative k kept: rounding dust of a
+    nominally analytic input, dropped below the band) or, in the base
+    variable, at index k >= 0.  One inverse FFT gives the samples."""
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
     N = f.n_samples
+    if n > N // 2:
+        raise ParameterError(f"n = {n} leaves no room for the carriers "
+                             f"on a grid of {N}")
     half = N // 2
-    taylor = f.coeffs[half:]
-    out = []
-    for i in range(n):
-        sel = taylor[i::n]
-        arr = np.zeros(N, dtype=complex)
-        arr[half:half + sel.size] = sel
-        out.append(CircleFunction.from_coeffs(arr))
-    return tuple(out)
+    k = np.arange(0 if base_variable else -(half // n), -(-half // n))
+    past_top = np.concatenate([f.coeffs, np.zeros(n)])  # a_(kn+i) beyond reads 0
+    block = np.zeros((n, N), dtype=complex)
+    block[:, half + (1 if base_variable else n) * k] = past_top[
+        half + n * k + np.arange(n)[:, None]]
+    return block, _synthesize_array(block)
+
+
+def zn_series_components(f: CircleFunction, n: int) -> Tuple[CircleFunction, ...]:
+    """The n series s_0 .. s_{n-1} with f(z) = sum_i z^i s_i(z^n).
+
+    s_i collects the Taylor coefficients of f at indices congruent to i
+    mod n, reindexed to consecutive positions (the base-variable view);
+    all n come from one block transform.  Exact for band-limited f; n
+    above half the grid raises ParameterError.
+    """
+    require_analytic(f, "zn_series_components")
+    block, samples = _residue_rows(f, n, base_variable=True)
+    return tuple(CircleFunction(f.n_samples, s, c)
+                 for s, c in zip(samples, block))
 
 
 def decompose_zn(f: CircleFunction, n: int) -> DecompositionResult:
@@ -250,33 +262,20 @@ def decompose_zn(f: CircleFunction, n: int) -> DecompositionResult:
 
     Component i holds the coefficients of f with index congruent to i
     mod n, moved down by i; every other coefficient is an exact zero.
+    Components and carriers each come from one block transform.
     """
     require_analytic(f, "decompose_zn")
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
+    block, samples = _residue_rows(f, n, base_variable=False)
     N = f.n_samples
-    if n > N // 2:
-        raise ParameterError(
-            f"n = {n} leaves no room for the carriers on a grid of {N}"
-        )
-    freqs = freq_indices(N)
-    components = []
-    carriers = []
-    recomposed = np.zeros(N, dtype=complex)
-    for i in range(n):
-        # Coefficients moved below the band's bottom index are rounding
-        # dust from a nominally analytic input; they are dropped.
-        hc = np.zeros(N, dtype=complex)
-        hc[:N - i] = np.where(freqs % n == i, f.coeffs, 0.0)[i:]
-        comp = CircleFunction.from_coeffs(hc)
-        carrier = monomial(i, N)
-        components.append(comp)
-        carriers.append(carrier)
-        recomposed = recomposed + carrier.samples * comp.samples
+    units = np.zeros((n, N), dtype=complex)
+    units[np.arange(n), N // 2 + np.arange(n)] = 1.0
+    carriers = _synthesize_array(units)
+    recomposed = np.sum(carriers * samples, axis=0)
     residual = float(np.sqrt(np.mean(np.abs(f.samples - recomposed) ** 2)))
     return DecompositionResult(
-        mode="zn", components=tuple(components), carriers=tuple(carriers),
-        residual=residual)
+        mode="zn", residual=residual,
+        components=tuple(CircleFunction(N, s, c) for s, c in zip(samples, block)),
+        carriers=tuple(CircleFunction(N, s, c) for s, c in zip(carriers, units)))
 
 
 def cesaro_convergence_profile(f: CircleFunction, spec: GaugeNormSpec,

@@ -6,7 +6,8 @@ Every f factors as f = J F with one n-inner J and one n-outer F, and
 n = 1 is the classical split into an inner part and the outer part of
 |f|.  One construction serves every n, on a work grid in z:
 
-  1. split f(z) = sum_i z^i h_i(z^n) by residue class (decompose_zn);
+  1. split f(z) = sum_i z^i h_i(z^n) by residue class, the samples of
+     every h_i(z^n) from one block transform (decomp._residue_rows);
   2. form phi = sqrt(sum_i |h_i(z^n)|^2), a function of z^n;
   3. take F = exp(u + i*conj(u)) with u = log phi (outer_from_modulus).
      The conjugate of a series in z^n is a series in z^n, so F = O(z^n)
@@ -40,7 +41,7 @@ from .circlefn import (
     require_analytic,
     resample,
 )
-from .decomp import _split_blaschke, decompose_zn, zn_series_components
+from .decomp import _residue_rows, _split_blaschke, zn_series_components
 from .errors import (
     DomainError,
     FactorizationError,
@@ -191,7 +192,11 @@ def outer_from_modulus(w: CircleFunction, regularize: bool = False) -> CircleFun
     O = exp(u + i*conj(u)) with u = log w.  Moduli below EPS_LOG raise
     SingularityError unless ``regularize`` floors them there.
     """
-    vals = w.samples
+    return _outer_from_samples(w.samples, regularize)
+
+
+def _outer_from_samples(vals: np.ndarray, regularize: bool) -> CircleFunction:
+    """outer_from_modulus for the modulus given by its grid samples."""
     if float(np.max(np.abs(vals.imag))) > 1e-10:
         raise DomainError("outer_from_modulus needs a real-valued modulus")
     mod = vals.real
@@ -217,10 +222,9 @@ def _factor(f: CircleFunction, n: int, regularize: bool
     n_work = max(f.n_samples, WORK_GRID_FLOOR)
     while True:
         f_work = resample(f, n_work)
-        phi = np.sqrt(sum(np.abs(h.samples) ** 2
-                          for h in decompose_zn(f_work, n).components))
-        outer = outer_from_modulus(CircleFunction.from_samples(phi),
-                                   regularize=regularize)
+        _, pieces = _residue_rows(f_work, n, base_variable=False)
+        phi = np.sqrt(np.sum(np.abs(pieces) ** 2, axis=0))
+        outer = _outer_from_samples(phi, regularize)
         inner = CircleFunction.from_samples(f_work.samples / outer.samples)
         tail = float(np.linalg.norm(inner.coeffs[3 * n_work // 4:]))
         if tail <= WORK_TAIL_TARGET or n_work >= WORK_GRID_CAP:
@@ -367,8 +371,6 @@ def is_n_outer(f: CircleFunction, n: int, tol: float = TOL_B_INNER,
     must be outer.
     """
     require_analytic(f, "is_n_outer")
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
     parts = zn_series_components(f, n)
     norms = np.array([norm2(p) for p in parts])
     total = float(np.linalg.norm(norms))

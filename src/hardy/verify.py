@@ -225,14 +225,15 @@ def _run_smoothing(config: RunConfig) -> Tuple[Check, ...]:
 
 # --- lemma-4.2 -------------------------------------------------------------
 
-def _root_of_unity_average(f: CircleFunction, n: int, i: int) -> np.ndarray:
-    """Coefficients of g_i = (1/n) sum_l w^(-l i) f(w^l z), w = exp(2 pi i
-    / n).  f(w^l z) has coefficients a_m w^(l m), so the average is a
-    twist of f's coefficients by the mean of w^(l (m - i)) over l."""
-    m = freq_indices(f.n_samples)
+def _root_of_unity_twist(N: int, n: int, i: int) -> np.ndarray:
+    """Coefficient weights of g_i = (1/n) sum_l w^(-l i) f(w^l z), w =
+    exp(2 pi i / n), on an N-point grid: f(w^l z) has coefficients
+    a_m w^(l m), so g_i is a twist of f's coefficients by the mean of
+    w^(l (m - i)) over l."""
+    m = freq_indices(N)
     w = np.exp(2j * np.pi * np.arange(n) / n)
     twist = w[(np.arange(n)[:, None] * (m - i)[None, :]) % n]
-    return f.coeffs * np.mean(twist, axis=0)
+    return np.mean(twist, axis=0)
 
 
 def _run_zn_split(config: RunConfig) -> Tuple[Check, ...]:
@@ -243,13 +244,13 @@ def _run_zn_split(config: RunConfig) -> Tuple[Check, ...]:
     worst_support = 0.0
     worst_energy = 0.0
     worst_average = 0.0
+    freqs = freq_indices(N)
     for n in ns:
+        twists = [_root_of_unity_twist(N, n, i) for i in range(n)]
         for _ in range(100):
             f = _random_poly(rng, int(rng.integers(0, min(200, N // 4))), N)
             dec = decompose_zn(f, n)
             worst_residual = max(worst_residual, dec.residual)
-            half = N // 2
-            freqs = np.arange(-half, half)
             total = 0.0
             for i, h in enumerate(dec.components):
                 off = h.coeffs[(freqs % n) != 0]
@@ -259,8 +260,7 @@ def _run_zn_split(config: RunConfig) -> Tuple[Check, ...]:
                 total += norm2(h) ** 2
                 # z^i h_i must be the average g_i: compare coefficients
                 # after moving h_i's up by i.
-                gap = np.abs(_root_of_unity_average(f, n, i)[i:]
-                             - h.coeffs[:N - i])
+                gap = np.abs((f.coeffs * twists[i])[i:] - h.coeffs[:N - i])
                 worst_average = max(worst_average, float(np.max(gap)))
             worst_energy = max(worst_energy,
                                abs(norm2(f) ** 2 - total))
@@ -500,10 +500,9 @@ def _run_energy_split(config: RunConfig) -> Tuple[Check, ...]:
             # carriers are exact monomials, so each summand's norm
             # equals its component's norm
             for carrier, h in zip(dec.carriers, dec.components):
-                summand = CircleFunction.from_samples(
-                    carrier.samples * h.samples)
-                worst_carrier = max(worst_carrier,
-                                    abs(norm2(summand) - norm2(h)))
+                product = carrier.samples * h.samples
+                summand = float(np.sqrt(np.mean(np.abs(product) ** 2)))
+                worst_carrier = max(worst_carrier, abs(summand - norm2(h)))
     return (
         _check("component_energy_sum", worst_energy,
                config.threshold("energy_sum", 1e-9)),

@@ -74,6 +74,81 @@ def test_zn_split_rejects_oversized_modulus():
         decompose_zn(monomial(0, 64), 33)
 
 
+def _zn_split_per_row(f, n):
+    """decompose_zn one row at a time: from_coeffs per component, monomial
+    per carrier and a sequential recomposition."""
+    N = f.n_samples
+    freqs = freq_indices(N)
+    components, carriers = [], []
+    recomposed = np.zeros(N, dtype=complex)
+    for i in range(n):
+        hc = np.zeros(N, dtype=complex)
+        hc[:N - i] = np.where(freqs % n == i, f.coeffs, 0.0)[i:]
+        comp = CircleFunction.from_coeffs(hc)
+        carrier = monomial(i, N)
+        components.append(comp)
+        carriers.append(carrier)
+        recomposed = recomposed + carrier.samples * comp.samples
+    residual = float(np.sqrt(np.mean(np.abs(f.samples - recomposed) ** 2)))
+    return components, carriers, residual
+
+
+def _zn_series_per_row(f, n):
+    """zn_series_components one row at a time: from_coeffs per series."""
+    N = f.n_samples
+    half = N // 2
+    out = []
+    for i in range(n):
+        sel = f.coeffs[half:][i::n]
+        arr = np.zeros(N, dtype=complex)
+        arr[half:half + sel.size] = sel
+        out.append(CircleFunction.from_coeffs(arr))
+    return out
+
+
+def _random_input(N, built, seed):
+    rng = np.random.default_rng(seed)
+    degree = min(N // 4, 40)
+    c = rng.standard_normal(degree) + 1j * rng.standard_normal(degree)
+    f = synthesize(dict(enumerate(c)), N)
+    # Samples-built inputs carry rounding dust at negative indices.
+    return CircleFunction.from_samples(f.samples) if built == "samples" else f
+
+
+def _bitwise_equal(got, want):
+    return (len(got) == len(want)
+            and all(np.array_equal(a.samples, b.samples)
+                    and np.array_equal(a.coeffs, b.coeffs)
+                    for a, b in zip(got, want)))
+
+
+@pytest.mark.parametrize("built", ["coeffs", "samples"])
+@pytest.mark.parametrize("N", [64, 1024, 8192])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16])
+def test_zn_split_block_matches_per_row_bitwise(n, N, built):
+    f = _random_input(N, built, seed=N + n)
+    res = decompose_zn(f, n)
+    components, carriers, residual = _zn_split_per_row(f, n)
+    assert _bitwise_equal(res.components, components)
+    assert _bitwise_equal(res.carriers, carriers)
+    assert res.residual == residual
+    assert _bitwise_equal(zn_series_components(f, n), _zn_series_per_row(f, n))
+
+
+@pytest.mark.parametrize("split", [zn_series_components, decompose_zn])
+def test_zn_splits_refuse_oversized_modulus_before_allocating(split):
+    f = synthesize({0: 2.0, 1: 1.0}, 1024)
+    split(f, 512)  # half the grid is the largest modulus
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParameterError, match="no room"):
+            split(f, 2 ** 40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
 def test_series_components_base_variable_view():
     f = monomial(4, 256)
     s = zn_series_components(f, 3)

@@ -1,5 +1,7 @@
 """Factorization: conjugates, outer parts, joint inner families."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from hardy import (
     BasisIndex,
     as_circle_function,
     constant,
+    decompose_zn,
     grid,
     harmonic_conjugate,
     inner_outer,
@@ -28,7 +31,12 @@ from hardy import (
     zn_series_components,
 )
 from hardy.circlefn import CircleFunction, analyze
-from hardy.factor import WORK_GRID_CAP, WORK_GRID_FLOOR, WORK_TAIL_TARGET
+from hardy.factor import (
+    WORK_GRID_CAP,
+    WORK_GRID_FLOOR,
+    WORK_TAIL_TARGET,
+    _factor,
+)
 
 
 def _from_mod(values):
@@ -130,6 +138,50 @@ def _base_variable_oracle(f, n):
     J = sum(z ** i * t[idx] for i, t in enumerate(thetas))
     return (CircleFunction.from_samples(J),
             CircleFunction.from_samples(outer.samples[idx]))
+
+
+def _factor_per_row(f, n, regularize=False):
+    """_factor with phi from decompose_zn's components and F from
+    outer_from_modulus of phi as a CircleFunction."""
+    n_work = max(f.n_samples, WORK_GRID_FLOOR)
+    while True:
+        f_work = resample(f, n_work)
+        phi = np.sqrt(sum(np.abs(h.samples) ** 2
+                          for h in decompose_zn(f_work, n).components))
+        outer = outer_from_modulus(CircleFunction.from_samples(phi),
+                                   regularize=regularize)
+        inner = CircleFunction.from_samples(f_work.samples / outer.samples)
+        tail = float(np.linalg.norm(inner.coeffs[3 * n_work // 4:]))
+        if tail <= WORK_TAIL_TARGET or n_work >= WORK_GRID_CAP:
+            return inner, outer, f_work
+        n_work *= 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("built", ["coeffs", "samples"])
+def test_factor_matches_per_row_construction_bitwise(n, built):
+    rng = np.random.default_rng(10 + n)
+    c = rng.standard_normal(25) + 1j * rng.standard_normal(25)
+    f = synthesize(dict(enumerate(c)), 1024)
+    if built == "samples":
+        f = CircleFunction.from_samples(f.samples)
+    got = _factor(f, n, False)
+    want = _factor_per_row(f, n)
+    for a, b in zip(got, want):
+        assert np.array_equal(a.samples, b.samples)
+        assert np.array_equal(a.coeffs, b.coeffs)
+
+
+def test_factor_matches_per_row_construction_regularized():
+    # z - 1 has a zero on the grid: the floored modulus doubles the work
+    # grid up to the cap.
+    f = synthesize({0: -1.0, 1: 1.0}, 1024)
+    got = _factor(f, 1, True)
+    want = _factor_per_row(f, 1, regularize=True)
+    assert got[0].n_samples == WORK_GRID_CAP
+    for a, b in zip(got, want):
+        assert np.array_equal(a.samples, b.samples)
+        assert np.array_equal(a.coeffs, b.coeffs)
 
 
 def _relative_gap(got, want):
@@ -324,6 +376,20 @@ def test_is_n_outer_verdicts():
     assert is_n_outer(synthesize({0: 2.0, 2: 1.0}, 1024), 2).passed
     assert is_n_outer(synthesize({1: 2.0, 3: 1.0}, 1024), 2).passed
     assert not is_n_outer(monomial(2, 1024), 2).passed
+
+
+def test_is_n_outer_refuses_oversized_modulus_before_allocating():
+    f = synthesize({0: 2.0, 1: 1.0}, 1024)
+    with pytest.raises(ParameterError, match="no room"):
+        is_n_outer(f, 600)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParameterError, match="no room"):
+            is_n_outer(f, 2 ** 40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_is_n_outer_accepts_polynomial_carrier():
