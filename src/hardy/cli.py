@@ -62,6 +62,7 @@ from .serialize import (
     zeros_from_json,
 )
 from .verify import RunConfig, VerificationReport, registry_ids, run_verification
+from .verify import _random_poly
 
 __all__ = ["main", "RunConfig", "VerificationReport"]
 
@@ -174,9 +175,7 @@ def _cmd_norm_audit(args) -> int:
     axioms = check_gauge_axioms(spec, trials=args.trials, seed=args.seed,
                                 n_samples=N)
     continuity = check_continuity(spec, n_samples=N)
-    rng = np.random.default_rng(args.seed)
-    coeffs = rng.standard_normal(17) + 1j * rng.standard_normal(17)
-    probe = synthesize({j: coeffs[j] for j in range(17)}, N)
+    probe = _random_poly(np.random.default_rng(args.seed), 16, N)
     symmetry = check_rotational_symmetry(spec, probe)
     payload = {
         "spec": norm_spec_to_json(spec),
@@ -208,18 +207,18 @@ def _cmd_blaschke_basis(args) -> int:
 
 def _cmd_decompose(args) -> int:
     f = _function_arg(args.fn)
-    if args.mode == "zn":
-        if args.n is None:
-            raise _InputError("--mode zn needs --n")
-        result = decompose_zn(f, args.n)
-    else:
-        if args.zeros is None:
+    try:
+        if args.mode == "zn":
+            if args.n is None:
+                raise _InputError("--mode zn needs --n")
+            result = decompose_zn(f, args.n)
+        elif args.zeros is None:
             raise _InputError("--mode blaschke needs --zeros")
-        spec = _zeros_arg(args.zeros)
-        try:
-            result = decompose_blaschke(f, spec, m_max=args.mmax)
-        except ParameterError as exc:  # a cutoff or zeros it cannot take
-            raise _InputError(str(exc)) from exc
+        else:
+            result = decompose_blaschke(f, _zeros_arg(args.zeros),
+                                        m_max=args.mmax)
+    except ParameterError as exc:  # an n, cutoff or zeros it cannot take
+        raise _InputError(str(exc)) from exc
     payload = {
         "mode": result.mode,
         "components": [function_to_json(c) for c in result.components],
@@ -256,7 +255,10 @@ def _cmd_factor_classic(args) -> int:
 
 def _cmd_factor_ninner(args) -> int:
     f = _function_arg(args.fn)
-    bundle = n_inner_outer_factorize(f, args.n, regularize=args.regularize)
+    try:
+        bundle = n_inner_outer_factorize(f, args.n, regularize=args.regularize)
+    except ParameterError as exc:  # an n it cannot take
+        raise _InputError(str(exc)) from exc
     payload = {
         "n": bundle.n,
         "r": bundle.r,
@@ -420,10 +422,7 @@ def _experiment_conjecture44(args) -> dict:
         max_excess = -np.inf
         min_excess = np.inf
         for _ in range(args.trials):
-            degree = int(rng.integers(2, 65))
-            coeffs = rng.standard_normal(degree + 1) \
-                + 1j * rng.standard_normal(degree + 1)
-            f = synthesize({j: coeffs[j] for j in range(degree + 1)}, N)
+            f = _random_poly(rng, int(rng.integers(2, 65)), N)
             dec = decompose_zn(f, n)
             whole = gauge_eval(spec, f)
             for carrier, comp in zip(dec.carriers, dec.components):

@@ -1,11 +1,13 @@
 """Truncated invariant subspaces and their structure.
 
-A subspace is carried as an orthonormal family of coefficient vectors
-supported on indices 0..D, the finite-dimensional shadow of a shift
-invariant subspace.  On top of that this module measures how invariant
-a space actually is under multiplication, extracts the orthogonal
-complement of the shifted space (whose dimension is the Lax-Halmos
-rank), and builds the two-layer constrained spaces
+A subspace is carried as the read-only (D+1, k) matrix of the Taylor
+coefficients 0..D of an orthonormal basis, the finite-dimensional
+shadow of a shift invariant subspace, together with the graded sample
+rows it was built from (GradedRecipe) when a builder made it.  On top
+of that this module measures how invariant a space actually is under
+multiplication, extracts the orthogonal complement of the shifted
+space (whose dimension is the Lax-Halmos rank), and builds the
+two-layer constrained spaces
 
     span{phi_1..phi_k}  +  B^2 * (shifts of J_1..J_r)
 
@@ -14,16 +16,15 @@ whose hallmark is invariance under B^2 and B^3 but not under B itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .blaschke import BlaschkeSpec, blaschke_eval, power_spec
 from .circlefn import (
-    COEFF_CUTOFF,
-    TOL_ANALYTIC,
     CircleFunction,
+    _check_n_samples,
     _graded_rows,
     gram_defect,
     grid,
@@ -34,13 +35,13 @@ from .circlefn import (
 from .errors import (
     ConstructionError,
     DegenerateSpaceError,
-    DomainError,
     ParameterError,
     SizeError,
     TruncationError,
 )
 
 __all__ = [
+    "GradedRecipe",
     "SubspaceBasis",
     "ConstrainedSpec",
     "ConstrainedReport",
@@ -58,76 +59,72 @@ GENERIC_NONINVARIANCE = 0.05
 
 
 @dataclass(frozen=True, eq=False)
-class SubspaceBasis:
-    """Orthonormal coefficient-vector family on the band 0..D."""
+class GradedRecipe:
+    """The sample rows a space was built from: the rows of head, then
+    s, s*step, ..., s*step^k_max for each s in starts."""
 
-    ambient_bandwidth: int
-    basis: Tuple[CircleFunction, ...]
-    generators: Dict[str, object]
+    head: Tuple[np.ndarray, ...]
+    starts: Tuple[np.ndarray, ...]
+    step: np.ndarray
+    k_max: int
+
+    def rows(self, p: int = 0) -> np.ndarray:
+        """Sample block of the build rows whose image under step^p stays
+        inside the built grades (every row for p = 0)."""
+        return _graded_rows(self.head, self.starts, self.step,
+                            self.k_max + 1 - p)
+
+
+@dataclass(frozen=True, eq=False)
+class SubspaceBasis:
+    """Orthonormal Taylor columns on the band 0..D of an N-point grid:
+    ``taylor`` is the read-only (D+1, k) matrix of the coefficients 0..D
+    of the basis vectors, ``generators`` the scalar provenance."""
+
+    taylor: np.ndarray
+    n_samples: int
+    generators: Dict[str, object] = field(default_factory=dict)
+    recipe: Optional[GradedRecipe] = None
 
     def __post_init__(self):
-        if not self.basis:
+        Q = np.array(self.taylor, dtype=complex)
+        if Q.ndim != 2 or Q.shape[1] == 0:
             raise ConstructionError("a subspace needs at least one vector")
-        N = self.basis[0].n_samples
-        D = self.ambient_bandwidth
-        if D < 0 or D >= N // 2:
-            raise SizeError(
-                f"ambient bandwidth {D} does not fit the grid band "
-                f"0..{N // 2 - 1}"
-            )
-        if any(v.n_samples != N for v in self.basis):
-            raise SizeError("basis members must share one grid")
-        # The analyticity and band checks run once over the stacked
-        # coefficients; the first member failing either is reported.
-        C = np.stack([v.coeffs for v in self.basis])
-        half = N // 2
-        negative = np.linalg.norm(C[:, :half], axis=1)
-        beyond = np.any(np.abs(C[:, half + D + 1:]) > COEFF_CUTOFF, axis=1)
-        analytic = negative <= TOL_ANALYTIC  # False on NaN, as is_analytic
-        bad = ~analytic | beyond
-        if bad.any():
-            j = int(np.argmax(bad))
-            if not analytic[j]:
-                raise DomainError(
-                    f"subspace basis member {j} needs an analytic input; "
-                    f"negative coefficient mass is {negative[j]:.3e}"
-                )
-            raise TruncationError(
-                f"basis member {j} reaches index "
-                f"{self.basis[j].top_index()}, beyond the declared "
-                f"bandwidth {D}"
-            )
-        dev = gram_defect(C[:, half:half + D + 1], scale=1)
-        if dev > GRAM_TOL:
+        N = _check_n_samples(self.n_samples)
+        if Q.shape[0] > N // 2:
+            raise SizeError(f"ambient bandwidth {Q.shape[0] - 1} does not "
+                            f"fit the grid band 0..{N // 2 - 1}")
+        dev = gram_defect(Q.T, scale=1)
+        if not dev <= GRAM_TOL:  # written so that NaN fails too
             raise ConstructionError(
-                f"basis is not orthonormal; Gram deviation {dev:.3e}"
-            )
+                f"basis is not orthonormal; Gram deviation {dev:.3e}")
+        r = self.recipe
+        if r is not None and (not r.starts or r.k_max < 0 or any(
+                np.shape(a) != (N,) for a in (r.step, *r.head, *r.starts))):
+            raise ParameterError(f"a build recipe needs a start, k_max >= 0 "
+                                 f"and rows on the space's grid of {N}")
+        Q.setflags(write=False)
+        object.__setattr__(self, "taylor", Q)
+
+    @property
+    def ambient_bandwidth(self) -> int:
+        return self.taylor.shape[0] - 1
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self.taylor.shape[1]
 
     @property
-    def n_samples(self) -> int:
-        return self.basis[0].n_samples
-
-
-def _coeff_matrix(members: Sequence[CircleFunction], D: int) -> np.ndarray:
-    """Taylor coefficients 0..D of each member, as matrix columns."""
-    half = members[0].n_samples // 2
-    return np.stack([v.coeffs[half:half + D + 1] for v in members], axis=1)
+    def basis(self) -> Tuple[CircleFunction, ...]:
+        return tuple(_functions_from_columns(self.taylor, self.n_samples))
 
 
 def _functions_from_columns(mat: np.ndarray,
                             n_samples: int) -> List[CircleFunction]:
     """The functions whose Taylor coefficients are the columns of mat."""
-    half = n_samples // 2
-    out = []
-    for j, samples in enumerate(samples_of_taylor(mat, n_samples)):
-        c = np.zeros(n_samples, dtype=complex)
-        c[half:half + mat.shape[0]] = mat[:, j]
-        out.append(CircleFunction(n_samples, samples, c))
-    return out
+    coeffs = np.zeros((mat.shape[1], n_samples), dtype=complex)
+    coeffs[:, n_samples // 2:n_samples // 2 + mat.shape[0]] = mat.T
+    return [CircleFunction.from_coeffs(c) for c in coeffs]
 
 
 def _svd(mat: np.ndarray):
@@ -200,21 +197,12 @@ def span_invariant(generators: Sequence[CircleFunction],
         if g.n_samples != N:
             raise SizeError("generators must share one grid")
         require_analytic(g, "span_invariant")
-    rows = _graded_rows((), [g.samples for g in generators],
-                        multiplier.samples, k_max + 1)
-    basis_mat = _orthonormal_columns(taylor_block(rows, D))
-    basis = _functions_from_columns(basis_mat, N)
-    prov = {
-        "kind": "span_invariant",
-        "n_generators": len(generators),
-        "k_max": k_max,
-        "multiplier_lowest_index": low,
-        # raw build recipe, consumed by the graded defect measurement
-        "base_samples": multiplier.samples.copy(),
-        "generator_samples": [g.samples.copy() for g in generators],
-    }
-    return SubspaceBasis(ambient_bandwidth=D, basis=tuple(basis),
-                         generators=prov)
+    recipe = GradedRecipe((), tuple(g.samples for g in generators),
+                          multiplier.samples, k_max)
+    prov = {"kind": "span_invariant", "n_generators": len(generators),
+            "k_max": k_max, "multiplier_lowest_index": low}
+    return SubspaceBasis(_orthonormal_columns(taylor_block(recipe.rows(), D)),
+                         N, prov, recipe)
 
 
 def _lowest_index(f: CircleFunction) -> int:
@@ -224,58 +212,34 @@ def _lowest_index(f: CircleFunction) -> int:
     return max(0, int(nz[0]) - f.n_samples // 2)
 
 
-def _graded_testable_columns(recipe: dict, multiplier: CircleFunction,
-                             N: int) -> Optional[np.ndarray]:
-    """Rebuild, as the rows of a sample block, the raw build columns
-    whose image under the multiplier stays inside the modeled grades.
-
-    Returns None when the space carries no build recipe, the recipe
-    does not fit the grid, or the multiplier is not a small power of
-    the recorded build multiplier.  None means the caller must fall
-    back to the recipe-free measurement.
-    """
-    if recipe.get("kind") not in ("span_invariant", "constrained"):
-        return None
-    base = np.asarray(recipe.get("base_samples"))
-    if base.shape != (N,):
-        return None
-    acc = base
-    for step in (1, 2, 3):
-        if np.max(np.abs(multiplier.samples - acc)) <= 1e-8:
-            break
-        acc = acc * base
-    else:
-        return None
-    k_max = int(recipe.get("k_max", -1))
-    prefix = recipe.get("prefix_samples")
-    starts = [np.asarray(g) if prefix is None else np.asarray(g) * prefix
-              for g in recipe.get("generator_samples", ())]
-    rows = _graded_rows(recipe.get("extra_samples", ()), starts, base,
-                        k_max - step + 1)
-    return rows if rows.shape[0] else None
-
-
 def _image(space: SubspaceBasis,
            multiplier: CircleFunction) -> Tuple[np.ndarray, np.ndarray]:
     """The space's Taylor matrix Q and the image W, under the
     multiplier, of the vectors the space is tested on; columns on 0..D.
 
-    A space that records its build recipe is tested on an orthonormal
-    basis of the graded columns whose image stays inside the modeled
-    grades; the image of the top grade lies in a grade the finite model
-    never held.  A space without a recipe is tested on every basis
-    vector, truncated to the band.  The products are truncated to the
-    band 0..D too, so only spill past the ambient band is forgiven.
+    Under a multiplier equal to step^p, p in 1..3, a space with a build
+    recipe is tested on an orthonormal basis of recipe.rows(p), the
+    build rows whose image stays inside the built grades (the top
+    grade's image lies in a grade the finite model never held).  Else
+    every basis vector is tested.  Test vectors and products are
+    truncated to the band 0..D, so only spill past the band is forgiven.
     """
     _check_multiplier(multiplier, "invariance_defect")
     D = space.ambient_bandwidth
     N = space.n_samples
     if multiplier.n_samples != N:
         raise SizeError("multiplier must live on the space's grid")
-    Q = _coeff_matrix(space.basis, D)
-    recipe = space.generators if isinstance(space.generators, dict) else {}
-    rows = _graded_testable_columns(recipe, multiplier, N)
-    tested = Q if rows is None else _orthonormal_columns(taylor_block(rows, D))
+    Q = tested = space.taylor
+    r = space.recipe
+    if r is not None:
+        acc = r.step
+        for p in (1, 2, 3):
+            if np.max(np.abs(multiplier.samples - acc)) <= 1e-8:
+                rows = r.rows(p)
+                if rows.shape[0]:
+                    tested = _orthonormal_columns(taylor_block(rows, D))
+                break
+            acc = acc * r.step
     rows = samples_of_taylor(tested, N)
     rows *= multiplier.samples
     return Q, taylor_block(rows, D)
@@ -451,8 +415,9 @@ def build_constrained(spec: ConstrainedSpec, D: int,
             f"check that the inners are jointly B-inner and the beta "
             f"columns orthonormal"
         )
-    rows = _graded_rows(phis, [J.samples * bz * bz for J in spec.inners],
-                        bz, k_max + 1)
+    recipe = GradedRecipe(tuple(phis), tuple(J.samples * bz * bz
+                                              for J in spec.inners), bz, k_max)
+    rows = recipe.rows()
     dev_all = gram_defect(rows)
     if dev_all > 1e-8:
         raise ConstructionError(
@@ -460,23 +425,9 @@ def build_constrained(spec: ConstrainedSpec, D: int,
             f"the inners must form a jointly B-inner family with "
             f"uncorrelated slots"
         )
-    basis_mat = _orthonormal_columns(taylor_block(rows, D))
-    basis = _functions_from_columns(basis_mat, N)
-    prov = {
-        "kind": "constrained",
-        "k": spec.k,
-        "r": spec.r,
-        "k_max": k_max,
-        # raw build recipe, consumed by the graded defect measurement;
-        # the phi vectors are always testable, the layer columns only
-        # up to the grades whose image the model still holds
-        "base_samples": bz.copy(),
-        "prefix_samples": bz * bz,
-        "generator_samples": [J.samples.copy() for J in spec.inners],
-        "extra_samples": [p.copy() for p in phis],
-    }
-    return SubspaceBasis(ambient_bandwidth=D, basis=tuple(basis),
-                         generators=prov)
+    prov = {"kind": "constrained", "k": spec.k, "r": spec.r, "k_max": k_max}
+    return SubspaceBasis(_orthonormal_columns(taylor_block(rows, D)), N,
+                         prov, recipe)
 
 
 def verify_constrained(space: SubspaceBasis,

@@ -5,7 +5,10 @@ Formats:
   zeros      {"zeros": [[re, im], ...]}
   norm spec  {"kind": "p_norm", "p": 2} and friends
   subspace   {"ambient_bandwidth": D, "n_samples": N,
-              "basis": [[[re, im], ...], ...], "generators": {...}}
+              "basis": [[[re, im], ...], ...], "generators": {...},
+              "recipe": {"base_samples": step, "generator_samples":
+                         starts, "extra_samples": head}}  (GradedRecipe
+             as functions, k_max in generators; a span has no head)
 
 Numbers pass through float() so every emitted value is a plain Python
 float rendered by its shortest exact decimal form; identical inputs
@@ -25,9 +28,9 @@ from typing import Mapping
 import numpy as np
 
 from .blaschke import BlaschkeSpec
-from .circlefn import CircleFunction, synthesize
-from .errors import ParameterError
-from .invariance import SubspaceBasis
+from .circlefn import COEFF_CUTOFF, CircleFunction, _check_n_samples, synthesize
+from .errors import ParameterError, SizeError, TruncationError
+from .invariance import GradedRecipe, SubspaceBasis
 from .norms import (
     ArcWeighted,
     ConvexCombo,
@@ -154,70 +157,81 @@ def norm_spec_from_json(obj: Mapping) -> GaugeNormSpec:
     raise ParameterError(f"unknown norm spec kind {kind!r}")
 
 
-_RECIPE_SAMPLE_KEYS = ("base_samples", "prefix_samples")
-_RECIPE_LIST_KEYS = ("generator_samples", "extra_samples")
-
-
 def _samples_to_json(samples: np.ndarray) -> dict:
-    return function_to_json(CircleFunction.from_samples(np.asarray(samples)))
+    return function_to_json(CircleFunction.from_samples(samples))
 
 
 def subspace_to_json(space: SubspaceBasis) -> dict:
-    D = space.ambient_bandwidth
-    N = space.n_samples
-    half = N // 2
-    rows = []
-    for v in space.basis:
-        taylor = v.coeffs[half:half + D + 1]
-        rows.append([[_real(c), _imag(c)] for c in taylor])
-    # The provenance splits into scalars and the build recipe (raw
-    # sample arrays driving the graded defect measurement).  The recipe
-    # rides along as coefficient lists so a reloaded space measures the
-    # same way the freshly built one does.
-    generators = {}
-    recipe = {}
-    for key, value in dict(space.generators).items():
-        if isinstance(value, (str, int, float, bool)):
-            generators[key] = value
-        elif key in _RECIPE_SAMPLE_KEYS:
-            recipe[key] = _samples_to_json(value)
-        elif key in _RECIPE_LIST_KEYS:
-            recipe[key] = [_samples_to_json(s) for s in value]
     out = {
-        "ambient_bandwidth": D,
-        "n_samples": N,
-        "basis": rows,
-        "generators": generators,
+        "ambient_bandwidth": space.ambient_bandwidth,
+        "n_samples": space.n_samples,
+        "basis": [[[_real(c), _imag(c)] for c in col]
+                  for col in space.taylor.T],
+        "generators": dict(space.generators),
     }
-    if recipe:
-        out["recipe"] = recipe
+    # The build recipe rides along as coefficient lists, so a reloaded
+    # space measures the way the freshly built one does.
+    r = space.recipe
+    if r is not None:
+        out["generators"]["k_max"] = r.k_max
+        out["recipe"] = {
+            "base_samples": _samples_to_json(r.step),
+            "generator_samples": [_samples_to_json(s) for s in r.starts],
+        }
+        if r.head:
+            out["recipe"]["extra_samples"] = [_samples_to_json(s)
+                                              for s in r.head]
     return out
+
+
+def _recipe_from_json(obj: Mapping, generators: Mapping) -> GradedRecipe:
+    """A file's recipe, whole or refused: without one the defect would
+    take the recipe-free path and could change its verdict."""
+    def grid_samples(objs):
+        return tuple(function_from_json(v).samples for v in objs)
+    try:
+        unknown = sorted(set(obj) - {"base_samples", "generator_samples",
+                                     "extra_samples"})
+        step = function_from_json(obj["base_samples"]).samples
+        recipe = GradedRecipe(grid_samples(obj.get("extra_samples", ())),
+                              grid_samples(obj["generator_samples"]), step,
+                              int(generators["k_max"]))
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ParameterError(
+            f"a recipe needs 'base_samples', 'generator_samples' and "
+            f"generators.k_max: {exc!r}") from exc
+    if unknown:
+        raise ParameterError(f"unknown recipe keys {unknown}; files that "
+                             f"store 'prefix_samples' are from an older "
+                             f"version")
+    return recipe
 
 
 def subspace_from_json(obj: Mapping) -> SubspaceBasis:
     try:
         D = int(obj["ambient_bandwidth"])
-        N = int(obj["n_samples"])
+        N = _check_n_samples(int(obj["n_samples"]))
         rows = obj["basis"]
+        generators = dict(obj.get("generators", {}))
     except (KeyError, TypeError) as exc:
         raise ParameterError(
             "subspace JSON needs 'ambient_bandwidth', 'n_samples' and "
             "'basis'") from exc
-    members = []
-    half = N // 2
-    for row in rows:
-        c = np.zeros(N, dtype=complex)
-        for idx, (re, im) in enumerate(row):
-            c[half + idx] = _finite(complex(float(re), float(im)))
-        members.append(CircleFunction.from_coeffs(c))
-    generators = dict(obj.get("generators", {}))
-    for key, value in dict(obj.get("recipe", {})).items():
-        if key in _RECIPE_SAMPLE_KEYS:
-            generators[key] = function_from_json(value).samples
-        elif key in _RECIPE_LIST_KEYS:
-            generators[key] = [function_from_json(v).samples for v in value]
-    return SubspaceBasis(ambient_bandwidth=D, basis=tuple(members),
-                         generators=generators)
+    if D < 0 or D >= N // 2:
+        raise SizeError(f"ambient bandwidth {D} does not fit the grid band "
+                        f"0..{N // 2 - 1}")
+    taylor = np.zeros((D + 1, len(rows)), dtype=complex)
+    for j, row in enumerate(rows):
+        col = np.array([_finite(complex(float(re), float(im)))
+                        for re, im in row], dtype=complex)
+        if col.size > N // 2 or np.any(np.abs(col[D + 1:]) > COEFF_CUTOFF):
+            raise TruncationError(f"basis row {j} does not fit the band "
+                                  f"0..{D} of a {N}-point grid")
+        taylor[:col.size, j] = col[:D + 1]
+    recipe = None
+    if "recipe" in obj:
+        recipe = _recipe_from_json(obj["recipe"], generators)
+    return SubspaceBasis(taylor, N, generators, recipe)
 
 
 def _plain(value):

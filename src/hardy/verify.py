@@ -43,7 +43,7 @@ from .circlefn import (
     synthesize,
 )
 from .decomp import cesaro_convergence_profile, decompose_zn
-from .errors import ParameterError
+from .errors import ParameterError, TruncationError
 from .factor import b_inner_matrix_from, n_inner_outer_factorize
 from .invariance import (
     ConstrainedSpec,
@@ -142,7 +142,13 @@ class VerificationReport:
 def _random_poly(rng: np.random.Generator, degree: int,
                  n_samples: int) -> CircleFunction:
     coeffs = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
-    return synthesize({j: coeffs[j] for j in range(degree + 1)}, n_samples)
+    half = n_samples // 2
+    if degree >= half:
+        raise TruncationError(
+            f"coefficient index {half} outside band [{-half}, {half - 1}]")
+    full = np.zeros(n_samples, dtype=complex)
+    full[half:half + degree + 1] = coeffs
+    return CircleFunction.from_coeffs(full)
 
 
 def _check(name: str, measured: float, threshold: float) -> Check:

@@ -379,3 +379,62 @@ def test_multiplier_flags_are_exclusive(workdir):
                   str(workdir / "unit.json"), "--kmax", "4", "--band", "32")
     assert res.returncode == 1
     assert "--power" in res.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose", "--mode", "zn", "--n", "600"],
+    ["decompose", "--mode", "zn", "--n", "0"],
+    ["factor", "ninner", "--n", "0"],
+])
+def test_out_of_range_n_is_input_error(workdir, capsys, argv):
+    from hardy import cli
+    code = cli.main([*argv, "--fn", str(workdir / "poly.json")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert ("leaves no room" if argv[-1] == "600" else "n must be >= 1") in err
+
+
+def _span_file(workdir, edit):
+    """The z-span of z (k_max 20, band 40) as JSON, edited in place."""
+    from hardy import subspace_to_json
+    z = monomial(1, 1024)
+    obj = json.loads(json.dumps(subspace_to_json(
+        span_invariant([z], z, k_max=20, D=40))))
+    edit(obj)
+    path = workdir / "edited_span.json"
+    path.write_text(json.dumps(obj))
+    return path
+
+
+def _on_128_points(obj):
+    obj["recipe"]["base_samples"] = function_to_json(monomial(1, 128))
+
+
+@pytest.mark.parametrize("edit", [
+    lambda o: o["recipe"].pop("generator_samples"),
+    lambda o: o["recipe"].pop("base_samples"),
+    lambda o: o["generators"].pop("k_max"),
+    _on_128_points,
+    lambda o: o["recipe"].update(prefix_samples=o["recipe"]["base_samples"]),
+], ids=["no-starts", "no-step", "no-k_max", "other-grid", "prefix_samples"])
+def test_malformed_recipe_is_input_error(workdir, capsys, edit):
+    from hardy import cli
+    code = cli.main(["invariance", "defect", "--power", "1", "--subspace",
+                     str(_span_file(workdir, edit))])
+    assert code == 1
+    assert capsys.readouterr().out == ""
+
+
+def test_recipe_free_span_file_tests_every_basis_vector(workdir, capsys):
+    # Intact, the recipe tests the grades 0..19, whose images stay in
+    # the space; without it z^21 is tested too, and z^22 is in the band
+    # but not in the space.
+    from hardy import cli
+    defects = []
+    for edit in (lambda o: None, lambda o: o.pop("recipe")):
+        path = _span_file(workdir, edit)
+        assert cli.main(["invariance", "defect", "--power", "1",
+                         "--subspace", str(path)]) == 0
+        defects.append(json.loads(capsys.readouterr().out)["defect"])
+    assert defects[0] <= 1e-14
+    assert defects[1] == pytest.approx(1.0, abs=1e-12)

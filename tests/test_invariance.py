@@ -1,5 +1,7 @@
 """Invariant subspaces: spans, defects, complements, two-layer spaces."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -7,14 +9,15 @@ from hardy import (
     BlaschkeSpec,
     ConstrainedSpec,
     ConstructionError,
-    DomainError,
     ParameterError,
+    SizeError,
     SubspaceBasis,
     TruncationError,
     as_circle_function,
     basis_element,
     BasisIndex,
     build_constrained,
+    dump_json,
     grid,
     inner_product,
     invariance_defect,
@@ -40,41 +43,36 @@ def _subspace_distance(a, b):
     projection onto a's span."""
     assert a.dim == b.dim
     D = max(a.ambient_bandwidth, b.ambient_bandwidth)
-    half = a.n_samples // 2
-    Qa, Qb = (np.stack([v.coeffs[half:half + D + 1] for v in s.basis], axis=1)
+    Qa, Qb = (np.pad(s.taylor, ((0, D - s.ambient_bandwidth), (0, 0)))
               for s in (a, b))
     return float(np.linalg.svd(Qb - Qa @ (Qa.conj().T @ Qb),
                                compute_uv=False)[0])
 
 
 def _monomial_space(indices, D, N=1024):
-    return SubspaceBasis(ambient_bandwidth=D,
-                         basis=tuple(monomial(j, N) for j in indices),
-                         generators={})
+    return SubspaceBasis(np.eye(D + 1)[:, list(indices)], N)
 
 
 def test_subspace_validation():
     with pytest.raises(ConstructionError):
-        SubspaceBasis(ambient_bandwidth=16,
-                      basis=(monomial(0, 256), monomial(0, 256)),
-                      generators={})
-    with pytest.raises(TruncationError):
-        _monomial_space([20], D=16, N=256)
+        _monomial_space([0, 0], D=16, N=256)
+    with pytest.raises(ConstructionError):
+        SubspaceBasis(np.zeros((17, 0)), 256)
+    with pytest.raises(SizeError):
+        _monomial_space([0], D=128, N=256)
+    space = _monomial_space([0, 3], D=16, N=256)
+    assert (space.ambient_bandwidth, space.dim, space.n_samples) == (16, 2, 256)
+    assert space.recipe is None and space.generators == {}
+    assert [v.top_index() for v in space.basis] == [0, 3]
+    with pytest.raises(ValueError):
+        space.taylor[0, 0] = 2.0
 
 
-def test_subspace_validation_names_first_offending_member():
-    N = 256
-    with pytest.raises(DomainError, match="member 1 "):
-        SubspaceBasis(ambient_bandwidth=16,
-                      basis=(monomial(0, N), monomial(-2, N), monomial(30, N)),
-                      generators={})
-    with pytest.raises(TruncationError, match="member 1 reaches index 20"):
-        _monomial_space([0, 20, 3], D=16, N=N)
-    # Member 0 leaves the band before member 1 leaves the analytic part.
-    with pytest.raises(TruncationError, match="member 0"):
-        SubspaceBasis(ambient_bandwidth=16,
-                      basis=(monomial(20, N), monomial(-2, N)),
-                      generators={})
+def test_nan_taylor_matrix_is_not_orthonormal():
+    Q = np.eye(17)[:, :2].astype(complex)
+    Q[5, 1] = np.nan
+    with pytest.raises(ConstructionError):
+        SubspaceBasis(Q, 256)
 
 
 def test_span_of_shifts_is_monomial_ladder():
@@ -161,8 +159,7 @@ def test_wandering_vector_of_polynomial_span_stays_in_span():
         vs = wandering_basis(space, z2)
         assert len(vs) == 1
         w = vs[0].coeffs[N // 2:N // 2 + D + 1]
-        Q = np.stack([v.coeffs[N // 2:N // 2 + D + 1] for v in space.basis],
-                     axis=1)
+        Q = space.taylor
         assert np.linalg.norm(w - Q @ (Q.conj().T @ w)) <= 1e-12
         shifted = g.samples
         for _ in range(64):
@@ -277,28 +274,16 @@ def test_unitary_basis_freedom():
     rng = np.random.default_rng(8)
     space = span_invariant([monomial(1, 1024)], monomial(1, 1024),
                            k_max=20, D=64)
-    D = space.ambient_bandwidth
-    half = 512
-    Q = np.stack([v.coeffs[half:half + D + 1] for v in space.basis], axis=1)
+    Q = space.taylor
     M = rng.standard_normal((space.dim, space.dim)) \
         + 1j * rng.standard_normal((space.dim, space.dim))
     U, _ = np.linalg.qr(M)
-    Q2 = Q @ U
-    rotated = SubspaceBasis(
-        ambient_bandwidth=D,
-        basis=tuple(_func_from_taylor(Q2[:, i], 1024) for i in range(Q2.shape[1])),
-        generators={})
+    rotated = SubspaceBasis(Q @ U, 1024)
     P1 = Q @ Q.conj().T
-    Qb = np.stack([v.coeffs[half:half + D + 1] for v in rotated.basis], axis=1)
+    Qb = np.stack([v.coeffs[512:512 + 65] for v in rotated.basis], axis=1)
     P2 = Qb @ Qb.conj().T
     assert np.max(np.abs(P1 - P2)) <= 1e-8
     assert _subspace_distance(space, rotated) <= 1e-8
-
-
-def _func_from_taylor(col, N):
-    c = np.zeros(N, dtype=complex)
-    c[N // 2:N // 2 + col.size] = col
-    return CircleFunction.from_coeffs(c)
 
 
 def test_round_trip_preserves_space_and_defect():
@@ -468,3 +453,25 @@ def test_span_of_non_orthonormal_columns_keeps_svd_rank(
                            monomial(multiplier, N), k_max, D)
     assert space.dim == rank
     assert len(seen) == 1 and len(svds) == 1
+
+
+def test_constrained_round_trip_keeps_matrix_recipe_and_verdicts():
+    rng = np.random.default_rng(2)
+    spec = ConstrainedSpec(inners=_power_inner_family(rng, 2, 2, 1024),
+                           beta=_orthonormal_beta(rng, 2, 3), multiplier=2)
+    space = build_constrained(spec, D=400, k_max=60)
+    clone = subspace_from_json(json.loads(dump_json(subspace_to_json(space))))
+    assert np.array_equal(clone.taylor, space.taylor)
+    assert clone.generators == space.generators
+    a, b = space.recipe, clone.recipe
+    assert (len(b.head), len(b.starts), b.k_max) == (3, 2, 60)
+    # The recipe travels as Fourier coefficients, so its samples come
+    # back to rounding, and so do the rounding-level defects.
+    for x, y in zip(a.head + a.starts + (a.step,), b.head + b.starts + (b.step,)):
+        assert np.max(np.abs(x - y)) <= 1e-14
+    built, loaded = verify_constrained(space, spec), verify_constrained(clone, spec)
+    assert loaded.b_defect == pytest.approx(built.b_defect, abs=1e-12)
+    for d in (built.b2_defect, built.b3_defect, loaded.b2_defect,
+              loaded.b3_defect):
+        assert d <= 1e-13
+    assert loaded.passed and loaded.noninvariant_b

@@ -10,7 +10,9 @@ from hardy import (
     MaxOf,
     ParameterError,
     PNorm,
+    SizeError,
     SupNorm,
+    TruncationError,
     dump_json,
     function_from_json,
     function_to_json,
@@ -95,3 +97,25 @@ def test_non_finite_numbers_are_refused(bad):
                             "basis": [[[bad, 0.0], [0.0, 0.0]]]})
     with pytest.raises(ValueError):
         dump_json({"residual": bad})
+
+
+def _space_json(D, rows, N=64):
+    return {"ambient_bandwidth": D, "n_samples": N,
+            "basis": [[[float(re), 0.0] for re in row] for row in rows]}
+
+
+def test_subspace_rows_may_carry_zeros_beyond_the_band():
+    space = subspace_from_json(_space_json(2, [[0, 1, 0, 0, 0], [1]]))
+    assert space.taylor.shape == (3, 2)
+    assert np.array_equal(space.taylor, np.eye(3)[:, [1, 0]])
+
+
+@pytest.mark.parametrize("obj, error", [
+    (_space_json(2, [[0, 1] + [0] * 40]), TruncationError),  # > N/2 entries
+    (_space_json(2, [[0, 1, 0, 1]]), TruncationError),  # index 3 beyond D
+    (_space_json(40, [[1]]), SizeError),  # band beyond the grid
+    (_space_json(2, [[1]], N=48), SizeError),  # not a power of two
+])
+def test_malformed_subspace_rows_raise_typed_errors(obj, error):
+    with pytest.raises(error):
+        subspace_from_json(obj)
