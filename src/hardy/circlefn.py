@@ -20,13 +20,7 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    ParameterError,
-    SingularityError,
-    SizeError,
-    TruncationError,
-)
+from .errors import DomainError, SizeError, TruncationError
 
 __all__ = [
     "DEFAULT_N_SAMPLES",
@@ -45,7 +39,6 @@ __all__ = [
     "constant",
     "inner_product",
     "norm2",
-    "pointwise",
     "horner",
     "require_analytic",
     "gram_defect",
@@ -207,8 +200,8 @@ class CircleFunction:
         freqs = freq_indices(self.n_samples)
         return int(max(0, np.max(freqs[idx])))
 
-    # Small arithmetic conveniences.  Multiplication goes through
-    # pointwise() so the anti-aliasing guard always applies.
+    # Small arithmetic conveniences.  Products enforce the anti-aliasing
+    # margin N >= 4 * (bandwidth(f) + bandwidth(g)).
 
     def __add__(self, other):
         if isinstance(other, CircleFunction):
@@ -226,7 +219,14 @@ class CircleFunction:
 
     def __mul__(self, other):
         if isinstance(other, CircleFunction):
-            return pointwise(self, other, "mul")
+            _check_same_grid(self, other)
+            need = 4 * (self.bandwidth() + other.bandwidth())
+            if self.n_samples < need:
+                raise SizeError(
+                    f"product needs n_samples >= {need} to avoid aliasing, "
+                    f"got {self.n_samples}; resample the operands first"
+                )
+            return CircleFunction.from_samples(self.samples * other.samples)
         if isinstance(other, (int, float, complex)):
             return CircleFunction(self.n_samples, self.samples * other,
                                   self.coeffs * other)
@@ -337,46 +337,6 @@ def gram_defect(rows: np.ndarray, scale: float | None = None) -> float:
     """
     G = rows @ rows.conj().T / (rows.shape[1] if scale is None else scale)
     return float(np.max(np.abs(G - np.eye(rows.shape[0]))))
-
-
-def pointwise(f: CircleFunction, g: CircleFunction | None, op: str,
-              regularize: bool = False) -> CircleFunction:
-    """Pointwise operation on samples; coefficients re-derived by analyze.
-
-    op is "mul" or "div".  Products enforce the anti-aliasing margin
-    N >= 4 * (bandwidth(f) + bandwidth(g)).  Division refuses moduli
-    below EPS_LOG unless ``regularize`` clamps them.
-    """
-    if op == "mul":
-        if g is None:
-            raise ParameterError("mul needs two operands")
-        _check_same_grid(f, g)
-        need = 4 * (f.bandwidth() + g.bandwidth())
-        if f.n_samples < need:
-            raise SizeError(
-                f"product needs n_samples >= {need} to avoid aliasing, "
-                f"got {f.n_samples}; resample the operands first"
-            )
-        return CircleFunction.from_samples(f.samples * g.samples)
-    if op == "div":
-        if g is None:
-            raise ParameterError("div needs two operands")
-        _check_same_grid(f, g)
-        mod = np.abs(g.samples)
-        bad = np.nonzero(mod < EPS_LOG)[0]
-        if bad.size and not regularize:
-            raise SingularityError(
-                f"denominator modulus below {EPS_LOG:g} at "
-                f"{bad.size} grid points", bad[:16]
-            )
-        denom = g.samples.copy()
-        if bad.size:
-            # Push tiny values out to the floor along their phase.
-            safe_mod = np.where(mod[bad] == 0.0, 1.0, mod[bad])
-            phase = np.where(mod[bad] == 0.0, 1.0, denom[bad] / safe_mod)
-            denom[bad] = phase * EPS_LOG
-        return CircleFunction.from_samples(f.samples / denom)
-    raise ParameterError(f"unknown pointwise op {op!r}")
 
 
 def horner(taylor: np.ndarray, z) -> np.ndarray:

@@ -2,13 +2,15 @@
 
 One binary, a subcommand tree, JSON in and JSON out.  Every command is
 deterministic given its input files, flags and seed; reports rerun to
-byte-identical output.  File writes go through a temp file and an
-atomic rename, so no partial output ever lands at the target path.
+byte-identical output.  A handler returns its payload and verdict;
+main() alone writes, through a temp file and an atomic rename, so no
+partial output ever lands at the target path.
 
 Exit codes: 0 success (and, for check-style commands, the check
-passed); 1 unreadable or malformed input; 2 a numeric or structural
-failure (factorization failure, singular modulus, failed verification,
-non-invariant space, failed audit, a result JSON cannot carry).
+passed); 1 unreadable or malformed input, or a flag value the command
+cannot take; 2 a numeric or structural failure (factorization failure,
+singular modulus, failed verification, non-invariant space, failed
+audit, a result JSON cannot carry).
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .errors import (
     RankError,
     SingularityError,
     SizeError,
+    TruncationError,
 )
 from .factor import b_inner_matrix_from, inner_outer, n_inner_outer_factorize
 from .invariance import (
@@ -75,18 +78,17 @@ class _InputError(Exception):
     """Unreadable or malformed input; maps to exit code 1."""
 
 
-def _default_n_samples() -> int:
-    raw = os.environ.get("HARDY_NSAMPLES", "1024")
-    try:
-        return int(raw)
-    except ValueError:
-        raise _InputError(f"HARDY_NSAMPLES={raw!r} is not an integer")
-
-
 def _pick_n(args) -> int:
-    n = getattr(args, "n_samples", None)
+    """--n-samples, else HARDY_NSAMPLES, else 1024."""
+    n = args.n_samples
+    if n is None:
+        raw = os.environ.get("HARDY_NSAMPLES", "1024")
+        try:
+            n = int(raw)
+        except ValueError:
+            raise _InputError(f"HARDY_NSAMPLES={raw!r} is not an integer")
     try:
-        return _check_n_samples(n if n is not None else _default_n_samples())
+        return _check_n_samples(n)
     except SizeError as exc:
         raise _InputError(str(exc))
 
@@ -168,8 +170,10 @@ def _write_csv(path: str, header: List[str], rows):
 
 
 # --- subcommand handlers ----------------------------------------------------
+# Each returns (payload, passed), and factor classic a CSV (path, header,
+# rows) after them; main() writes, maps errors and picks the exit code.
 
-def _cmd_norm_audit(args) -> int:
+def _cmd_norm_audit(args):
     N = _pick_n(args)
     spec = _norm_spec_arg(args.spec, N)
     axioms = check_gauge_axioms(spec, trials=args.trials, seed=args.seed,
@@ -183,11 +187,10 @@ def _cmd_norm_audit(args) -> int:
         "continuity": continuity.as_dict(),
         "rotational_symmetry_deviation": symmetry,
     }
-    _emit(payload, args.out)
-    return EXIT_OK if axioms.passed else EXIT_FAIL
+    return payload, axioms.passed
 
 
-def _cmd_blaschke_basis(args) -> int:
+def _cmd_blaschke_basis(args):
     N = _pick_n(args)
     spec = _zeros_arg(args.zeros)
     deviation = check_basis_orthonormality(spec, m_max=args.mmax, n_samples=N)
@@ -199,26 +202,19 @@ def _cmd_blaschke_basis(args) -> int:
         "threshold": args.tol,
         "pass": deviation <= args.tol,
     }
-    _emit(payload, args.out)
-    if args.check and deviation > args.tol:
-        return EXIT_FAIL
-    return EXIT_OK
+    return payload, not (args.check and deviation > args.tol)
 
 
-def _cmd_decompose(args) -> int:
+def _cmd_decompose(args):
     f = _function_arg(args.fn)
-    try:
-        if args.mode == "zn":
-            if args.n is None:
-                raise _InputError("--mode zn needs --n")
-            result = decompose_zn(f, args.n)
-        elif args.zeros is None:
-            raise _InputError("--mode blaschke needs --zeros")
-        else:
-            result = decompose_blaschke(f, _zeros_arg(args.zeros),
-                                        m_max=args.mmax)
-    except ParameterError as exc:  # an n, cutoff or zeros it cannot take
-        raise _InputError(str(exc)) from exc
+    if args.mode == "zn":
+        if args.n is None:
+            raise _InputError("--mode zn needs --n")
+        result = decompose_zn(f, args.n)
+    elif args.zeros is None:
+        raise _InputError("--mode blaschke needs --zeros")
+    else:
+        result = decompose_blaschke(f, _zeros_arg(args.zeros), m_max=args.mmax)
     payload = {
         "mode": result.mode,
         "components": [function_to_json(c) for c in result.components],
@@ -229,11 +225,10 @@ def _cmd_decompose(args) -> int:
     if result.basis_coefficients is not None:
         payload["m_max"] = int(result.basis_coefficients.shape[1]) - 1
         payload["phase_grid"] = result.phase_grid
-    _emit(payload, args.out)
-    return EXIT_OK
+    return payload, True
 
 
-def _cmd_factor_classic(args) -> int:
+def _cmd_factor_classic(args):
     f = _function_arg(args.fn)
     pair = inner_outer(f, regularize=args.regularize)
     payload = {
@@ -242,23 +237,19 @@ def _cmd_factor_classic(args) -> int:
         "residual": pair.residual,
         "unimodularity_defect": pair.unimodularity_defect,
     }
-    _emit(payload, args.out)
-    if args.emit_plot_data:
-        N = pair.inner.n_samples
-        theta = 2.0 * np.pi * np.arange(N) / N
-        rows = zip(theta, np.abs(pair.inner.samples),
-                   np.log(np.abs(pair.outer.samples)))
-        _write_csv(args.emit_plot_data,
-                   ["theta", "abs_inner", "log_abs_outer"], rows)
-    return EXIT_OK if pair.meets_invariants() else EXIT_FAIL
+    if not args.emit_plot_data:
+        return payload, pair.meets_invariants()
+    N = pair.inner.n_samples
+    theta = 2.0 * np.pi * np.arange(N) / N
+    rows = zip(theta, np.abs(pair.inner.samples),
+               np.log(np.abs(pair.outer.samples)))
+    plot = (args.emit_plot_data, ["theta", "abs_inner", "log_abs_outer"], rows)
+    return payload, pair.meets_invariants(), plot
 
 
-def _cmd_factor_ninner(args) -> int:
+def _cmd_factor_ninner(args):
     f = _function_arg(args.fn)
-    try:
-        bundle = n_inner_outer_factorize(f, args.n, regularize=args.regularize)
-    except ParameterError as exc:  # an n it cannot take
-        raise _InputError(str(exc)) from exc
+    bundle = n_inner_outer_factorize(f, args.n, regularize=args.regularize)
     payload = {
         "n": bundle.n,
         "r": bundle.r,
@@ -270,19 +261,13 @@ def _cmd_factor_ninner(args) -> int:
         "outers": [function_to_json(g) for g in bundle.outers],
         "outers_passed": [rep.passed for rep in bundle.outer_reports],
     }
-    _emit(payload, args.out)
-    return EXIT_OK if bundle.meets_invariants() else EXIT_FAIL
+    return payload, bundle.meets_invariants()
 
 
-def _cmd_factor_checkbinner(args) -> int:
+def _cmd_factor_checkbinner(args):
     phis = [_function_arg(p) for p in args.fn]
     spec = _zeros_arg(args.zeros)
-    try:
-        matrix = b_inner_matrix_from(phis, spec, m_max=args.mmax)
-    # a cutoff or zeros it cannot take, columns on different grids, or
-    # more columns than B has slots: all malformed input
-    except (ParameterError, RankError, SizeError) as exc:
-        raise _InputError(str(exc)) from exc
+    matrix = b_inner_matrix_from(phis, spec, m_max=args.mmax)
     payload = {
         "rows": matrix.rows,
         "cols": matrix.cols,
@@ -294,43 +279,28 @@ def _cmd_factor_checkbinner(args) -> int:
         "entries": [[function_to_json(e) for e in row]
                     for row in matrix.entries],
     }
-    _emit(payload, args.out)
-    return EXIT_OK if matrix.passed else EXIT_FAIL
+    return payload, matrix.passed
 
 
-def _cmd_invariance_span(args) -> int:
+def _cmd_invariance_span(args):
     generators = [_function_arg(p) for p in args.generators]
-    N = generators[0].n_samples
-    multiplier = _multiplier_arg(args, N)
-    space = span_invariant(generators, multiplier, k_max=args.kmax,
-                           D=args.band)
-    _emit(subspace_to_json(space), args.out)
-    return EXIT_OK
+    multiplier = _multiplier_arg(args, generators[0].n_samples)
+    space = span_invariant(generators, multiplier, k_max=args.kmax, D=args.band)
+    return subspace_to_json(space), True
 
 
-def _cmd_invariance_defect(args) -> int:
+def _cmd_invariance_defect(args):
     space = _parsed_file(args.subspace, subspace_from_json)
-    multiplier = _multiplier_arg(args, space.n_samples)
-    defect = invariance_defect(space, multiplier)
-    payload = {
-        "defect": defect,
-        "dim": space.dim,
-        "ambient_bandwidth": space.ambient_bandwidth,
-    }
-    _emit(payload, args.out)
-    return EXIT_OK
+    defect = invariance_defect(space, _multiplier_arg(args, space.n_samples))
+    return {"defect": defect, "dim": space.dim,
+            "ambient_bandwidth": space.ambient_bandwidth}, True
 
 
-def _cmd_invariance_wandering(args) -> int:
+def _cmd_invariance_wandering(args):
     space = _parsed_file(args.subspace, subspace_from_json)
-    multiplier = _multiplier_arg(args, space.n_samples)
-    vectors = wandering_basis(space, multiplier)
-    payload = {
-        "rank": len(vectors),
-        "vectors": [function_to_json(v) for v in vectors],
-    }
-    _emit(payload, args.out)
-    return EXIT_OK
+    vectors = wandering_basis(space, _multiplier_arg(args, space.n_samples))
+    return {"rank": len(vectors),
+            "vectors": [function_to_json(v) for v in vectors]}, True
 
 
 def _constrained_spec_from_json(obj) -> ConstrainedSpec:
@@ -338,14 +308,12 @@ def _constrained_spec_from_json(obj) -> ConstrainedSpec:
     beta = np.array([[complex(float(re), float(im)) for re, im in row]
                      for row in obj["beta"]], dtype=complex)
     mult = obj["multiplier"]
-    if "power" in mult:
-        multiplier = int(mult["power"])
-    else:
-        multiplier = zeros_from_json(mult)
+    multiplier = (int(mult["power"]) if "power" in mult
+                  else zeros_from_json(mult))
     return ConstrainedSpec(inners=inners, beta=beta, multiplier=multiplier)
 
 
-def _cmd_invariance_constrained(args) -> int:
+def _cmd_invariance_constrained(args):
     spec = _parsed_file(args.spec, _constrained_spec_from_json)
     space = build_constrained(spec, D=args.band, k_max=args.kmax)
     report = verify_constrained(space, spec)
@@ -365,8 +333,7 @@ def _cmd_invariance_constrained(args) -> int:
             "pass": report.passed,
         },
     }
-    _emit(payload, args.out)
-    return EXIT_OK if report.passed else EXIT_FAIL
+    return payload, report.passed
 
 
 def _tol_pair(text: str):
@@ -380,7 +347,7 @@ def _tol_pair(text: str):
         raise argparse.ArgumentTypeError(f"{value!r} is not a number")
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     config = RunConfig(
         n_samples=_pick_n(args),
         seed=args.seed,
@@ -388,23 +355,16 @@ def _cmd_verify(args) -> int:
         modulus=args.n,
     )
     report = run_verification(args.theorem_id, config)
-    print(
-        f"{report.theorem_id}: {len(report.checks)} checks, "
-        f"{'pass' if report.passed else 'FAIL'}, "
-        f"wall {report.wall_time:.2f}s",
-        file=sys.stderr,
-    )
-    _emit(report.as_dict(), args.out)
-    return EXIT_OK if report.passed else EXIT_FAIL
+    print(f"{report.theorem_id}: {len(report.checks)} checks, "
+          f"{'pass' if report.passed else 'FAIL'}, "
+          f"wall {report.wall_time:.2f}s", file=sys.stderr)
+    return report.as_dict(), report.passed
 
 
-def _cmd_experiment(args) -> int:
+def _cmd_experiment(args):
     if args.name == "conjecture44":
-        payload = _experiment_conjecture44(args)
-    else:
-        payload = _experiment_maximal_k(args)
-    _emit(payload, args.out)
-    return EXIT_OK
+        return _experiment_conjecture44(args), True
+    return _experiment_maximal_k(args), True
 
 
 def _experiment_conjecture44(args) -> dict:
@@ -412,6 +372,8 @@ def _experiment_conjecture44(args) -> dict:
     symmetry.  For symmetric specs the averaging bound makes every
     component norm at most the whole; without symmetry the excess is an
     open question, so it is reported, never asserted."""
+    if args.trials < 1:
+        raise _InputError("--trials must be >= 1")
     N = _pick_n(args)
     n = args.n if args.n is not None else 2
     spec_names = [args.spec] if args.spec else ["p2", "arc_q1"]
@@ -447,6 +409,8 @@ def _experiment_maximal_k(args) -> dict:
     raised."""
     from .verify import _orthonormal_beta, _power_inner_family
 
+    if args.r < 1:
+        raise _InputError("--r must be >= 1")
     N = _pick_n(args)
     r = args.r
     n = r
@@ -476,14 +440,18 @@ def _experiment_maximal_k(args) -> dict:
 
 # --- parser -----------------------------------------------------------------
 
-def _add_out(p):
+def _command(group, name, handler, help, input_errors=(), n_samples=False):
+    """Declare one command: its parser under ``group`` with --out (and
+    --n-samples), its handler, and the library errors that mean a flag
+    value it cannot take (exit 1 rather than 2)."""
+    p = group.add_parser(name, help=help)
+    if n_samples:
+        p.add_argument("--n-samples", type=int, default=None,
+                       help="grid size (power of two; default HARDY_NSAMPLES "
+                            "or 1024)")
     p.add_argument("--out", help="write JSON here (atomic); default stdout")
-
-
-def _add_n_samples(p):
-    p.add_argument("--n-samples", type=int, default=None,
-                   help="grid size (power of two; default HARDY_NSAMPLES "
-                        "or 1024)")
+    p.set_defaults(func=handler, input_errors=input_errors)
+    return p
 
 
 def _add_multiplier_flags(p):
@@ -504,32 +472,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    norm = sub.add_parser("norm", help="gauge norm tools")
-    norm_sub = norm.add_subparsers(dest="subcommand", required=True)
-    audit = norm_sub.add_parser(
-        "audit", help="randomized audit of the gauge-norm axioms")
+    def group(name, help):
+        return sub.add_parser(name, help=help).add_subparsers(
+            dest="subcommand", required=True)
+
+    norm = group("norm", "gauge norm tools")
+    audit = _command(norm, "audit", _cmd_norm_audit,
+                     "randomized audit of the gauge-norm axioms",
+                     (ParameterError,), n_samples=True)
     audit.add_argument("--spec", required=True,
                        help="builtin spec name or norm-spec JSON file")
     audit.add_argument("--trials", type=int, default=200)
     audit.add_argument("--seed", type=int, default=0)
-    _add_n_samples(audit)
-    _add_out(audit)
-    audit.set_defaults(func=_cmd_norm_audit)
 
-    bla = sub.add_parser("blaschke", help="Blaschke product tools")
-    bla_sub = bla.add_subparsers(dest="subcommand", required=True)
-    basis = bla_sub.add_parser(
-        "basis", help="orthonormality of the product basis")
+    basis = _command(group("blaschke", "Blaschke product tools"), "basis",
+                     _cmd_blaschke_basis, "orthonormality of the product basis",
+                     (ParameterError,), n_samples=True)
     basis.add_argument("--zeros", required=True, help="zeros JSON file")
     basis.add_argument("--mmax", type=int, default=6)
     basis.add_argument("--tol", type=float, default=1e-8)
     basis.add_argument("--check", action="store_true",
                        help="exit 2 when the deviation exceeds --tol")
-    _add_n_samples(basis)
-    _add_out(basis)
-    basis.set_defaults(func=_cmd_blaschke_basis)
 
-    dec = sub.add_parser("decompose", help="subspace decompositions")
+    # an n, cutoff or zeros the split cannot take
+    dec = _command(sub, "decompose", _cmd_decompose,
+                   "subspace decompositions", (ParameterError,))
     dec.add_argument("--fn", required=True, help="function JSON file")
     dec.add_argument("--mode", choices=("zn", "blaschke"), required=True)
     dec.add_argument("--n", type=int, default=None,
@@ -539,76 +506,68 @@ def build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--mmax", type=int, default=None,
                      help="series order for --mode blaschke "
                           "(default: sized from the input)")
-    _add_out(dec)
-    dec.set_defaults(func=_cmd_decompose)
 
-    factor = sub.add_parser("factor", help="factorization commands")
-    factor_sub = factor.add_subparsers(dest="subcommand", required=True)
-
-    classic = factor_sub.add_parser(
-        "classic", help="inner times outer factorization")
+    factor = group("factor", "factorization commands")
+    classic = _command(factor, "classic", _cmd_factor_classic,
+                       "inner times outer factorization")
     classic.add_argument("--fn", required=True)
     classic.add_argument("--regularize", action="store_true",
                          help="lift grid zeros of the modulus")
     classic.add_argument("--emit-plot-data", metavar="CSV", default=None,
                          help="write theta, |inner|, log|outer| columns")
-    _add_out(classic)
-    classic.set_defaults(func=_cmd_factor_classic)
 
-    ninner = factor_sub.add_parser(
-        "ninner", help="n-inner times n-outer factorization")
+    ninner = _command(factor, "ninner", _cmd_factor_ninner,
+                      "n-inner times n-outer factorization", (ParameterError,))
     ninner.add_argument("--fn", required=True)
     ninner.add_argument("--n", type=int, required=True)
     ninner.add_argument("--regularize", action="store_true")
-    _add_out(ninner)
-    ninner.set_defaults(func=_cmd_factor_ninner)
 
-    binner = factor_sub.add_parser(
-        "check-binner", help="matrix test for a jointly B-inner family")
+    # a cutoff or zeros it cannot take, columns on different grids, or
+    # more columns than B has slots: all malformed input
+    binner = _command(factor, "check-binner", _cmd_factor_checkbinner,
+                      "matrix test for a jointly B-inner family",
+                      (ParameterError, RankError, SizeError))
     binner.add_argument("--fn", nargs="+", required=True,
                         help="one or more function JSON files")
     binner.add_argument("--zeros", required=True)
     binner.add_argument("--mmax", type=int, default=8,
                         help="shifts paired by the joint_defect cross-check")
-    _add_out(binner)
-    binner.set_defaults(func=_cmd_factor_checkbinner)
 
-    inv = sub.add_parser("invariance", help="invariant subspace commands")
-    inv_sub = inv.add_subparsers(dest="subcommand", required=True)
-
-    span = inv_sub.add_parser("span", help="span of multiplier shifts")
+    inv = group("invariance", "invariant subspace commands")
+    # a k_max or band that does not fit, a multiplier that is not unimodular
+    span = _command(inv, "span", _cmd_invariance_span,
+                    "span of multiplier shifts",
+                    (ParameterError, SizeError, TruncationError))
     span.add_argument("--generators", nargs="+", required=True)
     span.add_argument("--kmax", type=int, required=True)
     span.add_argument("--band", type=int, required=True,
                       help="ambient bandwidth D")
     _add_multiplier_flags(span)
-    _add_out(span)
-    span.set_defaults(func=_cmd_invariance_span)
 
-    defect = inv_sub.add_parser("defect", help="invariance defect")
+    defect = _command(inv, "defect", _cmd_invariance_defect,
+                      "invariance defect", (ParameterError, SizeError))
     defect.add_argument("--subspace", required=True,
                         help="subspace JSON file")
     _add_multiplier_flags(defect)
-    _add_out(defect)
-    defect.set_defaults(func=_cmd_invariance_defect)
 
-    wander = inv_sub.add_parser(
-        "wandering", help="complement of the shifted space")
+    # ParameterError here means a space that is not invariant: exit 2
+    wander = _command(inv, "wandering", _cmd_invariance_wandering,
+                      "complement of the shifted space")
     wander.add_argument("--subspace", required=True)
     _add_multiplier_flags(wander)
-    _add_out(wander)
-    wander.set_defaults(func=_cmd_invariance_wandering)
 
-    constrained = inv_sub.add_parser(
-        "constrained", help="build and verify a two-layer space")
+    constrained = _command(inv, "constrained", _cmd_invariance_constrained,
+                           "build and verify a two-layer space",
+                           (ParameterError, SizeError))
     constrained.add_argument("--spec", required=True,
                              help="constrained-spec JSON file")
     constrained.add_argument("--band", type=int, default=400)
     constrained.add_argument("--kmax", type=int, default=60)
-    _add_out(constrained)
-    constrained.set_defaults(func=_cmd_invariance_constrained)
 
-    verify = sub.add_parser("verify", help="run a named verification suite")
+    # a tolerance, modulus or override the suite cannot take
+    verify = _command(sub, "verify", _cmd_verify,
+                      "run a named verification suite", (ParameterError,),
+                      n_samples=True)
     verify.add_argument("theorem_id", choices=registry_ids(),
                         metavar="ID",
                         help="one of: " + ", ".join(registry_ids()))
@@ -618,12 +577,10 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--tol", action="append", type=_tol_pair,
                         metavar="NAME=VALUE",
                         help="override a named threshold (repeatable)")
-    _add_n_samples(verify)
-    _add_out(verify)
-    verify.set_defaults(func=_cmd_verify)
 
-    experiment = sub.add_parser(
-        "experiment", help="exploratory measurements; never fail")
+    experiment = _command(sub, "experiment", _cmd_experiment,
+                          "exploratory measurements; never fail",
+                          (ParameterError,), n_samples=True)
     experiment.add_argument("name", choices=("conjecture44", "maximal-k"))
     experiment.add_argument("--spec", default=None,
                             help="conjecture44: spec name or JSON file")
@@ -633,19 +590,21 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("--r", type=int, default=2,
                             help="maximal-k: number of inner functions")
     experiment.add_argument("--seed", type=int, default=0)
-    _add_n_samples(experiment)
-    _add_out(experiment)
-    experiment.set_defaults(func=_cmd_experiment)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except _InputError as exc:
+        payload, passed, *side = args.func(args)
+        # the payload first: a result JSON cannot carry leaves no CSV
+        _emit(payload, args.out)
+        for path, header, rows in side:
+            _write_csv(path, header, rows)
+        return EXIT_OK if passed else EXIT_FAIL
+    except (_InputError, *args.input_errors) as exc:
+        # unreadable input, or a flag value this command cannot take
         print(f"hardy: {exc}", file=sys.stderr)
         return EXIT_IO
     except SingularityError as exc:

@@ -185,8 +185,7 @@ def span_invariant(generators: Sequence[CircleFunction],
     if k_max < 0:
         raise ParameterError("k_max must be >= 0")
     N = generators[0].n_samples
-    if D < 0 or D >= N // 2:
-        raise SizeError(f"D = {D} does not fit the grid band 0..{N//2 - 1}")
+    _check_band(D, N)
     low = _lowest_index(multiplier)
     if k_max * low > D:
         raise TruncationError(
@@ -203,6 +202,11 @@ def span_invariant(generators: Sequence[CircleFunction],
             "k_max": k_max, "multiplier_lowest_index": low}
     return SubspaceBasis(_orthonormal_columns(taylor_block(recipe.rows(), D)),
                          N, prov, recipe)
+
+
+def _check_band(D: int, N: int):
+    if D < 0 or D >= N // 2:
+        raise SizeError(f"D = {D} does not fit the grid band 0..{N//2 - 1}")
 
 
 def _lowest_index(f: CircleFunction) -> int:
@@ -403,6 +407,7 @@ def build_constrained(spec: ConstrainedSpec, D: int,
     if k_max < 0:
         raise ParameterError("k_max must be >= 0")
     N = spec.inners[0].n_samples
+    _check_band(D, N)
     for J in spec.inners:
         if J.n_samples != N:
             raise SizeError("inner functions must share one grid")

@@ -334,39 +334,50 @@ def _orthonormal_beta(rng: np.random.Generator, r: int, k: int,
     raise ParameterError("could not draw a beta matrix above the floor")
 
 
-def _run_constrained_power(config: RunConfig) -> Tuple[Check, ...]:
-    rng = np.random.default_rng(config.seed)
-    N = config.n_samples
+def _constrained_checks(config: RunConfig, specs, D: int,
+                        k_max: int) -> Tuple[Check, ...]:
+    """Square, cube and non-invariance rows over the two-layer spaces
+    built from ``specs`` on the band 0..D."""
     worst_b2 = 0.0
     worst_b3 = 0.0
     least_b = np.inf
-    degenerate_ok = True
-    for trial in range(20):
-        n = int(rng.integers(1, 3))
-        r = int(rng.integers(1, min(n, 2) + 1))
-        k = int(rng.integers(1, 2 * r))
-        inners = _power_inner_family(rng, n, r, N)
-        beta = _orthonormal_beta(rng, r, k)
-        spec = ConstrainedSpec(inners=inners, beta=beta, multiplier=n)
-        space = build_constrained(spec, D=400, k_max=60)
-        report = verify_constrained(space, spec)
+    for spec in specs:
+        report = verify_constrained(build_constrained(spec, D=D, k_max=k_max),
+                                    spec)
         worst_b2 = max(worst_b2, report.b2_defect)
         worst_b3 = max(worst_b3, report.b3_defect)
         least_b = min(least_b, report.b_defect)
-    # Degenerate recipe: no constant-term mass, so the space stays
-    # invariant and must be flagged rather than pass as generic.
-    inner = CircleFunction.from_samples(np.ones(N, dtype=complex))
-    beta = np.array([[0.0], [1.0]], dtype=complex)
-    spec = ConstrainedSpec(inners=(inner,), beta=beta, multiplier=1)
-    space = build_constrained(spec, D=400, k_max=60)
-    report = verify_constrained(space, spec)
-    degenerate_ok = report.degenerate and report.b_defect < 0.05
     return (
         _check("square_invariance_defect", worst_b2,
                config.threshold("square_invariance", 1e-6)),
         _check("cube_invariance_defect", worst_b3,
                config.threshold("cube_invariance", 1e-6)),
         _check("noninvariance_margin", 0.05 - least_b, 0.0),
+    )
+
+
+def _run_constrained_power(config: RunConfig) -> Tuple[Check, ...]:
+    rng = np.random.default_rng(config.seed)
+    N = config.n_samples
+    two_layer = []
+    for trial in range(20):
+        n = int(rng.integers(1, 3))
+        r = int(rng.integers(1, min(n, 2) + 1))
+        k = int(rng.integers(1, 2 * r))
+        inners = _power_inner_family(rng, n, r, N)
+        beta = _orthonormal_beta(rng, r, k)
+        two_layer.append(ConstrainedSpec(inners=inners, beta=beta,
+                                         multiplier=n))
+    checks = _constrained_checks(config, two_layer, D=400, k_max=60)
+    # Degenerate recipe: no constant-term mass, so the space stays
+    # invariant and must be flagged rather than pass as generic.
+    inner = CircleFunction.from_samples(np.ones(N, dtype=complex))
+    beta = np.array([[0.0], [1.0]], dtype=complex)
+    spec = ConstrainedSpec(inners=(inner,), beta=beta, multiplier=1)
+    report = verify_constrained(build_constrained(spec, D=400, k_max=60), spec)
+    degenerate_ok = report.degenerate and report.b_defect < 0.05
+    return (
+        *checks,
         _check("degenerate_case_flagged", 0.0 if degenerate_ok else 1.0, 0.0),
     )
 
@@ -444,10 +455,8 @@ def _beurling_for_b(rng: np.random.Generator,
 def _run_constrained_curved(config: RunConfig) -> Tuple[Check, ...]:
     rng = np.random.default_rng(config.seed)
     N = config.n_samples
-    worst_b2 = 0.0
-    worst_b3 = 0.0
-    least_b = np.inf
     from .blaschke import basis_element, BasisIndex
+    two_layer = []
     for trial in range(8):
         a = rng.uniform(0.1, 0.4) * np.exp(2j * np.pi * rng.random())
         bspec = BlaschkeSpec((0.0, complex(a)))
@@ -456,12 +465,9 @@ def _run_constrained_curved(config: RunConfig) -> Tuple[Check, ...]:
         inners = tuple(basis_element(bspec, BasisIndex(j, 0), N)
                        for j in range(r))
         beta = _orthonormal_beta(rng, r, k)
-        spec = ConstrainedSpec(inners=inners, beta=beta, multiplier=bspec)
-        space = build_constrained(spec, D=420, k_max=80)
-        report = verify_constrained(space, spec)
-        worst_b2 = max(worst_b2, report.b2_defect)
-        worst_b3 = max(worst_b3, report.b3_defect)
-        least_b = min(least_b, report.b_defect)
+        two_layer.append(ConstrainedSpec(inners=inners, beta=beta,
+                                         multiplier=bspec))
+    checks = _constrained_checks(config, two_layer, D=420, k_max=80)
     worst_isometry = 0.0
     specs = builtin_specs(N)
     for trial in range(5):
@@ -480,11 +486,7 @@ def _run_constrained_curved(config: RunConfig) -> Tuple[Check, ...]:
                 abs(gauge_eval(spec, shifted) - base),
                 abs(gauge_eval(spec, powered) - base))
     return (
-        _check("square_invariance_defect", worst_b2,
-               config.threshold("square_invariance", 1e-6)),
-        _check("cube_invariance_defect", worst_b3,
-               config.threshold("cube_invariance", 1e-6)),
-        _check("noninvariance_margin", 0.05 - least_b, 0.0),
+        *checks,
         _check("unimodular_isometry", worst_isometry,
                config.threshold("unimodular_isometry", 1e-9)),
     )
@@ -550,31 +552,15 @@ def _run_n_factorization(config: RunConfig) -> Tuple[Check, ...]:
     )
 
 
-REGISTRY: Dict[str, Tuple[str, Callable[[RunConfig], Tuple[Check, ...]]]] = {
-    "lemma-2.4": (
-        "pairing bound: mean|f h| <= gauge norm times certified dual",
-        _run_pairing_bound),
-    "lemma-4.1": (
-        "Fejer smoothing converges in rotation-symmetric gauge norms",
-        _run_smoothing),
-    "lemma-4.2": (
-        "roots-of-unity splitting is exact and support-sharp",
-        _run_zn_split),
-    "thm-3.5": (
-        "two-layer spaces: invariant under square and cube, not the base",
-        _run_constrained_power),
-    "thm-3.6": (
-        "invariant spans return their generators as the wandering space",
-        _run_beurling),
-    "thm-4.5": (
-        "two-layer spaces for curved products; unimodular isometry",
-        _run_constrained_curved),
-    "thm-4.6": (
-        "power splitting adds component energies exactly",
-        _run_energy_split),
-    "thm-5.4": (
-        "n-inner times n-outer factorization round trip",
-        _run_n_factorization),
+REGISTRY: Dict[str, Callable[[RunConfig], Tuple[Check, ...]]] = {
+    "lemma-2.4": _run_pairing_bound,
+    "lemma-4.1": _run_smoothing,
+    "lemma-4.2": _run_zn_split,
+    "thm-3.5": _run_constrained_power,
+    "thm-3.6": _run_beurling,
+    "thm-4.5": _run_constrained_curved,
+    "thm-4.6": _run_energy_split,
+    "thm-5.4": _run_n_factorization,
 }
 
 
@@ -591,9 +577,8 @@ def run_verification(theorem_id: str,
         raise ParameterError(
             f"unknown verification id {theorem_id!r}; known ids: {known}"
         )
-    _, runner = REGISTRY[theorem_id]
     start = time.perf_counter()
-    checks = runner(config)
+    checks = REGISTRY[theorem_id](config)
     elapsed = time.perf_counter() - start
     unknown = sorted(set(config.tol_overrides) - config._consulted)
     if unknown:

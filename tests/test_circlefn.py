@@ -6,15 +6,12 @@ import pytest
 from hardy import (
     CircleFunction,
     DomainError,
-    SingularityError,
     SizeError,
     TruncationError,
-    constant,
     grid,
     inner_product,
     monomial,
     norm2,
-    pointwise,
     resample,
     synthesize,
 )
@@ -113,16 +110,6 @@ def test_resample_up_exact_down_guarded():
     wide = synthesize({60: 1.0}, 256)
     with pytest.raises(TruncationError):
         resample(wide, 64)
-
-
-def test_pointwise_division_guard():
-    one = constant(1.0, 1024)
-    f = synthesize({0: -1.0, 1: 1.0}, 1024)  # vanishes at z = 1
-    with pytest.raises(SingularityError) as err:
-        pointwise(one, f, "div")
-    assert 0 in list(err.value.indices)
-    q = pointwise(one, f, "div", regularize=True)
-    assert np.isfinite(q.samples).all()
 
 
 def test_immutability():

@@ -348,13 +348,18 @@ def test_invariance_pipeline_round_trip(workdir):
     assert json.loads(res3.stdout)["rank"] == 1
 
 
-def test_invariance_constrained_command(workdir):
+def _constrained_spec_file(workdir):
     spec_path = workdir / "cspec.json"
     spec_path.write_text(json.dumps({
         "inners": [function_to_json(monomial(0, 1024))],
         "beta": [[[0.6, 0.0]], [[0.8, 0.0]]],
         "multiplier": {"power": 1},
     }))
+    return spec_path
+
+
+def test_invariance_constrained_command(workdir):
+    spec_path = _constrained_spec_file(workdir)
     res = run_cli("invariance", "constrained", "--spec", str(spec_path))
     assert res.returncode == 0
     payload = json.loads(res.stdout)
@@ -438,3 +443,125 @@ def test_recipe_free_span_file_tests_every_basis_vector(workdir, capsys):
         defects.append(json.loads(capsys.readouterr().out)["defect"])
     assert defects[0] <= 1e-14
     assert defects[1] == pytest.approx(1.0, abs=1e-12)
+
+
+# Each flag value below is one the library refuses; each exits 1 (bad
+# input), not 2 (numerical failure).  {span} is the z-span of z, {cspec}
+# a two-layer spec, {poly} the non-unimodular 2z + z^2.
+_SPAN = ["invariance", "span", "--generators", "{unit}"]
+_C44 = ["experiment", "conjecture44", "--spec", "p2"]
+
+
+@pytest.mark.parametrize("argv, says", [
+    (["blaschke", "basis", "--zeros", "{zeros}", "--mmax", "-1"], "m_max"),
+    (["norm", "audit", "--spec", "p2", "--trials", "0"], "trials"),
+    ([*_SPAN, "--power", "1", "--kmax", "-1", "--band", "40"], "k_max"),
+    ([*_SPAN, "--power", "1", "--kmax", "4", "--band", "9999"], "D = 9999"),
+    ([*_SPAN, "--power", "1", "--kmax", "4", "--band", "-1"], "D = -1"),
+    ([*_SPAN, "--power", "2", "--kmax", "30", "--band", "40"], "leave the band"),
+    ([*_SPAN, "--fn", "{poly}", "--kmax", "4", "--band", "40"], "unimodular"),
+    (["invariance", "defect", "--subspace", "{span}", "--fn", "{poly}"],
+     "unimodular"),
+    (["invariance", "constrained", "--spec", "{cspec}", "--kmax", "-1"],
+     "k_max"),
+    (["invariance", "constrained", "--spec", "{cspec}", "--band", "9999"],
+     "D = 9999"),
+    (["invariance", "constrained", "--spec", "{cspec}", "--band", "-1"],
+     "D = -1"),
+    (["verify", "lemma-4.2", "--tol", "split_residual=-1"], "positive"),
+    (["verify", "lemma-4.2", "--n", "1", "--tol", "bogus=1"], "bogus"),
+    (["verify", "lemma-4.2", "--n", "0"], "modulus"),
+    # --n 600 on a 1024 grid, scaled down: the suite tabulates n twists
+    # of n x N before its first split refuses the modulus
+    (["verify", "lemma-4.2", "--n-samples", "64", "--n", "33"],
+     "leaves no room"),
+    ([*_C44, "--n", "0"], "n must be >= 1"),
+    ([*_C44, "--n", "600"], "leaves no room"),
+    ([*_C44, "--trials", "0"], "--trials"),
+    (["experiment", "maximal-k", "--r", "0"], "--r"),
+])
+def test_refused_flag_value_is_input_error(workdir, capsys, argv, says):
+    from hardy import cli
+    files = {"unit": workdir / "unit.json", "poly": workdir / "poly.json",
+             "zeros": workdir / "zeros.json",
+             "span": _span_file(workdir, lambda o: None),
+             "cspec": _constrained_spec_file(workdir)}
+    assert cli.main([a.format(**files) for a in argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert says in err
+
+
+def test_wandering_of_non_invariant_space_is_numerical_failure(workdir,
+                                                              capsys):
+    # wandering's ParameterError means "not invariant", a verdict
+    from hardy import cli
+    path = _span_file(workdir, lambda o: o.pop("recipe"))
+    assert cli.main(["invariance", "wandering", "--power", "1",
+                     "--subspace", str(path)]) == 2
+    assert "not invariant" in capsys.readouterr().err
+
+
+def test_unwritable_payload_leaves_no_plot_csv(workdir, monkeypatch, capsys):
+    # The payload is written first: one JSON cannot carry stops the
+    # command before the plot rows land.
+    from hardy import cli
+
+    def nan_pair(f, regularize=False):
+        return dataclasses.replace(inner_outer(f, regularize=regularize),
+                                   residual=float("nan"))
+
+    monkeypatch.setattr(cli, "inner_outer", nan_pair)
+    csv_path, out = workdir / "plot.csv", workdir / "pair.json"
+    code = cli.main(["factor", "classic", "--fn", str(workdir / "poly.json"),
+                     "--emit-plot-data", str(csv_path), "--out", str(out)])
+    assert code == 2
+    assert "not finite" in capsys.readouterr().err
+    assert not out.exists()
+    assert not csv_path.exists()
+
+
+def _flag_surface(parser, path=()):
+    """{command path: {option string or positional: default}}."""
+    import argparse
+    leaves, flags = {}, {}
+    for act in parser._actions:
+        if isinstance(act, argparse._SubParsersAction):
+            for name, sub in act.choices.items():
+                leaves.update(_flag_surface(sub, (*path, name)))
+        elif not isinstance(act, argparse._HelpAction):
+            for key in act.option_strings or [act.dest]:
+                flags[key] = act.default
+    return leaves or {" ".join(path): flags}
+
+
+def test_flag_surface_is_unchanged():
+    from hardy.cli import build_parser
+    out = {"--out": None}
+    n_samples = {"--n-samples": None}
+    multiplier = {"--power": None, "--zeros": None, "--fn": None}
+    assert _flag_surface(build_parser()) == {
+        "norm audit": {"--spec": None, "--trials": 200, "--seed": 0,
+                       **n_samples, **out},
+        "blaschke basis": {"--zeros": None, "--mmax": 6, "--tol": 1e-08,
+                           "--check": False, **n_samples, **out},
+        "decompose": {"--fn": None, "--mode": None, "--n": None,
+                      "--zeros": None, "--mmax": None, **out},
+        "factor classic": {"--fn": None, "--regularize": False,
+                           "--emit-plot-data": None, **out},
+        "factor ninner": {"--fn": None, "--n": None, "--regularize": False,
+                          **out},
+        "factor check-binner": {"--fn": None, "--zeros": None, "--mmax": 8,
+                                **out},
+        "invariance span": {"--generators": None, "--kmax": None,
+                            "--band": None, **multiplier, **out},
+        "invariance defect": {"--subspace": None, **multiplier, **out},
+        "invariance wandering": {"--subspace": None, **multiplier, **out},
+        "invariance constrained": {"--spec": None, "--band": 400,
+                                   "--kmax": 60, **out},
+        "verify": {"theorem_id": None, "--seed": 0, "--n": None,
+                   "--tol": None, **n_samples, **out},
+        "experiment": {"name": None, "--spec": None, "--n": None,
+                       "--trials": 50, "--r": 2, "--seed": 0, **n_samples,
+                       **out},
+    }

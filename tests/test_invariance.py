@@ -270,6 +270,17 @@ def test_constrained_rejects_correlated_slots():
         build_constrained(spec, D=400, k_max=40)
 
 
+@pytest.mark.parametrize("D", [-1, 512, 9999])
+def test_constrained_refuses_a_band_off_the_grid(D):
+    # D once reached the build unchecked: 9999 was clipped to the grid
+    # and -1 left an empty band
+    spec = ConstrainedSpec(inners=(monomial(0, 1024),),
+                           beta=np.array([[0.6], [0.8]], dtype=complex),
+                           multiplier=1)
+    with pytest.raises(SizeError, match=f"D = {D} does not fit"):
+        build_constrained(spec, D=D, k_max=60)
+
+
 def test_unitary_basis_freedom():
     rng = np.random.default_rng(8)
     space = span_invariant([monomial(1, 1024)], monomial(1, 1024),
