@@ -181,24 +181,21 @@ class CircleFunction:
         half = self.n_samples // 2
         return float(np.linalg.norm(self.coeffs[:half]))
 
-    def is_analytic(self, tol: float = TOL_ANALYTIC) -> bool:
-        return self.negative_energy <= tol
+    def is_analytic(self) -> bool:
+        return self.negative_energy <= TOL_ANALYTIC
 
-    def bandwidth(self, cutoff: float = COEFF_CUTOFF) -> int:
-        """Largest |j| whose coefficient exceeds the cutoff (0 if none)."""
-        idx = np.nonzero(np.abs(self.coeffs) > cutoff)[0]
-        if idx.size == 0:
-            return 0
-        freqs = freq_indices(self.n_samples)
-        return int(np.max(np.abs(freqs[idx])))
+    def _significant(self) -> np.ndarray:
+        """Indices j whose coefficient exceeds COEFF_CUTOFF."""
+        return (np.nonzero(np.abs(self.coeffs) > COEFF_CUTOFF)[0]
+                - self.n_samples // 2)
 
-    def top_index(self, cutoff: float = COEFF_CUTOFF) -> int:
-        """Largest j >= 0 whose coefficient exceeds the cutoff (0 if none)."""
-        idx = np.nonzero(np.abs(self.coeffs) > cutoff)[0]
-        if idx.size == 0:
-            return 0
-        freqs = freq_indices(self.n_samples)
-        return int(max(0, np.max(freqs[idx])))
+    def bandwidth(self) -> int:
+        """Largest |j| whose coefficient exceeds COEFF_CUTOFF (0 if none)."""
+        return int(np.max(np.abs(self._significant()), initial=0))
+
+    def top_index(self) -> int:
+        """Largest j >= 0 whose coefficient exceeds COEFF_CUTOFF (0 if none)."""
+        return int(np.max(self._significant(), initial=0))
 
     # Small arithmetic conveniences.  Products enforce the anti-aliasing
     # margin N >= 4 * (bandwidth(f) + bandwidth(g)).

@@ -550,9 +550,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="subspace JSON file")
     _add_multiplier_flags(defect)
 
-    # ParameterError here means a space that is not invariant: exit 2
+    # a space that is not invariant is a verdict (DomainError): exit 2
     wander = _command(inv, "wandering", _cmd_invariance_wandering,
-                      "complement of the shifted space")
+                      "complement of the shifted space",
+                      (ParameterError, SizeError))
     wander.add_argument("--subspace", required=True)
     _add_multiplier_flags(wander)
 

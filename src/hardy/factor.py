@@ -86,8 +86,8 @@ class InnerOuterPair:
     residual: float
     unimodularity_defect: float
 
-    def meets_invariants(self, tol: float = 1e-7) -> bool:
-        return (self.residual <= tol and self.unimodularity_defect <= tol
+    def meets_invariants(self) -> bool:
+        return (self.residual <= 1e-7 and self.unimodularity_defect <= 1e-7
                 and self.outer.is_analytic())
 
 
@@ -165,8 +165,9 @@ class NInnerOuterBundle:
     parseval_gap: float
     outer_reports: Tuple[NOuterReport, ...]
 
-    def meets_invariants(self, tol: float = TOL_FACTOR_RESIDUAL) -> bool:
-        return (self.residual <= tol and self.gram_defect <= tol
+    def meets_invariants(self) -> bool:
+        return (self.residual <= TOL_FACTOR_RESIDUAL
+                and self.gram_defect <= TOL_FACTOR_RESIDUAL
                 and all(rep.passed for rep in self.outer_reports))
 
 
@@ -282,7 +283,7 @@ def _joint_gram_defect(mult_samples: np.ndarray,
 
 
 def b_inner_matrix_from(phis: Sequence[CircleFunction], spec: BlaschkeSpec,
-                        m_max: int, tol: float = TOL_B_INNER) -> BInnerMatrix:
+                        m_max: int) -> BInnerMatrix:
     """Expand each phi_j = sum_i e(i, 0) h_ij(B) over the factor slots of
     B and grade the result (see BInnerMatrix).
 
@@ -314,7 +315,7 @@ def b_inner_matrix_from(phis: Sequence[CircleFunction], spec: BlaschkeSpec,
                                [phi.samples for phi in phis], m_max)
     entries = tuple(tuple(d.components[i] for d in decs) for i in range(n))
     return BInnerMatrix(rows=n, cols=r, entries=entries, defect=defect,
-                        joint_defect=joint, tol=tol,
+                        joint_defect=joint, tol=TOL_B_INNER,
                         decomposition_residual=max(d.residual for d in decs))
 
 
@@ -361,7 +362,7 @@ def n_inner_outer_factorize(f: CircleFunction, n: int,
     return bundle
 
 
-def is_n_outer(f: CircleFunction, n: int, tol: float = TOL_B_INNER,
+def is_n_outer(f: CircleFunction, n: int,
                regularize: bool = False) -> NOuterReport:
     """Test whether f is a degree-< n carrier polynomial times an outer
     series in z^n.
@@ -400,11 +401,11 @@ def is_n_outer(f: CircleFunction, n: int, tol: float = TOL_B_INNER,
     base = scale * sp
     outer_ok = False
     outer_defect = float("inf")
-    if rank1_defect <= tol:
+    if rank1_defect <= TOL_B_INNER:
         rep = is_outer(base, regularize=regularize)
         outer_ok = rep.passed
         outer_defect = rep.defect
-    return NOuterReport(passed=(rank1_defect <= tol and outer_ok),
+    return NOuterReport(passed=(rank1_defect <= TOL_B_INNER and outer_ok),
                         rank1_defect=rank1_defect,
                         outer_defect=outer_defect,
                         carrier_polynomial=carrier,

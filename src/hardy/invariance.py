@@ -35,6 +35,7 @@ from .circlefn import (
 from .errors import (
     ConstructionError,
     DegenerateSpaceError,
+    DomainError,
     ParameterError,
     SizeError,
     TruncationError,
@@ -139,7 +140,7 @@ def _svd(mat: np.ndarray):
         return Q @ U, S, Vh
 
 
-def _orthonormal_columns(mat: np.ndarray, rel_cutoff: float = 1e-10) -> np.ndarray:
+def _orthonormal_columns(mat: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the column span, rank-revealing and
     deterministic.
 
@@ -148,7 +149,7 @@ def _orthonormal_columns(mat: np.ndarray, rel_cutoff: float = 1e-10) -> np.ndarr
     same span, full rank (every singular value is within about k
     GRAM_TOL of 1, far above the cutoff) and orthonormal to about
     eps cond(mat)^2, that is to rounding.  Any other input goes through
-    the rank-revealing SVD.
+    the rank-revealing SVD, cut at 1e-10 times the top singular value.
     """
     G = mat.conj().T @ mat
     if G.size and np.max(np.abs(G - np.eye(G.shape[0]))) <= GRAM_TOL:
@@ -156,7 +157,7 @@ def _orthonormal_columns(mat: np.ndarray, rel_cutoff: float = 1e-10) -> np.ndarr
     U, S, _ = _svd(mat)
     if S.size == 0 or S[0] <= 0.0:
         raise ConstructionError("the given columns span nothing")
-    return U[:, :int(np.sum(S > rel_cutoff * S[0]))]
+    return U[:, :int(np.sum(S > 1e-10 * S[0]))]
 
 
 def _check_multiplier(m: CircleFunction, who: str):
@@ -249,16 +250,17 @@ def _image(space: SubspaceBasis,
     return Q, taylor_block(rows, D)
 
 
-def _defect(Q: np.ndarray, W: np.ndarray) -> float:
-    """Largest singular value of the part X of W outside the span of Q,
-    as the root of the largest eigenvalue of X^H X.
+def _defect(Q: np.ndarray, W: np.ndarray,
+            C: Optional[np.ndarray] = None) -> float:
+    """Largest singular value of X = W - Q C, the part of W outside the
+    span of Q (C = Q^H W unless given), as the root of the largest
+    eigenvalue of X^H X.
 
     That eigenvalue is accurate to eps ||X||^2, so the root is accurate
-    to rounding relative to itself.  X is formed before its Gram on
-    purpose: W^H W - (Q^H W)^H (Q^H W) would cancel down to about 1e-8
-    on an invariant space.
+    to rounding relative to itself.  Forming X first matters: W^H W -
+    C^H C would cancel down to about 1e-8 on an invariant space.
     """
-    X = W - Q @ (Q.conj().T @ W)
+    X = W - Q @ (Q.conj().T @ W if C is None else C)
     return float(np.sqrt(max(np.linalg.eigvalsh(X.conj().T @ X)[-1], 0.0)))
 
 
@@ -280,28 +282,27 @@ def wandering_basis(space: SubspaceBasis,
     """Orthonormal basis of space minus (multiplier times space).
 
     The shifted space is the span of the image W that invariance_defect
-    measures, and the defect is checked on that W.  W holds images of
-    orthonormal vectors; directions below RANK_CUTOFF are images that
-    left the band and shift nothing into the model.  The dimension of
-    the result is the rank of the shift restricted to the space.
+    measures; a defect above RANK_CUTOFF raises DomainError.  With
+    C = Q^H W the result is Q times the eigenvectors of C C^H with
+    eigenvalue at most RANK_CUTOFF^2: the directions W reaches with a
+    singular value of at most RANK_CUTOFF, images that left the band.
     """
     Q, W = _image(space, multiplier)
-    defect = _defect(Q, W)
+    C = Q.conj().T @ W
+    defect = _defect(Q, W, C)
     if defect > RANK_CUTOFF:
-        raise ParameterError(
+        raise DomainError(
             f"space is not invariant under the multiplier "
             f"(defect {defect:.3e}); the complement is not meaningful"
         )
-    U, S, _ = _svd(W)
-    QB = U[:, S > RANK_CUTOFF]
-    U, S, _ = _svd(Q - QB @ (QB.conj().T @ Q))
-    if S.size == 0 or S[0] < 1e-8:
+    lam, V = np.linalg.eigh(C @ C.conj().T)
+    V = V[:, lam <= RANK_CUTOFF ** 2]
+    if V.shape[1] == 0:
         raise DegenerateSpaceError(
             "the multiplier maps the space onto itself; the complement "
             "is trivial"
         )
-    r = int(np.sum(S >= RANK_CUTOFF * S[0]))
-    return _functions_from_columns(U[:, :r], space.n_samples)
+    return _functions_from_columns(Q @ V, space.n_samples)
 
 
 @dataclass(frozen=True, eq=False)

@@ -307,13 +307,12 @@ class ContinuityReport:
 
 
 def check_continuity(spec: GaugeNormSpec,
-                     n_samples: int = DEFAULT_N_SAMPLES,
-                     threshold: float = 0.1) -> ContinuityReport:
+                     n_samples: int = DEFAULT_N_SAMPLES) -> ContinuityReport:
     """Evaluate alpha on indicators of arcs of measure 2^-k.
 
     k runs from 1 to log2(N) - 2, so the finest arc still holds four
     grid points.  Passing means the values never increase and the last
-    one drops below the threshold.  The sup norm is expected to fail
+    one drops below 0.1.  The sup norm is expected to fail
     (its profile is constantly one); norms close to the sup may fail on
     coarse grids even though they are continuous; the profile itself is
     the informative part.
@@ -330,7 +329,7 @@ def check_continuity(spec: GaugeNormSpec,
         values.append(spec._eval(mod))
     vals = np.asarray(values)
     monotone = bool(np.all(vals[1:] <= vals[:-1] + 1e-12))
-    final_below = bool(vals[-1] < threshold)
+    final_below = bool(vals[-1] < 0.1)
     return ContinuityReport(
         arc_measures=tuple(measures), values=tuple(values),
         monotone=monotone, final_below=final_below,

@@ -252,10 +252,11 @@ def _run_zn_split(config: RunConfig) -> Tuple[Check, ...]:
     worst_average = 0.0
     freqs = freq_indices(N)
     for n in ns:
-        twists = [_root_of_unity_twist(N, n, i) for i in range(n)]
+        twists = []  # O(n^2 N), tabulated once the split has accepted n
         for _ in range(100):
             f = _random_poly(rng, int(rng.integers(0, min(200, N // 4))), N)
             dec = decompose_zn(f, n)
+            twists = twists or [_root_of_unity_twist(N, n, i) for i in range(n)]
             worst_residual = max(worst_residual, dec.residual)
             total = 0.0
             for i, h in enumerate(dec.components):

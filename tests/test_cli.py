@@ -479,6 +479,8 @@ _C44 = ["experiment", "conjecture44", "--spec", "p2"]
     ([*_C44, "--n", "600"], "leaves no room"),
     ([*_C44, "--trials", "0"], "--trials"),
     (["experiment", "maximal-k", "--r", "0"], "--r"),
+    (["invariance", "wandering", "--subspace", "{span}", "--fn", "{poly}"],
+     "unimodular"),
 ])
 def test_refused_flag_value_is_input_error(workdir, capsys, argv, says):
     from hardy import cli
@@ -492,9 +494,29 @@ def test_refused_flag_value_is_input_error(workdir, capsys, argv, says):
     assert says in err
 
 
+def test_unsplittable_modulus_builds_no_twist_table(monkeypatch, capsys):
+    # The suite tabulates n twists of n x N only once its first split
+    # has accepted n, so --n 600 on the default grid is refused at once.
+    from hardy import cli, verify
+    twists = []
+    real_twist = verify._root_of_unity_twist
+
+    def counted(*args):
+        twists.append(args)
+        return real_twist(*args)
+
+    monkeypatch.setattr(verify, "_root_of_unity_twist", counted)
+    monkeypatch.delenv("HARDY_NSAMPLES", raising=False)
+    assert cli.main(["verify", "lemma-4.2", "--n", "600"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "n = 600 leaves no room" in err
+    assert twists == []
+
+
 def test_wandering_of_non_invariant_space_is_numerical_failure(workdir,
                                                               capsys):
-    # wandering's ParameterError means "not invariant", a verdict
+    # wandering's DomainError means "not invariant", a verdict
     from hardy import cli
     path = _span_file(workdir, lambda o: o.pop("recipe"))
     assert cli.main(["invariance", "wandering", "--power", "1",

@@ -1,6 +1,7 @@
 """Every exported name resolves, in the package and in each module."""
 
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -21,3 +22,20 @@ def test_module_exports_resolve(module):
     missing = [name for name in getattr(mod, "__all__", ())
                if not hasattr(mod, name)]
     assert missing == []
+
+
+@pytest.mark.parametrize("fn, gone", [
+    (hardy.CircleFunction.is_analytic, "tol"),
+    (hardy.CircleFunction.bandwidth, "cutoff"),
+    (hardy.CircleFunction.top_index, "cutoff"),
+    (hardy.InnerOuterPair.meets_invariants, "tol"),
+    (hardy.NInnerOuterBundle.meets_invariants, "tol"),
+    (hardy.is_n_outer, "tol"),
+    (hardy.b_inner_matrix_from, "tol"),
+    (hardy.check_continuity, "threshold"),
+    (hardy.invariance._orthonormal_columns, "rel_cutoff"),
+], ids=lambda v: getattr(v, "__qualname__", v))
+def test_single_value_knobs_stay_constants(fn, gone):
+    # Nothing passes these a value other than the default; each function
+    # reads its constant instead of taking a parameter.
+    assert gone not in inspect.signature(fn).parameters

@@ -9,6 +9,7 @@ from hardy import (
     BlaschkeSpec,
     ConstrainedSpec,
     ConstructionError,
+    DomainError,
     ParameterError,
     SizeError,
     SubspaceBasis,
@@ -116,16 +117,18 @@ def test_wandering_vector_of_shifted_ladder():
 
 
 def test_wandering_rank_two_under_z2():
+    # {1, z} is a degenerate eigenspace, so only its span is defined.
     space = _monomial_space(range(0, 65), D=64)
     vs = wandering_basis(space, monomial(2, 1024))
     assert len(vs) == 2
-    span = sorted(v.top_index() for v in vs)
-    assert span == [0, 1]
+    V = np.stack([v.coeffs[512:512 + 65] for v in vs], axis=1)
+    E = np.eye(65)[:, :2]
+    assert np.max(np.abs(V @ V.conj().T - E @ E.T)) <= 1e-12
 
 
 def test_wandering_requires_invariance():
     space = _monomial_space([0], D=64)
-    with pytest.raises(ParameterError):
+    with pytest.raises(DomainError):
         wandering_basis(space, monomial(1, 1024))
 
 
@@ -134,7 +137,7 @@ def test_band_filling_ladder_is_not_invariant():
     space = _monomial_space(range(63), D=64)
     assert invariance_defect(space, monomial(2, 1024)) == pytest.approx(
         1.0, abs=1e-10)
-    with pytest.raises(ParameterError):
+    with pytest.raises(DomainError):
         wandering_basis(space, monomial(2, 1024))
 
 
@@ -309,11 +312,12 @@ def test_round_trip_preserves_space_and_defect():
 
 
 def test_svd_failure_falls_back_to_qr(monkeypatch):
-    J = as_circle_function(BlaschkeSpec((0.3, 0.2j)), 1024)
-    z = monomial(1, 1024)
-    space = span_invariant([J], z, k_max=40, D=80)
-    want = wandering_basis(space, z)
-    want_defect = invariance_defect(space, z)
+    # Shifts of a polynomial are not orthonormal, so the span and its
+    # tested basis go through the SVD path of _orthonormal_columns.
+    g = synthesize({0: 1.0, 1: -0.5j, 3: 0.25}, 512)
+    z = monomial(1, 512)
+    want = span_invariant([g], z, k_max=12, D=40)
+    want_defect = invariance_defect(want, z)
 
     # Every SVD of a non-square matrix fails, as LAPACK occasionally does;
     # the square R factors of the retries go through.
@@ -327,11 +331,13 @@ def test_svd_failure_falls_back_to_qr(monkeypatch):
         return real_svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", flaky_svd)
-    got = wandering_basis(space, z)
+    got = span_invariant([g], z, k_max=12, D=40)
+    got_defect = invariance_defect(got, z)
+    monkeypatch.undo()
     assert failed
-    assert len(got) == len(want) == 1
-    assert abs(inner_product(got[0], want[0])) == pytest.approx(1.0, abs=1e-12)
-    assert invariance_defect(space, z) == pytest.approx(want_defect, abs=1e-14)
+    assert got.dim == want.dim == 13
+    assert _subspace_distance(got, want) <= 1e-12
+    assert got_defect == pytest.approx(want_defect, abs=1e-14)
 
 
 def test_wandering_basis_on_seed_204_span():
@@ -348,6 +354,59 @@ def test_wandering_basis_on_seed_204_span():
     vectors = wandering_basis(space, z)
     assert len(vectors) == 1
     assert abs(inner_product(vectors[0], J)) == pytest.approx(1.0, abs=1e-6)
+
+
+def _two_svd_wandering(space, multiplier):
+    """The former construction, kept as an oracle: an SVD of the image W
+    gives the shifted span (singular values above RANK_CUTOFF), and an
+    SVD of Q minus its projection onto that span gives the complement
+    (singular values at least RANK_CUTOFF times the largest)."""
+    Q, W = invariance._image(space, multiplier)
+    U, S, _ = invariance._svd(W)
+    QB = U[:, S > invariance.RANK_CUTOFF]
+    U, S, _ = invariance._svd(Q - QB @ (QB.conj().T @ Q))
+    return U[:, :int(np.sum(S >= invariance.RANK_CUTOFF * S[0]))]
+
+
+def _spy_thm_3_6_wandering(monkeypatch, seed):
+    """Run thm-3.6 and return, for each wandering_basis call, the space,
+    the multiplier and the Taylor matrix of the result, together with the
+    shapes of the SVDs taken inside those calls."""
+    from hardy import verify
+    calls, svds, inside = [], [], []
+    real_svd, real_wandering = np.linalg.svd, verify.wandering_basis
+
+    def svd(a, *args, **kwargs):
+        if inside:
+            svds.append(a.shape)
+        return real_svd(a, *args, **kwargs)
+
+    def wandering(space, multiplier):
+        inside.append(True)
+        try:
+            vectors = real_wandering(space, multiplier)
+        finally:
+            inside.pop()
+        N, D = space.n_samples, space.ambient_bandwidth
+        calls.append((space, multiplier, np.stack(
+            [v.coeffs[N // 2:N // 2 + D + 1] for v in vectors], axis=1)))
+        return vectors
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    monkeypatch.setattr(verify, "wandering_basis", wandering)
+    assert verify.run_verification("thm-3.6", verify.RunConfig(seed=seed)).passed
+    monkeypatch.undo()
+    return calls, svds
+
+
+def test_wandering_basis_matches_two_svd_oracle_on_thm_3_6(monkeypatch):
+    calls, svds = _spy_thm_3_6_wandering(monkeypatch, seed=1)
+    assert len(calls) == 25
+    assert svds == []
+    for space, multiplier, V in calls:
+        U = _two_svd_wandering(space, multiplier)
+        assert V.shape == U.shape
+        assert np.max(np.abs(V @ V.conj().T - U @ U.conj().T)) <= 1e-12
 
 
 def _record_orthonormalizations(monkeypatch):
