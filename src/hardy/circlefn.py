@@ -109,12 +109,16 @@ def taylor_block(rows: np.ndarray, D: int) -> np.ndarray:
 
 def _graded_rows(head: Sequence[np.ndarray], starts: Sequence[np.ndarray],
                  step: np.ndarray, count: int) -> np.ndarray:
-    """Sample block: the rows of head, then s, s*step, ..., s*step^(count-1)
-    for each s in starts, the powers formed by a running product."""
+    """Sample block, grade-major: the rows of head, then s*step^k for
+    every s in starts, grade k = 0 .. count-1 in turn, the powers formed
+    by a running product.  A smaller count gives a row prefix of the
+    block, bit for bit."""
     rows = list(head)
-    for s in starts:
-        for k in range(count):
-            rows.append(s if k == 0 else rows[-1] * step)
+    grade = list(starts)
+    for k in range(count):
+        if k:
+            grade = [g * step for g in grade]
+        rows.extend(grade)
     return np.array(rows, dtype=complex).reshape(-1, step.size)
 
 

@@ -3,7 +3,10 @@
 A subspace is carried as the read-only (D+1, k) matrix of the Taylor
 coefficients 0..D of an orthonormal basis, the finite-dimensional
 shadow of a shift invariant subspace, together with the graded sample
-rows it was built from (GradedRecipe) when a builder made it.  On top
+rows it was built from (GradedRecipe) when a builder made it.  The
+rows run grade-major, so the rows tested under a power of the step
+are a prefix of the build rows, and a builder's Cholesky basis holds
+their orthonormal basis as a prefix of its columns.  On top
 of that this module measures how invariant a space actually is under
 multiplication, extracts the orthogonal complement of the shifted
 space (whose dimension is the Lax-Halmos rank), and builds the
@@ -17,6 +20,7 @@ whose hallmark is invariance under B^2 and B^3 but not under B itself.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -61,8 +65,8 @@ GENERIC_NONINVARIANCE = 0.05
 
 @dataclass(frozen=True, eq=False)
 class GradedRecipe:
-    """The sample rows a space was built from: the rows of head, then
-    s, s*step, ..., s*step^k_max for each s in starts."""
+    """The sample rows a space was built from, grade-major: the rows of
+    head, then s*step^k for every s in starts, k = 0 .. k_max in turn."""
 
     head: Tuple[np.ndarray, ...]
     starts: Tuple[np.ndarray, ...]
@@ -71,9 +75,14 @@ class GradedRecipe:
 
     def rows(self, p: int = 0) -> np.ndarray:
         """Sample block of the build rows whose image under step^p stays
-        inside the built grades (every row for p = 0)."""
+        inside the built grades (every row for p = 0): the first
+        count(p) rows of rows(), bit for bit."""
         return _graded_rows(self.head, self.starts, self.step,
                             self.k_max + 1 - p)
+
+    def count(self, p: int = 0) -> int:
+        """Number of rows in rows(p)."""
+        return len(self.head) + len(self.starts) * max(self.k_max + 1 - p, 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,6 +95,9 @@ class SubspaceBasis:
     n_samples: int
     generators: Dict[str, object] = field(default_factory=dict)
     recipe: Optional[GradedRecipe] = None
+    # Set by a builder whose basis is the Cholesky QR of the recipe's
+    # rows: then taylor[:, :recipe.count(p)] spans recipe.rows(p).
+    _prefix_tested: bool = field(default=False, init=False, repr=False)
 
     def __post_init__(self):
         Q = np.array(self.taylor, dtype=complex)
@@ -119,6 +131,13 @@ class SubspaceBasis:
     def basis(self) -> Tuple[CircleFunction, ...]:
         return tuple(_functions_from_columns(self.taylor, self.n_samples))
 
+    @cached_property
+    def _samples(self) -> np.ndarray:
+        """Read-only sample rows of the basis vectors, synthesized once."""
+        rows = samples_of_taylor(self.taylor, self.n_samples)
+        rows.setflags(write=False)
+        return rows
+
 
 def _functions_from_columns(mat: np.ndarray,
                             n_samples: int) -> List[CircleFunction]:
@@ -140,24 +159,26 @@ def _svd(mat: np.ndarray):
         return Q @ U, S, Vh
 
 
-def _orthonormal_columns(mat: np.ndarray) -> np.ndarray:
+def _orthonormal_columns(mat: np.ndarray) -> Tuple[np.ndarray, bool]:
     """Orthonormal basis of the column span, rank-revealing and
-    deterministic.
+    deterministic, and whether Cholesky QR made it.
 
     Columns that are already orthonormal to within GRAM_TOL are
     polished by Cholesky QR, mat L^{-H} with G = mat^H mat = L L^H: the
     same span, full rank (every singular value is within about k
     GRAM_TOL of 1, far above the cutoff) and orthonormal to about
-    eps cond(mat)^2, that is to rounding.  Any other input goes through
-    the rank-revealing SVD, cut at 1e-10 times the top singular value.
+    eps cond(mat)^2, that is to rounding.  L^{-H} is upper triangular,
+    so the first m columns of that basis span the first m columns of
+    mat.  Any other input goes through the rank-revealing SVD, cut at
+    1e-10 times the top singular value, which keeps no such prefix.
     """
     G = mat.conj().T @ mat
     if G.size and np.max(np.abs(G - np.eye(G.shape[0]))) <= GRAM_TOL:
-        return mat @ np.linalg.inv(np.linalg.cholesky(G)).conj().T
+        return mat @ np.linalg.inv(np.linalg.cholesky(G)).conj().T, True
     U, S, _ = _svd(mat)
     if S.size == 0 or S[0] <= 0.0:
         raise ConstructionError("the given columns span nothing")
-    return U[:, :int(np.sum(S > 1e-10 * S[0]))]
+    return U[:, :int(np.sum(S > 1e-10 * S[0]))], False
 
 
 def _check_multiplier(m: CircleFunction, who: str):
@@ -186,6 +207,8 @@ def span_invariant(generators: Sequence[CircleFunction],
     if k_max < 0:
         raise ParameterError("k_max must be >= 0")
     N = generators[0].n_samples
+    if multiplier.n_samples != N:
+        raise SizeError("multiplier must live on the generators' grid")
     _check_band(D, N)
     low = _lowest_index(multiplier)
     if k_max * low > D:
@@ -201,8 +224,19 @@ def span_invariant(generators: Sequence[CircleFunction],
                           multiplier.samples, k_max)
     prov = {"kind": "span_invariant", "n_generators": len(generators),
             "k_max": k_max, "multiplier_lowest_index": low}
-    return SubspaceBasis(_orthonormal_columns(taylor_block(recipe.rows(), D)),
-                         N, prov, recipe)
+    return _recipe_space(recipe, recipe.rows(), D, prov)
+
+
+def _recipe_space(recipe: GradedRecipe, rows: np.ndarray, D: int,
+                  prov: Dict[str, object]) -> SubspaceBasis:
+    """The space of the recipe's sample rows on the band 0..D (``rows``
+    is recipe.rows(), overwritten).  A basis made by Cholesky QR keeps
+    the row order in its column prefixes, and the space records that
+    for _image."""
+    Q, prefix = _orthonormal_columns(taylor_block(rows, D))
+    space = SubspaceBasis(Q, recipe.step.size, prov, recipe)
+    object.__setattr__(space, "_prefix_tested", prefix)
+    return space
 
 
 def _check_band(D: int, N: int):
@@ -225,8 +259,11 @@ def _image(space: SubspaceBasis,
     Under a multiplier equal to step^p, p in 1..3, a space with a build
     recipe is tested on an orthonormal basis of recipe.rows(p), the
     build rows whose image stays inside the built grades (the top
-    grade's image lies in a grade the finite model never held).  Else
-    every basis vector is tested.  Test vectors and products are
+    grade's image lies in a grade the finite model never held).  A
+    space its builder made by Cholesky QR already holds that basis as
+    its first recipe.count(p) columns; any other space (an SVD basis, a
+    loaded file, a hand-made recipe) orthonormalizes the rows again.
+    Else every basis vector is tested.  Test vectors and products are
     truncated to the band 0..D, so only spill past the band is forgiven.
     """
     _check_multiplier(multiplier, "invariance_defect")
@@ -234,20 +271,24 @@ def _image(space: SubspaceBasis,
     N = space.n_samples
     if multiplier.n_samples != N:
         raise SizeError("multiplier must live on the space's grid")
-    Q = tested = space.taylor
+    Q = space.taylor
+    m, rows = Q.shape[1], None
     r = space.recipe
     if r is not None:
         acc = r.step
         for p in (1, 2, 3):
             if np.max(np.abs(multiplier.samples - acc)) <= 1e-8:
-                rows = r.rows(p)
-                if rows.shape[0]:
-                    tested = _orthonormal_columns(taylor_block(rows, D))
+                if r.count(p):
+                    m = r.count(p)
+                    if not space._prefix_tested:
+                        tested, _ = _orthonormal_columns(
+                            taylor_block(r.rows(p), D))
+                        rows = samples_of_taylor(tested, N)
                 break
             acc = acc * r.step
-    rows = samples_of_taylor(tested, N)
-    rows *= multiplier.samples
-    return Q, taylor_block(rows, D)
+    if rows is None:
+        rows = space._samples[:m]
+    return Q, taylor_block(rows * multiplier.samples, D)
 
 
 def _defect(Q: np.ndarray, W: np.ndarray,
@@ -432,8 +473,7 @@ def build_constrained(spec: ConstrainedSpec, D: int,
             f"uncorrelated slots"
         )
     prov = {"kind": "constrained", "k": spec.k, "r": spec.r, "k_max": k_max}
-    return SubspaceBasis(_orthonormal_columns(taylor_block(rows, D)), N,
-                         prov, recipe)
+    return _recipe_space(recipe, rows, D, prov)
 
 
 def verify_constrained(space: SubspaceBasis,

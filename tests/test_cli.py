@@ -40,6 +40,8 @@ def workdir(tmp_path):
                function_to_json(synthesize({1: 2.0, 2: 1.0}, 1024)))
     write_json(str(tmp_path / "unit.json"),
                function_to_json(monomial(1, 1024)))
+    write_json(str(tmp_path / "unit512.json"),
+               function_to_json(monomial(1, 512)))
     write_json(str(tmp_path / "gridzero.json"),
                function_to_json(synthesize({0: -1.0, 1: 1.0}, 1024)))
     write_json(str(tmp_path / "zeros.json"),
@@ -447,7 +449,8 @@ def test_recipe_free_span_file_tests_every_basis_vector(workdir, capsys):
 
 # Each flag value below is one the library refuses; each exits 1 (bad
 # input), not 2 (numerical failure).  {span} is the z-span of z, {cspec}
-# a two-layer spec, {poly} the non-unimodular 2z + z^2.
+# a two-layer spec, {poly} the non-unimodular 2z + z^2, {unit512} z on
+# half the generators' grid.
 _SPAN = ["invariance", "span", "--generators", "{unit}"]
 _C44 = ["experiment", "conjecture44", "--spec", "p2"]
 
@@ -481,10 +484,13 @@ _C44 = ["experiment", "conjecture44", "--spec", "p2"]
     (["experiment", "maximal-k", "--r", "0"], "--r"),
     (["invariance", "wandering", "--subspace", "{span}", "--fn", "{poly}"],
      "unimodular"),
+    ([*_SPAN, "--fn", "{unit512}", "--kmax", "4", "--band", "40"],
+     "multiplier must live on the generators' grid"),
 ])
 def test_refused_flag_value_is_input_error(workdir, capsys, argv, says):
     from hardy import cli
     files = {"unit": workdir / "unit.json", "poly": workdir / "poly.json",
+             "unit512": workdir / "unit512.json",
              "zeros": workdir / "zeros.json",
              "span": _span_file(workdir, lambda o: None),
              "cspec": _constrained_spec_file(workdir)}

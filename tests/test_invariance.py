@@ -34,7 +34,7 @@ from hardy import (
     wandering_basis,
 )
 from hardy import invariance
-from hardy.circlefn import CircleFunction
+from hardy.circlefn import CircleFunction, samples_of_taylor, taylor_block
 from hardy.verify import _orthonormal_beta, _power_inner_family
 
 
@@ -89,6 +89,64 @@ def test_span_guards_band_overflow():
     with pytest.raises(TruncationError):
         span_invariant([monomial(0, 1024)], monomial(1, 1024),
                        k_max=200, D=100)
+
+
+def test_span_refuses_a_multiplier_on_another_grid():
+    with pytest.raises(SizeError, match="multiplier must live on the "
+                                        "generators' grid"):
+        span_invariant([monomial(1, 1024)], monomial(1, 512), k_max=4, D=40)
+
+
+def _random_rows(rng, count, N=256):
+    return tuple(rng.standard_normal(N) + 1j * rng.standard_normal(N)
+                 for _ in range(count))
+
+
+@pytest.mark.parametrize("n_head", [0, 2])
+@pytest.mark.parametrize("n_starts", [1, 2, 3])
+def test_recipe_rows_run_grade_major(n_head, n_starts):
+    # Head rows, then grade 0 of every start, grade 1 of every start, ...
+    # so the rows tested under step^p are a bitwise prefix of the build.
+    rng = np.random.default_rng(10 * n_head + n_starts)
+    step = np.exp(1j * rng.uniform(0, 2 * np.pi, 256))
+    recipe = invariance.GradedRecipe(_random_rows(rng, n_head),
+                                     _random_rows(rng, n_starts), step, 5)
+    rows = recipe.rows()
+    assert rows.shape[0] == recipe.count() == n_head + 6 * n_starts
+    assert np.array_equal(rows[:n_head], np.array(recipe.head).reshape(-1, 256))
+    for a, s in enumerate(recipe.starts):
+        power = s
+        for k in range(6):
+            assert np.array_equal(rows[n_head + k * n_starts + a], power)
+            power = power * step
+    for p in (1, 2, 3):
+        prefix = recipe.rows(p)
+        assert prefix.shape[0] == recipe.count(p) == n_head + (6 - p) * n_starts
+        assert np.array_equal(prefix, rows[:prefix.shape[0]])
+
+
+def _start_major_rows(starts, step, count):
+    """The former row order: every grade of one start before the next."""
+    rows = []
+    for s in starts:
+        for k in range(count):
+            rows.append(s if k == 0 else rows[-1] * step)
+    return np.array(rows, dtype=complex)
+
+
+def test_one_generator_span_keeps_its_start_major_bytes():
+    J = as_circle_function(BlaschkeSpec((0.3, -0.2j)), 1024)
+    z = monomial(1, 1024)
+    space = span_invariant([J], z, k_max=40, D=120)
+    old, cholesky = invariance._orthonormal_columns(taylor_block(
+        _start_major_rows([J.samples], z.samples, 41), 120))
+    assert cholesky and np.array_equal(space.taylor, old)
+    # With two generators the rows are the same numbers in a new order.
+    K = as_circle_function(BlaschkeSpec((0.5j,)), 1024)
+    rows = span_invariant([J, K], z, k_max=40, D=120).recipe.rows()
+    order = np.arange(82).reshape(2, 41).T.ravel()
+    assert np.array_equal(
+        rows, _start_major_rows([J.samples, K.samples], z.samples, 41)[order])
 
 
 def test_defect_zero_for_shift_ladder():
@@ -409,6 +467,112 @@ def test_wandering_basis_matches_two_svd_oracle_on_thm_3_6(monkeypatch):
         assert np.max(np.abs(V @ V.conj().T - U @ U.conj().T)) <= 1e-12
 
 
+def _reorthonormalized_test_basis(space, multiplier):
+    """The former test basis, kept as an oracle: the build rows whose
+    image under step^p stays in the built grades, orthonormalized again
+    (every basis vector when no power matches or no row qualifies)."""
+    r = space.recipe
+    acc = r.step
+    for p in (1, 2, 3):
+        if np.max(np.abs(multiplier.samples - acc)) <= 1e-8:
+            rows = r.rows(p)
+            if rows.shape[0]:
+                return invariance._orthonormal_columns(
+                    taylor_block(rows, space.ambient_bandwidth))[0]
+            break
+        acc = acc * r.step
+    return space.taylor
+
+
+def _spy_constrained_spaces(monkeypatch, suite, seed):
+    """The spaces and specs a two-layer suite builds at a seed."""
+    from hardy import verify
+    built = []
+    real_build = verify.build_constrained
+
+    def build(spec, *args, **kwargs):
+        built.append((real_build(spec, *args, **kwargs), spec))
+        return built[-1][0]
+
+    monkeypatch.setattr(verify, "build_constrained", build)
+    assert verify.run_verification(suite, verify.RunConfig(seed=seed)).passed
+    monkeypatch.undo()
+    return built
+
+
+def _prefix_against_reorthonormalized(space, spec):
+    """Largest principal-angle sine between the prefix test basis and the
+    oracle's, and largest defect gap, over B, B^2 and B^3."""
+    N, D = space.n_samples, space.ambient_bandwidth
+    bz = invariance.blaschke_eval(spec.blaschke(), grid(N))
+    worst_sine = worst_gap = 0.0
+    for p in (1, 2, 3):
+        multiplier = CircleFunction.from_samples(bz ** p)
+        old = _reorthonormalized_test_basis(space, multiplier)
+        new = space.taylor[:, :space.recipe.count(p)]
+        assert new.shape == old.shape
+        # the shared samples are bitwise a synthesis of the prefix alone
+        assert np.array_equal(space._samples[:new.shape[1]],
+                              samples_of_taylor(new, N))
+        sine = np.linalg.svd(new - old @ (old.conj().T @ new),
+                             compute_uv=False)[0]
+        W = taylor_block(samples_of_taylor(old, N) * multiplier.samples, D)
+        gap = abs(invariance_defect(space, multiplier)
+                  - invariance._defect(space.taylor, W))
+        worst_sine, worst_gap = max(worst_sine, sine), max(worst_gap, gap)
+    return worst_sine, worst_gap
+
+
+@pytest.mark.parametrize("suite", ["thm-3.5", "thm-4.5"])
+def test_prefix_test_basis_matches_reorthonormalized_oracle(monkeypatch,
+                                                            suite):
+    built = _spy_constrained_spaces(monkeypatch, suite, seed=1)
+    assert built
+    for space, spec in built:
+        assert space._prefix_tested
+        sine, gap = _prefix_against_reorthonormalized(space, spec)
+        assert sine <= 1e-12
+        assert gap <= 1e-13
+
+
+def _count_orthonormalizations(monkeypatch):
+    calls = []
+    real_columns = invariance._orthonormal_columns
+
+    def columns(mat):
+        calls.append(mat.shape)
+        return real_columns(mat)
+
+    monkeypatch.setattr(invariance, "_orthonormal_columns", columns)
+    return calls
+
+
+def test_only_a_cholesky_built_space_skips_reorthonormalization(monkeypatch):
+    N = 512
+    z = monomial(1, N)
+    rng = np.random.default_rng(3)
+    spec = ConstrainedSpec(inners=_power_inner_family(rng, 2, 2, N),
+                           beta=_orthonormal_beta(rng, 2, 3), multiplier=2)
+    graded = build_constrained(spec, D=200, k_max=30)
+    poly = span_invariant([synthesize({0: 1.0, 1: -0.5j, 3: 0.25}, N)], z,
+                          k_max=12, D=40)
+    J = as_circle_function(BlaschkeSpec((0.4,)), N)
+    loaded = subspace_from_json(subspace_to_json(
+        span_invariant([J], z, k_max=60, D=120)))
+    calls = _count_orthonormalizations(monkeypatch)
+    d1, d2, d3 = (invariance_defect(graded, monomial(2 * p, N))
+                  for p in (1, 2, 3))
+    assert calls == []
+    assert d1 >= 0.05 and d2 <= 1e-13 and d3 <= 1e-13
+    # The SVD basis of the non-orthonormal shifts keeps no row prefix,
+    # and a file holds no record of how its basis was made.
+    for space in (poly, loaded):
+        assert not space._prefix_tested
+        assert invariance_defect(space, z) <= 1e-12
+        assert len(calls) == 1
+        calls.clear()
+
+
 def _record_orthonormalizations(monkeypatch):
     """Capture the input of every _orthonormal_columns call, and count
     the SVDs taken by the invariance module."""
@@ -437,8 +601,10 @@ def _svd_basis(mat):
 def test_cholesky_basis_matches_svd_basis_on_constrained_spaces(
         monkeypatch, seed):
     # Spaces drawn as in thm-3.5 (powers of z) and thm-4.5 (a curved
-    # B): every build and test matrix is orthonormal, is polished by
-    # Cholesky QR instead of an SVD, and spans what an SVD basis spans.
+    # B): every build matrix is orthonormal, is polished by Cholesky QR
+    # instead of an SVD, and spans what an SVD basis spans.  Their
+    # tests take a column prefix of that basis and orthonormalize
+    # nothing again.
     seen, svds = _record_orthonormalizations(monkeypatch)
     rng = np.random.default_rng(seed)
     N = 1024
@@ -460,7 +626,8 @@ def test_cholesky_basis_matches_svd_basis_on_constrained_spaces(
     assert seen and svds == []
     monkeypatch.undo()
     for mat in seen:
-        Q = invariance._orthonormal_columns(mat)
+        Q, cholesky = invariance._orthonormal_columns(mat)
+        assert cholesky
         U = _svd_basis(mat)
         assert Q.shape == U.shape
         assert np.max(np.abs(Q @ Q.conj().T - U @ U.conj().T)) <= 1e-12
@@ -477,8 +644,8 @@ def test_cholesky_qr_polishes_nearly_orthonormal_columns(monkeypatch):
     mat = Q0 @ (np.eye(40) + 3e-12 * E)
     G = mat.conj().T @ mat
     assert 1e-12 < np.max(np.abs(G - np.eye(40))) <= invariance.GRAM_TOL
-    Q = invariance._orthonormal_columns(mat)
-    assert svds == []
+    Q, cholesky = invariance._orthonormal_columns(mat)
+    assert cholesky and svds == []
     assert np.max(np.abs(Q.conj().T @ Q - np.eye(40))) <= 1e-14
     assert np.max(np.abs(Q @ Q.conj().T - Q0 @ Q0.conj().T)) <= 1e-13
 
