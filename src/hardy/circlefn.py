@@ -1,9 +1,12 @@
 """Functions on the unit circle, held on a roots-of-unity grid.
 
-A function is carried in two synchronized forms: samples at the N-th
-roots of unity z_k = exp(2*pi*i*k/N), and Fourier coefficients a_j for
-j = -N/2 .. N/2-1.  N is a power of two.  The normalized measure is
-used throughout, so
+A function has two forms: samples at the N-th roots of unity z_k =
+exp(2*pi*i*k/N), and Fourier coefficients a_j for j = -N/2 .. N/2-1.
+N is a power of two.  A function keeps the form it was built from and
+derives the other by one FFT the first time it is read, then keeps
+that too; a form nobody reads is never computed.  ``grid(N)`` returns
+one shared read-only array per N.  The normalized measure is used
+throughout, so
 
     integral f dm  =  (1/N) * sum_k f(z_k),
 
@@ -15,8 +18,7 @@ with.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -67,10 +69,22 @@ def _check_n_samples(n_samples: int) -> int:
     return n
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+_GRIDS: dict = {}
+
+
 def grid(n_samples: int) -> np.ndarray:
-    """Sample points z_k = exp(2*pi*i*k/N), k = 0..N-1."""
+    """Sample points z_k = exp(2*pi*i*k/N), k = 0..N-1, as one shared
+    read-only array per N."""
     n = _check_n_samples(n_samples)
-    return np.exp(2j * np.pi * np.arange(n) / n)
+    z = _GRIDS.get(n)
+    if z is None:
+        z = _GRIDS[n] = _frozen(np.exp(2j * np.pi * np.arange(n) / n))
+    return z
 
 
 def freq_indices(n_samples: int) -> np.ndarray:
@@ -89,13 +103,34 @@ def analyze(samples: np.ndarray) -> np.ndarray:
     if s.ndim != 1:
         raise SizeError("samples must be a one dimensional array")
     _check_n_samples(s.size)
-    return np.fft.fftshift(np.fft.fft(s)) / s.size
+    return _analyze_array(s)
+
+
+def _analyze_array(samples: np.ndarray) -> np.ndarray:
+    """analyze() of a checked 1-D complex array: the FFT, moved to
+    storage order by the division itself (two half slices)."""
+    spectrum = np.fft.fft(samples)
+    n = spectrum.size
+    half = n // 2
+    out = np.empty_like(spectrum)
+    np.divide(spectrum[half:], n, out=out[:half])
+    np.divide(spectrum[:half], n, out=out[half:])
+    return out
 
 
 def _synthesize_array(coeffs: np.ndarray) -> np.ndarray:
     """Samples of coefficient rows (storage order, last axis); each row of
-    a block comes out bit for bit as from its own 1-D call."""
-    return np.fft.ifft(np.fft.ifftshift(coeffs, axes=-1)) * coeffs.shape[-1]
+    a block comes out bit for bit as from its own 1-D call.  The rows go
+    to FFT order by two half slices into the array the inverse FFT then
+    overwrites."""
+    n = coeffs.shape[-1]
+    half = n // 2
+    rows = np.empty(coeffs.shape, dtype=complex)
+    rows[..., :half] = coeffs[..., half:]
+    rows[..., half:] = coeffs[..., :half]
+    np.fft.ifft(rows, out=rows)
+    rows *= n
+    return rows
 
 
 def taylor_block(rows: np.ndarray, D: int) -> np.ndarray:
@@ -133,44 +168,78 @@ def samples_of_taylor(mat: np.ndarray, N: int) -> np.ndarray:
     return rows
 
 
-@dataclass(frozen=True, eq=False)
 class CircleFunction:
-    """Immutable pair of grid samples and Fourier coefficients.
+    """Immutable function on the N-point grid: samples and coefficients.
 
-    Both arrays always describe the same function; constructors derive
-    one representation from the other via the FFT.
+    A function built from one form (``from_samples``, ``from_coeffs``)
+    keeps that array and derives the other form the first time it is
+    read, by ``analyze`` or by the inverse transform, then keeps it
+    too.  Both arrays are read-only.  The constructor takes both forms,
+    which must describe the same function.
     """
 
-    n_samples: int
-    samples: np.ndarray
-    coeffs: np.ndarray
+    __slots__ = ("n_samples", "_samples", "_coeffs")
 
-    def __post_init__(self):
-        n = _check_n_samples(self.n_samples)
-        s = np.array(self.samples, dtype=complex)
-        c = np.array(self.coeffs, dtype=complex)
+    def __init__(self, n_samples: int, samples: np.ndarray,
+                 coeffs: np.ndarray):
+        n = _check_n_samples(n_samples)
+        s = np.array(samples, dtype=complex)
+        c = np.array(coeffs, dtype=complex)
         if s.shape != (n,) or c.shape != (n,):
             raise SizeError(
                 f"samples and coeffs must both have length {n}, "
                 f"got {s.shape} and {c.shape}"
             )
-        s.setflags(write=False)
-        c.setflags(write=False)
-        object.__setattr__(self, "samples", s)
-        object.__setattr__(self, "coeffs", c)
+        self._hold(n, _frozen(s), _frozen(c))
+
+    def _hold(self, n: int, samples: Optional[np.ndarray],
+              coeffs: Optional[np.ndarray]):
+        object.__setattr__(self, "n_samples", n)
+        object.__setattr__(self, "_samples", samples)
+        object.__setattr__(self, "_coeffs", coeffs)
+
+    @classmethod
+    def _of(cls, n: int, samples: Optional[np.ndarray] = None,
+            coeffs: Optional[np.ndarray] = None) -> "CircleFunction":
+        """A function holding read-only complex arrays of shape (n,) as
+        they are, at least one of them given."""
+        f = cls.__new__(cls)
+        f._hold(n, samples, coeffs)
+        return f
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"CircleFunction is immutable; cannot set {name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"CircleFunction is immutable; cannot delete {name}")
+
+    @property
+    def samples(self) -> np.ndarray:
+        if self._samples is None:
+            object.__setattr__(self, "_samples",
+                               _frozen(_synthesize_array(self._coeffs)))
+        return self._samples
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        if self._coeffs is None:
+            object.__setattr__(self, "_coeffs",
+                               _frozen(_analyze_array(self._samples)))
+        return self._coeffs
 
     @classmethod
     def from_samples(cls, samples: np.ndarray) -> "CircleFunction":
-        s = np.asarray(samples, dtype=complex)
-        return cls(s.size, s, analyze(s))
+        s = np.array(samples, dtype=complex)
+        if s.ndim != 1:
+            raise SizeError("samples must be a one dimensional array")
+        return cls._of(_check_n_samples(s.size), samples=_frozen(s))
 
     @classmethod
     def from_coeffs(cls, coeffs: np.ndarray) -> "CircleFunction":
-        c = np.asarray(coeffs, dtype=complex)
+        c = np.array(coeffs, dtype=complex)
         if c.ndim != 1:
             raise SizeError("coeffs must be a one dimensional array")
-        _check_n_samples(c.size)
-        return cls(c.size, _synthesize_array(c), c)
+        return cls._of(_check_n_samples(c.size), coeffs=_frozen(c))
 
     def coeff(self, j: int) -> complex:
         """Coefficient a_j, zero outside the stored band."""
@@ -207,15 +276,17 @@ class CircleFunction:
     def __add__(self, other):
         if isinstance(other, CircleFunction):
             _check_same_grid(self, other)
-            return CircleFunction(self.n_samples, self.samples + other.samples,
-                                  self.coeffs + other.coeffs)
+            return CircleFunction._of(self.n_samples,
+                                      _frozen(self.samples + other.samples),
+                                      _frozen(self.coeffs + other.coeffs))
         return NotImplemented
 
     def __sub__(self, other):
         if isinstance(other, CircleFunction):
             _check_same_grid(self, other)
-            return CircleFunction(self.n_samples, self.samples - other.samples,
-                                  self.coeffs - other.coeffs)
+            return CircleFunction._of(self.n_samples,
+                                      _frozen(self.samples - other.samples),
+                                      _frozen(self.coeffs - other.coeffs))
         return NotImplemented
 
     def __mul__(self, other):
@@ -229,8 +300,9 @@ class CircleFunction:
                 )
             return CircleFunction.from_samples(self.samples * other.samples)
         if isinstance(other, (int, float, complex)):
-            return CircleFunction(self.n_samples, self.samples * other,
-                                  self.coeffs * other)
+            return CircleFunction._of(self.n_samples,
+                                      _frozen(self.samples * other),
+                                      _frozen(self.coeffs * other))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -317,7 +389,8 @@ def inner_product(f: CircleFunction, g: CircleFunction) -> complex:
 
 def norm2(f: CircleFunction) -> float:
     """The L2 norm sqrt(integral |f|^2 dm) by grid quadrature."""
-    return float(np.sqrt(np.mean(np.abs(f.samples) ** 2)))
+    a = np.abs(f.samples)
+    return float(np.sqrt(np.add.reduce(a * a) / f.n_samples))
 
 
 def require_analytic(f: CircleFunction, who: str):

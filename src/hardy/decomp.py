@@ -29,6 +29,7 @@ from .blaschke import BlaschkeSpec, _basis_carriers, blaschke_eval
 from .circlefn import (
     COEFF_CUTOFF,
     CircleFunction,
+    _frozen,
     _synthesize_array,
     grid,
     horner,
@@ -223,10 +224,11 @@ def _split_blaschke(fs: Sequence[CircleFunction], spec: BlaschkeSpec,
 
 def _residue_rows(f: CircleFunction, n: int, base_variable: bool
                   ) -> Tuple[np.ndarray, np.ndarray]:
-    """(n, N) coefficient and sample blocks whose row i holds the a_(kn+i)
-    of f at index k n (h_i(z^n), negative k kept: rounding dust of a
-    nominally analytic input, dropped below the band) or, in the base
-    variable, at index k >= 0.  One inverse FFT gives the samples."""
+    """Read-only (n, N) coefficient and sample blocks whose row i holds
+    the a_(kn+i) of f at index k n (h_i(z^n), negative k kept: rounding
+    dust of a nominally analytic input, dropped below the band) or, in
+    the base variable, at index k >= 0.  One inverse FFT gives the
+    samples."""
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
     N = f.n_samples
@@ -239,7 +241,37 @@ def _residue_rows(f: CircleFunction, n: int, base_variable: bool
     block = np.zeros((n, N), dtype=complex)
     block[:, half + (1 if base_variable else n) * k] = past_top[
         half + n * k + np.arange(n)[:, None]]
-    return block, _synthesize_array(block)
+    return _frozen(block), _frozen(_synthesize_array(block))
+
+
+def _functions(samples: np.ndarray, coeffs: np.ndarray
+               ) -> Tuple[CircleFunction, ...]:
+    """The rows of two read-only (k, N) blocks as functions, no copies."""
+    return tuple(CircleFunction._of(samples.shape[1], s, c)
+                 for s, c in zip(samples, coeffs))
+
+
+# Carrier blocks are kept for this many grid sizes, the latest used.
+_CARRIER_GRIDS = 4
+_CARRIERS: dict = {}
+
+
+def _zn_carriers(n: int, N: int
+                 ) -> Tuple[np.ndarray, Tuple[CircleFunction, ...]]:
+    """The carriers z^0 .. z^(n-1) on the N-point grid: their read-only
+    (n, N) sample block and the functions.  They are the first n rows of
+    one block per grid size, rebuilt only for a larger n; a row of a
+    block transform is bit for bit its own 1-D transform."""
+    held = _CARRIERS.pop(N, None)
+    if held is None or held[0].shape[0] < n:
+        units = np.zeros((n, N), dtype=complex)
+        units[np.arange(n), N // 2 + np.arange(n)] = 1.0
+        samples = _frozen(_synthesize_array(units))
+        held = (samples, _functions(samples, _frozen(units)))
+    _CARRIERS[N] = held
+    while len(_CARRIERS) > _CARRIER_GRIDS:
+        del _CARRIERS[next(iter(_CARRIERS))]
+    return held[0][:n], held[1][:n]
 
 
 def zn_series_components(f: CircleFunction, n: int) -> Tuple[CircleFunction, ...]:
@@ -252,8 +284,7 @@ def zn_series_components(f: CircleFunction, n: int) -> Tuple[CircleFunction, ...
     """
     require_analytic(f, "zn_series_components")
     block, samples = _residue_rows(f, n, base_variable=True)
-    return tuple(CircleFunction(f.n_samples, s, c)
-                 for s, c in zip(samples, block))
+    return _functions(samples, block)
 
 
 def decompose_zn(f: CircleFunction, n: int) -> DecompositionResult:
@@ -262,20 +293,17 @@ def decompose_zn(f: CircleFunction, n: int) -> DecompositionResult:
 
     Component i holds the coefficients of f with index congruent to i
     mod n, moved down by i; every other coefficient is an exact zero.
-    Components and carriers each come from one block transform.
+    The components come from one block transform; the carriers are
+    shared rows of one block per grid size.
     """
     require_analytic(f, "decompose_zn")
     block, samples = _residue_rows(f, n, base_variable=False)
-    N = f.n_samples
-    units = np.zeros((n, N), dtype=complex)
-    units[np.arange(n), N // 2 + np.arange(n)] = 1.0
-    carriers = _synthesize_array(units)
-    recomposed = np.sum(carriers * samples, axis=0)
+    carrier_samples, carriers = _zn_carriers(n, f.n_samples)
+    recomposed = np.sum(carrier_samples * samples, axis=0)
     residual = float(np.sqrt(np.mean(np.abs(f.samples - recomposed) ** 2)))
-    return DecompositionResult(
-        mode="zn", residual=residual,
-        components=tuple(CircleFunction(N, s, c) for s, c in zip(samples, block)),
-        carriers=tuple(CircleFunction(N, s, c) for s, c in zip(carriers, units)))
+    return DecompositionResult(mode="zn", residual=residual,
+                               components=_functions(samples, block),
+                               carriers=carriers)
 
 
 def cesaro_convergence_profile(f: CircleFunction, spec: GaugeNormSpec,

@@ -89,11 +89,12 @@ def function_from_json(obj: Mapping) -> CircleFunction:
     coeffs = {}
     for j, re, im in entries:
         coeffs[int(j)] = coeffs.get(int(j), 0.0) + complex(float(re), float(im))
-    # NaN, inf and overflow in the inverse FFT leave non-finite samples.
+    # NaN, inf and overflow in the inverse FFT leave non-finite samples;
+    # the samples are synthesized where they are first read, so here.
     with np.errstate(over="ignore", invalid="ignore"):
         f = synthesize(coeffs, n)
-    if not np.all(np.isfinite(f.samples)):
-        raise ParameterError("non-finite or overflowing function input")
+        if not np.all(np.isfinite(f.samples)):
+            raise ParameterError("non-finite or overflowing function input")
     return f
 
 

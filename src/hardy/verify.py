@@ -252,6 +252,7 @@ def _run_zn_split(config: RunConfig) -> Tuple[Check, ...]:
     worst_average = 0.0
     freqs = freq_indices(N)
     for n in ns:
+        off_class = (freqs % n) != 0
         twists = []  # O(n^2 N), tabulated once the split has accepted n
         for _ in range(100):
             f = _random_poly(rng, int(rng.integers(0, min(200, N // 4))), N)
@@ -260,7 +261,7 @@ def _run_zn_split(config: RunConfig) -> Tuple[Check, ...]:
             worst_residual = max(worst_residual, dec.residual)
             total = 0.0
             for i, h in enumerate(dec.components):
-                off = h.coeffs[(freqs % n) != 0]
+                off = h.coeffs[off_class]
                 if off.size:
                     worst_support = max(worst_support,
                                         float(np.max(np.abs(off))))

@@ -1,13 +1,20 @@
 """Grid functions: transform conventions, algebra, guards."""
 
+import importlib
+
 import numpy as np
 import pytest
 
 from hardy import (
     CircleFunction,
     DomainError,
+    PNorm,
     SizeError,
+    SupNorm,
     TruncationError,
+    analyze,
+    decompose_zn,
+    gauge_eval,
     grid,
     inner_product,
     monomial,
@@ -15,6 +22,7 @@ from hardy import (
     resample,
     synthesize,
 )
+from hardy.circlefn import _synthesize_array
 
 
 def test_transform_convention_hand_dft():
@@ -116,3 +124,109 @@ def test_immutability():
     f = monomial(0, 16)
     with pytest.raises(ValueError):
         f.samples[0] = 5.0
+
+
+def _random(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def test_lazy_coeffs_are_analyze_of_the_samples():
+    s = _random(np.random.default_rng(1), 64)
+    f = CircleFunction.from_samples(s)
+    assert f.samples.tobytes() == s.tobytes()
+    assert f.coeffs.tobytes() == analyze(s).tobytes()
+
+
+def test_lazy_samples_match_the_shifted_inverse_fft():
+    c = _random(np.random.default_rng(2), 64)
+    oracle = np.fft.ifft(np.fft.ifftshift(c)) * 64
+    f = CircleFunction.from_coeffs(c)
+    assert f.coeffs.tobytes() == c.tobytes()
+    assert f.samples.tobytes() == oracle.tobytes()
+    # a block is synthesized row by row, bit for bit
+    block = _random(np.random.default_rng(3), 3, 64)
+    rows = _synthesize_array(block)
+    for row, c_row in zip(rows, block):
+        assert row.tobytes() == (np.fft.ifft(np.fft.ifftshift(c_row))
+                                 * 64).tobytes()
+
+
+@pytest.mark.parametrize("build", [CircleFunction.from_samples,
+                                   CircleFunction.from_coeffs])
+def test_both_forms_read_only_and_detached_from_the_input(build):
+    x = _random(np.random.default_rng(4), 32)
+    keep = x.copy()
+    f = build(x)
+    x[:] = 7.0  # before the other form is derived
+    g = build(keep)
+    for a, b in ((f.samples, g.samples), (f.coeffs, g.coeffs)):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+        assert a.tobytes() == b.tobytes()
+
+
+def test_two_dimensional_input_raises_at_construction():
+    with pytest.raises(SizeError):
+        CircleFunction.from_samples(np.ones((2, 8)))
+    with pytest.raises(SizeError):
+        CircleFunction.from_coeffs(np.ones((2, 8)))
+    with pytest.raises(SizeError):
+        CircleFunction(8, np.ones(8), np.ones((1, 8)))
+
+
+def test_grid_is_shared_read_only_and_exact():
+    z = grid(128)
+    assert z is grid(128)
+    assert not z.flags.writeable
+    assert z.tobytes() == np.exp(2j * np.pi * np.arange(128) / 128).tobytes()
+
+
+@pytest.fixture()
+def transforms(monkeypatch):
+    """Every numpy.fft.fft / ifft call as (name, input shape), and every
+    np.roll call as ("roll", shape)."""
+    log = []
+
+    def counted(name, fn):
+        def call(a, *args, **kwargs):
+            log.append((name, np.shape(a)))
+            return fn(a, *args, **kwargs)
+        return call
+
+    for name in ("fft", "ifft"):
+        monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
+    roll = counted("roll", np.roll)
+    monkeypatch.setattr(np, "roll", roll)
+    # fftshift and ifftshift call the roll bound in their own module
+    monkeypatch.setattr(importlib.import_module("numpy.fft._helper"), "roll",
+                        roll)
+    return log
+
+
+def test_modulus_only_reads_run_no_transform(transforms):
+    v = _random(np.random.default_rng(5), 256)
+    for spec in (PNorm(1.5), SupNorm()):
+        gauge_eval(spec, CircleFunction.from_samples(v))
+    norm2(CircleFunction.from_samples(v))
+    assert transforms == []
+
+
+def test_repeated_zn_split_runs_one_block_transform(transforms):
+    f = CircleFunction.from_coeffs(np.concatenate(
+        [np.zeros(128), _random(np.random.default_rng(6), 40), np.zeros(88)]))
+    decompose_zn(f, 3)
+    transforms.clear()
+    decompose_zn(f, 3)
+    assert transforms == [("ifft", (3, 256))]
+
+
+def test_transforms_reorder_without_roll(transforms):
+    x = _random(np.random.default_rng(7), 64)
+    analyze(x)
+    _synthesize_array(x)
+    _synthesize_array(np.stack([x, x]))
+    CircleFunction.from_samples(x).coeffs
+    CircleFunction.from_coeffs(x).samples
+    assert [name for name, _ in transforms] == ["fft", "ifft", "ifft",
+                                                "fft", "ifft"]

@@ -1,5 +1,8 @@
 """JSON round trips and deterministic formatting."""
 
+import json
+import warnings
+
 import numpy as np
 import pytest
 
@@ -42,6 +45,18 @@ def test_function_json_sums_duplicate_indices():
 def test_function_json_requires_fields():
     with pytest.raises(ParameterError):
         function_from_json({"coeffs": []})
+
+
+def test_overflowing_function_file_is_refused_without_warning(tmp_path):
+    # the samples are synthesized where they are first read, which must
+    # be inside the overflow check
+    path = tmp_path / "huge.json"
+    path.write_text('{"n_samples": 1024, '
+                    '"coeffs": [[0, 1e308, 0.0], [1, 1e308, 0.0]]}')
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match="overflowing"):
+            function_from_json(json.loads(path.read_text()))
 
 
 def test_zeros_round_trip():

@@ -1,5 +1,11 @@
 """The named suite runner: registry, config validation, determinism."""
 
+import json
+import os
+import subprocess
+import sys
+
+import numpy as np
 import pytest
 
 from hardy import (
@@ -66,3 +72,53 @@ def test_tol_override_can_fail_a_suite():
     failed = [c for c in rep.checks if not c.passed]
     assert [c.name for c in failed] == ["split_residual"]
     assert failed[0].threshold == 1e-20
+
+
+# The SHA-256 of every suite's canonical report at seed 1, computed in a
+# child process with one BLAS thread so the bytes do not depend on the
+# thread count.  tests/data/verify_digests.json holds the digests as
+# recorded with
+# `PYTHONPATH=src python tests/test_verify.py > tests/data/verify_digests.json`;
+# a change that moves a digit of any report shows up here.
+DIGESTS = os.path.join(os.path.dirname(__file__), "data",
+                       "verify_digests.json")
+_DIGEST_CHILD = """
+import hashlib, json
+import numpy as np
+from hardy.serialize import dump_json
+from hardy.verify import RunConfig, registry_ids, run_verification
+digests = {tid: hashlib.sha256(dump_json(run_verification(
+    tid, RunConfig(seed=1)).as_dict()).encode("utf-8")).hexdigest()
+    for tid in registry_ids()}
+print(json.dumps({"numpy": np.__version__, "seed": 1, "digests": digests},
+                 indent=2, sort_keys=True))
+"""
+
+
+def report_digests(src=os.path.join(os.path.dirname(__file__), "..", "src")):
+    """The digest record of the hardy under ``src``, from a child process."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [os.path.abspath(src),
+                                 os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _DIGEST_CHILD], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=300)
+    return out.stdout
+
+
+def test_reports_match_recorded_digests():
+    with open(DIGESTS, encoding="utf-8") as handle:
+        recorded = json.load(handle)
+    if recorded["numpy"] != np.__version__:
+        pytest.skip(f"digests recorded with numpy {recorded['numpy']}, "
+                    f"this is numpy {np.__version__}")
+    now = json.loads(report_digests())
+    assert sorted(now["digests"]) == sorted(recorded["digests"])
+    moved = [tid for tid in recorded["digests"]
+             if now["digests"][tid] != recorded["digests"][tid]]
+    assert moved == [], f"reports changed at seed 1: {moved}"
+
+
+if __name__ == "__main__":
+    sys.stdout.write(report_digests(*sys.argv[1:]))
