@@ -18,6 +18,7 @@ with.
 
 from __future__ import annotations
 
+import functools
 from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -74,17 +75,15 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-_GRIDS: dict = {}
-
-
 def grid(n_samples: int) -> np.ndarray:
     """Sample points z_k = exp(2*pi*i*k/N), k = 0..N-1, as one shared
     read-only array per N."""
-    n = _check_n_samples(n_samples)
-    z = _GRIDS.get(n)
-    if z is None:
-        z = _GRIDS[n] = _frozen(np.exp(2j * np.pi * np.arange(n) / n))
-    return z
+    return _grid(_check_n_samples(n_samples))
+
+
+@functools.lru_cache(maxsize=8)
+def _grid(n: int) -> np.ndarray:
+    return _frozen(np.exp(2j * np.pi * np.arange(n) / n))
 
 
 def freq_indices(n_samples: int) -> np.ndarray:
@@ -213,6 +212,10 @@ class CircleFunction:
     def __delattr__(self, name):
         raise AttributeError(f"CircleFunction is immutable; cannot delete {name}")
 
+    def __reduce__(self):
+        # pickle and copy rebuild the function from the forms it holds
+        return (_restored, (self.n_samples, self._samples, self._coeffs))
+
     @property
     def samples(self) -> np.ndarray:
         if self._samples is None:
@@ -309,6 +312,13 @@ class CircleFunction:
 
     def __neg__(self):
         return self * (-1.0)
+
+
+def _restored(n: int, samples: Optional[np.ndarray],
+              coeffs: Optional[np.ndarray]) -> CircleFunction:
+    """The function __reduce__ describes, its arrays read-only again."""
+    return CircleFunction._of(n, *(None if a is None else _frozen(a)
+                                   for a in (samples, coeffs)))
 
 
 def _check_same_grid(f: CircleFunction, g: CircleFunction):

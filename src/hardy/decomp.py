@@ -20,6 +20,7 @@ means measured in a gauge norm.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -251,27 +252,36 @@ def _functions(samples: np.ndarray, coeffs: np.ndarray
                  for s, c in zip(samples, coeffs))
 
 
-# Carrier blocks are kept for this many grid sizes, the latest used.
-_CARRIER_GRIDS = 4
-_CARRIERS: dict = {}
+# A split of at most this many points (n * N) takes its carriers as the
+# first n rows of one kept block of at most as many points per grid
+# size, for the four latest sizes; a larger split builds its own, freed
+# with its result.
+_KEPT_CARRIER_POINTS = 1 << 13
 
 
 def _zn_carriers(n: int, N: int
                  ) -> Tuple[np.ndarray, Tuple[CircleFunction, ...]]:
-    """The carriers z^0 .. z^(n-1) on the N-point grid: their read-only
-    (n, N) sample block and the functions.  They are the first n rows of
-    one block per grid size, rebuilt only for a larger n; a row of a
-    block transform is bit for bit its own 1-D transform."""
-    held = _CARRIERS.pop(N, None)
-    if held is None or held[0].shape[0] < n:
-        units = np.zeros((n, N), dtype=complex)
-        units[np.arange(n), N // 2 + np.arange(n)] = 1.0
-        samples = _frozen(_synthesize_array(units))
-        held = (samples, _functions(samples, _frozen(units)))
-    _CARRIERS[N] = held
-    while len(_CARRIERS) > _CARRIER_GRIDS:
-        del _CARRIERS[next(iter(_CARRIERS))]
-    return held[0][:n], held[1][:n]
+    """The carriers z^0 .. z^(n-1) on the N-point grid, 1 <= n <= N/2:
+    their read-only (n, N) sample block and the functions.  A row of a
+    block transform is bit for bit its own 1-D transform, so a kept
+    block serves every smaller n."""
+    if n * N > _KEPT_CARRIER_POINTS:
+        return _build_carriers(n, N)
+    samples, carriers = _kept_carriers(N)
+    return samples[:n], carriers[:n]
+
+
+@functools.lru_cache(maxsize=4)
+def _kept_carriers(N: int) -> Tuple[np.ndarray, Tuple[CircleFunction, ...]]:
+    return _build_carriers(min(_KEPT_CARRIER_POINTS // N, N // 2), N)
+
+
+def _build_carriers(n: int, N: int
+                    ) -> Tuple[np.ndarray, Tuple[CircleFunction, ...]]:
+    units = np.zeros((n, N), dtype=complex)
+    units[np.arange(n), N // 2 + np.arange(n)] = 1.0
+    samples = _frozen(_synthesize_array(units))
+    return samples, _functions(samples, _frozen(units))
 
 
 def zn_series_components(f: CircleFunction, n: int) -> Tuple[CircleFunction, ...]:
@@ -293,8 +303,8 @@ def decompose_zn(f: CircleFunction, n: int) -> DecompositionResult:
 
     Component i holds the coefficients of f with index congruent to i
     mod n, moved down by i; every other coefficient is an exact zero.
-    The components come from one block transform; the carriers are
-    shared rows of one block per grid size.
+    The components come from one block transform; small splits share
+    their carriers with earlier calls on the same grid.
     """
     require_analytic(f, "decompose_zn")
     block, samples = _residue_rows(f, n, base_variable=False)

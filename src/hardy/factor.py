@@ -23,7 +23,6 @@ Taylor tail of J beyond three quarters of the band has decayed.
 
 from __future__ import annotations
 
-import functools
 import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
@@ -34,7 +33,6 @@ from .blaschke import BlaschkeSpec, blaschke_eval
 from .circlefn import (
     EPS_LOG,
     CircleFunction,
-    _frozen,
     _graded_rows,
     freq_indices,
     gram_defect,
@@ -321,12 +319,6 @@ def b_inner_matrix_from(phis: Sequence[CircleFunction], spec: BlaschkeSpec,
                         decomposition_residual=max(d.residual for d in decs))
 
 
-@functools.lru_cache(maxsize=4)
-def _zn_samples(n: int, N: int) -> np.ndarray:
-    """z^n on the N-point grid, read-only, once per (n, N)."""
-    return _frozen(grid(N) ** n)
-
-
 def n_inner_outer_factorize(f: CircleFunction, n: int,
                             regularize: bool = False,
                             m_max_check: int = 8) -> NInnerOuterBundle:
@@ -344,7 +336,7 @@ def n_inner_outer_factorize(f: CircleFunction, n: int,
     J, f1, f_work = _factor(f, n, regularize)
     n_work = f_work.n_samples
     residual = _residual(J, f1, f_work)
-    gram = _joint_gram_defect(_zn_samples(n, n_work), [J.samples], m_max_check)
+    gram = _joint_gram_defect(grid(n_work) ** n, [J.samples], m_max_check)
     parseval = abs(norm2(f_work) ** 2 - norm2(f1) ** 2)
     # A modulus that vanishes on the grid, or an outer part that is not
     # analytic at the grid cap, fails the outer test rather than the call.

@@ -1,6 +1,8 @@
 """Grid functions: transform conventions, algebra, guards."""
 
-import importlib
+import copy
+import inspect
+import pickle
 
 import numpy as np
 import pytest
@@ -199,7 +201,7 @@ def transforms(monkeypatch):
     roll = counted("roll", np.roll)
     monkeypatch.setattr(np, "roll", roll)
     # fftshift and ifftshift call the roll bound in their own module
-    monkeypatch.setattr(importlib.import_module("numpy.fft._helper"), "roll",
+    monkeypatch.setitem(inspect.unwrap(np.fft.fftshift).__globals__, "roll",
                         roll)
     return log
 
@@ -230,3 +232,15 @@ def test_transforms_reorder_without_roll(transforms):
     CircleFunction.from_coeffs(x).samples
     assert [name for name, _ in transforms] == ["fft", "ifft", "ifft",
                                                 "fft", "ifft"]
+
+
+@pytest.mark.parametrize("build", [CircleFunction.from_samples,
+                                   CircleFunction.from_coeffs])
+def test_pickle_and_copies_keep_the_function(build):
+    f = build(_random(np.random.default_rng(8), 32))
+    for again in (pickle.loads(pickle.dumps(f)), copy.copy(f),
+                  copy.deepcopy(f)):
+        assert again.n_samples == 32
+        for a, b in ((again.samples, f.samples), (again.coeffs, f.coeffs)):
+            assert not a.flags.writeable
+            assert a.tobytes() == b.tobytes()

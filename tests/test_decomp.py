@@ -1,5 +1,6 @@
 """Decompositions: residue splitting, basis series, smoothing means."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -22,6 +23,7 @@ from hardy import (
     synthesize,
     zn_series_components,
 )
+from hardy import decomp
 from hardy.blaschke import MAX_ZERO_MODULUS
 
 
@@ -345,3 +347,20 @@ def test_blaschke_refuses_zeros_at_max_modulus_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20
+
+
+def test_only_small_carrier_blocks_outlive_their_split():
+    decomp._kept_carriers.cache_clear()
+    f = synthesize({j: 1.0 for j in range(200)}, 512)
+    dec = decompose_zn(f, 128)  # a 128 x 512 block: built, not kept
+    assert len(dec.carriers) == 128
+    assert decomp._kept_carriers.cache_info().currsize == 0
+    small = decompose_zn(f, 4)
+    assert decomp._kept_carriers.cache_info().currsize == 1
+    kept_samples, _ = decomp._kept_carriers(512)
+    assert kept_samples.size <= decomp._KEPT_CARRIER_POINTS
+    assert decompose_zn(f, 3).carriers == small.carriers[:3]
+    # a result holding functions converts and copies like any dataclass
+    as_dict = dataclasses.asdict(small)
+    assert as_dict["carriers"][3].coeffs.tobytes() == \
+        small.carriers[3].coeffs.tobytes()

@@ -2,11 +2,13 @@
 
 import json
 import os
+import platform
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from numpy._core._multiarray_umath import __cpu_features__
 
 from hardy import (
     ParameterError,
@@ -79,24 +81,36 @@ def test_tol_override_can_fail_a_suite():
 # thread count.  tests/data/verify_digests.json holds the digests as
 # recorded with
 # `PYTHONPATH=src python tests/test_verify.py > tests/data/verify_digests.json`;
-# a change that moves a digit of any report shows up here.
+# a change that moves a digit of any report shows up here.  The record
+# also names what picks the floating-point kernels: numpy's version, the
+# BLAS it was built with, the machine and the CPU features numpy found
+# (OpenBLAS chooses its kernels by the same CPU).  On another platform
+# the test skips rather than compare bits it cannot expect to match.
 DIGESTS = os.path.join(os.path.dirname(__file__), "data",
                        "verify_digests.json")
 _DIGEST_CHILD = """
 import hashlib, json
-import numpy as np
 from hardy.serialize import dump_json
 from hardy.verify import RunConfig, registry_ids, run_verification
-digests = {tid: hashlib.sha256(dump_json(run_verification(
+print(json.dumps({tid: hashlib.sha256(dump_json(run_verification(
     tid, RunConfig(seed=1)).as_dict()).encode("utf-8")).hexdigest()
-    for tid in registry_ids()}
-print(json.dumps({"numpy": np.__version__, "seed": 1, "digests": digests},
-                 indent=2, sort_keys=True))
+    for tid in registry_ids()}))
 """
 
 
+def platform_record():
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "numpy": np.__version__,
+        "blas": f"{blas['name']} {blas['version']}",
+        "machine": platform.machine(),
+        "cpu_features": sorted(k for k, v in __cpu_features__.items() if v),
+    }
+
+
 def report_digests(src=os.path.join(os.path.dirname(__file__), "..", "src")):
-    """The digest record of the hardy under ``src``, from a child process."""
+    """The digest record of the hardy under ``src``, the digests from a
+    child process."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(
                    filter(None, [os.path.abspath(src),
@@ -104,15 +118,20 @@ def report_digests(src=os.path.join(os.path.dirname(__file__), "..", "src")):
     out = subprocess.run([sys.executable, "-c", _DIGEST_CHILD], env=env,
                          capture_output=True, text=True, check=True,
                          timeout=300)
-    return out.stdout
+    return json.dumps({"platform": platform_record(), "seed": 1,
+                       "digests": json.loads(out.stdout)},
+                      indent=2, sort_keys=True) + "\n"
 
 
 def test_reports_match_recorded_digests():
     with open(DIGESTS, encoding="utf-8") as handle:
         recorded = json.load(handle)
-    if recorded["numpy"] != np.__version__:
-        pytest.skip(f"digests recorded with numpy {recorded['numpy']}, "
-                    f"this is numpy {np.__version__}")
+    here = platform_record()
+    differs = sorted(key for key in recorded["platform"]
+                     if here.get(key) != recorded["platform"][key])
+    if differs:
+        pytest.skip(f"digests recorded on another platform "
+                    f"({', '.join(differs)} differ)")
     now = json.loads(report_digests())
     assert sorted(now["digests"]) == sorted(recorded["digests"])
     moved = [tid for tid in recorded["digests"]
