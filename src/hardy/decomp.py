@@ -223,25 +223,42 @@ def _split_blaschke(fs: Sequence[CircleFunction], spec: BlaschkeSpec,
         basis_coefficients=coeffs[k], phase_grid=M) for k in range(len(fs))]
 
 
-def _residue_rows(f: CircleFunction, n: int, base_variable: bool
-                  ) -> Tuple[np.ndarray, np.ndarray]:
-    """Read-only (n, N) coefficient and sample blocks whose row i holds
-    the a_(kn+i) of f at index k n (h_i(z^n), negative k kept: rounding
-    dust of a nominally analytic input, dropped below the band) or, in
-    the base variable, at index k >= 0.  One inverse FFT gives the
-    samples."""
+def _check_modulus(n: int, N: int):
+    """Refuse a modulus n outside 1 .. N/2 for an N-point grid, before
+    anything is allocated for it."""
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
-    N = f.n_samples
     if n > N // 2:
         raise ParameterError(f"n = {n} leaves no room for the carriers "
                              f"on a grid of {N}")
+
+
+def _residue_rows(f: CircleFunction, n: int, base_variable: bool,
+                  size: Optional[int] = None
+                  ) -> Tuple[np.ndarray, np.ndarray]:
+    """Read-only (n, size) coefficient and sample blocks whose row i
+    holds the a_(kn+i) of f, one strided slice per residue class.
+
+    In the base variable, a_(kn+i) sits at index k >= 0 on f's grid.
+    Otherwise it sits at index k n size / N, negative k kept (rounding
+    dust of a nominally analytic input, dropped below the band): on f's
+    own grid (size N, the default) row i is h_i(z^n).  A grid of size
+    N / g, g a common divisor of n and N, samples the same function in
+    u = z^g, which takes only that many values: row i is h_i(u^(n/g)).
+    One inverse FFT gives the samples."""
+    N = f.n_samples
+    _check_modulus(n, N)
+    size = N if size is None else size
     half = N // 2
-    k = np.arange(0 if base_variable else -(half // n), -(-half // n))
-    past_top = np.concatenate([f.coeffs, np.zeros(n)])  # a_(kn+i) beyond reads 0
-    block = np.zeros((n, N), dtype=complex)
-    block[:, half + (1 if base_variable else n) * k] = past_top[
-        half + n * k + np.arange(n)[:, None]]
+    step = 1 if base_variable else n * size // N
+    first = 0 if base_variable else -(half // n)  # the lowest k
+    start = size // 2 + first * step
+    coeffs = f.coeffs
+    block = np.zeros((n, size), dtype=complex)
+    for i in range(n):
+        # a_(kn+i) beyond the band reads 0
+        cls = coeffs[half + first * n + i::n]
+        block[i, start:start + step * cls.size:step] = cls
     return _frozen(block), _frozen(_synthesize_array(block))
 
 

@@ -4,25 +4,34 @@ A function J is n-inner when the shifted family {z^(n m) J} is
 orthonormal; a function of the form s(z^n) is n-outer when s is outer.
 Every f factors as f = J F with one n-inner J and one n-outer F, and
 n = 1 is the classical split into an inner part and the outer part of
-|f|.  One construction serves every n, on a work grid in z:
+|f|.  One construction serves every n, on an N-point work grid in z.
+With g = gcd(n, N), z^n takes only the M = N/g values of u^(n/g),
+u = z^g, which are the M-point grid reindexed by j -> j n/g mod M:
 
-  1. split f(z) = sum_i z^i h_i(z^n) by residue class, the samples of
-     every h_i(z^n) from one block transform (decomp._residue_rows);
-  2. form phi = sqrt(sum_i |h_i(z^n)|^2), a function of z^n;
-  3. take F = exp(u + i*conj(u)) with u = log phi (outer_from_modulus).
-     The conjugate of a series in z^n is a series in z^n, so F = O(z^n)
-     with O the outer function of phi, and F(0) > 0 fixes the phase;
-  4. set J = f / F, so that J(z) = sum_i z^i (h_i/O)(z^n) and
-     sum_i |h_i/O|^2 = 1: J is n-inner.
+  1. split f(z) = sum_i z^i h_i(z^n) by residue class and sample every
+     h_i(u^(n/g)) on the M-point grid of u, all n rows from one block
+     transform (decomp._residue_rows with the grid size M; the reindex
+     is the coefficient index k n/g, one strided slice per class);
+  2. form phi = sqrt(sum_i |h_i(u^(n/g))|^2) there;
+  3. take O = exp(v + i*conj(v)) with v = log phi on those M points
+     (one real FFT pair for the conjugate), and F(z) = O(z^g), whose
+     samples are O's tiled g times.  Tiling is exact, so this is the
+     N-point construction; the conjugate of a series in z^n is a series
+     in z^n, so F is n-outer, and F(0) > 0 fixes the phase;
+  4. set J = f / F on the N points, so that J(z) = sum_i z^i
+     (h_i/O)(z^n) with sum_i |h_i/O|^2 = 1: J is n-inner.
 
 The residual is exact to rounding because every step is a sample
 identity.  The only approximation is the work grid, which starts at
 WORK_GRID_FLOOR points and doubles, up to WORK_GRID_CAP, until the
-Taylor tail of J beyond three quarters of the band has decayed.
+Taylor tail of J beyond three quarters of the band has decayed.  A
+modulus or quotient that is not finite raises FactorizationError on the
+grid where it appears.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
@@ -33,15 +42,15 @@ from .blaschke import BlaschkeSpec, blaschke_eval
 from .circlefn import (
     EPS_LOG,
     CircleFunction,
+    _analyze_array,
+    _frozen,
     _graded_rows,
-    freq_indices,
-    gram_defect,
     grid,
     norm2,
     require_analytic,
     resample,
 )
-from .decomp import _residue_rows, _split_blaschke, zn_series_components
+from .decomp import _check_modulus, _residue_rows, _split_blaschke
 from .errors import (
     DomainError,
     FactorizationError,
@@ -180,11 +189,18 @@ def harmonic_conjugate(u: CircleFunction) -> CircleFunction:
     """
     if float(np.max(np.abs(u.samples.imag))) > 1e-10:
         raise DomainError("harmonic_conjugate needs a real-valued input")
-    N = u.n_samples
-    freqs = freq_indices(N)
-    c = -1j * np.sign(freqs) * u.coeffs
-    c[0] = 0.0
-    return CircleFunction.from_coeffs(c)
+    return CircleFunction.from_samples(_conjugate(u.samples.real))
+
+
+def _conjugate(u: np.ndarray) -> np.ndarray:
+    """Samples of the harmonic conjugate of real samples u: one real
+    FFT pair, the index-0 and the unpaired index-N/2 coefficients
+    dropped, every other one scaled by -i (its mirror, by +i, is
+    implied)."""
+    c = np.fft.rfft(u)
+    c *= -1j
+    c[0] = c[-1] = 0.0
+    return np.fft.irfft(c, n=u.size)
 
 
 def outer_from_modulus(w: CircleFunction, regularize: bool = False) -> CircleFunction:
@@ -193,27 +209,39 @@ def outer_from_modulus(w: CircleFunction, regularize: bool = False) -> CircleFun
     O = exp(u + i*conj(u)) with u = log w.  Moduli below EPS_LOG raise
     SingularityError unless ``regularize`` floors them there.
     """
-    return _outer_from_samples(w.samples, regularize)
-
-
-def _outer_from_samples(vals: np.ndarray, regularize: bool) -> CircleFunction:
-    """outer_from_modulus for the modulus given by its grid samples."""
+    vals = w.samples
     if float(np.max(np.abs(vals.imag))) > 1e-10:
         raise DomainError("outer_from_modulus needs a real-valued modulus")
     mod = vals.real
     if float(np.min(mod)) < -1e-10:
         raise DomainError("outer_from_modulus needs a nonnegative modulus")
-    mod = np.maximum(mod, 0.0)
-    bad = np.nonzero(mod < EPS_LOG)[0]
-    if bad.size and not regularize:
+    return CircleFunction.from_samples(
+        _outer(np.maximum(mod, 0.0), regularize, 1))
+
+
+def _outer(mod: np.ndarray, regularize: bool, g: int) -> np.ndarray:
+    """Samples of the outer function of the nonnegative modulus ``mod``
+    on its own grid.  ``mod`` is phi(u) for u = z^g, so the refused
+    points are counted on the z-grid, g per point of u."""
+    low = mod < EPS_LOG
+    if not regularize and low.any():
+        bad = np.nonzero(np.tile(low, g))[0]
         raise SingularityError(
             f"modulus below {EPS_LOG:g} at {bad.size} grid points; "
             f"pass regularize=True to floor it", bad[:16]
         )
-    u_samples = np.log(np.maximum(mod, EPS_LOG))
-    u = CircleFunction.from_samples(u_samples)
-    conj_samples = harmonic_conjugate(u).samples.real
-    return CircleFunction.from_samples(np.exp(u_samples + 1j * conj_samples))
+    u = np.log(np.maximum(mod, EPS_LOG))
+    return np.exp(u + 1j * _conjugate(u))
+
+
+def _tiled(samples: np.ndarray, g: int) -> CircleFunction:
+    """The function s(z^g) on the (g M)-point grid, from the samples of
+    s on M points: the samples tiled g times, the coefficients of s
+    spread to the multiples of g, exact zeros between them."""
+    coeffs = np.zeros(g * samples.size, dtype=complex)
+    coeffs[::g] = _analyze_array(samples)
+    return CircleFunction._of(coeffs.size, _frozen(np.tile(samples, g)),
+                              _frozen(coeffs))
 
 
 def _factor(f: CircleFunction, n: int, regularize: bool
@@ -223,14 +251,30 @@ def _factor(f: CircleFunction, n: int, regularize: bool
     n_work = max(f.n_samples, WORK_GRID_FLOOR)
     while True:
         f_work = resample(f, n_work)
-        _, pieces = _residue_rows(f_work, n, base_variable=False)
-        phi = np.sqrt(np.sum(np.abs(pieces) ** 2, axis=0))
-        outer = _outer_from_samples(phi, regularize)
-        inner = CircleFunction.from_samples(f_work.samples / outer.samples)
+        g = math.gcd(n, n_work)
+        # A modulus that overflows leaves a non-finite outer part.
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, rows = _residue_rows(f_work, n, False, size=n_work // g)
+            phi = np.sqrt(np.sum(rows.real ** 2 + rows.imag ** 2, axis=0))
+            o = _outer(phi, regularize, g)
+            _require_finite(o, "outer part", n, n_work)
+            outer = _tiled(o, g)
+            quotient = f_work.samples / outer.samples
+            _require_finite(quotient, "inner part", n, n_work)
+        inner = CircleFunction.from_samples(quotient)
         tail = float(np.linalg.norm(inner.coeffs[3 * n_work // 4:]))
         if tail <= WORK_TAIL_TARGET or n_work >= WORK_GRID_CAP:
             return inner, outer, f_work
         n_work *= 2
+
+
+def _require_finite(values: np.ndarray, what: str, n: int, n_work: int):
+    """Refuse a non-finite part on the pass that meets it, rather than
+    doubling the work grid on NaN."""
+    if not np.all(np.isfinite(values)):
+        raise FactorizationError(
+            f"the {what} is not finite on the {n_work}-point work grid",
+            diagnostics={"n": n, "n_samples": n_work})
 
 
 def _residual(inner: CircleFunction, outer: CircleFunction,
@@ -276,10 +320,23 @@ def is_outer(f: CircleFunction, regularize: bool = False) -> OuterReport:
     return OuterReport(passed=defect <= TOL_OUTER, defect=defect)
 
 
-def _joint_gram_defect(mult_samples: np.ndarray,
-                       members: Sequence[np.ndarray], m_max: int) -> float:
-    """Orthonormality defect of {mult^m v : v in members, m <= m_max}."""
-    return gram_defect(_graded_rows((), members, mult_samples, m_max + 1))
+def _joint_gram_defect(mult: np.ndarray, members: Sequence[np.ndarray],
+                       m_max: int) -> float:
+    """Orthonormality defect max |G - I| of {mult^m v : v in members,
+    m <= m_max} for a unimodular multiplier.
+
+    G is block Toeplitz: <mult^a v_i, mult^b v_j> = mean(v_i conj(v_j)
+    mult^(a-b)), and the block at b - a is the adjoint of the one at
+    a - b, so the defect needs only the r^2 products v_i conj(v_j)
+    against the powers mult^0 .. mult^m_max.
+    """
+    V = np.asarray(members)
+    r, N = V.shape
+    products = (V[:, None, :] * V.conj()[None, :, :]).reshape(r * r, N)
+    powers = _graded_rows((np.ones(N),), (mult,), mult, m_max)
+    blocks = products @ powers.T / N  # row (i, j), column a - b
+    blocks[:, 0] -= np.eye(r).ravel()
+    return float(np.max(np.abs(blocks)))
 
 
 def b_inner_matrix_from(phis: Sequence[CircleFunction], spec: BlaschkeSpec,
@@ -331,12 +388,14 @@ def n_inner_outer_factorize(f: CircleFunction, n: int,
     require_analytic(f, "n_inner_outer_factorize")
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
-    if norm2(f) < EPS_LOG:
-        raise DomainError("cannot factor the zero function")
+    with np.errstate(over="ignore"):  # an overflowing norm is not zero
+        if norm2(f) < EPS_LOG:
+            raise DomainError("cannot factor the zero function")
     J, f1, f_work = _factor(f, n, regularize)
     n_work = f_work.n_samples
     residual = _residual(J, f1, f_work)
-    gram = _joint_gram_defect(grid(n_work) ** n, [J.samples], m_max_check)
+    z_n = grid(n_work)[n * np.arange(n_work) % n_work]
+    gram = _joint_gram_defect(z_n, [J.samples], m_max_check)
     parseval = abs(norm2(f_work) ** 2 - norm2(f1) ** 2)
     # A modulus that vanishes on the grid, or an outer part that is not
     # analytic at the grid cap, fails the outer test rather than the call.
@@ -369,36 +428,40 @@ def is_n_outer(f: CircleFunction, n: int,
 
     The z^n splitting must be rank one across its components (checked
     against the largest component as pivot) and the shared base series
-    must be outer.
+    must be outer.  The residue classes are read off the Taylor
+    coefficients, where Parseval turns every norm and pairing of the
+    components into a coefficient sum; only the base series is
+    synthesized, for the outer test.
     """
     require_analytic(f, "is_n_outer")
-    parts = zn_series_components(f, n)
-    norms = np.array([norm2(p) for p in parts])
+    N = f.n_samples
+    _check_modulus(n, N)
+    half = N // 2
+    # A[k, i] = a_(kn+i): column i is the Taylor series of component i.
+    K = -(-half // n)
+    A = np.zeros(K * n, dtype=complex)
+    A[:half] = f.coeffs[half:]
+    A = A.reshape(K, n)
+    norms = np.linalg.norm(A, axis=0)
     total = float(np.linalg.norm(norms))
     if total < EPS_LOG:
         raise DomainError("the zero function has no n-outer verdict")
     pivot = int(np.argmax(norms))
-    sp = parts[pivot]
-    sp_sq = norm2(sp) ** 2
-    c = np.zeros(n, dtype=complex)
-    worst = 0.0
-    for i, p in enumerate(parts):
-        ci = complex(np.vdot(sp.samples, p.samples) / f.n_samples) / sp_sq
-        c[i] = ci
-        diff = p.samples - ci * sp.samples
-        worst = max(worst, float(np.sqrt(np.mean(np.abs(diff) ** 2))))
+    a_pivot = A[:, pivot]
+    c = (a_pivot.conj() @ A) / norms[pivot] ** 2
+    worst = float(np.max(np.linalg.norm(A - np.outer(a_pivot, c), axis=0)))
     rank1_defect = worst / total
     # Normalize the carrier: unit coefficient norm, first nonzero
     # coefficient positive real; the base series absorbs the factor.
     nu = float(np.linalg.norm(c))
     k0 = int(np.nonzero(np.abs(c) > 1e-12 * nu)[0][0])
     scale = nu * (c[k0] / abs(c[k0]))
-    p_coeffs = c / scale
-    half = f.n_samples // 2
-    carrier_arr = np.zeros(f.n_samples, dtype=complex)
-    carrier_arr[half:half + n] = p_coeffs
+    carrier_arr = np.zeros(N, dtype=complex)
+    carrier_arr[half:half + n] = c / scale
     carrier = CircleFunction.from_coeffs(carrier_arr)
-    base = scale * sp
+    base_arr = np.zeros(N, dtype=complex)
+    base_arr[half:half + K] = scale * a_pivot
+    base = CircleFunction.from_coeffs(base_arr)
     outer_ok = False
     outer_defect = float("inf")
     if rank1_defect <= TOL_B_INNER:
@@ -410,4 +473,3 @@ def is_n_outer(f: CircleFunction, n: int,
                         outer_defect=outer_defect,
                         carrier_polynomial=carrier,
                         base_series=base)
-

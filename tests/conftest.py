@@ -1,0 +1,28 @@
+"""Fixtures shared by the test modules."""
+
+import inspect
+
+import numpy as np
+import pytest
+
+
+@pytest.fixture()
+def transforms(monkeypatch):
+    """Every numpy.fft.fft / ifft / rfft / irfft call as (name, input
+    shape), and every np.roll call as ("roll", shape)."""
+    log = []
+
+    def counted(name, fn):
+        def call(a, *args, **kwargs):
+            log.append((name, np.shape(a)))
+            return fn(a, *args, **kwargs)
+        return call
+
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
+    roll = counted("roll", np.roll)
+    monkeypatch.setattr(np, "roll", roll)
+    # fftshift and ifftshift call the roll bound in their own module
+    monkeypatch.setitem(inspect.unwrap(np.fft.fftshift).__globals__, "roll",
+                        roll)
+    return log

@@ -1,7 +1,6 @@
 """Grid functions: transform conventions, algebra, guards."""
 
 import copy
-import inspect
 import pickle
 
 import numpy as np
@@ -182,28 +181,6 @@ def test_grid_is_shared_read_only_and_exact():
     assert z is grid(128)
     assert not z.flags.writeable
     assert z.tobytes() == np.exp(2j * np.pi * np.arange(128) / 128).tobytes()
-
-
-@pytest.fixture()
-def transforms(monkeypatch):
-    """Every numpy.fft.fft / ifft call as (name, input shape), and every
-    np.roll call as ("roll", shape)."""
-    log = []
-
-    def counted(name, fn):
-        def call(a, *args, **kwargs):
-            log.append((name, np.shape(a)))
-            return fn(a, *args, **kwargs)
-        return call
-
-    for name in ("fft", "ifft"):
-        monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
-    roll = counted("roll", np.roll)
-    monkeypatch.setattr(np, "roll", roll)
-    # fftshift and ifftshift call the roll bound in their own module
-    monkeypatch.setitem(inspect.unwrap(np.fft.fftshift).__globals__, "roll",
-                        roll)
-    return log
 
 
 def test_modulus_only_reads_run_no_transform(transforms):

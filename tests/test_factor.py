@@ -8,6 +8,7 @@ import pytest
 from hardy import (
     BlaschkeSpec,
     DomainError,
+    FactorizationError,
     ParameterError,
     SingularityError,
     b_inner_matrix_from,
@@ -30,12 +31,14 @@ from hardy import (
     synthesize,
     zn_series_components,
 )
-from hardy.circlefn import CircleFunction, analyze
+from hardy.circlefn import CircleFunction, _graded_rows, analyze, gram_defect
 from hardy.factor import (
+    TOL_B_INNER,
     WORK_GRID_CAP,
     WORK_GRID_FLOOR,
     WORK_TAIL_TARGET,
     _factor,
+    _joint_gram_defect,
 )
 
 
@@ -157,9 +160,51 @@ def _factor_per_row(f, n, regularize=False):
         n_work *= 2
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def _relative_gap(got, want):
+    size = max(got.n_samples, want.n_samples)
+    got, want = resample(got, size), resample(want, size)
+    return norm2(got - want) / norm2(want)
+
+
+def _explicit_joint_gram_defect(mult, members, m_max):
+    """The Gram of the graded rows {mult^m v}, formed in full."""
+    return gram_defect(_graded_rows((), members, mult, m_max + 1))
+
+
+def _is_n_outer_samples(f, n, regularize=False):
+    """is_n_outer on the samples of the z^n components: grid norms,
+    pairings and residuals of zn_series_components."""
+    parts = zn_series_components(f, n)
+    norms = np.array([norm2(p) for p in parts])
+    total = float(np.linalg.norm(norms))
+    pivot = int(np.argmax(norms))
+    sp = parts[pivot]
+    sp_sq = norm2(sp) ** 2
+    c = np.zeros(n, dtype=complex)
+    worst = 0.0
+    for i, p in enumerate(parts):
+        ci = complex(np.vdot(sp.samples, p.samples) / f.n_samples) / sp_sq
+        c[i] = ci
+        diff = p.samples - ci * sp.samples
+        worst = max(worst, float(np.sqrt(np.mean(np.abs(diff) ** 2))))
+    rank1_defect = worst / total
+    nu = float(np.linalg.norm(c))
+    k0 = int(np.nonzero(np.abs(c) > 1e-12 * nu)[0][0])
+    base = nu * (c[k0] / abs(c[k0])) * sp
+    outer_defect = float("inf")
+    passed = False
+    if rank1_defect <= TOL_B_INNER:
+        rep = is_outer(base, regularize=regularize)
+        passed, outer_defect = rep.passed, rep.defect
+    return passed, rank1_defect, outer_defect
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
 @pytest.mark.parametrize("built", ["coeffs", "samples"])
 def test_factor_matches_per_row_construction_bitwise(n, built):
+    # The z^g-grid construction against the z-grid one: the same
+    # discrete construction in exact arithmetic, so the parts agree to
+    # rounding and the bundle's verdicts are the oracle's.
     rng = np.random.default_rng(10 + n)
     c = rng.standard_normal(25) + 1j * rng.standard_normal(25)
     f = synthesize(dict(enumerate(c)), 1024)
@@ -167,9 +212,17 @@ def test_factor_matches_per_row_construction_bitwise(n, built):
         f = CircleFunction.from_samples(f.samples)
     got = _factor(f, n, False)
     want = _factor_per_row(f, n)
-    for a, b in zip(got, want):
-        assert np.array_equal(a.samples, b.samples)
-        assert np.array_equal(a.coeffs, b.coeffs)
+    assert np.array_equal(got[2].coeffs, want[2].coeffs)
+    for a, b in zip(got[:2], want[:2]):
+        assert a.n_samples == b.n_samples
+        assert _relative_gap(a, b) <= 1e-12
+    bundle = n_inner_outer_factorize(f, n)
+    J, F = want[:2]
+    z_n = grid(J.n_samples) ** n
+    gram = _explicit_joint_gram_defect(z_n, [J.samples], 8)
+    assert (bundle.gram_defect <= 1e-6) == (gram <= 1e-6)
+    assert bundle.outer_reports[0].passed == _is_n_outer_samples(F, n)[0]
+    assert bundle.meets_invariants()
 
 
 def test_factor_matches_per_row_construction_regularized():
@@ -180,14 +233,68 @@ def test_factor_matches_per_row_construction_regularized():
     want = _factor_per_row(f, 1, regularize=True)
     assert got[0].n_samples == WORK_GRID_CAP
     for a, b in zip(got, want):
-        assert np.array_equal(a.samples, b.samples)
-        assert np.array_equal(a.coeffs, b.coeffs)
+        assert a.n_samples == b.n_samples
+        assert _relative_gap(a, b) <= 1e-12
 
 
-def _relative_gap(got, want):
-    size = max(got.n_samples, want.n_samples)
-    got, want = resample(got, size), resample(want, size)
-    return norm2(got - want) / norm2(want)
+@pytest.mark.parametrize("n,rows", [(2, (2, 4096)), (3, (3, 8192)),
+                                    (4, (4, 2048))])
+def test_factor_runs_residue_rows_on_the_z_g_grid(transforms, n, rows):
+    # On the 8192-point work grid, phi is a function of u = z^g with
+    # g = gcd(n, 8192): its rows and its outer part need 8192 / g points.
+    f = synthesize({0: 2.0, 1: 0.5, 3: 0.25}, 1024)
+    _factor(f, n, False)
+    assert [shape for name, shape in transforms if name == "ifft"
+            and len(shape) == 2] == [rows]
+    assert [shape for name, shape in transforms
+            if name in ("rfft", "irfft")] == [(rows[1],), (rows[1] // 2 + 1,)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_factor_refuses_overflow_on_the_first_pass(transforms, n):
+    # |h_i|^2 overflows for coefficients near 1e200; the first work grid
+    # refuses it, with no RuntimeWarning (an error under this suite's
+    # warning filter) and no doubling towards the cap.
+    f = synthesize({0: 2e200, 3: 1e200}, 1024)
+    with pytest.raises(FactorizationError, match="not finite") as info:
+        n_inner_outer_factorize(f, n)
+    assert info.value.diagnostics == {"n": n, "n_samples": WORK_GRID_FLOOR}
+    if n == 1:
+        with pytest.raises(FactorizationError, match="not finite"):
+            inner_outer(f)
+    assert max(shape[-1] for _, shape in transforms) <= WORK_GRID_FLOOR
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
+def test_joint_gram_defect_matches_explicit_gram(n):
+    rng = np.random.default_rng(70 + n)
+    N = 1024
+    c = rng.standard_normal(20) + 1j * rng.standard_normal(20)
+    J = n_inner_outer_factorize(synthesize(dict(enumerate(c)), N),
+                                n).inners[0]
+    z_n = grid(J.n_samples) ** n
+    for m_max in (0, 1, 6):
+        for members in ([J.samples], [J.samples, J.samples * grid(
+                J.n_samples)]):
+            assert abs(_joint_gram_defect(z_n, members, m_max)
+                       - _explicit_joint_gram_defect(z_n, members, m_max)
+                       ) <= 1e-14
+    # random Blaschke families: columns of e(j, 0) mixes, isometric or not
+    zeros = 0.6 * np.exp(2j * np.pi * rng.random(3)) * rng.random(3)
+    spec = BlaschkeSpec(tuple(zeros))
+    B = as_circle_function(spec, N).samples
+    e0 = np.array([basis_element(spec, BasisIndex(j, 0), N).samples
+                   for j in range(3)])
+    for cols in (1, 2, 3):
+        mix = rng.standard_normal((3, cols)) + 1j * rng.standard_normal(
+            (3, cols))
+        for U in (np.linalg.qr(mix)[0], mix):
+            members = list((U.T @ e0))
+            for m_max in (0, 4, 8):
+                assert abs(_joint_gram_defect(B, members, m_max)
+                           - _explicit_joint_gram_defect(B, members, m_max)
+                           ) <= 1e-14 * max(1.0, float(np.max(
+                               np.abs(U)) ** 2))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -376,6 +483,36 @@ def test_is_n_outer_verdicts():
     assert is_n_outer(synthesize({0: 2.0, 2: 1.0}, 1024), 2).passed
     assert is_n_outer(synthesize({1: 2.0, 3: 1.0}, 1024), 2).passed
     assert not is_n_outer(monomial(2, 1024), 2).passed
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
+def test_is_n_outer_matches_sample_domain_oracle(n):
+    rng = np.random.default_rng(90 + n)
+    c = rng.standard_normal(25) + 1j * rng.standard_normal(25)
+    f = synthesize(dict(enumerate(c)), 1024)
+    F = n_inner_outer_factorize(f, n).outers[0]
+    carrier = {i: complex(v) for i, v in enumerate(
+        rng.standard_normal(n) + 1j * rng.standard_normal(n))}
+    # p(z) (w - 1/2) with w = z^n: rank one, its base series not outer
+    inner_zero = {i + n * k: v * w for i, v in carrier.items()
+                  for k, w in ((0, -0.5), (1, 1.0))}
+    cases = [F, f, synthesize(inner_zero, 1024)]
+    verdicts = []
+    for g in cases:
+        got = is_n_outer(g, n)
+        passed, rank1, outer = _is_n_outer_samples(g, n)
+        verdicts.append(got.passed)
+        assert got.passed == passed
+        assert abs(got.rank1_defect - rank1) <= 1e-13
+        assert (got.outer_defect == outer == float("inf")
+                or abs(got.outer_defect - outer) <= 1e-13)
+        assert got.carrier_polynomial is not None
+        assert got.base_series is not None
+    # outer, not rank one (for n > 1), rank one but not outer
+    assert verdicts == [True, n == 1 and is_outer(f).passed, False]
+    if n > 1:
+        assert is_n_outer(f, n).rank1_defect > TOL_B_INNER
+    assert is_n_outer(cases[2], n).rank1_defect <= 1e-13
 
 
 def test_is_n_outer_refuses_oversized_modulus_before_allocating():
