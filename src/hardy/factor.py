@@ -44,7 +44,6 @@ from .circlefn import (
     CircleFunction,
     _analyze_array,
     _frozen,
-    _graded_rows,
     grid,
     norm2,
     require_analytic,
@@ -327,14 +326,19 @@ def _joint_gram_defect(mult: np.ndarray, members: Sequence[np.ndarray],
 
     G is block Toeplitz: <mult^a v_i, mult^b v_j> = mean(v_i conj(v_j)
     mult^(a-b)), and the block at b - a is the adjoint of the one at
-    a - b, so the defect needs only the r^2 products v_i conj(v_j)
-    against the powers mult^0 .. mult^m_max.
+    a - b, so the defect needs only the means of the r^2 products
+    v_i conj(v_j) times mult^0 .. mult^m_max, a running product.  Sums,
+    not BLAS products: a product this small wakes OpenBLAS's threads,
+    which then spin through the caller.
     """
     V = np.asarray(members)
     r, N = V.shape
-    products = (V[:, None, :] * V.conj()[None, :, :]).reshape(r * r, N)
-    powers = _graded_rows((np.ones(N),), (mult,), mult, m_max)
-    blocks = products @ powers.T / N  # row (i, j), column a - b
+    shifted = (V[:, None, :] * V.conj()[None, :, :]).reshape(r * r, N)
+    blocks = np.empty((r * r, m_max + 1), dtype=complex)  # (i, j), a - b
+    for d in range(m_max + 1):
+        if d:
+            shifted = shifted * mult
+        blocks[:, d] = shifted.sum(axis=1) / N
     blocks[:, 0] -= np.eye(r).ravel()
     return float(np.max(np.abs(blocks)))
 
@@ -448,7 +452,8 @@ def is_n_outer(f: CircleFunction, n: int,
         raise DomainError("the zero function has no n-outer verdict")
     pivot = int(np.argmax(norms))
     a_pivot = A[:, pivot]
-    c = (a_pivot.conj() @ A) / norms[pivot] ** 2
+    # an einsum, not a BLAS vector-matrix product (see _joint_gram_defect)
+    c = np.einsum("k,ki->i", a_pivot.conj(), A) / norms[pivot] ** 2
     worst = float(np.max(np.linalg.norm(A - np.outer(a_pivot, c), axis=0)))
     rank1_defect = worst / total
     # Normalize the carrier: unit coefficient norm, first nonzero
