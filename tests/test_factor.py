@@ -262,7 +262,8 @@ def test_factor_refuses_overflow_on_the_first_pass(transforms, n):
     if n == 1:
         with pytest.raises(FactorizationError, match="not finite"):
             inner_outer(f)
-    assert max(shape[-1] for _, shape in transforms) <= WORK_GRID_FLOOR
+    assert max((shape[-1] for _, shape in transforms),
+               default=0) <= WORK_GRID_FLOOR
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
