@@ -19,7 +19,7 @@ with.
 from __future__ import annotations
 
 import functools
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Union
 
 import numpy as np
 
@@ -139,21 +139,6 @@ def taylor_block(rows: np.ndarray, D: int) -> np.ndarray:
     is overwritten by its spectrum."""
     np.fft.fft(rows, axis=1, out=rows)
     return rows[:, :D + 1].T / rows.shape[1]
-
-
-def _graded_rows(head: Sequence[np.ndarray], starts: Sequence[np.ndarray],
-                 step: np.ndarray, count: int) -> np.ndarray:
-    """Sample block, grade-major: the rows of head, then s*step^k for
-    every s in starts, grade k = 0 .. count-1 in turn, the powers formed
-    by a running product.  A smaller count gives a row prefix of the
-    block, bit for bit."""
-    rows = list(head)
-    grade = list(starts)
-    for k in range(count):
-        if k:
-            grade = [g * step for g in grade]
-        rows.extend(grade)
-    return np.array(rows, dtype=complex).reshape(-1, step.size)
 
 
 def samples_of_taylor(mat: np.ndarray, N: int) -> np.ndarray:

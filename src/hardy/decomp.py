@@ -44,7 +44,6 @@ __all__ = [
     "DecompositionResult",
     "decompose_blaschke",
     "decompose_zn",
-    "zn_series_components",
     "cesaro_convergence_profile",
 ]
 
@@ -233,25 +232,23 @@ def _check_modulus(n: int, N: int):
                              f"on a grid of {N}")
 
 
-def _residue_rows(f: CircleFunction, n: int, base_variable: bool,
-                  size: Optional[int] = None
+def _residue_rows(f: CircleFunction, n: int, size: Optional[int] = None
                   ) -> Tuple[np.ndarray, np.ndarray]:
     """Read-only (n, size) coefficient and sample blocks whose row i
     holds the a_(kn+i) of f, one strided slice per residue class.
 
-    In the base variable, a_(kn+i) sits at index k >= 0 on f's grid.
-    Otherwise it sits at index k n size / N, negative k kept (rounding
-    dust of a nominally analytic input, dropped below the band): on f's
-    own grid (size N, the default) row i is h_i(z^n).  A grid of size
-    N / g, g a common divisor of n and N, samples the same function in
-    u = z^g, which takes only that many values: row i is h_i(u^(n/g)).
-    One inverse FFT gives the samples."""
+    a_(kn+i) sits at index k n size / N, negative k kept (rounding dust
+    of a nominally analytic input, dropped below the band): on f's own
+    grid (size N, the default) row i is h_i(z^n).  A grid of size N / g,
+    g a common divisor of n and N, samples the same function in u =
+    z^g, which takes only that many values: row i is h_i(u^(n/g)).  One
+    inverse FFT gives the samples."""
     N = f.n_samples
     _check_modulus(n, N)
     size = N if size is None else size
     half = N // 2
-    step = 1 if base_variable else n * size // N
-    first = 0 if base_variable else -(half // n)  # the lowest k
+    step = n * size // N
+    first = -(half // n)  # the lowest k
     start = size // 2 + first * step
     coeffs = f.coeffs
     block = np.zeros((n, size), dtype=complex)
@@ -301,19 +298,6 @@ def _build_carriers(n: int, N: int
     return samples, _functions(samples, _frozen(units))
 
 
-def zn_series_components(f: CircleFunction, n: int) -> Tuple[CircleFunction, ...]:
-    """The n series s_0 .. s_{n-1} with f(z) = sum_i z^i s_i(z^n).
-
-    s_i collects the Taylor coefficients of f at indices congruent to i
-    mod n, reindexed to consecutive positions (the base-variable view);
-    all n come from one block transform.  Exact for band-limited f; n
-    above half the grid raises ParameterError.
-    """
-    require_analytic(f, "zn_series_components")
-    block, samples = _residue_rows(f, n, base_variable=True)
-    return _functions(samples, block)
-
-
 def decompose_zn(f: CircleFunction, n: int) -> DecompositionResult:
     """Split f into carriers z^i times series in z^n by coefficient
     selection; any n up to half the grid works.
@@ -324,7 +308,7 @@ def decompose_zn(f: CircleFunction, n: int) -> DecompositionResult:
     their carriers with earlier calls on the same grid.
     """
     require_analytic(f, "decompose_zn")
-    block, samples = _residue_rows(f, n, base_variable=False)
+    block, samples = _residue_rows(f, n)
     carrier_samples, carriers = _zn_carriers(n, f.n_samples)
     recomposed = np.sum(carrier_samples * samples, axis=0)
     residual = float(np.sqrt(np.mean(np.abs(f.samples - recomposed) ** 2)))

@@ -253,7 +253,7 @@ def _factor(f: CircleFunction, n: int, regularize: bool
         g = math.gcd(n, n_work)
         # A modulus that overflows leaves a non-finite outer part.
         with np.errstate(over="ignore", invalid="ignore"):
-            _, rows = _residue_rows(f_work, n, False, size=n_work // g)
+            _, rows = _residue_rows(f_work, n, size=n_work // g)
             phi = np.sqrt(np.sum(rows.real ** 2 + rows.imag ** 2, axis=0))
             o = _outer(phi, regularize, g)
             _require_finite(o, "outer part", n, n_work)

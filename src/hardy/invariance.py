@@ -2,11 +2,12 @@
 
 A subspace is carried as the read-only (D+1, k) matrix of the Taylor
 coefficients 0..D of an orthonormal basis, the finite-dimensional
-shadow of a shift invariant subspace, together with the graded sample
-rows it was built from (GradedRecipe) when a builder made it.  The
-rows run grade-major, so the rows tested under a power of the step
-are a prefix of the build rows, and a builder's Cholesky basis holds
-their orthonormal basis as a prefix of its columns.  On top
+shadow of a shift invariant subspace, together with the graded recipe
+it was built from (GradedRecipe) when _recipe_space made it, for a
+builder or for a file.  The recipe's rows run grade-major, so the rows
+tested under a power of the step are a prefix of the build rows, and a
+Cholesky basis holds their orthonormal basis as a prefix of its
+columns.  On top
 of that this module measures how invariant a space actually is under
 multiplication, extracts the orthogonal complement of the shifted
 space (whose dimension is the Lax-Halmos rank), and builds the
@@ -29,7 +30,6 @@ from .blaschke import BlaschkeSpec, blaschke_eval, power_spec
 from .circlefn import (
     CircleFunction,
     _check_n_samples,
-    _graded_rows,
     gram_defect,
     grid,
     require_analytic,
@@ -65,20 +65,42 @@ GENERIC_NONINVARIANCE = 0.05
 
 @dataclass(frozen=True, eq=False)
 class GradedRecipe:
-    """The sample rows a space was built from, grade-major: the rows of
+    """The functions a space was built from, held as coefficients (the
+    form a subspace file stores, so a recipe read back is bit for bit
+    the one written), and their sample rows, grade-major: the rows of
     head, then s*step^k for every s in starts, k = 0 .. k_max in turn."""
 
-    head: Tuple[np.ndarray, ...]
-    starts: Tuple[np.ndarray, ...]
-    step: np.ndarray
+    head: Tuple[CircleFunction, ...]
+    starts: Tuple[CircleFunction, ...]
+    step: CircleFunction
     k_max: int
+
+    def __post_init__(self):
+        N = self.step.n_samples
+        if not self.starts or self.k_max < 0 or any(
+                f.n_samples != N for f in (*self.head, *self.starts)):
+            raise ParameterError("a build recipe needs a start, k_max >= 0 "
+                                 "and its functions on one grid")
+        # + 0.0 clears the sign of a zero, which a file does not keep
+        def held(f):
+            return CircleFunction.from_coeffs(f.coeffs + 0.0)
+        object.__setattr__(self, "head", tuple(map(held, self.head)))
+        object.__setattr__(self, "starts", tuple(map(held, self.starts)))
+        object.__setattr__(self, "step", held(self.step))
 
     def rows(self, p: int = 0) -> np.ndarray:
         """Sample block of the build rows whose image under step^p stays
-        inside the built grades (every row for p = 0): the first
-        count(p) rows of rows(), bit for bit."""
-        return _graded_rows(self.head, self.starts, self.step,
-                            self.k_max + 1 - p)
+        inside the built grades (every row for p = 0), the powers formed
+        by a running product: the first count(p) rows of rows(), bit for
+        bit."""
+        step = self.step.samples
+        rows = [f.samples for f in self.head]
+        grade = [f.samples for f in self.starts]
+        for k in range(self.k_max + 1 - p):
+            if k:
+                grade = [g * step for g in grade]
+            rows.extend(grade)
+        return np.array(rows, dtype=complex).reshape(-1, step.size)
 
     def count(self, p: int = 0) -> int:
         """Number of rows in rows(p)."""
@@ -94,9 +116,9 @@ class SubspaceBasis:
     taylor: np.ndarray
     n_samples: int
     generators: Dict[str, object] = field(default_factory=dict)
-    recipe: Optional[GradedRecipe] = None
-    # Set by a builder whose basis is the Cholesky QR of the recipe's
-    # rows: then taylor[:, :recipe.count(p)] spans recipe.rows(p).
+    # Set by _recipe_space alone; after a Cholesky QR of the recipe's
+    # rows, taylor[:, :recipe.count(p)] spans recipe.rows(p).
+    recipe: Optional[GradedRecipe] = field(default=None, init=False)
     _prefix_tested: bool = field(default=False, init=False, repr=False)
 
     def __post_init__(self):
@@ -111,11 +133,6 @@ class SubspaceBasis:
         if not dev <= GRAM_TOL:  # written so that NaN fails too
             raise ConstructionError(
                 f"basis is not orthonormal; Gram deviation {dev:.3e}")
-        r = self.recipe
-        if r is not None and (not r.starts or r.k_max < 0 or any(
-                np.shape(a) != (N,) for a in (r.step, *r.head, *r.starts))):
-            raise ParameterError(f"a build recipe needs a start, k_max >= 0 "
-                                 f"and rows on the space's grid of {N}")
         Q.setflags(write=False)
         object.__setattr__(self, "taylor", Q)
 
@@ -220,8 +237,7 @@ def span_invariant(generators: Sequence[CircleFunction],
         if g.n_samples != N:
             raise SizeError("generators must share one grid")
         require_analytic(g, "span_invariant")
-    recipe = GradedRecipe((), tuple(g.samples for g in generators),
-                          multiplier.samples, k_max)
+    recipe = GradedRecipe((), tuple(generators), multiplier, k_max)
     prov = {"kind": "span_invariant", "n_generators": len(generators),
             "k_max": k_max, "multiplier_lowest_index": low}
     return _recipe_space(recipe, recipe.rows(), D, prov)
@@ -230,11 +246,13 @@ def span_invariant(generators: Sequence[CircleFunction],
 def _recipe_space(recipe: GradedRecipe, rows: np.ndarray, D: int,
                   prov: Dict[str, object]) -> SubspaceBasis:
     """The space of the recipe's sample rows on the band 0..D (``rows``
-    is recipe.rows(), overwritten).  A basis made by Cholesky QR keeps
-    the row order in its column prefixes, and the space records that
-    for _image."""
+    is recipe.rows(), overwritten): the one way a space gets a recipe,
+    for a builder and for a file alike.  A basis made by Cholesky QR
+    keeps the row order in its column prefixes, and the space records
+    that for _image."""
     Q, prefix = _orthonormal_columns(taylor_block(rows, D))
-    space = SubspaceBasis(Q, recipe.step.size, prov, recipe)
+    space = SubspaceBasis(Q, recipe.step.n_samples, prov)
+    object.__setattr__(space, "recipe", recipe)
     object.__setattr__(space, "_prefix_tested", prefix)
     return space
 
@@ -260,9 +278,9 @@ def _image(space: SubspaceBasis,
     recipe is tested on an orthonormal basis of recipe.rows(p), the
     build rows whose image stays inside the built grades (the top
     grade's image lies in a grade the finite model never held).  A
-    space its builder made by Cholesky QR already holds that basis as
-    its first recipe.count(p) columns; any other space (an SVD basis, a
-    loaded file, a hand-made recipe) orthonormalizes the rows again.
+    space made by Cholesky QR already holds that basis as its first
+    recipe.count(p) columns; a space made by the SVD path
+    orthonormalizes the rows again.
     Else every basis vector is tested.  Test vectors and products are
     truncated to the band 0..D, so only spill past the band is forgiven.
     """
@@ -275,7 +293,7 @@ def _image(space: SubspaceBasis,
     m, rows = Q.shape[1], None
     r = space.recipe
     if r is not None:
-        acc = r.step
+        acc = r.step.samples
         for p in (1, 2, 3):
             if np.max(np.abs(multiplier.samples - acc)) <= 1e-8:
                 if r.count(p):
@@ -285,7 +303,7 @@ def _image(space: SubspaceBasis,
                             taylor_block(r.rows(p), D))
                         rows = samples_of_taylor(tested, N)
                 break
-            acc = acc * r.step
+            acc = acc * r.step.samples
     if rows is None:
         rows = space._samples[:m]
     return Q, taylor_block(rows * multiplier.samples, D)
@@ -462,8 +480,11 @@ def build_constrained(spec: ConstrainedSpec, D: int,
             f"check that the inners are jointly B-inner and the beta "
             f"columns orthonormal"
         )
-    recipe = GradedRecipe(tuple(phis), tuple(J.samples * bz * bz
-                                              for J in spec.inners), bz, k_max)
+    recipe = GradedRecipe(
+        tuple(map(CircleFunction.from_samples, phis)),
+        tuple(CircleFunction.from_samples(J.samples * bz * bz)
+              for J in spec.inners),
+        CircleFunction.from_samples(bz), k_max)
     rows = recipe.rows()
     dev_all = gram_defect(rows)
     if dev_all > 1e-8:

@@ -10,6 +10,9 @@ Formats:
                          starts, "extra_samples": head}}  (GradedRecipe
              as functions, k_max in generators; a span has no head)
 
+A subspace with a recipe loads as the space the recipe rebuilds, bit
+for bit the one written, and is refused unless its basis spans that.
+
 Numbers pass through float() so every emitted value is a plain Python
 float rendered by its shortest exact decimal form; identical inputs
 produce byte-identical files.  NaN and infinity are refused on reading
@@ -30,7 +33,8 @@ import numpy as np
 from .blaschke import BlaschkeSpec
 from .circlefn import COEFF_CUTOFF, CircleFunction, _check_n_samples, synthesize
 from .errors import ParameterError, SizeError, TruncationError
-from .invariance import GradedRecipe, SubspaceBasis
+from .invariance import (GRAM_TOL, GradedRecipe, SubspaceBasis, _defect,
+                         _recipe_space)
 from .norms import (
     ArcWeighted,
     ConvexCombo,
@@ -158,10 +162,6 @@ def norm_spec_from_json(obj: Mapping) -> GaugeNormSpec:
     raise ParameterError(f"unknown norm spec kind {kind!r}")
 
 
-def _samples_to_json(samples: np.ndarray) -> dict:
-    return function_to_json(CircleFunction.from_samples(samples))
-
-
 def subspace_to_json(space: SubspaceBasis) -> dict:
     out = {
         "ambient_bandwidth": space.ambient_bandwidth,
@@ -170,17 +170,17 @@ def subspace_to_json(space: SubspaceBasis) -> dict:
                   for col in space.taylor.T],
         "generators": dict(space.generators),
     }
-    # The build recipe rides along as coefficient lists, so a reloaded
-    # space measures the way the freshly built one does.
+    # The build recipe rides along in its own coefficients, so a
+    # reloaded space is the freshly built one.
     r = space.recipe
     if r is not None:
         out["generators"]["k_max"] = r.k_max
         out["recipe"] = {
-            "base_samples": _samples_to_json(r.step),
-            "generator_samples": [_samples_to_json(s) for s in r.starts],
+            "base_samples": function_to_json(r.step),
+            "generator_samples": [function_to_json(s) for s in r.starts],
         }
         if r.head:
-            out["recipe"]["extra_samples"] = [_samples_to_json(s)
+            out["recipe"]["extra_samples"] = [function_to_json(s)
                                               for s in r.head]
     return out
 
@@ -188,14 +188,14 @@ def subspace_to_json(space: SubspaceBasis) -> dict:
 def _recipe_from_json(obj: Mapping, generators: Mapping) -> GradedRecipe:
     """A file's recipe, whole or refused: without one the defect would
     take the recipe-free path and could change its verdict."""
-    def grid_samples(objs):
-        return tuple(function_from_json(v).samples for v in objs)
+    def functions(objs):
+        return tuple(function_from_json(v) for v in objs)
     try:
         unknown = sorted(set(obj) - {"base_samples", "generator_samples",
                                      "extra_samples"})
-        step = function_from_json(obj["base_samples"]).samples
-        recipe = GradedRecipe(grid_samples(obj.get("extra_samples", ())),
-                              grid_samples(obj["generator_samples"]), step,
+        recipe = GradedRecipe(functions(obj.get("extra_samples", ())),
+                              functions(obj["generator_samples"]),
+                              function_from_json(obj["base_samples"]),
                               int(generators["k_max"]))
     except (AttributeError, KeyError, TypeError) as exc:
         raise ParameterError(
@@ -229,10 +229,20 @@ def subspace_from_json(obj: Mapping) -> SubspaceBasis:
             raise TruncationError(f"basis row {j} does not fit the band "
                                   f"0..{D} of a {N}-point grid")
         taylor[:col.size, j] = col[:D + 1]
-    recipe = None
-    if "recipe" in obj:
-        recipe = _recipe_from_json(obj["recipe"], generators)
-    return SubspaceBasis(taylor, N, generators, recipe)
+    stored = SubspaceBasis(taylor, N, generators)
+    if "recipe" not in obj:
+        return stored
+    recipe = _recipe_from_json(obj["recipe"], generators)
+    if recipe.step.n_samples != N:
+        raise ParameterError(f"the recipe lives on a grid of "
+                             f"{recipe.step.n_samples}, the space on {N}")
+    space = _recipe_space(recipe, recipe.rows(), D, generators)
+    off = _defect(space.taylor, stored.taylor)
+    if space.dim != stored.dim or not off <= GRAM_TOL:
+        raise ParameterError(
+            f"the stored basis ({stored.dim} vectors) does not span the "
+            f"{space.dim} its recipe builds: {off:.3e} lies outside")
+    return space
 
 
 def _plain(value):

@@ -1,9 +1,23 @@
 """Fixtures shared by the test modules."""
 
 import inspect
+import os
 
 import numpy as np
 import pytest
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
+
+
+@pytest.fixture(autouse=True, scope="session")
+def src_on_child_path():
+    """Put src on PYTHONPATH for the `python -m hardy.cli` subprocesses;
+    pytest's own pythonpath setting reaches only this process."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", os.pathsep.join(
+            filter(None, (SRC, os.environ.get("PYTHONPATH")))))
+        yield
 
 
 @pytest.fixture()

@@ -417,13 +417,22 @@ def _on_128_points(obj):
     obj["recipe"]["base_samples"] = function_to_json(monomial(1, 128))
 
 
+def _basis_off_its_recipe(obj):
+    # z^30 is a unit vector in the band 0..40, orthogonal to the rest of
+    # the basis but outside the span of z .. z^21 that the recipe builds
+    obj["basis"][0] = [[0.0, 0.0]] * 30 + [[1.0, 0.0]]
+
+
 @pytest.mark.parametrize("edit", [
     lambda o: o["recipe"].pop("generator_samples"),
     lambda o: o["recipe"].pop("base_samples"),
     lambda o: o["generators"].pop("k_max"),
     _on_128_points,
     lambda o: o["recipe"].update(prefix_samples=o["recipe"]["base_samples"]),
-], ids=["no-starts", "no-step", "no-k_max", "other-grid", "prefix_samples"])
+    _basis_off_its_recipe,
+    lambda o: o["basis"].pop(),
+], ids=["no-starts", "no-step", "no-k_max", "other-grid", "prefix_samples",
+        "basis-off-recipe", "basis-short"])
 def test_malformed_recipe_is_input_error(workdir, capsys, edit):
     from hardy import cli
     code = cli.main(["invariance", "defect", "--power", "1", "--subspace",

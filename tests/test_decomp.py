@@ -21,10 +21,10 @@ from hardy import (
     norm2,
     power_spec,
     synthesize,
-    zn_series_components,
 )
 from hardy import decomp
 from hardy.blaschke import MAX_ZERO_MODULUS
+from oracles import zn_series_components
 
 
 def test_zn_split_oracle_n2():
@@ -95,19 +95,6 @@ def _zn_split_per_row(f, n):
     return components, carriers, residual
 
 
-def _zn_series_per_row(f, n):
-    """zn_series_components one row at a time: from_coeffs per series."""
-    N = f.n_samples
-    half = N // 2
-    out = []
-    for i in range(n):
-        sel = f.coeffs[half:][i::n]
-        arr = np.zeros(N, dtype=complex)
-        arr[half:half + sel.size] = sel
-        out.append(CircleFunction.from_coeffs(arr))
-    return out
-
-
 def _random_input(N, built, seed):
     rng = np.random.default_rng(seed)
     degree = min(N // 4, 40)
@@ -134,10 +121,9 @@ def test_zn_split_block_matches_per_row_bitwise(n, N, built):
     assert _bitwise_equal(res.components, components)
     assert _bitwise_equal(res.carriers, carriers)
     assert res.residual == residual
-    assert _bitwise_equal(zn_series_components(f, n), _zn_series_per_row(f, n))
 
 
-@pytest.mark.parametrize("split", [zn_series_components, decompose_zn])
+@pytest.mark.parametrize("split", [decompose_zn])
 def test_zn_splits_refuse_oversized_modulus_before_allocating(split):
     f = synthesize({0: 2.0, 1: 1.0}, 1024)
     split(f, 512)  # half the grid is the largest modulus

@@ -29,9 +29,8 @@ from hardy import (
     power_spec,
     resample,
     synthesize,
-    zn_series_components,
 )
-from hardy.circlefn import CircleFunction, _graded_rows, analyze, gram_defect
+from hardy.circlefn import CircleFunction, analyze, gram_defect
 from hardy.factor import (
     TOL_B_INNER,
     WORK_GRID_CAP,
@@ -40,6 +39,7 @@ from hardy.factor import (
     _factor,
     _joint_gram_defect,
 )
+from oracles import zn_series_components
 
 
 def _from_mod(values):
@@ -168,7 +168,11 @@ def _relative_gap(got, want):
 
 def _explicit_joint_gram_defect(mult, members, m_max):
     """The Gram of the graded rows {mult^m v}, formed in full."""
-    return gram_defect(_graded_rows((), members, mult, m_max + 1))
+    rows, grade = [], list(members)
+    for _ in range(m_max + 1):
+        rows += grade
+        grade = [v * mult for v in grade]
+    return gram_defect(np.array(rows))
 
 
 def _is_n_outer_samples(f, n, regularize=False):

@@ -64,6 +64,8 @@ def test_subspace_validation():
     space = _monomial_space([0, 3], D=16, N=256)
     assert (space.ambient_bandwidth, space.dim, space.n_samples) == (16, 2, 256)
     assert space.recipe is None and space.generators == {}
+    with pytest.raises(TypeError):  # only _recipe_space gives a recipe
+        SubspaceBasis(space.taylor, 256, {}, None)
     assert [v.top_index() for v in space.basis] == [0, 3]
     with pytest.raises(ValueError):
         space.taylor[0, 0] = 2.0
@@ -97,8 +99,9 @@ def test_span_refuses_a_multiplier_on_another_grid():
         span_invariant([monomial(1, 1024)], monomial(1, 512), k_max=4, D=40)
 
 
-def _random_rows(rng, count, N=256):
-    return tuple(rng.standard_normal(N) + 1j * rng.standard_normal(N)
+def _random_functions(rng, count, N=256):
+    return tuple(CircleFunction.from_samples(rng.standard_normal(N)
+                                             + 1j * rng.standard_normal(N))
                  for _ in range(count))
 
 
@@ -108,17 +111,19 @@ def test_recipe_rows_run_grade_major(n_head, n_starts):
     # Head rows, then grade 0 of every start, grade 1 of every start, ...
     # so the rows tested under step^p are a bitwise prefix of the build.
     rng = np.random.default_rng(10 * n_head + n_starts)
-    step = np.exp(1j * rng.uniform(0, 2 * np.pi, 256))
-    recipe = invariance.GradedRecipe(_random_rows(rng, n_head),
-                                     _random_rows(rng, n_starts), step, 5)
+    step = CircleFunction.from_samples(
+        np.exp(1j * rng.uniform(0, 2 * np.pi, 256)))
+    recipe = invariance.GradedRecipe(_random_functions(rng, n_head),
+                                     _random_functions(rng, n_starts), step, 5)
     rows = recipe.rows()
     assert rows.shape[0] == recipe.count() == n_head + 6 * n_starts
-    assert np.array_equal(rows[:n_head], np.array(recipe.head).reshape(-1, 256))
+    assert np.array_equal(rows[:n_head], np.array(
+        [h.samples for h in recipe.head]).reshape(-1, 256))
     for a, s in enumerate(recipe.starts):
-        power = s
+        power = s.samples
         for k in range(6):
             assert np.array_equal(rows[n_head + k * n_starts + a], power)
-            power = power * step
+            power = power * recipe.step.samples
     for p in (1, 2, 3):
         prefix = recipe.rows(p)
         assert prefix.shape[0] == recipe.count(p) == n_head + (6 - p) * n_starts
@@ -138,15 +143,16 @@ def test_one_generator_span_keeps_its_start_major_bytes():
     J = as_circle_function(BlaschkeSpec((0.3, -0.2j)), 1024)
     z = monomial(1, 1024)
     space = span_invariant([J], z, k_max=40, D=120)
+    r = space.recipe
     old, cholesky = invariance._orthonormal_columns(taylor_block(
-        _start_major_rows([J.samples], z.samples, 41), 120))
+        _start_major_rows([r.starts[0].samples], r.step.samples, 41), 120))
     assert cholesky and np.array_equal(space.taylor, old)
     # With two generators the rows are the same numbers in a new order.
     K = as_circle_function(BlaschkeSpec((0.5j,)), 1024)
-    rows = span_invariant([J, K], z, k_max=40, D=120).recipe.rows()
+    r = span_invariant([J, K], z, k_max=40, D=120).recipe
     order = np.arange(82).reshape(2, 41).T.ravel()
-    assert np.array_equal(
-        rows, _start_major_rows([J.samples, K.samples], z.samples, 41)[order])
+    assert np.array_equal(r.rows(), _start_major_rows(
+        [s.samples for s in r.starts], r.step.samples, 41)[order])
 
 
 def test_defect_zero_for_shift_ladder():
@@ -472,7 +478,7 @@ def _reorthonormalized_test_basis(space, multiplier):
     image under step^p stays in the built grades, orthonormalized again
     (every basis vector when no power matches or no row qualifies)."""
     r = space.recipe
-    acc = r.step
+    acc = r.step.samples
     for p in (1, 2, 3):
         if np.max(np.abs(multiplier.samples - acc)) <= 1e-8:
             rows = r.rows(p)
@@ -480,7 +486,7 @@ def _reorthonormalized_test_basis(space, multiplier):
                 return invariance._orthonormal_columns(
                     taylor_block(rows, space.ambient_bandwidth))[0]
             break
-        acc = acc * r.step
+        acc = acc * r.step.samples
     return space.taylor
 
 
@@ -564,13 +570,17 @@ def test_only_a_cholesky_built_space_skips_reorthonormalization(monkeypatch):
                   for p in (1, 2, 3))
     assert calls == []
     assert d1 >= 0.05 and d2 <= 1e-13 and d3 <= 1e-13
-    # The SVD basis of the non-orthonormal shifts keeps no row prefix,
-    # and a file holds no record of how its basis was made.
-    for space in (poly, loaded):
-        assert not space._prefix_tested
-        assert invariance_defect(space, z) <= 1e-12
-        assert len(calls) == 1
-        calls.clear()
+    # A file is rebuilt from its recipe, so a loaded Cholesky span tests
+    # its own column prefix too.
+    assert loaded._prefix_tested
+    for p in (1, 2, 3):
+        assert invariance_defect(loaded, monomial(p, N)) <= 1e-12
+    assert len(wandering_basis(loaded, z)) == 1
+    assert calls == []
+    # The SVD basis of the non-orthonormal shifts keeps no row prefix.
+    assert not poly._prefix_tested
+    assert invariance_defect(poly, z) <= 1e-12
+    assert len(calls) == 1
 
 
 def _record_orthonormalizations(monkeypatch):
@@ -692,23 +702,51 @@ def test_span_of_non_orthonormal_columns_keeps_svd_rank(
     assert len(seen) == 1 and len(svds) == 1
 
 
-def test_constrained_round_trip_keeps_matrix_recipe_and_verdicts():
+def _two_layer_space():
     rng = np.random.default_rng(2)
     spec = ConstrainedSpec(inners=_power_inner_family(rng, 2, 2, 1024),
                            beta=_orthonormal_beta(rng, 2, 3), multiplier=2)
-    space = build_constrained(spec, D=400, k_max=60)
+    return build_constrained(spec, D=400, k_max=60), spec
+
+
+def test_constrained_round_trip_keeps_matrix_recipe_and_verdicts():
+    space, spec = _two_layer_space()
     clone = subspace_from_json(json.loads(dump_json(subspace_to_json(space))))
     assert np.array_equal(clone.taylor, space.taylor)
     assert clone.generators == space.generators
     a, b = space.recipe, clone.recipe
     assert (len(b.head), len(b.starts), b.k_max) == (3, 2, 60)
-    # The recipe travels as Fourier coefficients, so its samples come
-    # back to rounding, and so do the rounding-level defects.
+    # The recipe travels as its own coefficients, so it comes back bit
+    # for bit, and so do the defects.
+    assert np.array_equal(b.rows(), a.rows())
     for x, y in zip(a.head + a.starts + (a.step,), b.head + b.starts + (b.step,)):
-        assert np.max(np.abs(x - y)) <= 1e-14
+        assert np.array_equal(x.coeffs, y.coeffs)
     built, loaded = verify_constrained(space, spec), verify_constrained(clone, spec)
-    assert loaded.b_defect == pytest.approx(built.b_defect, abs=1e-12)
-    for d in (built.b2_defect, built.b3_defect, loaded.b2_defect,
-              loaded.b3_defect):
-        assert d <= 1e-13
+    assert (loaded.b_defect, loaded.b2_defect, loaded.b3_defect) == (
+        built.b_defect, built.b2_defect, built.b3_defect)
+    assert loaded.b2_defect <= 1e-13 and loaded.b3_defect <= 1e-13
     assert loaded.passed and loaded.noninvariant_b
+
+
+def _span_with_signed_zeros(N=256):
+    """A span whose generator has coefficients with a -0.0 part, which
+    a file cannot keep."""
+    c = np.zeros(N, dtype=complex)
+    c[N // 2:N // 2 + 3] = [complex(1.0, -0.0), complex(-0.0, 0.5), 0.25]
+    return span_invariant([CircleFunction.from_coeffs(c)], monomial(1, N),
+                          k_max=10, D=40)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: span_invariant([as_circle_function(BlaschkeSpec((0.4,)), 1024)],
+                           monomial(1, 1024), k_max=60, D=120),
+    _span_with_signed_zeros,
+    lambda: _two_layer_space()[0],
+], ids=["span", "signed-zeros", "constrained"])
+def test_subspace_file_is_a_load_save_fixed_point(build):
+    text = dump_json(subspace_to_json(build()))
+    loaded = subspace_from_json(json.loads(text))
+    assert dump_json(subspace_to_json(loaded)) == text
+    again = subspace_from_json(json.loads(text))
+    assert np.array_equal(again.taylor, loaded.taylor)
+    assert np.array_equal(again.recipe.rows(), loaded.recipe.rows())
