@@ -6,190 +6,21 @@ factorization, and finite-dimensional models of shift-invariant
 subspaces.  Everything is deterministic for a fixed grid and seed.
 """
 
-from .circlefn import (
-    CircleFunction,
-    DEFAULT_N_SAMPLES,
-    analyze,
-    constant,
-    freq_indices,
-    grid,
-    inner_product,
-    monomial,
-    norm2,
-    resample,
-    synthesize,
-)
-from .norms import (
-    ArcWeighted,
-    AxiomReport,
-    ContinuityReport,
-    ConvexCombo,
-    GaugeNormSpec,
-    MaxOf,
-    PNorm,
-    SupNorm,
-    builtin_specs,
-    check_continuity,
-    check_gauge_axioms,
-    check_rotational_symmetry,
-    dual_norm_estimate,
-    gauge_eval,
-)
-from .blaschke import (
-    BasisIndex,
-    BlaschkeSpec,
-    as_circle_function,
-    basis_element,
-    blaschke_eval,
-    check_basis_orthonormality,
-    power_spec,
-)
-from .decomp import (
-    DecompositionResult,
-    cesaro_convergence_profile,
-    decompose_blaschke,
-    decompose_zn,
-)
-from .factor import (
-    BInnerMatrix,
-    InnerOuterPair,
-    NInnerOuterBundle,
-    NOuterReport,
-    OuterReport,
-    b_inner_matrix_from,
-    harmonic_conjugate,
-    inner_outer,
-    is_n_outer,
-    is_outer,
-    n_inner_outer_factorize,
-    outer_from_modulus,
-)
-from .invariance import (
-    ConstrainedReport,
-    ConstrainedSpec,
-    GradedRecipe,
-    SubspaceBasis,
-    build_constrained,
-    invariance_defect,
-    span_invariant,
-    verify_constrained,
-    wandering_basis,
-)
-from .errors import (
-    ConstructionError,
-    DegenerateSpaceError,
-    DomainError,
-    FactorizationError,
-    HardyError,
-    ParameterError,
-    RankError,
-    SingularityError,
-    SizeError,
-    TruncationError,
-)
-from .verify import (
-    Check,
-    RunConfig,
-    VerificationReport,
-    registry_ids,
-    run_verification,
-)
-from .serialize import (
-    dump_json,
-    function_from_json,
-    function_to_json,
-    norm_spec_from_json,
-    norm_spec_to_json,
-    subspace_from_json,
-    subspace_to_json,
-    write_json,
-    zeros_from_json,
-    zeros_to_json,
-)
+from . import (blaschke, circlefn, decomp, errors, factor, invariance, norms,
+               serialize, verify)
+from .blaschke import *
+from .circlefn import *
+from .decomp import *
+from .errors import *
+from .factor import *
+from .invariance import *
+from .norms import *
+from .serialize import *
+from .verify import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ArcWeighted",
-    "AxiomReport",
-    "BInnerMatrix",
-    "BasisIndex",
-    "BlaschkeSpec",
-    "Check",
-    "CircleFunction",
-    "ConstrainedReport",
-    "ConstrainedSpec",
-    "ConstructionError",
-    "ContinuityReport",
-    "ConvexCombo",
-    "DEFAULT_N_SAMPLES",
-    "DecompositionResult",
-    "DegenerateSpaceError",
-    "DomainError",
-    "FactorizationError",
-    "GaugeNormSpec",
-    "GradedRecipe",
-    "HardyError",
-    "InnerOuterPair",
-    "MaxOf",
-    "NInnerOuterBundle",
-    "NOuterReport",
-    "OuterReport",
-    "PNorm",
-    "ParameterError",
-    "RankError",
-    "RunConfig",
-    "SingularityError",
-    "SizeError",
-    "SubspaceBasis",
-    "SupNorm",
-    "TruncationError",
-    "VerificationReport",
-    "analyze",
-    "as_circle_function",
-    "b_inner_matrix_from",
-    "basis_element",
-    "blaschke_eval",
-    "build_constrained",
-    "builtin_specs",
-    "cesaro_convergence_profile",
-    "check_basis_orthonormality",
-    "check_continuity",
-    "check_gauge_axioms",
-    "check_rotational_symmetry",
-    "constant",
-    "decompose_blaschke",
-    "decompose_zn",
-    "dual_norm_estimate",
-    "dump_json",
-    "freq_indices",
-    "function_from_json",
-    "function_to_json",
-    "gauge_eval",
-    "grid",
-    "harmonic_conjugate",
-    "inner_outer",
-    "inner_product",
-    "invariance_defect",
-    "is_n_outer",
-    "is_outer",
-    "monomial",
-    "n_inner_outer_factorize",
-    "norm2",
-    "norm_spec_from_json",
-    "norm_spec_to_json",
-    "outer_from_modulus",
-    "power_spec",
-    "registry_ids",
-    "resample",
-    "run_verification",
-    "span_invariant",
-    "subspace_from_json",
-    "subspace_to_json",
-    "synthesize",
-    "verify_constrained",
-    "wandering_basis",
-    "write_json",
-    "zeros_from_json",
-    "zeros_to_json",
-]
+# Each module's __all__ is the one list of its public names.
+__all__ = [name for module in (blaschke, circlefn, decomp, errors, factor,
+                               invariance, norms, serialize, verify)
+           for name in module.__all__]

@@ -10,7 +10,7 @@ throughout, so
 
     integral f dm  =  (1/N) * sum_k f(z_k),
 
-and analyze/synthesize are exact inverses on the grid.  Analytic means
+and the two transforms are exact inverses on the grid.  Analytic means
 the coefficient mass at negative indices is negligible; such functions
 are the truncated Hardy-space citizens the rest of the package works
 with.
@@ -33,14 +33,11 @@ __all__ = [
     "CircleFunction",
     "grid",
     "freq_indices",
-    "analyze",
     "synthesize",
     "taylor_block",
     "samples_of_taylor",
     "resample",
     "monomial",
-    "constant",
-    "inner_product",
     "norm2",
     "horner",
     "require_analytic",
@@ -92,22 +89,14 @@ def freq_indices(n_samples: int) -> np.ndarray:
     return np.arange(-(n // 2), n // 2)
 
 
-def analyze(samples: np.ndarray) -> np.ndarray:
-    """Fourier coefficients of grid samples, indexed -N/2 .. N/2-1.
+def _analyze_array(samples: np.ndarray) -> np.ndarray:
+    """Fourier coefficients of a checked 1-D complex sample array,
+    indexed -N/2 .. N/2-1.
 
     Normalization: a_j = (1/N) sum_k samples[k] * z_k^(-j), so the
-    constant function 1 has a_0 = 1.
+    constant function 1 has a_0 = 1.  The FFT moves to storage order by
+    the division itself (two half slices).
     """
-    s = np.asarray(samples, dtype=complex)
-    if s.ndim != 1:
-        raise SizeError("samples must be a one dimensional array")
-    _check_n_samples(s.size)
-    return _analyze_array(s)
-
-
-def _analyze_array(samples: np.ndarray) -> np.ndarray:
-    """analyze() of a checked 1-D complex array: the FFT, moved to
-    storage order by the division itself (two half slices)."""
     spectrum = np.fft.fft(samples)
     n = spectrum.size
     half = n // 2
@@ -134,9 +123,9 @@ def _synthesize_array(coeffs: np.ndarray) -> np.ndarray:
 
 def taylor_block(rows: np.ndarray, D: int) -> np.ndarray:
     """Taylor coefficients 0..D of each row of a complex (k, N) sample
-    block, as the columns of a (D+1, k) matrix: bit for bit analyze()
-    sliced to 0..D, which is the head of the unshifted FFT.  ``rows``
-    is overwritten by its spectrum."""
+    block, as the columns of a (D+1, k) matrix: bit for bit each row's
+    coefficients at 0..D, which are the head of the unshifted FFT.
+    ``rows`` is overwritten by its spectrum."""
     np.fft.fft(rows, axis=1, out=rows)
     return rows[:, :D + 1].T / rows.shape[1]
 
@@ -157,7 +146,7 @@ class CircleFunction:
 
     A function built from one form (``from_samples``, ``from_coeffs``)
     keeps that array and derives the other form the first time it is
-    read, by ``analyze`` or by the inverse transform, then keeps it
+    read, by the forward or by the inverse transform, then keeps it
     too.  Both arrays are read-only.  The constructor takes both forms,
     which must describe the same function.
     """
@@ -319,7 +308,9 @@ def synthesize(coeffs: Union[Mapping[int, complex], np.ndarray],
 
     ``coeffs`` is either a mapping {index: value} or a full array of
     length n_samples in storage order.  Indices must satisfy
-    -N/2 <= j < N/2; anything else raises TruncationError.
+    -N/2 <= j < N/2; anything else raises TruncationError.  Values at
+    one index add up; a value alone at its index is stored as given,
+    signed zeros included.
     """
     n = _check_n_samples(n_samples)
     if isinstance(coeffs, Mapping):
@@ -330,7 +321,8 @@ def synthesize(coeffs: Union[Mapping[int, complex], np.ndarray],
                 raise TruncationError(
                     f"coefficient index {j} outside band [{-(n//2)}, {n//2 - 1}]"
                 )
-            full[j + n // 2] += complex(v)
+            pos, v = j + n // 2, complex(v)
+            full[pos] = full[pos] + v if full[pos] else v
         return CircleFunction.from_coeffs(full)
     arr = np.asarray(coeffs, dtype=complex)
     if arr.shape != (n,):
@@ -370,16 +362,6 @@ def resample(f: CircleFunction, n_samples: int) -> CircleFunction:
 def monomial(j: int, n_samples: int = DEFAULT_N_SAMPLES) -> CircleFunction:
     """The function z^j."""
     return synthesize({j: 1.0}, n_samples)
-
-
-def constant(value: complex, n_samples: int = DEFAULT_N_SAMPLES) -> CircleFunction:
-    return synthesize({0: value}, n_samples)
-
-
-def inner_product(f: CircleFunction, g: CircleFunction) -> complex:
-    """Grid quadrature of f * conj(g) against normalized measure."""
-    _check_same_grid(f, g)
-    return complex(np.vdot(g.samples, f.samples) / f.n_samples)
 
 
 def norm2(f: CircleFunction) -> float:

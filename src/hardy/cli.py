@@ -25,8 +25,9 @@ from typing import List, Optional
 
 import numpy as np
 
-from .blaschke import BlaschkeSpec, blaschke_eval, check_basis_orthonormality
-from .circlefn import CircleFunction, _check_n_samples, grid, synthesize
+from .blaschke import (BlaschkeSpec, as_circle_function,
+                       check_basis_orthonormality)
+from .circlefn import CircleFunction, _check_n_samples, monomial
 from .decomp import decompose_blaschke, decompose_zn
 from .errors import (
     FactorizationError,
@@ -54,6 +55,7 @@ from .norms import (
     gauge_eval,
 )
 from .serialize import (
+    _constrained_spec_from_json,
     atomic_write_text,
     dump_json,
     function_from_json,
@@ -64,10 +66,10 @@ from .serialize import (
     subspace_to_json,
     zeros_from_json,
 )
-from .verify import RunConfig, VerificationReport, registry_ids, run_verification
+from .verify import RunConfig, registry_ids, run_verification
 from .verify import _random_poly
 
-__all__ = ["main", "RunConfig", "VerificationReport"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -142,10 +144,9 @@ def _multiplier_arg(args, n_samples: int) -> CircleFunction:
     if args.power is not None:
         if args.power < 1:
             raise _InputError("--power must be >= 1")
-        return synthesize({int(args.power): 1.0}, n_samples)
+        return monomial(args.power, n_samples)
     if args.zeros is not None:
-        spec = _zeros_arg(args.zeros)
-        return CircleFunction.from_samples(blaschke_eval(spec, grid(n_samples)))
+        return as_circle_function(_zeros_arg(args.zeros), n_samples)
     return _function_arg(args.fn)
 
 
@@ -301,16 +302,6 @@ def _cmd_invariance_wandering(args):
     vectors = wandering_basis(space, _multiplier_arg(args, space.n_samples))
     return {"rank": len(vectors),
             "vectors": [function_to_json(v) for v in vectors]}, True
-
-
-def _constrained_spec_from_json(obj) -> ConstrainedSpec:
-    inners = tuple(function_from_json(o) for o in obj["inners"])
-    beta = np.array([[complex(float(re), float(im)) for re, im in row]
-                     for row in obj["beta"]], dtype=complex)
-    mult = obj["multiplier"]
-    multiplier = (int(mult["power"]) if "power" in mult
-                  else zeros_from_json(mult))
-    return ConstrainedSpec(inners=inners, beta=beta, multiplier=multiplier)
 
 
 def _cmd_invariance_constrained(args):

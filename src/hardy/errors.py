@@ -1,5 +1,18 @@
 """Exception types shared across the toolkit."""
 
+__all__ = [
+    "HardyError",
+    "SizeError",
+    "TruncationError",
+    "ParameterError",
+    "DomainError",
+    "SingularityError",
+    "RankError",
+    "ConstructionError",
+    "DegenerateSpaceError",
+    "FactorizationError",
+]
+
 
 class HardyError(Exception):
     """Base class for every error raised by this package."""

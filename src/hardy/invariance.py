@@ -81,7 +81,7 @@ class GradedRecipe:
                 f.n_samples != N for f in (*self.head, *self.starts)):
             raise ParameterError("a build recipe needs a start, k_max >= 0 "
                                  "and its functions on one grid")
-        # + 0.0 clears the sign of a zero, which a file does not keep
+        # + 0.0 clears signed zeros, as a file drops a zero coefficient
         def held(f):
             return CircleFunction.from_coeffs(f.coeffs + 0.0)
         object.__setattr__(self, "head", tuple(map(held, self.head)))

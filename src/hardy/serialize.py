@@ -9,6 +9,8 @@ Formats:
               "recipe": {"base_samples": step, "generator_samples":
                          starts, "extra_samples": head}}  (GradedRecipe
              as functions, k_max in generators; a span has no head)
+  constrained  {"inners": [function, ...], "beta": [[[re, im], ...], ...],
+                "multiplier": {"power": p} or a zeros object}  (read only)
 
 A subspace with a recipe loads as the space the recipe rebuilds, bit
 for bit the one written, and is refused unless its basis spans that.
@@ -16,14 +18,16 @@ for bit the one written, and is refused unless its basis spans that.
 Numbers pass through float() so every emitted value is a plain Python
 float rendered by its shortest exact decimal form; identical inputs
 produce byte-identical files.  NaN and infinity are refused on reading
-and on writing, since JSON has no token for them.  Files are written to
-a temporary in the same directory and renamed into place, never left
-half-written.
+and on writing, since JSON has no token for them.  A field that holds
+an integer refuses a fraction or a boolean rather than truncating it.
+Files are written to a temporary in the same directory and renamed
+into place, never left half-written.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 import os
 import tempfile
 from typing import Mapping
@@ -33,8 +37,8 @@ import numpy as np
 from .blaschke import BlaschkeSpec
 from .circlefn import COEFF_CUTOFF, CircleFunction, _check_n_samples, synthesize
 from .errors import ParameterError, SizeError, TruncationError
-from .invariance import (GRAM_TOL, GradedRecipe, SubspaceBasis, _defect,
-                         _recipe_space)
+from .invariance import (GRAM_TOL, ConstrainedSpec, GradedRecipe,
+                         SubspaceBasis, _defect, _recipe_space)
 from .norms import (
     ArcWeighted,
     ConvexCombo,
@@ -55,16 +59,7 @@ __all__ = [
     "subspace_from_json",
     "dump_json",
     "atomic_write_text",
-    "write_json",
 ]
-
-
-def _real(x) -> float:
-    return float(np.real(x))
-
-
-def _imag(x) -> float:
-    return float(np.imag(x))
 
 
 def _finite(x: complex) -> complex:
@@ -73,26 +68,36 @@ def _finite(x: complex) -> complex:
     return x
 
 
+def _integer(x, name: str) -> int:
+    """x as an int; a fraction, a boolean or a non-number is refused."""
+    if isinstance(x, float) and x.is_integer() or (
+            isinstance(x, numbers.Integral) and not isinstance(x, bool)):
+        return int(x)
+    raise ParameterError(f"{name} must be an integer, got {x!r}")
+
+
 def function_to_json(f: CircleFunction) -> dict:
     N = f.n_samples
     half = N // 2
     entries = []
     for pos in np.nonzero(f.coeffs)[0]:
         c = f.coeffs[pos]
-        entries.append([int(pos) - half, _real(c), _imag(c)])
+        entries.append([int(pos) - half, float(c.real), float(c.imag)])
     return {"n_samples": N, "coeffs": entries}
 
 
 def function_from_json(obj: Mapping) -> CircleFunction:
     try:
-        n = int(obj["n_samples"])
+        n = _integer(obj["n_samples"], "n_samples")
         entries = obj["coeffs"]
     except (KeyError, TypeError) as exc:
         raise ParameterError(
             "function JSON needs 'n_samples' and 'coeffs'") from exc
     coeffs = {}
     for j, re, im in entries:
-        coeffs[int(j)] = coeffs.get(int(j), 0.0) + complex(float(re), float(im))
+        # the first entry is kept as written, so a signed zero survives
+        j, c = _integer(j, "coefficient index"), complex(float(re), float(im))
+        coeffs[j] = coeffs[j] + c if j in coeffs else c
     # NaN, inf and overflow in the inverse FFT leave non-finite samples;
     # the samples are synthesized where they are first read, so here.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -103,7 +108,7 @@ def function_from_json(obj: Mapping) -> CircleFunction:
 
 
 def zeros_to_json(spec: BlaschkeSpec) -> dict:
-    return {"zeros": [[_real(a), _imag(a)] for a in spec.zeros]}
+    return {"zeros": [[a.real, a.imag] for a in spec.zeros]}
 
 
 def zeros_from_json(obj: Mapping) -> BlaschkeSpec:
@@ -154,7 +159,7 @@ def norm_spec_from_json(obj: Mapping) -> GaugeNormSpec:
     if kind == "arc_weighted":
         kwargs = {}
         if "n_samples" in obj:
-            kwargs["n_samples"] = int(obj["n_samples"])
+            kwargs["n_samples"] = _integer(obj["n_samples"], "n_samples")
         return ArcWeighted(arc=(float(obj["arc"][0]), float(obj["arc"][1])),
                            inside=norm_spec_from_json(obj["inside"]),
                            outside=norm_spec_from_json(obj["outside"]),
@@ -166,7 +171,7 @@ def subspace_to_json(space: SubspaceBasis) -> dict:
     out = {
         "ambient_bandwidth": space.ambient_bandwidth,
         "n_samples": space.n_samples,
-        "basis": [[[_real(c), _imag(c)] for c in col]
+        "basis": [[[float(c.real), float(c.imag)] for c in col]
                   for col in space.taylor.T],
         "generators": dict(space.generators),
     }
@@ -196,7 +201,7 @@ def _recipe_from_json(obj: Mapping, generators: Mapping) -> GradedRecipe:
         recipe = GradedRecipe(functions(obj.get("extra_samples", ())),
                               functions(obj["generator_samples"]),
                               function_from_json(obj["base_samples"]),
-                              int(generators["k_max"]))
+                              _integer(generators["k_max"], "k_max"))
     except (AttributeError, KeyError, TypeError) as exc:
         raise ParameterError(
             f"a recipe needs 'base_samples', 'generator_samples' and "
@@ -210,8 +215,8 @@ def _recipe_from_json(obj: Mapping, generators: Mapping) -> GradedRecipe:
 
 def subspace_from_json(obj: Mapping) -> SubspaceBasis:
     try:
-        D = int(obj["ambient_bandwidth"])
-        N = _check_n_samples(int(obj["n_samples"]))
+        D = _integer(obj["ambient_bandwidth"], "ambient_bandwidth")
+        N = _check_n_samples(_integer(obj["n_samples"], "n_samples"))
         rows = obj["basis"]
         generators = dict(obj.get("generators", {}))
     except (KeyError, TypeError) as exc:
@@ -243,6 +248,16 @@ def subspace_from_json(obj: Mapping) -> SubspaceBasis:
             f"the stored basis ({stored.dim} vectors) does not span the "
             f"{space.dim} its recipe builds: {off:.3e} lies outside")
     return space
+
+
+def _constrained_spec_from_json(obj: Mapping) -> ConstrainedSpec:
+    inners = tuple(function_from_json(o) for o in obj["inners"])
+    beta = np.array([[_finite(complex(float(re), float(im))) for re, im in row]
+                     for row in obj["beta"]], dtype=complex)
+    mult = obj["multiplier"]
+    multiplier = (_integer(mult["power"], "power") if "power" in mult
+                  else zeros_from_json(mult))
+    return ConstrainedSpec(inners=inners, beta=beta, multiplier=multiplier)
 
 
 def _plain(value):
@@ -287,7 +302,3 @@ def atomic_write_text(path: str, text: str):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def write_json(path: str, obj):
-    atomic_write_text(path, dump_json(obj))

@@ -33,14 +33,15 @@ from typing import Callable, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
-from .blaschke import BlaschkeSpec, _basis_carriers, blaschke_eval
+from .blaschke import (BlaschkeSpec, _basis_carriers, as_circle_function,
+                       blaschke_eval)
 from .circlefn import (
     CircleFunction,
     _check_n_samples,
     freq_indices,
     grid,
+    monomial,
     norm2,
-    synthesize,
 )
 from .decomp import cesaro_convergence_profile, decompose_zn
 from .errors import ParameterError, TruncationError
@@ -394,12 +395,11 @@ def _run_beurling(config: RunConfig) -> Tuple[Check, ...]:
         zeros = tuple(
             rng.uniform(0.0, 0.7) * np.exp(2j * np.pi * rng.random())
             for _ in range(n_zeros))
-        spec = BlaschkeSpec(zeros)
-        z = grid(N)
-        J = CircleFunction.from_samples(blaschke_eval(spec, z))
+        J = as_circle_function(BlaschkeSpec(zeros), N)
+        z = monomial(1, N)
         D = 320
-        space = span_invariant([J], synthesize({1: 1.0}, N), k_max=220, D=D)
-        vectors = wandering_basis(space, synthesize({1: 1.0}, N))
+        space = span_invariant([J], z, k_max=220, D=D)
+        vectors = wandering_basis(space, z)
         worst_rank = max(worst_rank, abs(len(vectors) - 1))
         w = vectors[0]
         ip = complex(np.vdot(w.samples, J.samples) / N)

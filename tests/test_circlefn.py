@@ -13,11 +13,9 @@ from hardy import (
     SizeError,
     SupNorm,
     TruncationError,
-    analyze,
     decompose_zn,
     gauge_eval,
     grid,
-    inner_product,
     monomial,
     norm2,
     resample,
@@ -66,8 +64,9 @@ def test_coeff_outside_band_is_zero():
 def test_inner_product_and_norm():
     f = monomial(2, 256)
     g = monomial(3, 256)
-    assert inner_product(f, f) == pytest.approx(1.0, abs=1e-13)
-    assert abs(inner_product(f, g)) < 1e-13
+    assert np.vdot(f.samples, f.samples) / 256 == pytest.approx(1.0,
+                                                                abs=1e-13)
+    assert abs(np.vdot(g.samples, f.samples) / 256) < 1e-13
     h = synthesize({0: 1.0, 1: 1.0}, 256)
     assert norm2(h) == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
@@ -135,7 +134,8 @@ def test_lazy_coeffs_are_analyze_of_the_samples():
     s = _random(np.random.default_rng(1), 64)
     f = CircleFunction.from_samples(s)
     assert f.samples.tobytes() == s.tobytes()
-    assert f.coeffs.tobytes() == analyze(s).tobytes()
+    oracle = np.fft.fftshift(np.fft.fft(s)) / 64
+    assert f.coeffs.tobytes() == oracle.tobytes()
 
 
 def test_lazy_samples_match_the_shifted_inverse_fft():
@@ -202,7 +202,7 @@ def test_repeated_zn_split_runs_one_block_transform(transforms):
 
 def test_transforms_reorder_without_roll(transforms):
     x = _random(np.random.default_rng(7), 64)
-    analyze(x)
+    CircleFunction.from_samples(x).coeffs
     _synthesize_array(x)
     _synthesize_array(np.stack([x, x]))
     CircleFunction.from_samples(x).coeffs

@@ -19,10 +19,10 @@ from hardy import (
     span_invariant,
     synthesize,
     wandering_basis,
-    write_json,
     zeros_to_json,
 )
 from hardy.blaschke import MAX_ZERO_MODULUS
+from hardy.serialize import atomic_write_text, dump_json
 
 
 def run_cli(*args, env_extra=None, cwd=None):
@@ -36,16 +36,13 @@ def run_cli(*args, env_extra=None, cwd=None):
 
 @pytest.fixture()
 def workdir(tmp_path):
-    write_json(str(tmp_path / "poly.json"),
-               function_to_json(synthesize({1: 2.0, 2: 1.0}, 1024)))
-    write_json(str(tmp_path / "unit.json"),
-               function_to_json(monomial(1, 1024)))
-    write_json(str(tmp_path / "unit512.json"),
-               function_to_json(monomial(1, 512)))
-    write_json(str(tmp_path / "gridzero.json"),
-               function_to_json(synthesize({0: -1.0, 1: 1.0}, 1024)))
-    write_json(str(tmp_path / "zeros.json"),
-               zeros_to_json(BlaschkeSpec((0.0, 0.5))))
+    for name, obj in (
+            ("poly", function_to_json(synthesize({1: 2.0, 2: 1.0}, 1024))),
+            ("unit", function_to_json(monomial(1, 1024))),
+            ("unit512", function_to_json(monomial(1, 512))),
+            ("gridzero", function_to_json(synthesize({0: -1.0, 1: 1.0}, 1024))),
+            ("zeros", zeros_to_json(BlaschkeSpec((0.0, 0.5))))):
+        atomic_write_text(str(tmp_path / f"{name}.json"), dump_json(obj))
     (tmp_path / "broken.json").write_text('{"coeffs": [\n')
     return tmp_path
 
@@ -115,7 +112,8 @@ def test_decompose_zn_payload(workdir):
 
 def test_decompose_blaschke_zeros_near_circle(workdir):
     zeros = workdir / "near.json"
-    write_json(str(zeros), zeros_to_json(BlaschkeSpec((0.0, 0.99, -0.99j))))
+    atomic_write_text(str(zeros), dump_json(
+        zeros_to_json(BlaschkeSpec((0.0, 0.99, -0.99j)))))
     res = run_cli("decompose", "--fn", str(workdir / "poly.json"),
                   "--mode", "blaschke", "--zeros", str(zeros))
     assert res.returncode == 0
@@ -127,7 +125,8 @@ def test_decompose_blaschke_zeros_near_circle(workdir):
 def test_decompose_blaschke_refuses_zeros_at_max_modulus(workdir):
     r = MAX_ZERO_MODULUS
     zeros = workdir / "edge.json"
-    write_json(str(zeros), zeros_to_json(BlaschkeSpec((0.0, r, -1j * r))))
+    atomic_write_text(str(zeros), dump_json(
+        zeros_to_json(BlaschkeSpec((0.0, r, -1j * r)))))
     res = run_cli("decompose", "--fn", str(workdir / "poly.json"),
                   "--mode", "blaschke", "--zeros", str(zeros))
     assert res.returncode == 1
@@ -211,8 +210,8 @@ def test_factor_classic_near_circle_zero_passes(workdir):
     # zeros near the circle once aliased log|f| on the input grid
     rng = np.random.default_rng(1)
     c = rng.standard_normal(25) + 1j * rng.standard_normal(25)
-    write_json(str(workdir / "rand.json"),
-               function_to_json(synthesize(dict(enumerate(c)), 1024)))
+    atomic_write_text(str(workdir / "rand.json"), dump_json(
+        function_to_json(synthesize(dict(enumerate(c)), 1024))))
     res = run_cli("factor", "classic", "--fn", str(workdir / "rand.json"))
     assert res.returncode == 0
     assert json.loads(res.stdout)["residual"] <= 1e-9
@@ -221,8 +220,8 @@ def test_factor_classic_near_circle_zero_passes(workdir):
 def test_factor_ninner_failed_outer_check_prints_payload(workdir):
     # the outer part at the grid cap is not analytic; the verdict fails
     # and the payload is still written
-    write_json(str(workdir / "edge.json"),
-               function_to_json(synthesize({0: -0.9999, 1: 1.0}, 1024)))
+    atomic_write_text(str(workdir / "edge.json"), dump_json(
+        function_to_json(synthesize({0: -0.9999, 1: 1.0}, 1024))))
     res = run_cli("factor", "ninner", "--fn", str(workdir / "edge.json"),
                   "--n", "1")
     assert res.returncode == 2
@@ -249,7 +248,7 @@ def test_non_finite_result_is_not_written(workdir, monkeypatch, capsys):
 def _check_binner(paths, spec, tmp_path, *extra):
     from hardy import cli
     zeros = tmp_path / "binner_zeros.json"
-    write_json(str(zeros), zeros_to_json(spec))
+    atomic_write_text(str(zeros), dump_json(zeros_to_json(spec)))
     return cli.main(["factor", "check-binner", "--fn", *map(str, paths),
                      "--zeros", str(zeros), *extra])
 
@@ -258,7 +257,8 @@ def _check_binner(paths, spec, tmp_path, *extra):
 def test_check_binner_fails_one_plus_z(workdir, capsys, zeros):
     fn = workdir / "one_plus_z.json"
     s = 1 / np.sqrt(2)
-    write_json(str(fn), function_to_json(synthesize({0: s, 1: s}, 1024)))
+    atomic_write_text(str(fn), dump_json(
+        function_to_json(synthesize({0: s, 1: s}, 1024))))
     assert _check_binner([fn], BlaschkeSpec(zeros), workdir) == 2
     payload = json.loads(capsys.readouterr().out)
     assert payload["pass"] is False
@@ -274,7 +274,8 @@ def test_check_binner_rejects_negative_mmax(workdir, capsys):
 
 def test_check_binner_rejects_columns_on_different_grids(workdir, capsys):
     small = workdir / "unit512.json"
-    write_json(str(small), function_to_json(monomial(1, 512)))
+    atomic_write_text(str(small),
+                      dump_json(function_to_json(monomial(1, 512))))
     code = _check_binner([workdir / "unit.json", small],
                          BlaschkeSpec((0.0, 0.5)), workdir)
     assert code == 1
@@ -304,7 +305,7 @@ def test_check_binner_passes_wandering_pair(workdir, capsys):
     assert len(vectors) == 2
     paths = [workdir / f"wander{k}.json" for k in range(2)]
     for path, v in zip(paths, vectors):
-        write_json(str(path), function_to_json(v))
+        atomic_write_text(str(path), dump_json(function_to_json(v)))
     assert _check_binner(paths, spec, workdir) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["pass"] is True
@@ -431,8 +432,13 @@ def _basis_off_its_recipe(obj):
     lambda o: o["recipe"].update(prefix_samples=o["recipe"]["base_samples"]),
     _basis_off_its_recipe,
     lambda o: o["basis"].pop(),
+    lambda o: o.update(ambient_bandwidth=40.5),
+    lambda o: o.update(n_samples=1024.5),
+    lambda o: o["generators"].update(k_max=20.5),
+    lambda o: o["generators"].update(k_max=True),
 ], ids=["no-starts", "no-step", "no-k_max", "other-grid", "prefix_samples",
-        "basis-off-recipe", "basis-short"])
+        "basis-off-recipe", "basis-short", "fractional-band",
+        "fractional-n_samples", "fractional-k_max", "boolean-k_max"])
 def test_malformed_recipe_is_input_error(workdir, capsys, edit):
     from hardy import cli
     code = cli.main(["invariance", "defect", "--power", "1", "--subspace",
@@ -459,9 +465,28 @@ def test_recipe_free_span_file_tests_every_basis_vector(workdir, capsys):
 # Each flag value below is one the library refuses; each exits 1 (bad
 # input), not 2 (numerical failure).  {span} is the z-span of z, {cspec}
 # a two-layer spec, {poly} the non-unimodular 2z + z^2, {unit512} z on
-# half the generators' grid.
+# half the generators' grid.  The files of _not_integers hold a
+# fraction or a boolean where their format expects an integer.
 _SPAN = ["invariance", "span", "--generators", "{unit}"]
 _C44 = ["experiment", "conjecture44", "--spec", "p2"]
+_ZN = ["decompose", "--mode", "zn", "--n", "2", "--fn"]
+
+
+def _not_integers(workdir):
+    cspec = json.loads(_constrained_spec_file(workdir).read_text())
+    arc = {"kind": "arc_weighted", "arc": [0.0, 1.0],
+           "inside": {"kind": "sup_norm"}, "outside": {"kind": "p_norm",
+                                                       "p": 1.0}}
+    files = {}
+    for name, obj in (
+            ("n_frac", {"n_samples": 64.9, "coeffs": [[0, 1.0, 0.0]]}),
+            ("index_frac", {"n_samples": 64, "coeffs": [[0.7, 1.0, 0.0]]}),
+            ("arc_n_frac", dict(arc, n_samples=512.5)),
+            ("power_frac", dict(cspec, multiplier={"power": 2.5})),
+            ("power_true", dict(cspec, multiplier={"power": True}))):
+        files[name] = workdir / f"{name}.json"
+        files[name].write_text(json.dumps(obj))
+    return files
 
 
 @pytest.mark.parametrize("argv, says", [
@@ -495,6 +520,14 @@ _C44 = ["experiment", "conjecture44", "--spec", "p2"]
      "unimodular"),
     ([*_SPAN, "--fn", "{unit512}", "--kmax", "4", "--band", "40"],
      "multiplier must live on the generators' grid"),
+    ([*_ZN, "{n_frac}"], "n_samples must be an integer, got 64.9"),
+    ([*_ZN, "{index_frac}"], "coefficient index must be an integer, got 0.7"),
+    (["norm", "audit", "--spec", "{arc_n_frac}"],
+     "n_samples must be an integer, got 512.5"),
+    (["invariance", "constrained", "--spec", "{power_frac}"],
+     "power must be an integer, got 2.5"),
+    (["invariance", "constrained", "--spec", "{power_true}"],
+     "power must be an integer, got True"),
 ])
 def test_refused_flag_value_is_input_error(workdir, capsys, argv, says):
     from hardy import cli
@@ -502,7 +535,8 @@ def test_refused_flag_value_is_input_error(workdir, capsys, argv, says):
              "unit512": workdir / "unit512.json",
              "zeros": workdir / "zeros.json",
              "span": _span_file(workdir, lambda o: None),
-             "cspec": _constrained_spec_file(workdir)}
+             "cspec": _constrained_spec_file(workdir),
+             **_not_integers(workdir)}
     assert cli.main([a.format(**files) for a in argv]) == 1
     out, err = capsys.readouterr()
     assert out == ""

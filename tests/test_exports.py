@@ -9,6 +9,7 @@ import pytest
 import hardy
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(hardy.__path__))
+LIBRARY = [m for m in MODULES if m != "cli"]
 
 
 def test_package_exports_resolve():
@@ -22,6 +23,25 @@ def test_module_exports_resolve(module):
     missing = [name for name in getattr(mod, "__all__", ())
                if not hasattr(mod, name)]
     assert missing == []
+
+
+@pytest.mark.parametrize("module", LIBRARY)
+def test_library_module_declares_its_exports(module):
+    assert isinstance(importlib.import_module(f"hardy.{module}").__all__,
+                      list)
+
+
+def test_package_exports_the_union_of_the_module_lists():
+    # the one list the package and perfbench/spans.py both read
+    union = [name for m in LIBRARY
+             for name in importlib.import_module(f"hardy.{m}").__all__]
+    assert len(set(union)) == len(union)
+    assert sorted(hardy.__all__) == sorted(union)
+
+
+def test_cli_exports_only_main():
+    from hardy import cli
+    assert cli.__all__ == ["main"]
 
 
 @pytest.mark.parametrize("fn, gone", [

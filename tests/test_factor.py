@@ -15,7 +15,6 @@ from hardy import (
     basis_element,
     BasisIndex,
     as_circle_function,
-    constant,
     decompose_zn,
     grid,
     harmonic_conjugate,
@@ -30,7 +29,7 @@ from hardy import (
     resample,
     synthesize,
 )
-from hardy.circlefn import CircleFunction, analyze, gram_defect
+from hardy.circlefn import CircleFunction, gram_defect
 from hardy.factor import (
     TOL_B_INNER,
     WORK_GRID_CAP,
@@ -54,7 +53,7 @@ def test_harmonic_conjugate_cos_to_sin():
 
 
 def test_harmonic_conjugate_kills_constants():
-    v = harmonic_conjugate(constant(3.0, 256))
+    v = harmonic_conjugate(synthesize({0: 3.0}, 256))
     assert norm2(v) < 1e-13
 
 
@@ -132,7 +131,8 @@ def _base_variable_oracle(f, n):
         thetas = [p.samples / outer.samples for p in parts]
         half = n_work // 2
         start = half + max(half // (2 * n), 1)
-        tail = max(float(np.linalg.norm(analyze(t)[start:])) for t in thetas)
+        tail = max(float(np.linalg.norm(
+            CircleFunction.from_samples(t).coeffs[start:])) for t in thetas)
         if tail <= WORK_TAIL_TARGET or n_work >= WORK_GRID_CAP:
             break
         n_work *= 2
@@ -561,4 +561,4 @@ def test_factor_rejects_nonanalytic():
 
 def test_zero_function_has_no_verdict():
     with pytest.raises(DomainError):
-        is_n_outer(constant(0.0, 512), 2)
+        is_n_outer(synthesize({0: 0.0}, 512), 2)

@@ -9,6 +9,7 @@ import pytest
 from hardy import (
     ArcWeighted,
     BlaschkeSpec,
+    CircleFunction,
     ConvexCombo,
     MaxOf,
     ParameterError,
@@ -27,6 +28,7 @@ from hardy import (
     zeros_from_json,
     zeros_to_json,
 )
+from hardy.serialize import _constrained_spec_from_json
 
 
 def test_function_round_trip():
@@ -40,6 +42,16 @@ def test_function_json_sums_duplicate_indices():
     g = function_from_json(
         {"n_samples": 64, "coeffs": [[1, 1.0, 0.0], [1, 0.5, 0.0]]})
     assert g.coeff(1) == pytest.approx(1.5, abs=1e-13)
+
+
+def test_function_file_keeps_its_signed_zeros():
+    # 1 - 0i and -0 + 0.5i: a load keeps the sign of each zero part
+    c = np.zeros(64, dtype=complex)
+    c[32:34] = complex(1.0, -0.0), complex(-0.0, 0.5)
+    text = dump_json(function_to_json(CircleFunction.from_coeffs(c)))
+    assert text.count("-0.0") == 2
+    g = function_from_json(json.loads(text))
+    assert dump_json(function_to_json(g)) == text
 
 
 def test_function_json_requires_fields():
@@ -110,6 +122,10 @@ def test_non_finite_numbers_are_refused(bad):
     with pytest.raises(ParameterError):
         subspace_from_json({"ambient_bandwidth": 1, "n_samples": 8,
                             "basis": [[[bad, 0.0], [0.0, 0.0]]]})
+    with pytest.raises(ParameterError, match="non-finite"):
+        _constrained_spec_from_json({
+            "inners": [function_to_json(synthesize({0: 1.0}, 8))],
+            "beta": [[[bad, 0.0]], [[0.0, 0.0]]], "multiplier": {"power": 1}})
     with pytest.raises(ValueError):
         dump_json({"residual": bad})
 
