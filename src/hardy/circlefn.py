@@ -23,7 +23,7 @@ from typing import Mapping, Optional, Union
 
 import numpy as np
 
-from .errors import DomainError, SizeError, TruncationError
+from .errors import DomainError, ParameterError, SizeError, TruncationError
 
 __all__ = [
     "DEFAULT_N_SAMPLES",
@@ -60,8 +60,17 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
+def _integer(x, name: str, error=ParameterError) -> int:
+    """x as an int; a fraction, a boolean or a non-number is refused
+    with ``error``.  An integral float such as 64.0 reads as 64."""
+    if isinstance(x, (int, np.integer)) and not isinstance(x, bool) or (
+            isinstance(x, float) and x.is_integer()):
+        return int(x)
+    raise error(f"{name} must be an integer, got {x!r}")
+
+
 def _check_n_samples(n_samples: int) -> int:
-    n = int(n_samples)
+    n = _integer(n_samples, "n_samples", SizeError)
     if n < 4 or not _is_power_of_two(n):
         raise SizeError(f"n_samples must be a power of two >= 4, got {n_samples}")
     return n
@@ -316,7 +325,7 @@ def synthesize(coeffs: Union[Mapping[int, complex], np.ndarray],
     if isinstance(coeffs, Mapping):
         full = np.zeros(n, dtype=complex)
         for j, v in coeffs.items():
-            j = int(j)
+            j = _integer(j, "coefficient index", TruncationError)
             if j < -(n // 2) or j >= n // 2:
                 raise TruncationError(
                     f"coefficient index {j} outside band [{-(n//2)}, {n//2 - 1}]"

@@ -75,6 +75,9 @@ EXIT_OK = 0
 EXIT_IO = 1
 EXIT_FAIL = 2
 
+# Largest Gram deviation `blaschke basis` counts as orthonormal.
+BASIS_TOL = 1e-8
+
 
 class _InputError(Exception):
     """Unreadable or malformed input; maps to exit code 1."""
@@ -113,7 +116,7 @@ def _parsed_file(path: str, parse):
     obj = _load_json_file(path)
     try:
         return parse(obj)
-    except (HardyError, KeyError, TypeError, ValueError) as exc:
+    except (HardyError, LookupError, TypeError, ValueError) as exc:
         raise _InputError(f"{path}: {exc}")
 
 
@@ -200,10 +203,10 @@ def _cmd_blaschke_basis(args):
         "m_max": args.mmax,
         "n_samples": N,
         "gram_deviation": deviation,
-        "threshold": args.tol,
-        "pass": deviation <= args.tol,
+        "threshold": BASIS_TOL,
+        "pass": deviation <= BASIS_TOL,
     }
-    return payload, not (args.check and deviation > args.tol)
+    return payload, not (args.check and deviation > BASIS_TOL)
 
 
 def _cmd_decompose(args):
@@ -327,24 +330,9 @@ def _cmd_invariance_constrained(args):
     return payload, report.passed
 
 
-def _tol_pair(text: str):
-    name, sep, value = text.partition("=")
-    if not sep or not name:
-        raise argparse.ArgumentTypeError(
-            f"expected NAME=VALUE, got {text!r}")
-    try:
-        return name, float(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{value!r} is not a number")
-
-
 def _cmd_verify(args):
-    config = RunConfig(
-        n_samples=_pick_n(args),
-        seed=args.seed,
-        tol_overrides=dict(args.tol or ()),
-        modulus=args.n,
-    )
+    config = RunConfig(n_samples=_pick_n(args), seed=args.seed,
+                       modulus=args.n)
     report = run_verification(args.theorem_id, config)
     print(f"{report.theorem_id}: {len(report.checks)} checks, "
           f"{'pass' if report.passed else 'FAIL'}, "
@@ -481,9 +469,8 @@ def build_parser() -> argparse.ArgumentParser:
                      (ParameterError,), n_samples=True)
     basis.add_argument("--zeros", required=True, help="zeros JSON file")
     basis.add_argument("--mmax", type=int, default=6)
-    basis.add_argument("--tol", type=float, default=1e-8)
-    basis.add_argument("--check", action="store_true",
-                       help="exit 2 when the deviation exceeds --tol")
+    basis.add_argument("--check", action="store_true", help=f"exit 2 when "
+                       f"the deviation exceeds {BASIS_TOL:g}")
 
     # an n, cutoff or zeros the split cannot take
     dec = _command(sub, "decompose", _cmd_decompose,
@@ -556,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
     constrained.add_argument("--band", type=int, default=400)
     constrained.add_argument("--kmax", type=int, default=60)
 
-    # a tolerance, modulus or override the suite cannot take
+    # a modulus the suite cannot take
     verify = _command(sub, "verify", _cmd_verify,
                       "run a named verification suite", (ParameterError,),
                       n_samples=True)
@@ -566,9 +553,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--n", type=int, default=None,
                         help="focus modulus-sweeping suites on one n")
-    verify.add_argument("--tol", action="append", type=_tol_pair,
-                        metavar="NAME=VALUE",
-                        help="override a named threshold (repeatable)")
 
     experiment = _command(sub, "experiment", _cmd_experiment,
                           "exploratory measurements; never fail",

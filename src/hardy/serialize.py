@@ -19,7 +19,8 @@ Numbers pass through float() so every emitted value is a plain Python
 float rendered by its shortest exact decimal form; identical inputs
 produce byte-identical files.  NaN and infinity are refused on reading
 and on writing, since JSON has no token for them.  A field that holds
-an integer refuses a fraction or a boolean rather than truncating it.
+an integer refuses a fraction or a boolean rather than truncating it,
+and one that holds a real number refuses a boolean or a string.
 Files are written to a temporary in the same directory and renamed
 into place, never left half-written.
 """
@@ -35,10 +36,11 @@ from typing import Mapping
 import numpy as np
 
 from .blaschke import BlaschkeSpec
-from .circlefn import COEFF_CUTOFF, CircleFunction, _check_n_samples, synthesize
-from .errors import ParameterError, SizeError, TruncationError
+from .circlefn import (COEFF_CUTOFF, CircleFunction, _check_n_samples,
+                       _integer, synthesize)
+from .errors import ParameterError, TruncationError
 from .invariance import (GRAM_TOL, ConstrainedSpec, GradedRecipe,
-                         SubspaceBasis, _defect, _recipe_space)
+                         SubspaceBasis, _check_band, _defect, _recipe_space)
 from .norms import (
     ArcWeighted,
     ConvexCombo,
@@ -68,12 +70,12 @@ def _finite(x: complex) -> complex:
     return x
 
 
-def _integer(x, name: str) -> int:
-    """x as an int; a fraction, a boolean or a non-number is refused."""
-    if isinstance(x, float) and x.is_integer() or (
-            isinstance(x, numbers.Integral) and not isinstance(x, bool)):
-        return int(x)
-    raise ParameterError(f"{name} must be an integer, got {x!r}")
+def _real(x, name: str) -> float:
+    """x as a finite float; a boolean or a non-number is refused, the
+    real counterpart of circlefn._integer."""
+    if isinstance(x, numbers.Real) and not isinstance(x, bool):
+        return _finite(float(x))
+    raise ParameterError(f"{name} must be a number, got {x!r}")
 
 
 def function_to_json(f: CircleFunction) -> dict:
@@ -147,20 +149,21 @@ def norm_spec_from_json(obj: Mapping) -> GaugeNormSpec:
     except (KeyError, TypeError) as exc:
         raise ParameterError("norm spec JSON needs a 'kind'") from exc
     if kind == "p_norm":
-        return PNorm(float(obj["p"]))
+        return PNorm(_real(obj["p"], "p"))
     if kind == "sup_norm":
         return SupNorm()
     if kind == "max_of":
         return MaxOf(tuple(norm_spec_from_json(s) for s in obj["parts"]))
     if kind == "convex_combo":
-        return ConvexCombo(tuple(float(w) for w in obj["weights"]),
+        return ConvexCombo(tuple(_real(w, "weight") for w in obj["weights"]),
                            tuple(norm_spec_from_json(s)
                                  for s in obj["parts"]))
     if kind == "arc_weighted":
         kwargs = {}
         if "n_samples" in obj:
             kwargs["n_samples"] = _integer(obj["n_samples"], "n_samples")
-        return ArcWeighted(arc=(float(obj["arc"][0]), float(obj["arc"][1])),
+        arc = obj["arc"]
+        return ArcWeighted(arc=(_real(arc[0], "arc"), _real(arc[1], "arc")),
                            inside=norm_spec_from_json(obj["inside"]),
                            outside=norm_spec_from_json(obj["outside"]),
                            **kwargs)
@@ -223,9 +226,7 @@ def subspace_from_json(obj: Mapping) -> SubspaceBasis:
         raise ParameterError(
             "subspace JSON needs 'ambient_bandwidth', 'n_samples' and "
             "'basis'") from exc
-    if D < 0 or D >= N // 2:
-        raise SizeError(f"ambient bandwidth {D} does not fit the grid band "
-                        f"0..{N // 2 - 1}")
+    _check_band(D, N)
     taylor = np.zeros((D + 1, len(rows)), dtype=complex)
     for j, row in enumerate(rows):
         col = np.array([_finite(complex(float(re), float(im)))

@@ -40,3 +40,16 @@ def transforms(monkeypatch):
     monkeypatch.setitem(inspect.unwrap(np.fft.fftshift).__globals__, "roll",
                         roll)
     return log
+
+
+@pytest.fixture()
+def failing_suite(monkeypatch):
+    """lemma-4.2 swapped for a suite of two rows, the second above its
+    threshold of 1e-12."""
+    from hardy import verify
+
+    def suite(config):
+        return (verify._check("split_residual", 0.0, 1e-12),
+                verify._check("averaging_agreement", 1e-3, 1e-12))
+
+    monkeypatch.setitem(verify.REGISTRY, "lemma-4.2", suite)

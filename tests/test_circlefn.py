@@ -46,6 +46,16 @@ def test_synthesize_rejects_out_of_band():
     with pytest.raises(TruncationError):
         synthesize({-33: 1.0}, 64)
     synthesize({-32: 1.0, 31: 1.0}, 64)  # band edges are fine
+    # an index is an integer: a fraction or a boolean is refused, an
+    # np.int64 or an integral float reads as the int
+    with pytest.raises(TruncationError, match="coefficient index must be "
+                                              "an integer, got 1.7"):
+        synthesize({1.7: 1.0}, 64)
+    with pytest.raises(TruncationError):
+        synthesize({True: 1.0}, 64)
+    edges = synthesize({np.int64(-32): 1.0, 31.0: 1.0}, 64)
+    assert np.array_equal(edges.coeffs,
+                          synthesize({-32: 1.0, 31: 1.0}, 64).coeffs)
 
 
 def test_grid_size_must_be_power_of_two():
@@ -53,6 +63,16 @@ def test_grid_size_must_be_power_of_two():
         synthesize({0: 1.0}, 48)
     with pytest.raises(SizeError):
         CircleFunction.from_samples(np.ones(100))
+    with pytest.raises(SizeError, match="n_samples must be an integer, "
+                                        "got 64.9"):
+        synthesize({1.7: 1.0}, 64.9)
+    with pytest.raises(SizeError, match="n_samples must be an integer, "
+                                        "got 16.5"):
+        monomial(2, 16.5)
+    with pytest.raises(SizeError):
+        monomial(2, True)
+    f = monomial(np.int64(2), np.int64(16))
+    assert f.n_samples == 16 and type(f.n_samples) is int
 
 
 def test_coeff_outside_band_is_zero():

@@ -329,10 +329,16 @@ def test_verify_unknown_id_usage_error():
     assert "lemma-4.2" in res.stderr  # registry listed in the message
 
 
-def test_verify_tol_override_forces_failure(workdir):
-    res = run_cli("verify", "lemma-4.2", "--n", "2",
-                  "--tol", "split_residual=1e-20")
-    assert res.returncode == 2
+def test_verify_failing_suite_exits_2(workdir, failing_suite, capsys):
+    from hardy import cli
+    out = workdir / "report.json"
+    assert cli.main(["verify", "lemma-4.2", "--out", str(out)]) == 2
+    payload = json.loads(out.read_text())
+    assert payload["passed"] is False
+    failed = [c for c in payload["checks"] if not c["pass"]]
+    assert [(c["name"], c["threshold"]) for c in failed] == [
+        ("averaging_agreement", 1e-12)]
+    assert "FAIL" in capsys.readouterr().err
 
 
 def test_invariance_pipeline_round_trip(workdir):
@@ -436,9 +442,11 @@ def _basis_off_its_recipe(obj):
     lambda o: o.update(n_samples=1024.5),
     lambda o: o["generators"].update(k_max=20.5),
     lambda o: o["generators"].update(k_max=True),
+    lambda o: o.update(ambient_bandwidth=512),
 ], ids=["no-starts", "no-step", "no-k_max", "other-grid", "prefix_samples",
         "basis-off-recipe", "basis-short", "fractional-band",
-        "fractional-n_samples", "fractional-k_max", "boolean-k_max"])
+        "fractional-n_samples", "fractional-k_max", "boolean-k_max",
+        "band-beyond-grid"])
 def test_malformed_recipe_is_input_error(workdir, capsys, edit):
     from hardy import cli
     code = cli.main(["invariance", "defect", "--power", "1", "--subspace",
@@ -465,14 +473,16 @@ def test_recipe_free_span_file_tests_every_basis_vector(workdir, capsys):
 # Each flag value below is one the library refuses; each exits 1 (bad
 # input), not 2 (numerical failure).  {span} is the z-span of z, {cspec}
 # a two-layer spec, {poly} the non-unimodular 2z + z^2, {unit512} z on
-# half the generators' grid.  The files of _not_integers hold a
-# fraction or a boolean where their format expects an integer.
+# half the generators' grid.  The files of _mistyped_numbers hold a
+# fraction or a boolean where their format expects an integer, a
+# boolean or a string where it expects a real number, or an arc with
+# one end.
 _SPAN = ["invariance", "span", "--generators", "{unit}"]
 _C44 = ["experiment", "conjecture44", "--spec", "p2"]
 _ZN = ["decompose", "--mode", "zn", "--n", "2", "--fn"]
 
 
-def _not_integers(workdir):
+def _mistyped_numbers(workdir):
     cspec = json.loads(_constrained_spec_file(workdir).read_text())
     arc = {"kind": "arc_weighted", "arc": [0.0, 1.0],
            "inside": {"kind": "sup_norm"}, "outside": {"kind": "p_norm",
@@ -483,7 +493,14 @@ def _not_integers(workdir):
             ("index_frac", {"n_samples": 64, "coeffs": [[0.7, 1.0, 0.0]]}),
             ("arc_n_frac", dict(arc, n_samples=512.5)),
             ("power_frac", dict(cspec, multiplier={"power": 2.5})),
-            ("power_true", dict(cspec, multiplier={"power": True}))):
+            ("power_true", dict(cspec, multiplier={"power": True})),
+            ("p_true", {"kind": "p_norm", "p": True}),
+            ("p_text", {"kind": "p_norm", "p": "2"}),
+            ("arc_short", dict(arc, arc=[0.5])),
+            ("weights_bool", {"kind": "convex_combo", "weights": [True, False],
+                              "parts": [{"kind": "p_norm", "p": 1.0},
+                                        {"kind": "sup_norm"}]}),
+            ("arc_true", dict(arc, arc=[0.0, True]))):
         files[name] = workdir / f"{name}.json"
         files[name].write_text(json.dumps(obj))
     return files
@@ -505,8 +522,9 @@ def _not_integers(workdir):
      "D = 9999"),
     (["invariance", "constrained", "--spec", "{cspec}", "--band", "-1"],
      "D = -1"),
-    (["verify", "lemma-4.2", "--tol", "split_residual=-1"], "positive"),
-    (["verify", "lemma-4.2", "--n", "1", "--tol", "bogus=1"], "bogus"),
+    (["norm", "audit", "--spec", "{p_true}"], "p must be a number, got True"),
+    (["norm", "audit", "--spec", "{weights_bool}"],
+     "weight must be a number, got True"),
     (["verify", "lemma-4.2", "--n", "0"], "modulus"),
     # --n 600 on a 1024 grid, scaled down: the suite tabulates n twists
     # of n x N before its first split refuses the modulus
@@ -528,6 +546,10 @@ def _not_integers(workdir):
      "power must be an integer, got 2.5"),
     (["invariance", "constrained", "--spec", "{power_true}"],
      "power must be an integer, got True"),
+    (["norm", "audit", "--spec", "{arc_true}"],
+     "arc must be a number, got True"),
+    (["norm", "audit", "--spec", "{p_text}"], "p must be a number, got '2'"),
+    (["norm", "audit", "--spec", "{arc_short}"], "index out of range"),
 ])
 def test_refused_flag_value_is_input_error(workdir, capsys, argv, says):
     from hardy import cli
@@ -536,7 +558,7 @@ def test_refused_flag_value_is_input_error(workdir, capsys, argv, says):
              "zeros": workdir / "zeros.json",
              "span": _span_file(workdir, lambda o: None),
              "cspec": _constrained_spec_file(workdir),
-             **_not_integers(workdir)}
+             **_mistyped_numbers(workdir)}
     assert cli.main([a.format(**files) for a in argv]) == 1
     out, err = capsys.readouterr()
     assert out == ""
@@ -614,8 +636,8 @@ def test_flag_surface_is_unchanged():
     assert _flag_surface(build_parser()) == {
         "norm audit": {"--spec": None, "--trials": 200, "--seed": 0,
                        **n_samples, **out},
-        "blaschke basis": {"--zeros": None, "--mmax": 6, "--tol": 1e-08,
-                           "--check": False, **n_samples, **out},
+        "blaschke basis": {"--zeros": None, "--mmax": 6, "--check": False,
+                           **n_samples, **out},
         "decompose": {"--fn": None, "--mode": None, "--n": None,
                       "--zeros": None, "--mmax": None, **out},
         "factor classic": {"--fn": None, "--regularize": False,
@@ -631,7 +653,7 @@ def test_flag_surface_is_unchanged():
         "invariance constrained": {"--spec": None, "--band": 400,
                                    "--kmax": 60, **out},
         "verify": {"theorem_id": None, "--seed": 0, "--n": None,
-                   "--tol": None, **n_samples, **out},
+                   **n_samples, **out},
         "experiment": {"name": None, "--spec": None, "--n": None,
                        "--trials": 50, "--r": 2, "--seed": 0, **n_samples,
                        **out},

@@ -119,6 +119,8 @@ def test_non_finite_numbers_are_refused(bad):
         function_from_json({"n_samples": 8, "coeffs": [[0, bad, 0.0]]})
     with pytest.raises(ParameterError):
         zeros_from_json({"zeros": [[0.1, bad]]})
+    with pytest.raises(ParameterError, match="non-finite"):
+        norm_spec_from_json({"kind": "p_norm", "p": bad})
     with pytest.raises(ParameterError):
         subspace_from_json({"ambient_bandwidth": 1, "n_samples": 8,
                             "basis": [[[bad, 0.0], [0.0, 0.0]]]})

@@ -41,9 +41,20 @@ def test_config_validation():
     with pytest.raises(SizeError):
         RunConfig(n_samples=2)
     with pytest.raises(ParameterError):
-        RunConfig(tol_overrides={"x": -1.0})
-    with pytest.raises(ParameterError):
         RunConfig(modulus=0)
+    # integers only: a fraction or a boolean is refused, an np.int64 is
+    # read as an int
+    with pytest.raises(SizeError, match="n_samples must be an integer, "
+                                        "got 1024.5"):
+        RunConfig(n_samples=1024.5)
+    with pytest.raises(ParameterError, match="modulus must be an integer, "
+                                             "got 2.5"):
+        RunConfig(modulus=2.5)
+    with pytest.raises(ParameterError):
+        RunConfig(modulus=True)
+    cfg = RunConfig(n_samples=np.int64(512), modulus=np.int64(3))
+    assert (cfg.n_samples, cfg.modulus) == (512, 3)
+    assert type(cfg.n_samples) is int and type(cfg.modulus) is int
 
 
 def test_fast_suite_passes_and_reports():
@@ -66,14 +77,14 @@ def test_reports_are_seed_deterministic():
     assert [x.measured for x in a.checks] != [y.measured for y in c.checks]
 
 
-def test_tol_override_can_fail_a_suite():
-    cfg = RunConfig(seed=1, modulus=2,
-                    tol_overrides={"split_residual": 1e-20})
-    rep = run_verification("lemma-4.2", cfg)
-    assert not rep.passed
+def test_a_failing_row_fails_the_report(failing_suite):
+    rep = run_verification("lemma-4.2", RunConfig(seed=1))
+    assert rep.passed is False
+    assert rep.as_dict()["passed"] is False
     failed = [c for c in rep.checks if not c.passed]
-    assert [c.name for c in failed] == ["split_residual"]
-    assert failed[0].threshold == 1e-20
+    assert [c.name for c in failed] == ["averaging_agreement"]
+    assert failed[0].threshold == 1e-12
+    assert failed[0].measured == 1e-3
 
 
 # The SHA-256 of every suite's canonical report at seed 1, computed in a
