@@ -25,6 +25,7 @@ import numpy as np
 from .circlefn import (
     DEFAULT_N_SAMPLES,
     CircleFunction,
+    _count,
     gram_defect,
     grid,
 )
@@ -129,8 +130,7 @@ def basis_element(spec: BlaschkeSpec, index: BasisIndex,
 def check_basis_orthonormality(spec: BlaschkeSpec, m_max: int,
                                n_samples: int = DEFAULT_N_SAMPLES) -> float:
     """Worst deviation of the e(j, m) Gram matrix from the identity."""
-    if m_max < 0:
-        raise ParameterError("m_max must be >= 0")
+    m_max = _count(m_max, "m_max")
     carriers, b = _basis_carriers(spec, grid(n_samples))
     rows = [e0 * b ** m for m in range(m_max + 1) for e0 in carriers]
     return gram_defect(np.vstack(rows))

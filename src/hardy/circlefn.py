@@ -69,6 +69,14 @@ def _integer(x, name: str, error=ParameterError) -> int:
     raise error(f"{name} must be an integer, got {x!r}")
 
 
+def _count(x, name: str) -> int:
+    """x as an int >= 0 (see _integer), else ParameterError."""
+    n = _integer(x, name)
+    if n < 0:
+        raise ParameterError(f"{name} must be >= 0, got {n}")
+    return n
+
+
 def _check_n_samples(n_samples: int) -> int:
     n = _integer(n_samples, "n_samples", SizeError)
     if n < 4 or not _is_power_of_two(n):

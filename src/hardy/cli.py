@@ -8,9 +8,10 @@ partial output ever lands at the target path.
 
 Exit codes: 0 success (and, for check-style commands, the check
 passed); 1 unreadable or malformed input, or a flag value the command
-cannot take; 2 a numeric or structural failure (factorization failure,
-singular modulus, failed verification, non-invariant space, failed
-audit, a result JSON cannot carry).
+cannot take (any of INPUT_ERRORS); 2 every other HardyError, a numeric
+or structural failure (factorization failure, singular modulus, failed
+verification, non-invariant space, failed audit, a result JSON cannot
+carry).
 """
 
 from __future__ import annotations
@@ -21,13 +22,15 @@ import io
 import json
 import os
 import sys
+from dataclasses import asdict
 from typing import List, Optional
 
 import numpy as np
 
 from .blaschke import (BlaschkeSpec, as_circle_function,
                        check_basis_orthonormality)
-from .circlefn import CircleFunction, _check_n_samples, monomial
+from .circlefn import (DEFAULT_N_SAMPLES, CircleFunction, _check_n_samples,
+                       monomial)
 from .decomp import decompose_blaschke, decompose_zn
 from .errors import (
     FactorizationError,
@@ -78,24 +81,9 @@ EXIT_FAIL = 2
 # Largest Gram deviation `blaschke basis` counts as orthonormal.
 BASIS_TOL = 1e-8
 
-
-class _InputError(Exception):
-    """Unreadable or malformed input; maps to exit code 1."""
-
-
-def _pick_n(args) -> int:
-    """--n-samples, else HARDY_NSAMPLES, else 1024."""
-    n = args.n_samples
-    if n is None:
-        raw = os.environ.get("HARDY_NSAMPLES", "1024")
-        try:
-            n = int(raw)
-        except ValueError:
-            raise _InputError(f"HARDY_NSAMPLES={raw!r} is not an integer")
-    try:
-        return _check_n_samples(n)
-    except SizeError as exc:
-        raise _InputError(str(exc))
+# The library errors that mean input or a flag value a command cannot
+# take; every other HardyError is a verdict.
+INPUT_ERRORS = (ParameterError, RankError, SizeError, TruncationError)
 
 
 def _load_json_file(path: str):
@@ -103,9 +91,9 @@ def _load_json_file(path: str):
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
     except OSError as exc:
-        raise _InputError(f"cannot read {path}: {exc.strerror or exc}")
+        raise ParameterError(f"cannot read {path}: {exc.strerror or exc}")
     except json.JSONDecodeError as exc:
-        raise _InputError(
+        raise ParameterError(
             f"{path}: parse error at line {exc.lineno} column {exc.colno}: "
             f"{exc.msg}"
         )
@@ -117,7 +105,7 @@ def _parsed_file(path: str, parse):
     try:
         return parse(obj)
     except (HardyError, LookupError, TypeError, ValueError) as exc:
-        raise _InputError(f"{path}: {exc}")
+        raise ParameterError(f"{path}: {exc}")
 
 
 def _function_arg(path: str) -> CircleFunction:
@@ -141,12 +129,12 @@ def _multiplier_arg(args, n_samples: int) -> CircleFunction:
     given = [name for name in ("power", "zeros", "fn")
              if getattr(args, name, None) is not None]
     if len(given) != 1:
-        raise _InputError(
+        raise ParameterError(
             "give exactly one of --power, --zeros, --fn for the multiplier"
         )
     if args.power is not None:
         if args.power < 1:
-            raise _InputError("--power must be >= 1")
+            raise ParameterError("--power must be >= 1")
         return monomial(args.power, n_samples)
     if args.zeros is not None:
         return as_circle_function(_zeros_arg(args.zeros), n_samples)
@@ -178,7 +166,7 @@ def _write_csv(path: str, header: List[str], rows):
 # rows) after them; main() writes, maps errors and picks the exit code.
 
 def _cmd_norm_audit(args):
-    N = _pick_n(args)
+    N = args.n_samples
     spec = _norm_spec_arg(args.spec, N)
     axioms = check_gauge_axioms(spec, trials=args.trials, seed=args.seed,
                                 n_samples=N)
@@ -187,15 +175,15 @@ def _cmd_norm_audit(args):
     symmetry = check_rotational_symmetry(spec, probe)
     payload = {
         "spec": norm_spec_to_json(spec),
-        "axioms": axioms.as_dict(),
-        "continuity": continuity.as_dict(),
+        "axioms": asdict(axioms),
+        "continuity": asdict(continuity),
         "rotational_symmetry_deviation": symmetry,
     }
     return payload, axioms.passed
 
 
 def _cmd_blaschke_basis(args):
-    N = _pick_n(args)
+    N = args.n_samples
     spec = _zeros_arg(args.zeros)
     deviation = check_basis_orthonormality(spec, m_max=args.mmax, n_samples=N)
     payload = {
@@ -213,10 +201,10 @@ def _cmd_decompose(args):
     f = _function_arg(args.fn)
     if args.mode == "zn":
         if args.n is None:
-            raise _InputError("--mode zn needs --n")
+            raise ParameterError("--mode zn needs --n")
         result = decompose_zn(f, args.n)
     elif args.zeros is None:
-        raise _InputError("--mode blaschke needs --zeros")
+        raise ParameterError("--mode blaschke needs --zeros")
     else:
         result = decompose_blaschke(f, _zeros_arg(args.zeros), m_max=args.mmax)
     payload = {
@@ -316,23 +304,13 @@ def _cmd_invariance_constrained(args):
         "ambient_bandwidth": space.ambient_bandwidth,
         "r": spec.r,
         "k": spec.k,
-        "report": {
-            "b_defect": report.b_defect,
-            "b2_defect": report.b2_defect,
-            "b3_defect": report.b3_defect,
-            "invariant_b2": report.invariant_b2,
-            "invariant_b3": report.invariant_b3,
-            "noninvariant_b": report.noninvariant_b,
-            "degenerate": report.degenerate,
-            "pass": report.passed,
-        },
+        "report": {**asdict(report), "pass": report.passed},
     }
     return payload, report.passed
 
 
 def _cmd_verify(args):
-    config = RunConfig(n_samples=_pick_n(args), seed=args.seed,
-                       modulus=args.n)
+    config = RunConfig(n_samples=args.n_samples, seed=args.seed)
     report = run_verification(args.theorem_id, config)
     print(f"{report.theorem_id}: {len(report.checks)} checks, "
           f"{'pass' if report.passed else 'FAIL'}, "
@@ -352,8 +330,8 @@ def _experiment_conjecture44(args) -> dict:
     component norm at most the whole; without symmetry the excess is an
     open question, so it is reported, never asserted."""
     if args.trials < 1:
-        raise _InputError("--trials must be >= 1")
-    N = _pick_n(args)
+        raise ParameterError("--trials must be >= 1")
+    N = args.n_samples
     n = args.n if args.n is not None else 2
     spec_names = [args.spec] if args.spec else ["p2", "arc_q1"]
     rng = np.random.default_rng(args.seed)
@@ -389,8 +367,8 @@ def _experiment_maximal_k(args) -> dict:
     from .verify import _orthonormal_beta, _power_inner_family
 
     if args.r < 1:
-        raise _InputError("--r must be >= 1")
-    N = _pick_n(args)
+        raise ParameterError("--r must be >= 1")
+    N = args.n_samples
     r = args.r
     n = r
     rng = np.random.default_rng(args.seed)
@@ -419,17 +397,16 @@ def _experiment_maximal_k(args) -> dict:
 
 # --- parser -----------------------------------------------------------------
 
-def _command(group, name, handler, help, input_errors=(), n_samples=False):
+def _command(group, name, handler, help, n_samples=False):
     """Declare one command: its parser under ``group`` with --out (and
-    --n-samples), its handler, and the library errors that mean a flag
-    value it cannot take (exit 1 rather than 2)."""
+    --n-samples), and its handler."""
     p = group.add_parser(name, help=help)
     if n_samples:
-        p.add_argument("--n-samples", type=int, default=None,
-                       help="grid size (power of two; default HARDY_NSAMPLES "
-                            "or 1024)")
+        p.add_argument("--n-samples", type=int, default=DEFAULT_N_SAMPLES,
+                       help="grid size (power of two; default "
+                            f"{DEFAULT_N_SAMPLES})")
     p.add_argument("--out", help="write JSON here (atomic); default stdout")
-    p.set_defaults(func=handler, input_errors=input_errors)
+    p.set_defaults(func=handler)
     return p
 
 
@@ -458,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     norm = group("norm", "gauge norm tools")
     audit = _command(norm, "audit", _cmd_norm_audit,
                      "randomized audit of the gauge-norm axioms",
-                     (ParameterError,), n_samples=True)
+                     n_samples=True)
     audit.add_argument("--spec", required=True,
                        help="builtin spec name or norm-spec JSON file")
     audit.add_argument("--trials", type=int, default=200)
@@ -466,15 +443,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     basis = _command(group("blaschke", "Blaschke product tools"), "basis",
                      _cmd_blaschke_basis, "orthonormality of the product basis",
-                     (ParameterError,), n_samples=True)
+                     n_samples=True)
     basis.add_argument("--zeros", required=True, help="zeros JSON file")
     basis.add_argument("--mmax", type=int, default=6)
     basis.add_argument("--check", action="store_true", help=f"exit 2 when "
                        f"the deviation exceeds {BASIS_TOL:g}")
 
-    # an n, cutoff or zeros the split cannot take
     dec = _command(sub, "decompose", _cmd_decompose,
-                   "subspace decompositions", (ParameterError,))
+                   "subspace decompositions")
     dec.add_argument("--fn", required=True, help="function JSON file")
     dec.add_argument("--mode", choices=("zn", "blaschke"), required=True)
     dec.add_argument("--n", type=int, default=None,
@@ -495,16 +471,13 @@ def build_parser() -> argparse.ArgumentParser:
                          help="write theta, |inner|, log|outer| columns")
 
     ninner = _command(factor, "ninner", _cmd_factor_ninner,
-                      "n-inner times n-outer factorization", (ParameterError,))
+                      "n-inner times n-outer factorization")
     ninner.add_argument("--fn", required=True)
     ninner.add_argument("--n", type=int, required=True)
     ninner.add_argument("--regularize", action="store_true")
 
-    # a cutoff or zeros it cannot take, columns on different grids, or
-    # more columns than B has slots: all malformed input
     binner = _command(factor, "check-binner", _cmd_factor_checkbinner,
-                      "matrix test for a jointly B-inner family",
-                      (ParameterError, RankError, SizeError))
+                      "matrix test for a jointly B-inner family")
     binner.add_argument("--fn", nargs="+", required=True,
                         help="one or more function JSON files")
     binner.add_argument("--zeros", required=True)
@@ -512,10 +485,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="shifts paired by the joint_defect cross-check")
 
     inv = group("invariance", "invariant subspace commands")
-    # a k_max or band that does not fit, a multiplier that is not unimodular
     span = _command(inv, "span", _cmd_invariance_span,
-                    "span of multiplier shifts",
-                    (ParameterError, SizeError, TruncationError))
+                    "span of multiplier shifts")
     span.add_argument("--generators", nargs="+", required=True)
     span.add_argument("--kmax", type=int, required=True)
     span.add_argument("--band", type=int, required=True,
@@ -523,40 +494,34 @@ def build_parser() -> argparse.ArgumentParser:
     _add_multiplier_flags(span)
 
     defect = _command(inv, "defect", _cmd_invariance_defect,
-                      "invariance defect", (ParameterError, SizeError))
+                      "invariance defect")
     defect.add_argument("--subspace", required=True,
                         help="subspace JSON file")
     _add_multiplier_flags(defect)
 
     # a space that is not invariant is a verdict (DomainError): exit 2
     wander = _command(inv, "wandering", _cmd_invariance_wandering,
-                      "complement of the shifted space",
-                      (ParameterError, SizeError))
+                      "complement of the shifted space")
     wander.add_argument("--subspace", required=True)
     _add_multiplier_flags(wander)
 
     constrained = _command(inv, "constrained", _cmd_invariance_constrained,
-                           "build and verify a two-layer space",
-                           (ParameterError, SizeError))
+                           "build and verify a two-layer space")
     constrained.add_argument("--spec", required=True,
                              help="constrained-spec JSON file")
     constrained.add_argument("--band", type=int, default=400)
     constrained.add_argument("--kmax", type=int, default=60)
 
-    # a modulus the suite cannot take
     verify = _command(sub, "verify", _cmd_verify,
-                      "run a named verification suite", (ParameterError,),
-                      n_samples=True)
+                      "run a named verification suite", n_samples=True)
     verify.add_argument("theorem_id", choices=registry_ids(),
                         metavar="ID",
                         help="one of: " + ", ".join(registry_ids()))
     verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--n", type=int, default=None,
-                        help="focus modulus-sweeping suites on one n")
 
     experiment = _command(sub, "experiment", _cmd_experiment,
                           "exploratory measurements; never fail",
-                          (ParameterError,), n_samples=True)
+                          n_samples=True)
     experiment.add_argument("name", choices=("conjecture44", "maximal-k"))
     experiment.add_argument("--spec", default=None,
                             help="conjecture44: spec name or JSON file")
@@ -573,13 +538,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if hasattr(args, "n_samples"):
+            _check_n_samples(args.n_samples)
         payload, passed, *side = args.func(args)
         # the payload first: a result JSON cannot carry leaves no CSV
         _emit(payload, args.out)
         for path, header, rows in side:
             _write_csv(path, header, rows)
         return EXIT_OK if passed else EXIT_FAIL
-    except (_InputError, *args.input_errors) as exc:
+    except INPUT_ERRORS as exc:
         # unreadable input, or a flag value this command cannot take
         print(f"hardy: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -30,7 +30,9 @@ from .blaschke import BlaschkeSpec, _basis_carriers, blaschke_eval
 from .circlefn import (
     COEFF_CUTOFF,
     CircleFunction,
+    _count,
     _frozen,
+    _integer,
     _synthesize_array,
     grid,
     horner,
@@ -179,10 +181,7 @@ def _split_blaschke(fs: Sequence[CircleFunction], spec: BlaschkeSpec,
         require_analytic(f, "decompose_blaschke")
     degrees = [_taylor_degree(f) for f in fs]
     m_auto = _auto_m_max(spec, max(degrees))  # grows with the degree
-    if m_max is None:
-        m_max = m_auto
-    if m_max < 0:
-        raise ParameterError("m_max must be >= 0")
+    m_max = m_auto if m_max is None else _count(m_max, "m_max")
     n = spec.degree
     # Sized from the automatic cutoff too, so G_j does not alias.
     M = 1 << max(6, (2 * max(m_max, m_auto) + 1).bit_length())
@@ -222,14 +221,16 @@ def _split_blaschke(fs: Sequence[CircleFunction], spec: BlaschkeSpec,
         basis_coefficients=coeffs[k], phase_grid=M) for k in range(len(fs))]
 
 
-def _check_modulus(n: int, N: int):
-    """Refuse a modulus n outside 1 .. N/2 for an N-point grid, before
-    anything is allocated for it."""
+def _check_modulus(n: int, N: int) -> int:
+    """n as an int; a modulus outside 1 .. N/2 for an N-point grid is
+    refused before anything is allocated for it."""
+    n = _integer(n, "n")
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
     if n > N // 2:
         raise ParameterError(f"n = {n} leaves no room for the carriers "
                              f"on a grid of {N}")
+    return n
 
 
 def _residue_rows(f: CircleFunction, n: int, size: Optional[int] = None
@@ -242,9 +243,8 @@ def _residue_rows(f: CircleFunction, n: int, size: Optional[int] = None
     grid (size N, the default) row i is h_i(z^n).  A grid of size N / g,
     g a common divisor of n and N, samples the same function in u =
     z^g, which takes only that many values: row i is h_i(u^(n/g)).  One
-    inverse FFT gives the samples."""
+    inverse FFT gives the samples; n is a checked modulus."""
     N = f.n_samples
-    _check_modulus(n, N)
     size = N if size is None else size
     half = N // 2
     step = n * size // N
@@ -308,6 +308,7 @@ def decompose_zn(f: CircleFunction, n: int) -> DecompositionResult:
     their carriers with earlier calls on the same grid.
     """
     require_analytic(f, "decompose_zn")
+    n = _check_modulus(n, f.n_samples)
     block, samples = _residue_rows(f, n)
     carrier_samples, carriers = _zn_carriers(n, f.n_samples)
     recomposed = np.sum(carrier_samples * samples, axis=0)
@@ -326,8 +327,7 @@ def cesaro_convergence_profile(f: CircleFunction, spec: GaugeNormSpec,
     specs the profile is still well defined and simply reported.
     """
     require_analytic(f, "cesaro_convergence_profile")
-    if l_max < 0:
-        raise ParameterError("l_max must be >= 0")
+    l_max = _count(l_max, "l_max")
     N = f.n_samples
     half = N // 2
     top = f.top_index()

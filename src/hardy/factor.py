@@ -32,7 +32,6 @@ grid where it appears.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -43,6 +42,7 @@ from .circlefn import (
     EPS_LOG,
     CircleFunction,
     _analyze_array,
+    _count,
     _frozen,
     grid,
     norm2,
@@ -353,9 +353,7 @@ def b_inner_matrix_from(phis: Sequence[CircleFunction], spec: BlaschkeSpec,
     The columns are split at the family's largest automatic cutoff, on
     one phase grid where an inverse FFT of the rows gives the h_ij.
     """
-    if (isinstance(m_max, bool) or not isinstance(m_max, numbers.Integral)
-            or m_max < 0):
-        raise ParameterError(f"m_max must be an integer >= 0, got {m_max!r}")
+    m_max = _count(m_max, "m_max")
     r = len(phis)
     n = spec.degree
     if r == 0:
@@ -390,8 +388,8 @@ def n_inner_outer_factorize(f: CircleFunction, n: int,
     validations; a residual above 1e-6 raises FactorizationError.
     """
     require_analytic(f, "n_inner_outer_factorize")
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
+    # the work grid starts at this size and only grows
+    n = _check_modulus(n, max(f.n_samples, WORK_GRID_FLOOR))
     with np.errstate(over="ignore"):  # an overflowing norm is not zero
         if norm2(f) < EPS_LOG:
             raise DomainError("cannot factor the zero function")
@@ -439,7 +437,7 @@ def is_n_outer(f: CircleFunction, n: int,
     """
     require_analytic(f, "is_n_outer")
     N = f.n_samples
-    _check_modulus(n, N)
+    n = _check_modulus(n, N)
     half = N // 2
     # A[k, i] = a_(kn+i): column i is the Taylor series of component i.
     K = -(-half // n)

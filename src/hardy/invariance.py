@@ -30,6 +30,8 @@ from .blaschke import BlaschkeSpec, blaschke_eval, power_spec
 from .circlefn import (
     CircleFunction,
     _check_n_samples,
+    _count,
+    _integer,
     gram_defect,
     grid,
     require_analytic,
@@ -221,12 +223,11 @@ def span_invariant(generators: Sequence[CircleFunction],
     if not generators:
         raise ParameterError("need at least one generator")
     _check_multiplier(multiplier, "span_invariant")
-    if k_max < 0:
-        raise ParameterError("k_max must be >= 0")
+    k_max = _count(k_max, "k_max")
     N = generators[0].n_samples
     if multiplier.n_samples != N:
         raise SizeError("multiplier must live on the generators' grid")
-    _check_band(D, N)
+    D = _check_band(D, N)
     low = _lowest_index(multiplier)
     if k_max * low > D:
         raise TruncationError(
@@ -257,9 +258,11 @@ def _recipe_space(recipe: GradedRecipe, rows: np.ndarray, D: int,
     return space
 
 
-def _check_band(D: int, N: int):
+def _check_band(D: int, N: int) -> int:
+    D = _integer(D, "D")
     if D < 0 or D >= N // 2:
         raise SizeError(f"D = {D} does not fit the grid band 0..{N//2 - 1}")
+    return D
 
 
 def _lowest_index(f: CircleFunction) -> int:
@@ -464,10 +467,9 @@ def build_constrained(spec: ConstrainedSpec, D: int,
     otherwise the direct sum the construction promises does not exist
     and ConstructionError is raised.
     """
-    if k_max < 0:
-        raise ParameterError("k_max must be >= 0")
+    k_max = _count(k_max, "k_max")
     N = spec.inners[0].n_samples
-    _check_band(D, N)
+    D = _check_band(D, N)
     for J in spec.inners:
         if J.n_samples != N:
             raise SizeError("inner functions must share one grid")

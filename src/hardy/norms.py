@@ -15,7 +15,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .circlefn import CircleFunction, DEFAULT_N_SAMPLES
+from .circlefn import CircleFunction, DEFAULT_N_SAMPLES, _check_n_samples
 from .errors import ParameterError
 
 __all__ = [
@@ -141,10 +141,12 @@ class ArcWeighted(GaugeNormSpec):
     def __post_init__(self):
         a, b = (float(self.arc[0]), float(self.arc[1]))
         object.__setattr__(self, "arc", (a, b))
-        mask = self._mask(int(self.n_samples))
+        n = _check_n_samples(self.n_samples)
+        object.__setattr__(self, "n_samples", n)
+        mask = self._mask(n)
         if not mask.any() or mask.all():
             raise ParameterError("arc must contain some but not all grid points")
-        ones = np.ones(int(self.n_samples))
+        ones = np.ones(n)
         raw = self.inside._eval(ones * mask) + self.outside._eval(ones * (~mask))
         if raw <= 0:
             raise ParameterError("arc weighting collapsed on the constant 1")
@@ -198,19 +200,6 @@ class AxiomReport:
     homogeneity: float
     failures: Tuple[str, ...]
     passed: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "seed": self.seed,
-            "normalization": self.normalization,
-            "modulus_invariance": self.modulus_invariance,
-            "l1_domination": self.l1_domination,
-            "triangle": self.triangle,
-            "homogeneity": self.homogeneity,
-            "failures": list(self.failures),
-            "passed": self.passed,
-        }
 
 
 def _random_bounded(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -295,15 +284,6 @@ class ContinuityReport:
     monotone: bool
     final_below: bool
     passed: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "arc_measures": list(self.arc_measures),
-            "values": list(self.values),
-            "monotone": self.monotone,
-            "final_below": self.final_below,
-            "passed": self.passed,
-        }
 
 
 def check_continuity(spec: GaugeNormSpec,

@@ -40,7 +40,6 @@ from .blaschke import (BlaschkeSpec, _basis_carriers, as_circle_function,
 from .circlefn import (
     CircleFunction,
     _check_n_samples,
-    _integer,
     freq_indices,
     grid,
     monomial,
@@ -93,27 +92,14 @@ class Check:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Knobs shared by every suite and CLI command.
-
-    ``modulus`` narrows a suite that sweeps splitting moduli down to a
-    single n; None keeps each suite's default sweep.
-    """
+    """Knobs shared by every suite and CLI command."""
 
     n_samples: int = 1024
     seed: int = 0
-    modulus: Optional[int] = None
 
     def __post_init__(self):
         object.__setattr__(self, "n_samples",
                            _check_n_samples(self.n_samples))
-        if self.modulus is not None:
-            n = _integer(self.modulus, "modulus")
-            if n < 1:
-                raise ParameterError("modulus must be a positive integer")
-            object.__setattr__(self, "modulus", n)
-
-    def moduli(self, default: Tuple[int, ...]) -> Tuple[int, ...]:
-        return default if self.modulus is None else (self.modulus,)
 
 
 @dataclass(frozen=True)
@@ -238,19 +224,17 @@ def _root_of_unity_twist(N: int, n: int, i: int) -> np.ndarray:
 def _run_zn_split(config: RunConfig) -> Tuple[Check, ...]:
     rng = np.random.default_rng(config.seed)
     N = config.n_samples
-    ns = config.moduli(tuple(range(1, 9)))
     worst_residual = 0.0
     worst_support = 0.0
     worst_energy = 0.0
     worst_average = 0.0
     freqs = freq_indices(N)
-    for n in ns:
+    for n in range(1, 9):
         off_class = (freqs % n) != 0
-        twists = []  # O(n^2 N), tabulated once the split has accepted n
+        twists = [_root_of_unity_twist(N, n, i) for i in range(n)]
         for _ in range(100):
             f = _random_poly(rng, int(rng.integers(0, min(200, N // 4))), N)
             dec = decompose_zn(f, n)
-            twists = twists or [_root_of_unity_twist(N, n, i) for i in range(n)]
             worst_residual = max(worst_residual, dec.residual)
             total = 0.0
             for i, h in enumerate(dec.components):
@@ -485,7 +469,7 @@ def _run_energy_split(config: RunConfig) -> Tuple[Check, ...]:
     worst_energy = 0.0
     worst_residual = 0.0
     worst_carrier = 0.0
-    for n in config.moduli((2, 4, 8)):
+    for n in (2, 4, 8):
         for _ in range(25):
             f = _random_poly(rng, int(rng.integers(4, 128)), N)
             dec = decompose_zn(f, n)
@@ -516,7 +500,7 @@ def _run_n_factorization(config: RunConfig) -> Tuple[Check, ...]:
     for trial in range(50):
         degree = int(rng.integers(1, 25))
         f = _random_poly(rng, degree, N)
-        for n in config.moduli((2, 3, 4)):
+        for n in (2, 3, 4):
             bundle = n_inner_outer_factorize(f, n, m_max_check=6)
             worst_residual = max(worst_residual, bundle.residual)
             worst_gram = max(worst_gram, bundle.gram_defect)

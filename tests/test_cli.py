@@ -13,6 +13,7 @@ from hardy import (
     BlaschkeSpec,
     as_circle_function,
     decompose_zn,
+    errors,
     function_to_json,
     inner_outer,
     monomial,
@@ -161,23 +162,21 @@ def test_blaschke_basis_check(workdir):
 
 
 def test_nsamples_env_fallback(workdir):
+    # There is no fallback: the grid size comes from --n-samples alone,
+    # and HARDY_NSAMPLES in the environment changes nothing.
     res = run_cli("blaschke", "basis", "--zeros", str(workdir / "zeros.json"),
                   "--mmax", "2", env_extra={"HARDY_NSAMPLES": "512"})
     assert res.returncode == 0
-    assert json.loads(res.stdout)["n_samples"] == 512
+    assert json.loads(res.stdout)["n_samples"] == 1024
     res2 = run_cli("blaschke", "basis", "--zeros", str(workdir / "zeros.json"),
                    "--mmax", "2", "--n-samples", "256",
                    env_extra={"HARDY_NSAMPLES": "512"})
     assert json.loads(res2.stdout)["n_samples"] == 256
 
 
-@pytest.mark.parametrize("how", ["env", "flag"])
-def test_grid_size_not_power_of_two_is_input_error(workdir, how):
-    args = ["blaschke", "basis", "--zeros", str(workdir / "zeros.json")]
-    if how == "flag":
-        res = run_cli(*args, "--n-samples", "1000")
-    else:
-        res = run_cli(*args, env_extra={"HARDY_NSAMPLES": "1000"})
+def test_grid_size_not_power_of_two_is_input_error(workdir):
+    res = run_cli("blaschke", "basis", "--zeros", str(workdir / "zeros.json"),
+                  "--n-samples", "1000")
     assert res.returncode == 1
     assert "power of two" in res.stderr
     assert res.stdout == ""
@@ -314,8 +313,7 @@ def test_check_binner_passes_wandering_pair(workdir, capsys):
 
 def test_verify_exit_and_stderr_summary(workdir):
     out = workdir / "report.json"
-    res = run_cli("verify", "lemma-4.2", "--n", "3", "--seed", "1",
-                  "--out", str(out))
+    res = run_cli("verify", "lemma-4.2", "--seed", "1", "--out", str(out))
     assert res.returncode == 0
     assert "lemma-4.2" in res.stderr
     payload = json.loads(out.read_text())
@@ -475,8 +473,8 @@ def test_recipe_free_span_file_tests_every_basis_vector(workdir, capsys):
 # a two-layer spec, {poly} the non-unimodular 2z + z^2, {unit512} z on
 # half the generators' grid.  The files of _mistyped_numbers hold a
 # fraction or a boolean where their format expects an integer, a
-# boolean or a string where it expects a real number, or an arc with
-# one end.
+# boolean or a string where it expects a real number, an arc with one
+# end, or an arc spec on a grid size that is not a power of two.
 _SPAN = ["invariance", "span", "--generators", "{unit}"]
 _C44 = ["experiment", "conjecture44", "--spec", "p2"]
 _ZN = ["decompose", "--mode", "zn", "--n", "2", "--fn"]
@@ -500,7 +498,8 @@ def _mistyped_numbers(workdir):
             ("weights_bool", {"kind": "convex_combo", "weights": [True, False],
                               "parts": [{"kind": "p_norm", "p": 1.0},
                                         {"kind": "sup_norm"}]}),
-            ("arc_true", dict(arc, arc=[0.0, True]))):
+            ("arc_true", dict(arc, arc=[0.0, True])),
+            ("arc_n_48", dict(arc, n_samples=48))):
         files[name] = workdir / f"{name}.json"
         files[name].write_text(json.dumps(obj))
     return files
@@ -525,11 +524,11 @@ def _mistyped_numbers(workdir):
     (["norm", "audit", "--spec", "{p_true}"], "p must be a number, got True"),
     (["norm", "audit", "--spec", "{weights_bool}"],
      "weight must be a number, got True"),
-    (["verify", "lemma-4.2", "--n", "0"], "modulus"),
-    # --n 600 on a 1024 grid, scaled down: the suite tabulates n twists
-    # of n x N before its first split refuses the modulus
-    (["verify", "lemma-4.2", "--n-samples", "64", "--n", "33"],
-     "leaves no room"),
+    # grids too small for the suite's or the audit's probe polynomials
+    (["verify", "lemma-2.4", "--n-samples", "32"],
+     "coefficient index 16 outside band"),
+    (["norm", "audit", "--spec", "p2", "--n-samples", "8"],
+     "coefficient index 4 outside band"),
     ([*_C44, "--n", "0"], "n must be >= 1"),
     ([*_C44, "--n", "600"], "leaves no room"),
     ([*_C44, "--trials", "0"], "--trials"),
@@ -550,6 +549,7 @@ def _mistyped_numbers(workdir):
      "arc must be a number, got True"),
     (["norm", "audit", "--spec", "{p_text}"], "p must be a number, got '2'"),
     (["norm", "audit", "--spec", "{arc_short}"], "index out of range"),
+    (["norm", "audit", "--spec", "{arc_n_48}"], "power of two"),
 ])
 def test_refused_flag_value_is_input_error(workdir, capsys, argv, says):
     from hardy import cli
@@ -565,24 +565,30 @@ def test_refused_flag_value_is_input_error(workdir, capsys, argv, says):
     assert says in err
 
 
-def test_unsplittable_modulus_builds_no_twist_table(monkeypatch, capsys):
-    # The suite tabulates n twists of n x N only once its first split
-    # has accepted n, so --n 600 on the default grid is refused at once.
-    from hardy import cli, verify
-    twists = []
-    real_twist = verify._root_of_unity_twist
+# The exit code of each error type: 1 for input a command cannot take,
+# 2 for a verdict.  A new error type fails here until it is classified.
+_INPUT_ERRORS = {"ParameterError", "RankError", "SizeError",
+                 "TruncationError"}
+_VERDICT_ERRORS = {"HardyError", "DomainError", "SingularityError",
+                   "ConstructionError", "DegenerateSpaceError",
+                   "FactorizationError"}
 
-    def counted(*args):
-        twists.append(args)
-        return real_twist(*args)
 
-    monkeypatch.setattr(verify, "_root_of_unity_twist", counted)
-    monkeypatch.delenv("HARDY_NSAMPLES", raising=False)
-    assert cli.main(["verify", "lemma-4.2", "--n", "600"]) == 1
+@pytest.mark.parametrize("name", errors.__all__)
+def test_each_error_type_has_one_exit_code(monkeypatch, capsys, name):
+    from hardy import cli
+    assert name in _INPUT_ERRORS | _VERDICT_ERRORS
+    assert {e.__name__ for e in cli.INPUT_ERRORS} == _INPUT_ERRORS
+
+    def stub(args):
+        raise getattr(errors, name)("stub failure")
+
+    monkeypatch.setattr(cli, "_cmd_factor_classic", stub)
+    code = cli.main(["factor", "classic", "--fn", "unread.json"])
+    assert code == (1 if name in _INPUT_ERRORS else 2)
     out, err = capsys.readouterr()
     assert out == ""
-    assert "n = 600 leaves no room" in err
-    assert twists == []
+    assert "stub failure" in err
 
 
 def test_wandering_of_non_invariant_space_is_numerical_failure(workdir,
@@ -631,7 +637,7 @@ def _flag_surface(parser, path=()):
 def test_flag_surface_is_unchanged():
     from hardy.cli import build_parser
     out = {"--out": None}
-    n_samples = {"--n-samples": None}
+    n_samples = {"--n-samples": 1024}
     multiplier = {"--power": None, "--zeros": None, "--fn": None}
     assert _flag_surface(build_parser()) == {
         "norm audit": {"--spec": None, "--trials": 200, "--seed": 0,
@@ -652,8 +658,7 @@ def test_flag_surface_is_unchanged():
         "invariance wandering": {"--subspace": None, **multiplier, **out},
         "invariance constrained": {"--spec": None, "--band": 400,
                                    "--kmax": 60, **out},
-        "verify": {"theorem_id": None, "--seed": 0, "--n": None,
-                   **n_samples, **out},
+        "verify": {"theorem_id": None, "--seed": 0, **n_samples, **out},
         "experiment": {"name": None, "--spec": None, "--n": None,
                        "--trials": 50, "--r": 2, "--seed": 0, **n_samples,
                        **out},

@@ -13,13 +13,17 @@ from hardy import (
     PNorm,
     builtin_specs,
     cesaro_convergence_profile,
+    check_basis_orthonormality,
     decompose_blaschke,
     decompose_zn,
     freq_indices,
     gauge_eval,
+    is_n_outer,
     monomial,
+    n_inner_outer_factorize,
     norm2,
     power_spec,
+    span_invariant,
     synthesize,
 )
 from hardy import decomp
@@ -135,6 +139,28 @@ def test_zn_splits_refuse_oversized_modulus_before_allocating(split):
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20
+
+
+_F = synthesize({0: 2.0, 1: 1.0}, 1024)
+_Z = monomial(1, 1024)
+_B = BlaschkeSpec((0.0, 0.5))
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: decompose_zn(_F, 2.5), "n"),
+    (lambda: decompose_zn(_F, True), "n"),
+    (lambda: n_inner_outer_factorize(_F, 2.5), "n"),
+    (lambda: is_n_outer(_F, 2.5), "n"),
+    (lambda: span_invariant([_Z], _Z, k_max=2.5, D=10), "k_max"),
+    (lambda: span_invariant([_Z], _Z, k_max=2, D=10.5), "D"),
+    (lambda: decompose_blaschke(_F, _B, m_max=2.5), "m_max"),
+    (lambda: check_basis_orthonormality(_B, 2.5), "m_max"),
+    (lambda: cesaro_convergence_profile(_F, PNorm(2.0), 2.5), "l_max"),
+], ids=["zn-fraction", "zn-boolean", "ninner", "n-outer", "span-k_max",
+        "span-band", "blaschke-m_max", "basis-m_max", "cesaro-l_max"])
+def test_count_arguments_must_be_integers(call, name):
+    with pytest.raises(ParameterError, match=f"^{name} must be an integer"):
+        call()
 
 
 def test_series_components_base_variable_view():

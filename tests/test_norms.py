@@ -9,6 +9,7 @@ from hardy import (
     MaxOf,
     ParameterError,
     PNorm,
+    SizeError,
     SupNorm,
     builtin_specs,
     check_continuity,
@@ -133,6 +134,11 @@ def test_arc_weighted_normalizes_the_constant():
     spec = ArcWeighted((0.0, np.pi), PNorm(2.0), PNorm(1.0), n_samples=512)
     one = synthesize({0: 1.0}, 512)
     assert gauge_eval(spec, one) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_arc_weighted_grid_size_must_be_power_of_two():
+    with pytest.raises(SizeError, match="power of two"):
+        ArcWeighted((0.0, 1.0), SupNorm(), SupNorm(), n_samples=48)
 
 
 def test_max_of_dominates_parts():

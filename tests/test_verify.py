@@ -40,25 +40,18 @@ def test_config_validation():
         RunConfig(n_samples=100)
     with pytest.raises(SizeError):
         RunConfig(n_samples=2)
-    with pytest.raises(ParameterError):
-        RunConfig(modulus=0)
     # integers only: a fraction or a boolean is refused, an np.int64 is
     # read as an int
     with pytest.raises(SizeError, match="n_samples must be an integer, "
                                         "got 1024.5"):
         RunConfig(n_samples=1024.5)
-    with pytest.raises(ParameterError, match="modulus must be an integer, "
-                                             "got 2.5"):
-        RunConfig(modulus=2.5)
-    with pytest.raises(ParameterError):
-        RunConfig(modulus=True)
-    cfg = RunConfig(n_samples=np.int64(512), modulus=np.int64(3))
-    assert (cfg.n_samples, cfg.modulus) == (512, 3)
-    assert type(cfg.n_samples) is int and type(cfg.modulus) is int
+    cfg = RunConfig(n_samples=np.int64(512))
+    assert cfg.n_samples == 512
+    assert type(cfg.n_samples) is int
 
 
 def test_fast_suite_passes_and_reports():
-    rep = run_verification("lemma-4.2", RunConfig(seed=1, modulus=3))
+    rep = run_verification("lemma-4.2", RunConfig(seed=1))
     assert rep.passed
     assert rep.theorem_id == "lemma-4.2"
     assert rep.wall_time > 0.0
@@ -70,10 +63,10 @@ def test_fast_suite_passes_and_reports():
 
 
 def test_reports_are_seed_deterministic():
-    a = run_verification("lemma-4.2", RunConfig(seed=4, modulus=2))
-    b = run_verification("lemma-4.2", RunConfig(seed=4, modulus=2))
+    a = run_verification("lemma-4.2", RunConfig(seed=4))
+    b = run_verification("lemma-4.2", RunConfig(seed=4))
     assert a.as_dict() == b.as_dict()
-    c = run_verification("lemma-4.2", RunConfig(seed=5, modulus=2))
+    c = run_verification("lemma-4.2", RunConfig(seed=5))
     assert [x.measured for x in a.checks] != [y.measured for y in c.checks]
 
 
