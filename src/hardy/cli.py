@@ -399,8 +399,9 @@ def _experiment_maximal_k(args) -> dict:
 
 def _command(group, name, handler, help, n_samples=False):
     """Declare one command: its parser under ``group`` with --out (and
-    --n-samples), and its handler."""
-    p = group.add_parser(name, help=help)
+    --n-samples), and its handler.  Flags are spelled in full, so a
+    dropped flag is refused, not read as a prefix of another."""
+    p = group.add_parser(name, help=help, allow_abbrev=False)
     if n_samples:
         p.add_argument("--n-samples", type=int, default=DEFAULT_N_SAMPLES,
                        help="grid size (power of two; default "

@@ -327,6 +327,15 @@ def test_verify_unknown_id_usage_error():
     assert "lemma-4.2" in res.stderr  # registry listed in the message
 
 
+def test_removed_verify_n_is_usage_error(capsys):
+    # with flag prefixes refused, --n is not read as --n-samples
+    from hardy import cli
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "lemma-4.2", "--n", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --n 3" in capsys.readouterr().err
+
+
 def test_verify_failing_suite_exits_2(workdir, failing_suite, capsys):
     from hardy import cli
     out = workdir / "report.json"
