@@ -26,6 +26,7 @@ from .circlefn import (
     DEFAULT_N_SAMPLES,
     CircleFunction,
     _count,
+    _integer,
     gram_defect,
     grid,
 )
@@ -76,12 +77,13 @@ class BasisIndex:
     m: int
 
     def __post_init__(self):
-        if self.j < 0 or self.m < 0:
-            raise ParameterError(f"basis index needs j, m >= 0, got {self}")
+        object.__setattr__(self, "j", _count(self.j, "basis index j"))
+        object.__setattr__(self, "m", _count(self.m, "basis index m"))
 
 
 def power_spec(n: int) -> BlaschkeSpec:
     """The spec whose product is z^n."""
+    n = _integer(n, "power")
     if n < 1:
         raise ParameterError(f"power must be >= 1, got {n}")
     return BlaschkeSpec(zeros=(0.0 + 0.0j,) * n)

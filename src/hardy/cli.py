@@ -228,6 +228,7 @@ def _cmd_factor_classic(args):
         "outer": function_to_json(pair.outer),
         "residual": pair.residual,
         "unimodularity_defect": pair.unimodularity_defect,
+        "inner_tail": pair.inner_tail,
     }
     if not args.emit_plot_data:
         return payload, pair.meets_invariants()
@@ -249,6 +250,7 @@ def _cmd_factor_ninner(args):
         "residual": bundle.residual,
         "gram_defect": bundle.gram_defect,
         "parseval_gap": bundle.parseval_gap,
+        "inner_tail": bundle.inner_tail,
         "inners": [function_to_json(g) for g in bundle.inners],
         "outers": [function_to_json(g) for g in bundle.outers],
         "outers_passed": [rep.passed for rep in bundle.outer_reports],

@@ -22,11 +22,11 @@ u = z^g, which are the M-point grid reindexed by j -> j n/g mod M:
      (h_i/O)(z^n) with sum_i |h_i/O|^2 = 1: J is n-inner.
 
 The residual is exact to rounding because every step is a sample
-identity.  The only approximation is the work grid, which starts at
-WORK_GRID_FLOOR points and doubles, up to WORK_GRID_CAP, until the
-Taylor tail of J beyond three quarters of the band has decayed.  A
-modulus or quotient that is not finite raises FactorizationError on the
-grid where it appears.
+identity.  The only approximation is the work grid, which starts on the
+input's grid and doubles, up to WORK_GRID_CAP, until J's Taylor tail
+beyond three quarters of the band, which bounds the aliasing, is at most
+WORK_TAIL_TARGET.  A modulus or quotient that is not finite raises
+FactorizationError on the grid where it appears.
 """
 
 from __future__ import annotations
@@ -78,24 +78,26 @@ TOL_OUTER = 1e-6
 TOL_B_INNER = 1e-7
 TOL_FACTOR_RESIDUAL = 1e-6
 
-# Work-grid control for the inner-outer construction.  The grid doubles
-# until the quotient's Taylor tail has decayed.
-WORK_TAIL_TARGET = 1e-9
-WORK_GRID_FLOOR = 8192
+# Work-grid control for the inner-outer construction.  The grid starts
+# on the input's and doubles until the quotient's Taylor tail has decayed.
+WORK_TAIL_TARGET = 1e-11
 WORK_GRID_CAP = 1 << 17
 
 
 @dataclass(frozen=True, eq=False)
 class InnerOuterPair:
-    """f = inner * outer with the two measured quality numbers."""
+    """f = inner * outer with the measured quality numbers; inner_tail
+    is the inner part's Taylor tail on the final work grid."""
 
     inner: CircleFunction
     outer: CircleFunction
     residual: float
     unimodularity_defect: float
+    inner_tail: float
 
     def meets_invariants(self) -> bool:
         return (self.residual <= 1e-7 and self.unimodularity_defect <= 1e-7
+                and self.inner_tail <= WORK_TAIL_TARGET
                 and self.outer.is_analytic())
 
 
@@ -160,7 +162,8 @@ class NInnerOuterBundle:
 
     A single generator gives r = 1.  The functions live on the grid
     they were computed on, which grows beyond the input grid when
-    coefficient decay demands it; ``n_samples`` records it.
+    coefficient decay demands it; ``n_samples`` records it, and
+    ``inner_tail`` the inner part's Taylor tail that stopped its growth.
     """
 
     n: int
@@ -172,10 +175,12 @@ class NInnerOuterBundle:
     n_samples: int
     parseval_gap: float
     outer_reports: Tuple[NOuterReport, ...]
+    inner_tail: float
 
     def meets_invariants(self) -> bool:
         return (self.residual <= TOL_FACTOR_RESIDUAL
                 and self.gram_defect <= TOL_FACTOR_RESIDUAL
+                and self.inner_tail <= WORK_TAIL_TARGET
                 and all(rep.passed for rep in self.outer_reports))
 
 
@@ -244,10 +249,11 @@ def _tiled(samples: np.ndarray, g: int) -> CircleFunction:
 
 
 def _factor(f: CircleFunction, n: int, regularize: bool
-            ) -> Tuple[CircleFunction, CircleFunction, CircleFunction]:
-    """The construction of the module docstring: (J, F, f) with f
-    resampled to the work grid that J and F live on."""
-    n_work = max(f.n_samples, WORK_GRID_FLOOR)
+            ) -> Tuple[CircleFunction, CircleFunction, CircleFunction, float]:
+    """The construction of the module docstring: (J, F, f, tail) with f
+    resampled to the work grid that J and F live on, and tail J's Taylor
+    tail there."""
+    n_work = f.n_samples
     while True:
         f_work = resample(f, n_work)
         g = math.gcd(n, n_work)
@@ -263,7 +269,7 @@ def _factor(f: CircleFunction, n: int, regularize: bool
         inner = CircleFunction.from_samples(quotient)
         tail = float(np.linalg.norm(inner.coeffs[3 * n_work // 4:]))
         if tail <= WORK_TAIL_TARGET or n_work >= WORK_GRID_CAP:
-            return inner, outer, f_work
+            return inner, outer, f_work, tail
         n_work *= 2
 
 
@@ -288,14 +294,15 @@ def inner_outer(f: CircleFunction, regularize: bool = False) -> InnerOuterPair:
     """Split f into a unimodular part times the outer part of |f|.
 
     The construction is n_inner_outer_factorize's at n = 1, so both
-    parts live on its work grid of at least WORK_GRID_FLOOR points.
+    parts live on its work grid, which starts on f's grid and doubles
+    until the inner part's Taylor tail has decayed.
     """
     require_analytic(f, "inner_outer")
-    inner, outer, f_work = _factor(f, 1, regularize)
+    inner, outer, f_work, tail = _factor(f, 1, regularize)
     unimod = float(np.max(np.abs(np.abs(inner.samples) - 1.0)))
     return InnerOuterPair(inner=inner, outer=outer,
                           residual=_residual(inner, outer, f_work),
-                          unimodularity_defect=unimod)
+                          unimodularity_defect=unimod, inner_tail=tail)
 
 
 def is_outer(f: CircleFunction, regularize: bool = False) -> OuterReport:
@@ -388,12 +395,13 @@ def n_inner_outer_factorize(f: CircleFunction, n: int,
     validations; a residual above 1e-6 raises FactorizationError.
     """
     require_analytic(f, "n_inner_outer_factorize")
-    # the work grid starts at this size and only grows
-    n = _check_modulus(n, max(f.n_samples, WORK_GRID_FLOOR))
+    # the work grid starts on f's grid and only grows
+    n = _check_modulus(n, f.n_samples)
+    m_max_check = _count(m_max_check, "m_max_check")
     with np.errstate(over="ignore"):  # an overflowing norm is not zero
         if norm2(f) < EPS_LOG:
             raise DomainError("cannot factor the zero function")
-    J, f1, f_work = _factor(f, n, regularize)
+    J, f1, f_work, tail = _factor(f, n, regularize)
     n_work = f_work.n_samples
     residual = _residual(J, f1, f_work)
     z_n = grid(n_work)[n * np.arange(n_work) % n_work]
@@ -410,7 +418,7 @@ def n_inner_outer_factorize(f: CircleFunction, n: int,
     bundle = NInnerOuterBundle(
         n=n, r=1, inners=(J,), outers=(f1,), residual=residual,
         gram_defect=gram, n_samples=n_work, parseval_gap=parseval,
-        outer_reports=(outer_report,))
+        outer_reports=(outer_report,), inner_tail=tail)
     if residual > TOL_FACTOR_RESIDUAL:
         raise FactorizationError(
             f"factorization residual {residual:.3e} exceeds "

@@ -78,11 +78,12 @@ class GradedRecipe:
     k_max: int
 
     def __post_init__(self):
+        object.__setattr__(self, "k_max", _count(self.k_max, "k_max"))
         N = self.step.n_samples
-        if not self.starts or self.k_max < 0 or any(
+        if not self.starts or any(
                 f.n_samples != N for f in (*self.head, *self.starts)):
-            raise ParameterError("a build recipe needs a start, k_max >= 0 "
-                                 "and its functions on one grid")
+            raise ParameterError("a build recipe needs a start and its "
+                                 "functions on one grid")
         # + 0.0 clears signed zeros, as a file drops a zero coefficient
         def held(f):
             return CircleFunction.from_coeffs(f.coeffs + 0.0)

@@ -15,7 +15,8 @@ from typing import Tuple
 
 import numpy as np
 
-from .circlefn import CircleFunction, DEFAULT_N_SAMPLES, _check_n_samples
+from .circlefn import (CircleFunction, DEFAULT_N_SAMPLES, _check_n_samples,
+                       _integer)
 from .errors import ParameterError
 
 __all__ = [
@@ -232,6 +233,7 @@ def check_gauge_axioms(spec: GaugeNormSpec, trials: int = 200,
     inequality, and absolute homogeneity.  A spec passes when every
     violation is at most AXIOM_TOL.
     """
+    trials = _integer(trials, "trials")
     if trials < 1:
         raise ParameterError("trials must be positive")
     rng = np.random.default_rng(seed)
@@ -326,6 +328,7 @@ def dual_norm_estimate(spec: GaugeNormSpec, h: CircleFunction,
     the Hoelder extremal |h|^(q-1) for p norms, top-k indicators of |h|,
     and seeded random arcs, plateaus, and powers.
     """
+    budget = _integer(budget, "budget")
     if budget < 1:
         raise ParameterError("budget must be positive")
     mod_h = np.abs(h.samples)

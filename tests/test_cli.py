@@ -80,6 +80,19 @@ def test_factor_classic_plot_csv(workdir):
     assert np.allclose(np.diff(theta), 2.0 * np.pi / N, rtol=0, atol=1e-12)
 
 
+def test_factor_payloads_carry_the_inner_tail(workdir):
+    # J's Taylor tail on the final work grid, the number the grid's stop
+    # rule and the verdict read
+    from hardy import cli
+    from hardy.factor import WORK_TAIL_TARGET
+    for args in (["classic"], ["ninner", "--n", "2"]):
+        out = workdir / "payload.json"
+        assert cli.main(["factor", *args, "--fn", str(workdir / "poly.json"),
+                         "--out", str(out)]) == 0
+        assert 0.0 <= json.loads(out.read_text())["inner_tail"] \
+            <= WORK_TAIL_TARGET
+
+
 def test_factor_grid_zero_diagnostic(workdir):
     res = run_cli("factor", "classic", "--fn", str(workdir / "gridzero.json"))
     assert res.returncode == 2

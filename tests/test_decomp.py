@@ -7,15 +7,19 @@ import numpy as np
 import pytest
 
 from hardy import (
+    BasisIndex,
     BlaschkeSpec,
     CircleFunction,
+    GradedRecipe,
     ParameterError,
     PNorm,
     builtin_specs,
     cesaro_convergence_profile,
     check_basis_orthonormality,
+    check_gauge_axioms,
     decompose_blaschke,
     decompose_zn,
+    dual_norm_estimate,
     freq_indices,
     gauge_eval,
     is_n_outer,
@@ -156,8 +160,16 @@ _B = BlaschkeSpec((0.0, 0.5))
     (lambda: decompose_blaschke(_F, _B, m_max=2.5), "m_max"),
     (lambda: check_basis_orthonormality(_B, 2.5), "m_max"),
     (lambda: cesaro_convergence_profile(_F, PNorm(2.0), 2.5), "l_max"),
+    (lambda: n_inner_outer_factorize(_F, 2, m_max_check=2.5), "m_max_check"),
+    (lambda: power_spec(2.5), "power"),
+    (lambda: check_gauge_axioms(PNorm(2.0), trials=2.5), "trials"),
+    (lambda: dual_norm_estimate(PNorm(2.0), _F, budget=2.5), "budget"),
+    (lambda: GradedRecipe((), (_Z,), _Z, 2.5), "k_max"),
+    (lambda: BasisIndex(1.5, 0), "basis index j"),
 ], ids=["zn-fraction", "zn-boolean", "ninner", "n-outer", "span-k_max",
-        "span-band", "blaschke-m_max", "basis-m_max", "cesaro-l_max"])
+        "span-band", "blaschke-m_max", "basis-m_max", "cesaro-l_max",
+        "ninner-m_max_check", "power", "axiom-trials", "dual-budget",
+        "recipe-k_max", "basis-index"])
 def test_count_arguments_must_be_integers(call, name):
     with pytest.raises(ParameterError, match=f"^{name} must be an integer"):
         call()

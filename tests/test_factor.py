@@ -33,11 +33,11 @@ from hardy.circlefn import CircleFunction, gram_defect
 from hardy.factor import (
     TOL_B_INNER,
     WORK_GRID_CAP,
-    WORK_GRID_FLOOR,
     WORK_TAIL_TARGET,
     _factor,
     _joint_gram_defect,
 )
+from hardy.verify import _random_poly
 from oracles import zn_series_components
 
 
@@ -120,22 +120,32 @@ def _classic_oracle(f, n_samples):
 
 
 def _base_variable_oracle(f, n):
-    """The n-inner construction in the base variable w = z^n: outer
-    function of phi on a w-grid, mapped back to z by the index map
-    k -> n k mod N, the grid doubling until each quotient's w-tail dies."""
-    n_work = max(f.n_samples, WORK_GRID_FLOOR)
+    """The n-inner construction in the base variable w = z^n, the grid
+    doubling until each quotient's w-tail dies."""
+    n_work = f.n_samples
     while True:
-        parts = [resample(s, n_work) for s in zn_series_components(f, n)]
-        phi = np.sqrt(sum(np.abs(p.samples) ** 2 for p in parts))
-        outer = outer_from_modulus(_from_mod(phi))
-        thetas = [p.samples / outer.samples for p in parts]
+        thetas, outer = _base_variable_parts(f, n, n_work)
         half = n_work // 2
         start = half + max(half // (2 * n), 1)
         tail = max(float(np.linalg.norm(
             CircleFunction.from_samples(t).coeffs[start:])) for t in thetas)
         if tail <= WORK_TAIL_TARGET or n_work >= WORK_GRID_CAP:
-            break
+            return _base_variable_pair(thetas, outer, n)
         n_work *= 2
+
+
+def _base_variable_parts(f, n, n_work):
+    """Outer function of phi on an n_work-point w-grid, and the sample
+    rows of the quotients h_i / outer there."""
+    parts = [resample(s, n_work) for s in zn_series_components(f, n)]
+    phi = np.sqrt(sum(np.abs(p.samples) ** 2 for p in parts))
+    outer = outer_from_modulus(_from_mod(phi))
+    return [p.samples / outer.samples for p in parts], outer
+
+
+def _base_variable_pair(thetas, outer, n):
+    """(J, F) mapped back to z by the index map k -> n k mod N."""
+    n_work = outer.n_samples
     z = grid(n_work)
     idx = (n * np.arange(n_work)) % n_work
     J = sum(z ** i * t[idx] for i, t in enumerate(thetas))
@@ -146,7 +156,7 @@ def _base_variable_oracle(f, n):
 def _factor_per_row(f, n, regularize=False):
     """_factor with phi from decompose_zn's components and F from
     outer_from_modulus of phi as a CircleFunction."""
-    n_work = max(f.n_samples, WORK_GRID_FLOOR)
+    n_work = f.n_samples
     while True:
         f_work = resample(f, n_work)
         phi = np.sqrt(sum(np.abs(h.samples) ** 2
@@ -241,13 +251,17 @@ def test_factor_matches_per_row_construction_regularized():
         assert _relative_gap(a, b) <= 1e-12
 
 
-@pytest.mark.parametrize("n,rows", [(2, (2, 4096)), (3, (3, 8192)),
-                                    (4, (4, 2048))])
+@pytest.mark.parametrize("n,rows", [(2, (2, 512)), (3, (3, 1024)),
+                                    (4, (4, 256))])
 def test_factor_runs_residue_rows_on_the_z_g_grid(transforms, n, rows):
-    # On the 8192-point work grid, phi is a function of u = z^g with
-    # g = gcd(n, 8192): its rows and its outer part need 8192 / g points.
+    # The first pass runs on the input's 1024 points, where phi is a
+    # function of u = z^g with g = gcd(n, 1024): its rows and its outer
+    # part need 1024 / g points.  This f is outer, J's tail meets the
+    # target there, and no second pass runs.
     f = synthesize({0: 2.0, 1: 0.5, 3: 0.25}, 1024)
-    _factor(f, n, False)
+    J, F, f_work, tail = _factor(f, n, False)
+    assert J.n_samples == F.n_samples == f_work.n_samples == 1024
+    assert tail <= WORK_TAIL_TARGET
     assert [shape for name, shape in transforms if name == "ifft"
             and len(shape) == 2] == [rows]
     assert [shape for name, shape in transforms
@@ -256,18 +270,18 @@ def test_factor_runs_residue_rows_on_the_z_g_grid(transforms, n, rows):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_factor_refuses_overflow_on_the_first_pass(transforms, n):
-    # |h_i|^2 overflows for coefficients near 1e200; the first work grid
-    # refuses it, with no RuntimeWarning (an error under this suite's
-    # warning filter) and no doubling towards the cap.
+    # |h_i|^2 overflows for coefficients near 1e200; the input's own
+    # grid, the first work grid, refuses it, with no RuntimeWarning (an
+    # error under this suite's warning filter) and no doubling.
     f = synthesize({0: 2e200, 3: 1e200}, 1024)
     with pytest.raises(FactorizationError, match="not finite") as info:
         n_inner_outer_factorize(f, n)
-    assert info.value.diagnostics == {"n": n, "n_samples": WORK_GRID_FLOOR}
+    assert info.value.diagnostics == {"n": n, "n_samples": 1024}
     if n == 1:
         with pytest.raises(FactorizationError, match="not finite"):
             inner_outer(f)
     assert max((shape[-1] for _, shape in transforms),
-               default=0) <= WORK_GRID_FLOOR
+               default=0) <= 1024
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
@@ -322,6 +336,50 @@ def test_factorization_matches_old_constructions(n):
         for J_old, F_old in oracles:
             assert _relative_gap(J, J_old) <= 1e-12
             assert _relative_gap(F, F_old) <= 1e-12
+
+
+def _oracle_inputs():
+    rng = np.random.default_rng(1)
+    return ([_random_poly(rng, 24, 1024) for _ in range(20)]
+            + [synthesize({0: -a, 1: 1.0}, 1024) for a in (0.9, 0.99, 0.999)])
+
+
+def test_factorization_matches_fixed_finest_grid():
+    # Against the base-variable construction on a fixed 2^17-point grid,
+    # wherever that construction's own J tail meets the target: the
+    # tail-driven work grid loses nothing to the finest one.
+    compared = 0
+    for f in _oracle_inputs():
+        for n in (1, 2, 3):
+            bundle = n_inner_outer_factorize(f, n)
+            J_old, F_old = _base_variable_pair(
+                *_base_variable_parts(f, n, WORK_GRID_CAP), n)
+            if np.linalg.norm(
+                    J_old.coeffs[3 * WORK_GRID_CAP // 4:]) > WORK_TAIL_TARGET:
+                continue
+            compared += 1
+            assert _relative_gap(bundle.outers[0], F_old) <= 1e-13
+            assert _relative_gap(bundle.inners[0], J_old) <= 1e-12
+    assert compared >= 68  # of 69
+
+
+def test_inner_tail_is_part_of_the_verdict():
+    # Random input 3 of the oracle set ends at the cap with J's tail just
+    # above the target: every other check passes, the tail alone fails.
+    f = _oracle_inputs()[3]
+    bundle = n_inner_outer_factorize(f, 1)
+    pair = inner_outer(f)
+    assert bundle.n_samples == WORK_GRID_CAP
+    assert WORK_TAIL_TARGET < bundle.inner_tail == pair.inner_tail < 1e-10
+    assert bundle.residual <= 1e-14 and bundle.gram_defect <= 1e-14
+    assert bundle.outer_reports[0].passed and pair.outer.is_analytic()
+    assert pair.unimodularity_defect <= 1e-7
+    assert not bundle.meets_invariants()
+    assert not pair.meets_invariants()
+    for n in (2, 3):
+        bundle = n_inner_outer_factorize(f, n)
+        assert bundle.inner_tail <= WORK_TAIL_TARGET
+        assert bundle.meets_invariants()
 
 
 def test_inner_outer_grid_zero_needs_regularize():
