@@ -404,8 +404,15 @@ def n_inner_outer_factorize(f: CircleFunction, n: int,
     J, f1, f_work, tail = _factor(f, n, regularize)
     n_work = f_work.n_samples
     residual = _residual(J, f1, f_work)
-    z_n = grid(n_work)[n * np.arange(n_work) % n_work]
-    gram = _joint_gram_defect(z_n, [J.samples], m_max_check)
+    # A shift z^(n d), d <= m_max_check, past half the grid wraps J's
+    # band onto itself (at n d = n_work it reads mean |J|^2 = 1), so J
+    # is zero-padded, which is exact, until every shift stays within it.
+    n_gram = n_work
+    while n_gram < 2 * n * m_max_check:
+        n_gram *= 2
+    z_n = grid(n_gram)[n * np.arange(n_gram) % n_gram]
+    gram = _joint_gram_defect(z_n, [resample(J, n_gram).samples],
+                              m_max_check)
     parseval = abs(norm2(f_work) ** 2 - norm2(f1) ** 2)
     # A modulus that vanishes on the grid, or an outer part that is not
     # analytic at the grid cap, fails the outer test rather than the call.

@@ -419,6 +419,7 @@ def test_multiplier_flags_are_exclusive(workdir):
     ["decompose", "--mode", "zn", "--n", "600"],
     ["decompose", "--mode", "zn", "--n", "0"],
     ["factor", "ninner", "--n", "0"],
+    ["factor", "ninner", "--n", "600"],
 ])
 def test_out_of_range_n_is_input_error(workdir, capsys, argv):
     from hardy import cli

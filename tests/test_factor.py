@@ -316,6 +316,42 @@ def test_joint_gram_defect_matches_explicit_gram(n):
                                np.abs(U)) ** 2))
 
 
+def _linear_gram_defect(J, n, m_max):
+    """max |G - I| of {z^(n m) J : m <= m_max} from J's coefficients:
+    <z^(n d) J, J> = sum_k c_k conj(c_(k + n d)), no wrap-around."""
+    c = J.coeffs
+    blocks = [np.vdot(c[n * d:], c[:max(c.size - n * d, 0)])
+              for d in range(m_max + 1)]
+    blocks[0] -= 1.0
+    return max(abs(b) for b in blocks)
+
+
+@pytest.mark.parametrize("N,n", [(1024, 128), (1024, 256), (1024, 512),
+                                 (64, 8)])
+def test_joint_gram_check_of_an_outer_input_at_large_n(N, n):
+    # J = f / |f| stays on the input's grid; z^(8 n) is 1 on it, and
+    # on a grid that small the check once read mean |J|^2 = 1 there
+    bundle = n_inner_outer_factorize(synthesize({0: 2.0, 1: 0.5}, N), n)
+    assert bundle.n_samples == N
+    assert bundle.gram_defect <= 1e-14
+    assert bundle.meets_invariants()
+
+
+@pytest.mark.parametrize("n", [100, 128, 300, 512])
+def test_joint_gram_check_has_no_wrap_around(n):
+    N = 1024
+    rng = np.random.default_rng(N + n)
+    c = ((rng.standard_normal(N // 2) + 1j * rng.standard_normal(N // 2))
+         * 0.8 ** np.arange(N // 2))
+    c[0] += 4.0
+    bundle = n_inner_outer_factorize(synthesize(dict(enumerate(c)), N), n)
+    J = bundle.inners[0]
+    # on the input's grid the shifts z^(n d), d <= 8, pass half of it
+    assert J.n_samples == N
+    assert abs(bundle.gram_defect - _linear_gram_defect(J, n, 8)) <= 1e-14
+    assert bundle.meets_invariants()
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_factorization_matches_old_constructions(n):
     rng = np.random.default_rng(40 + n)
