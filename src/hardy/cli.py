@@ -69,7 +69,7 @@ from .serialize import (
     subspace_to_json,
     zeros_from_json,
 )
-from .verify import RunConfig, registry_ids, run_verification
+from .verify import SMALLEST_GRID, RunConfig, registry_ids, run_verification
 from .verify import _random_poly
 
 __all__ = ["main"]
@@ -165,8 +165,16 @@ def _write_csv(path: str, header: List[str], rows):
 # Each returns (payload, passed), and factor classic a CSV (path, header,
 # rows) after them; main() writes, maps errors and picks the exit code.
 
+def _grid_arg(args, smallest: int) -> int:
+    """--n-samples, refused below the smallest grid the command needs."""
+    if args.n_samples < smallest:
+        raise ParameterError(f"--n-samples {args.n_samples} is too small: "
+                             f"this command needs --n-samples >= {smallest}")
+    return args.n_samples
+
+
 def _cmd_norm_audit(args):
-    N = args.n_samples
+    N = _grid_arg(args, 64)  # the degree-16 symmetry probe
     spec = _norm_spec_arg(args.spec, N)
     axioms = check_gauge_axioms(spec, trials=args.trials, seed=args.seed,
                                 n_samples=N)
@@ -312,7 +320,8 @@ def _cmd_invariance_constrained(args):
 
 
 def _cmd_verify(args):
-    config = RunConfig(n_samples=args.n_samples, seed=args.seed)
+    config = RunConfig(n_samples=_grid_arg(
+        args, SMALLEST_GRID[args.theorem_id]), seed=args.seed)
     report = run_verification(args.theorem_id, config)
     print(f"{report.theorem_id}: {len(report.checks)} checks, "
           f"{'pass' if report.passed else 'FAIL'}, "
@@ -333,7 +342,7 @@ def _experiment_conjecture44(args) -> dict:
     open question, so it is reported, never asserted."""
     if args.trials < 1:
         raise ParameterError("--trials must be >= 1")
-    N = args.n_samples
+    N = _grid_arg(args, 256)  # probes of degree up to 64
     n = args.n if args.n is not None else 2
     spec_names = [args.spec] if args.spec else ["p2", "arc_q1"]
     rng = np.random.default_rng(args.seed)

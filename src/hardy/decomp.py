@@ -51,6 +51,15 @@ __all__ = [
 
 # Largest phase-grid node count (grid size times degree) in Blaschke mode.
 MAX_PHASE_NODES = 2 ** 20
+# A phase node is converged once its phase miss is at most this many
+# units of eps * (1 + 2 pi psi'): rounding in theta (|theta| < 2 pi)
+# moves the phase by psi' times that.  Converged nodes read 0.3 - 1.
+_PHASE_ROUNDING = 16.0
+_EPS = float(np.finfo(float).eps)
+# Newton on the phase gives up once its largest miss has not reached a
+# new low for this many steps, or after the step cap.
+_STALL_STEPS = 16
+_MAX_NEWTON_STEPS = 100
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,11 +73,13 @@ class DecompositionResult:
     ``phase_grid``-point grid (None in z^n mode).  The price is the
     coefficient view of a piece: once the spectrum of B^m exceeds the
     grid (zero radii above about 0.85 at N = 1024) its ``coeffs``
-    alias; for the zeros (0, r, -ir) and a degree-24 input the largest
-    ``negative_energy`` of a piece is 4e-3 at r = 0.9 and 0.7 at
-    r = 0.958.  Piece j is exactly row j of ``basis_coefficients``
-    (slot j by power m), whose squared l2 norm is the squared subspace
-    norm the Pythagoras identity refers to.
+    alias; for the zeros (0, r, -ir) and ten seeded degree-24 inputs
+    the largest ``negative_energy`` of a piece is 5e-3 at r = 0.9 and
+    0.8 at r = 0.958.  Piece j is exactly row j of
+    ``basis_coefficients`` (slot j by power m), whose squared l2 norm is
+    the squared subspace norm the Pythagoras identity refers to.  When
+    B vanishes at the origin the rows end at the exact cutoff (see
+    decompose_blaschke): the pairings beyond it are zero, not small.
     """
 
     mode: str
@@ -100,22 +111,29 @@ def _taylor_degree(f: CircleFunction) -> int:
 
 
 def _auto_m_max(spec: BlaschkeSpec, degree: int) -> int:
-    """Power cutoff sized so the expansion tail is below ~1e-10.
+    """Power cutoff for an input of Taylor degree ``degree``: exact when
+    B vanishes at the origin, else sized so the tail is below ~1e-10.
 
-    Two pieces: enough powers for the slowest winding pocket to sweep
-    past the input's top frequency (a factor with zero radius r winds
-    at least at (1 - r)/(1 + r)), then extra powers for the tail, which
-    decays by a factor of about sqrt(|zero|) per factor per power.
-    Zeros at the origin wind at unit speed with no tail.
+    Write B = z^k B~ with k zeros at the origin.  Every e(j, m) lies in
+    z^(m k) H^2, so <f, e(j, m)> = 0 exactly once m k > degree: with
+    k >= 1 the cutoff is at most degree // k, and B = z^k takes exactly
+    that.  The zeros off the origin give a second bound: enough powers
+    for the slowest winding pocket to sweep past the input's top
+    frequency (a factor with zero radius r winds at least at
+    (1 - r)/(1 + r)), then extra powers for the tail, which decays by a
+    factor of about sqrt(|zero|) per factor per power.  The cutoff is
+    the smaller bound.
     """
     radii = np.abs(np.asarray(spec.zeros, dtype=complex))
-    w_min = float(np.sum((1.0 - radii) / (1.0 + radii)))
-    coverage = int(np.ceil(max(degree, 1) / w_min))
     positive = radii[radii > 0.0]
-    if positive.size == 0:
-        return coverage
-    nats_per_power = float(np.sum(-np.log(positive))) / 2.0
-    return coverage + int(np.ceil(27.0 / nats_per_power)) + 8
+    at_origin = radii.size - positive.size
+    cutoffs = [degree // at_origin] if at_origin else []
+    if positive.size:
+        w_min = float(np.sum((1.0 - radii) / (1.0 + radii)))
+        coverage = int(np.ceil(max(degree, 1) / w_min))
+        nats_per_power = float(np.sum(-np.log(positive))) / 2.0
+        cutoffs.append(coverage + int(np.ceil(27.0 / nats_per_power)) + 8)
+    return min(cutoffs)
 
 
 def _phase_speed(spec: BlaschkeSpec, z: np.ndarray) -> np.ndarray:
@@ -131,7 +149,13 @@ def _phase_nodes(spec: BlaschkeSpec, M: int) -> Tuple[np.ndarray, float]:
     grid of P points joined with each nonzero zero's Moebius image of
     it, so between neighbours every factor's phase moves by at most
     2 pi / P and np.unwrap is exact for P > 2 * degree.  Linear
-    interpolation of the inverse seeds Newton's method on the phase.
+    interpolation of the inverse seeds Newton's method on the phase,
+    which runs inside a bracket per node: a step out of it, which would
+    land on another sheet, is replaced by bisection.  From the fourth
+    step on it stops once every node's phase miss is at rounding level,
+    _PHASE_ROUNDING units of eps (1 + 2 pi psi') (a zero near the circle
+    makes psi' large), and raises ParameterError if its largest miss
+    reaches no new low in _STALL_STEPS steps.
     """
     P = max(M, 4 * spec.degree)
     w = np.exp(2j * np.pi * np.arange(P) / P)
@@ -140,11 +164,40 @@ def _phase_nodes(spec: BlaschkeSpec, M: int) -> Tuple[np.ndarray, float]:
                       2.0 * np.pi)
     psi = np.unwrap(np.angle(blaschke_eval(spec, np.exp(1j * theta))))
     targets = psi[0] + 2.0 * np.pi * np.arange(spec.degree * M) / M
+    # Each node lies between the points whose interpolated phase is pi/2
+    # below and above its target; as the samples lie at most pi/2 apart
+    # in phase, the phase there is less than pi from the target, so the
+    # sign of the miss is exact.
+    turn = 2.0 * np.pi * spec.degree
+    around_psi = np.concatenate([psi[:-1] - turn, psi, psi[1:] + turn])
+    around = np.concatenate([theta[:-1] - 2.0 * np.pi, theta,
+                             theta[1:] + 2.0 * np.pi])
+    lo = np.interp(targets - 0.5 * np.pi, around_psi, around)
+    hi = np.interp(targets + 0.5 * np.pi, around_psi, around)
     theta = np.interp(targets, psi, theta)
-    for _ in range(4):
+    best, since = np.inf, 0
+    for step in range(_MAX_NEWTON_STEPS + 1):
         z = np.exp(1j * theta)
         miss = np.angle(blaschke_eval(spec, z) * np.exp(-1j * targets))
-        theta = theta - miss / _phase_speed(spec, z)
+        speed = _phase_speed(spec, z)
+        units = np.abs(miss) / (_EPS * (1.0 + 2.0 * np.pi * speed))
+        if step >= 4:
+            worst = float(np.max(units))
+            if worst <= _PHASE_ROUNDING:
+                break
+            best, since = (worst, 0) if worst < best else (best, since + 1)
+            if since == _STALL_STEPS or step == _MAX_NEWTON_STEPS:
+                raise ParameterError(
+                    f"the phase nodes did not converge: largest phase miss "
+                    f"{np.max(np.abs(miss)):.1e} after {step} Newton steps; "
+                    f"move the zeros inward")
+        # Above rounding the sign of a miss inside the bracket is exact.
+        far = units > _PHASE_ROUNDING
+        lo = np.where(far & (miss < 0.0), theta, lo)
+        hi = np.where(far & (miss > 0.0), theta, hi)
+        theta = theta - miss / speed
+        # a step out of the bracket would go to another sheet: bisect
+        theta = np.where((lo <= theta) & (theta <= hi), theta, 0.5 * (lo + hi))
     return np.exp(1j * theta).reshape(spec.degree, M), float(psi[0])
 
 
@@ -154,16 +207,21 @@ def decompose_blaschke(f: CircleFunction, spec: BlaschkeSpec,
 
     Component j is sum_m <f, e(j, m)> B^m, a series in B; carrier j is
     e(j, 0).  With m_max=None the cutoff is sized automatically from
-    the input's scale-free degree and the slowest winding rate of B.
+    the input's scale-free degree d (see _auto_m_max): when B has k >= 1
+    zeros at the origin it is at most d // k, past which every pairing
+    is exactly zero, else it follows the slowest winding rate of B.
 
     The pairings come by a change of variables to the phase psi of B,
     which rises by 2 pi * degree once round the circle at speed psi':
     <f, e(j, m)> is the m-th Fourier coefficient in phi of G_j(phi),
     the sum of f conj(e(j, 0)) / psi' over the preimages of exp(i phi),
-    so one FFT of G_j on an M-point phase grid gives every power.  M is
-    the smallest power of two >= 64 and >= 2 (m + 1), m the larger of
-    m_max and the automatic cutoff; more than 2^20 nodes (M * degree)
-    raise ParameterError.  The residual is the L2 distance between f
+    so one FFT of G_j on an M-point phase grid gives every power (G_j
+    has no negative frequencies, as e(j, 0) is orthogonal to B H^2, and
+    none past d // k).  M is the smallest power of two >= 64 and
+    >= 2 (m + 1), m the larger of m_max and the automatic cutoff; more
+    than 2^20 nodes (M * degree) raise ParameterError before anything is
+    allocated, and so do phase nodes Newton's method cannot bring to
+    rounding level (see _phase_nodes).  The residual is the L2 distance between f
     and the recomposition, by quadrature at the nodes; it measures the
     basis tail beyond m_max and is reported, not raised.  The returned
     functions are point values on the input's grid (see

@@ -527,6 +527,14 @@ REGISTRY: Dict[str, Callable[[RunConfig], Tuple[Check, ...]]] = {
     "thm-4.6": _run_energy_split,
     "thm-5.4": _run_n_factorization,
 }
+# The smallest grid each suite runs on: the smallest power of two whose
+# band 0 .. N/2 - 1 holds its largest probe degree (24 in lemma-2.4 and
+# thm-5.4, 12 in lemma-4.1, 127 in thm-4.6), its largest modulus n (8 in
+# lemma-4.2) or its subspace band D (320 - 420).
+SMALLEST_GRID: Dict[str, int] = {
+    "lemma-2.4": 64, "lemma-4.1": 32, "lemma-4.2": 16, "thm-3.5": 1024,
+    "thm-3.6": 1024, "thm-4.5": 1024, "thm-4.6": 256, "thm-5.4": 64,
+}
 
 
 def registry_ids() -> Tuple[str, ...]:
@@ -542,6 +550,10 @@ def run_verification(theorem_id: str,
         raise ParameterError(
             f"unknown verification id {theorem_id!r}; known ids: {known}"
         )
+    smallest = SMALLEST_GRID[theorem_id]
+    if config.n_samples < smallest:
+        raise ParameterError(f"{theorem_id} needs n_samples >= {smallest}, "
+                             f"got {config.n_samples}")
     start = time.perf_counter()
     checks = REGISTRY[theorem_id](config)
     elapsed = time.perf_counter() - start

@@ -137,15 +137,31 @@ def test_decompose_blaschke_zeros_near_circle(workdir):
 
 
 def test_decompose_blaschke_refuses_zeros_at_max_modulus(workdir):
+    # no zero at the origin: the phase-node budget binds
+    r = MAX_ZERO_MODULUS
+    zeros = workdir / "edge.json"
+    atomic_write_text(str(zeros), dump_json(
+        zeros_to_json(BlaschkeSpec((r, -1j * r)))))
+    res = run_cli("decompose", "--fn", str(workdir / "poly.json"),
+                  "--mode", "blaschke", "--zeros", str(zeros))
+    assert res.returncode == 1
+    assert "phase nodes" in res.stderr
+    assert res.stdout == ""
+
+
+def test_decompose_blaschke_at_max_modulus_with_a_zero_at_the_origin(workdir):
+    # B = z B~ and 2z + z^2: the cutoff is exact at m = 2
     r = MAX_ZERO_MODULUS
     zeros = workdir / "edge.json"
     atomic_write_text(str(zeros), dump_json(
         zeros_to_json(BlaschkeSpec((0.0, r, -1j * r)))))
     res = run_cli("decompose", "--fn", str(workdir / "poly.json"),
                   "--mode", "blaschke", "--zeros", str(zeros))
-    assert res.returncode == 1
-    assert "phase nodes" in res.stderr
-    assert res.stdout == ""
+    assert res.returncode == 0
+    payload = json.loads(res.stdout)
+    assert payload["m_max"] == 2
+    assert payload["phase_grid"] == 64
+    assert payload["residual"] <= 1e-10 * np.sqrt(5.0)
 
 
 def test_norm_audit_passes_for_p2():
@@ -549,9 +565,9 @@ def _mistyped_numbers(workdir):
      "weight must be a number, got True"),
     # grids too small for the suite's or the audit's probe polynomials
     (["verify", "lemma-2.4", "--n-samples", "32"],
-     "coefficient index 16 outside band"),
+     "--n-samples 32 is too small: this command needs --n-samples >= 64"),
     (["norm", "audit", "--spec", "p2", "--n-samples", "8"],
-     "coefficient index 4 outside band"),
+     "--n-samples 8 is too small: this command needs --n-samples >= 64"),
     ([*_C44, "--n", "0"], "n must be >= 1"),
     ([*_C44, "--n", "600"], "leaves no room"),
     ([*_C44, "--trials", "0"], "--trials"),
@@ -573,6 +589,8 @@ def _mistyped_numbers(workdir):
     (["norm", "audit", "--spec", "{p_text}"], "p must be a number, got '2'"),
     (["norm", "audit", "--spec", "{arc_short}"], "index out of range"),
     (["norm", "audit", "--spec", "{arc_n_48}"], "power of two"),
+    ([*_C44, "--n-samples", "64"],
+     "--n-samples 64 is too small: this command needs --n-samples >= 256"),
 ])
 def test_refused_flag_value_is_input_error(workdir, capsys, argv, says):
     from hardy import cli

@@ -360,9 +360,11 @@ def test_blaschke_zeros_near_circle_decompose():
 
 
 def test_blaschke_refuses_zeros_at_max_modulus_before_allocating():
+    # with no zero at the origin the cutoff follows the winding rate, and
+    # the phase-node budget binds
     f = synthesize(dict(enumerate(_random_taylor(7))), 1024)
     r = MAX_ZERO_MODULUS
-    spec = BlaschkeSpec((0.0, r, -1j * r))
+    spec = BlaschkeSpec((r, -1j * r))
     tracemalloc.start()
     try:
         with pytest.raises(ParameterError, match="phase nodes"):
@@ -371,6 +373,118 @@ def test_blaschke_refuses_zeros_at_max_modulus_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20
+
+
+def test_blaschke_accepts_zeros_at_max_modulus_with_a_zero_at_the_origin():
+    # B = z B~: the cutoff is exact at degree // 1 = 24, on 64 phase nodes
+    taylor = _random_taylor(7)
+    f = synthesize(dict(enumerate(taylor)), 1024)
+    r = MAX_ZERO_MODULUS
+    res = decompose_blaschke(f, BlaschkeSpec((0.0, r, -1j * r)))
+    energy = float(np.sum(np.abs(taylor) ** 2))
+    c = res.basis_coefficients
+    assert c.shape == (3, 25)
+    assert res.phase_grid == 64
+    assert res.residual <= 1e-10 * np.sqrt(energy)
+    assert abs(float(np.sum(np.abs(c) ** 2)) - energy) <= 1e-10 * energy
+
+
+# Zero sets with k = 1, 2 and 3 zeros at the origin, in varied slots; r
+# scales the others.
+_ORIGIN_SETS = {
+    1: lambda r: (0.0, r, -1j * r),
+    2: lambda r: (r, 0.0, -1j * r, 0.0),
+    3: lambda r: (0.5j * r, 0.0, 0.0, -r, 0.0),
+}
+
+
+@pytest.mark.parametrize("r", [0.3, 0.9, 0.999])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_blaschke_cutoff_is_exact_with_zeros_at_the_origin(k, r):
+    # Every e(j, m) lies in z^(m k) H^2, so past m = 24 // k the pairings
+    # of a degree-24 input are zero: a run to m = 300 adds only rounding.
+    spec = BlaschkeSpec(_ORIGIN_SETS[k](r))
+    for seed in range(3):
+        taylor = _random_taylor(seed)
+        f = synthesize(dict(enumerate(taylor)), 1024)
+        auto = decompose_blaschke(f, spec)
+        full = decompose_blaschke(f, spec, m_max=300)
+        scale = np.linalg.norm(taylor)
+        c = auto.basis_coefficients
+        assert c.shape == (spec.degree, 24 // k + 1)
+        assert auto.phase_grid == 64
+        assert np.max(np.abs(c - full.basis_coefficients[:, :c.shape[1]])
+                      ) <= 1e-13 * scale
+        assert np.max(np.abs(full.basis_coefficients[:, c.shape[1]:])
+                      ) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("r", [0.9, 0.999])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_blaschke_pairings_match_quadrature_with_zeros_at_the_origin(k, r):
+    # <f, e(j, m)> as a grid mean of f conj(e(j, 0) B^m) on a grid past
+    # the integrand's spectrum (r^65536 ~ 3e-29 at r = 0.999), including
+    # the last power the cutoff keeps and the first it drops (at r = 0.9)
+    zeros = _ORIGIN_SETS[k](r)
+    taylor = _random_taylor(10 + k)
+    f = synthesize(dict(enumerate(taylor)), 1024)
+    c = decompose_blaschke(f, BlaschkeSpec(zeros)).basis_coefficients
+    top = 24 // k
+    pairs = [(0, 0), (1, 1), (len(zeros) - 1, 2)]
+    if r <= 0.9:
+        pairs += [(0, top), (len(zeros) - 1, top), (1, top + 1)]
+    z = np.exp(2j * np.pi * np.arange(1 << 16) / (1 << 16))
+    carriers, b = _circle_factors(zeros, z)
+    fz = np.polynomial.polynomial.polyval(z, taylor)
+    scale = np.linalg.norm(taylor)
+    for j, m in pairs:
+        want = np.mean(fz * np.conj(carriers[j] * b ** m))
+        got = c[j, m] if m <= top else 0.0
+        assert abs(got - want) <= 1e-10 * scale
+
+
+def _origin_zero_sets():
+    """Seeded zero sets with 1-3 zeros at the origin and 1-3 zeros of
+    radius 0.99 ... MAX_ZERO_MODULUS, some in near-coincident pairs,
+    shuffled into random slots."""
+    rng = np.random.default_rng(22)
+    radii = (0.99, 0.999, 0.9999, 0.99999, 1 - 3e-6, MAX_ZERO_MODULUS)
+    sets = []
+    for trial in range(24):
+        zeros = [0.0] * int(rng.integers(1, 4))
+        angles = 2 * np.pi * rng.random(int(rng.integers(1, 4)))
+        if trial % 3 == 0:
+            angles[-1] = angles[0] + 1e-4
+        # 1 - 1e-15 keeps the rounding of r e^(ia) within the largest radius
+        zeros += [(1 - 1e-15) * rng.choice(radii) * np.exp(1j * a)
+                  for a in angles]
+        rng.shuffle(zeros)
+        sets.append(tuple(zeros))
+    return sets
+
+
+@pytest.mark.parametrize("zeros", _origin_zero_sets())
+def test_blaschke_near_circle_with_a_zero_at_the_origin_resolves_or_raises(
+        zeros):
+    # Newton on the phase must bring every node to its own sheet: a node
+    # left unconverged or on a neighbouring sheet once gave a quiet
+    # residual of 0.1
+    taylor = _random_taylor(len(zeros))
+    f = synthesize(dict(enumerate(taylor)), 1024)
+    try:
+        res = decompose_blaschke(f, BlaschkeSpec(zeros))
+    except ParameterError as exc:
+        assert "phase nodes" in str(exc)
+        return
+    assert res.residual <= 1e-10 * np.linalg.norm(taylor)
+
+
+def test_phase_nodes_that_cannot_converge_raise(monkeypatch):
+    # with no room for rounding the largest miss stalls, which raises
+    monkeypatch.setattr(decomp, "_PHASE_ROUNDING", 0.0)
+    f = synthesize(dict(enumerate(_random_taylor(3))), 1024)
+    with pytest.raises(ParameterError, match="phase nodes"):
+        decompose_blaschke(f, BlaschkeSpec((0.0, 0.9, -0.9j)))
 
 
 def test_only_small_carrier_blocks_outlive_their_split():

@@ -361,9 +361,17 @@ def test_factorization_matches_old_constructions(n):
         f = synthesize(dict(enumerate(c)), 1024)
         bundle = n_inner_outer_factorize(f, n)
         J, F = bundle.inners[0], bundle.outers[0]
+        # An input whose J tail misses the target on every allowed grid
+        # (here only degree 5 at n = 1, 1.7e-8 at the cap) fails its
+        # verdict; its comparisons below are between unresolved
+        # constructions, every other one between resolved ones.
+        resolved = bundle.inner_tail <= WORK_TAIL_TARGET
+        assert resolved == ((n, degree) != (1, 5))
+        assert bundle.meets_invariants() == resolved
         oracles = [_base_variable_oracle(f, n)]
         if n == 1:
             pair = inner_outer(f)
+            assert pair.meets_invariants() == resolved
             assert np.array_equal(pair.inner.samples, J.samples)
             assert np.array_equal(pair.outer.samples, F.samples)
             # the finer of 2^15 and the work grid, for inputs whose

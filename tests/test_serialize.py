@@ -28,7 +28,7 @@ from hardy import (
     zeros_from_json,
     zeros_to_json,
 )
-from hardy.serialize import _constrained_spec_from_json
+from hardy.serialize import _constrained_spec_from_json, atomic_write_text
 
 
 def test_function_round_trip():
@@ -52,6 +52,34 @@ def test_function_file_keeps_its_signed_zeros():
     assert text.count("-0.0") == 2
     g = function_from_json(json.loads(text))
     assert dump_json(function_to_json(g)) == text
+
+
+def _random_function_file(rng, built):
+    """A function file of a seeded random function: sparse coefficients
+    over magnitudes 1e-150 ... 1e150 with signed zeros, or samples."""
+    N = 1 << int(rng.integers(2, 13))
+    if built == "samples":
+        return function_to_json(CircleFunction.from_samples(
+            rng.standard_normal(N) + 1j * rng.standard_normal(N)))
+    c = np.zeros(N, dtype=complex)
+    pos = rng.choice(N, size=int(rng.integers(1, N + 1)), replace=False)
+    parts = (rng.standard_normal((2, pos.size))
+             * 10.0 ** rng.uniform(-150, 150, (2, pos.size)))
+    parts[rng.random(parts.shape) < 0.1] = -0.0
+    c[pos] = parts[0] + 1j * parts[1]
+    return function_to_json(CircleFunction.from_coeffs(c))
+
+
+@pytest.mark.parametrize("built", ["coeffs", "samples"])
+def test_function_file_is_a_load_save_fixed_point(tmp_path, built):
+    rng = np.random.default_rng(22 if built == "coeffs" else 23)
+    path = tmp_path / "f.json"
+    for _ in range(40):
+        text = dump_json(_random_function_file(rng, built))
+        atomic_write_text(str(path), text)
+        again = dump_json(function_to_json(
+            function_from_json(json.loads(path.read_text()))))
+        assert again == text
 
 
 def test_function_json_requires_fields():

@@ -50,6 +50,24 @@ def test_config_validation():
     assert type(cfg.n_samples) is int
 
 
+@pytest.mark.parametrize("tid", ["lemma-2.4", "lemma-4.1", "lemma-4.2",
+                                 "thm-4.6", "thm-5.4"])
+def test_suite_runs_on_its_smallest_grid_and_refuses_a_smaller_one(tid):
+    from hardy.errors import HardyError
+    from hardy.verify import REGISTRY, SMALLEST_GRID
+    assert set(SMALLEST_GRID) == set(REGISTRY)
+    run, smallest = REGISTRY[tid], SMALLEST_GRID[tid]
+    assert run_verification(tid, RunConfig(n_samples=smallest, seed=1)).passed
+    half = RunConfig(n_samples=smallest // 2, seed=1)
+    with pytest.raises(ParameterError,
+                       match=f"{tid} needs n_samples >= {smallest}, got "
+                             f"{smallest // 2}"):
+        run_verification(tid, half)
+    # the bound is tight: the suite itself cannot run on half the grid
+    with pytest.raises(HardyError):
+        run(half)
+
+
 def test_fast_suite_passes_and_reports():
     rep = run_verification("lemma-4.2", RunConfig(seed=1))
     assert rep.passed
