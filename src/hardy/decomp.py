@@ -151,8 +151,8 @@ def _phase_nodes(spec: BlaschkeSpec, M: int) -> Tuple[np.ndarray, float]:
     2 pi / P and np.unwrap is exact for P > 2 * degree.  Linear
     interpolation of the inverse seeds Newton's method on the phase,
     which runs inside a bracket per node: a step out of it, which would
-    land on another sheet, is replaced by bisection.  From the fourth
-    step on it stops once every node's phase miss is at rounding level,
+    land on another sheet, is replaced by bisection.  After the first
+    four steps it stops once every node's phase miss is at rounding level,
     _PHASE_ROUNDING units of eps (1 + 2 pi psi') (a zero near the circle
     makes psi' large), and raises ParameterError if its largest miss
     reaches no new low in _STALL_STEPS steps.
@@ -217,15 +217,15 @@ def decompose_blaschke(f: CircleFunction, spec: BlaschkeSpec,
     the sum of f conj(e(j, 0)) / psi' over the preimages of exp(i phi),
     so one FFT of G_j on an M-point phase grid gives every power (G_j
     has no negative frequencies, as e(j, 0) is orthogonal to B H^2, and
-    none past d // k).  M is the smallest power of two >= 64 and
-    >= 2 (m + 1), m the larger of m_max and the automatic cutoff; more
-    than 2^20 nodes (M * degree) raise ParameterError before anything is
-    allocated, and so do phase nodes Newton's method cannot bring to
-    rounding level (see _phase_nodes).  The residual is the L2 distance between f
-    and the recomposition, by quadrature at the nodes; it measures the
-    basis tail beyond m_max and is reported, not raised.  The returned
-    functions are point values on the input's grid (see
-    DecompositionResult).
+    with k >= 1 none past d // k).  M is the smallest power of two >= 64
+    and >= 2 (m + 1), m the larger of m_max and the automatic cutoff;
+    more than 2^20 nodes (M * degree) raise ParameterError before
+    anything is allocated.  Phase nodes that Newton's method cannot bring
+    to rounding level raise it too (see _phase_nodes).  The residual is
+    the L2 distance between f and the recomposition, by quadrature at
+    the nodes; it measures the basis tail beyond m_max and is reported,
+    not raised.  The returned functions are point values on the input's
+    grid (see DecompositionResult).
     """
     res, = _split_blaschke([f], spec, m_max)
     return res

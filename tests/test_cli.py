@@ -564,10 +564,9 @@ def _mistyped_numbers(workdir):
     (["norm", "audit", "--spec", "{weights_bool}"],
      "weight must be a number, got True"),
     # grids too small for the suite's or the audit's probe polynomials
-    (["verify", "lemma-2.4", "--n-samples", "32"],
-     "--n-samples 32 is too small: this command needs --n-samples >= 64"),
+    (["verify", "lemma-2.4", "--n-samples", "32"], "needs --n-samples >= 64"),
     (["norm", "audit", "--spec", "p2", "--n-samples", "8"],
-     "--n-samples 8 is too small: this command needs --n-samples >= 64"),
+     "needs --n-samples >= 64"),
     ([*_C44, "--n", "0"], "n must be >= 1"),
     ([*_C44, "--n", "600"], "leaves no room"),
     ([*_C44, "--trials", "0"], "--trials"),
@@ -589,8 +588,7 @@ def _mistyped_numbers(workdir):
     (["norm", "audit", "--spec", "{p_text}"], "p must be a number, got '2'"),
     (["norm", "audit", "--spec", "{arc_short}"], "index out of range"),
     (["norm", "audit", "--spec", "{arc_n_48}"], "power of two"),
-    ([*_C44, "--n-samples", "64"],
-     "--n-samples 64 is too small: this command needs --n-samples >= 256"),
+    ([*_C44, "--n-samples", "64"], "needs --n-samples >= 256"),
 ])
 def test_refused_flag_value_is_input_error(workdir, capsys, argv, says):
     from hardy import cli
