@@ -27,7 +27,7 @@ from .circlefn import (
     CircleFunction,
     _count,
     _integer,
-    gram_defect,
+    _joint_gram_defect,
     grid,
 )
 from .errors import ParameterError
@@ -131,8 +131,8 @@ def basis_element(spec: BlaschkeSpec, index: BasisIndex,
 
 def check_basis_orthonormality(spec: BlaschkeSpec, m_max: int,
                                n_samples: int = DEFAULT_N_SAMPLES) -> float:
-    """Worst deviation of the e(j, m) Gram matrix from the identity."""
+    """Worst deviation of the e(j, m) Gram matrix from the identity,
+    m <= m_max: the shift Gram of the carriers e(j, 0) under B."""
     m_max = _count(m_max, "m_max")
     carriers, b = _basis_carriers(spec, grid(n_samples))
-    rows = [e0 * b ** m for m in range(m_max + 1) for e0 in carriers]
-    return gram_defect(np.vstack(rows))
+    return _joint_gram_defect(b, carriers, m_max)

@@ -19,7 +19,7 @@ with.
 from __future__ import annotations
 
 import functools
-from typing import Mapping, Optional, Union
+from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -52,7 +52,8 @@ TOL_ANALYTIC = 1e-8
 # Floor under any modulus that is about to be logged or divided by.
 EPS_LOG = 1e-12
 
-# Coefficients below this are ignored by bandwidth estimation.
+# A coefficient is significant when its modulus exceeds this fraction
+# of the largest one: the one rule for where a series ends.
 COEFF_CUTOFF = 1e-13
 
 
@@ -252,16 +253,18 @@ class CircleFunction:
         return self.negative_energy <= TOL_ANALYTIC
 
     def _significant(self) -> np.ndarray:
-        """Indices j whose coefficient exceeds COEFF_CUTOFF."""
-        return (np.nonzero(np.abs(self.coeffs) > COEFF_CUTOFF)[0]
-                - self.n_samples // 2)
+        """Indices j, ascending, whose coefficient exceeds COEFF_CUTOFF
+        times the largest |coefficient|; the zero function has none, and
+        c * f has those of f."""
+        a = np.abs(self.coeffs)
+        return np.nonzero(a > COEFF_CUTOFF * np.max(a))[0] - self.n_samples // 2
 
     def bandwidth(self) -> int:
-        """Largest |j| whose coefficient exceeds COEFF_CUTOFF (0 if none)."""
+        """Largest |j| of a significant coefficient (0 if none)."""
         return int(np.max(np.abs(self._significant()), initial=0))
 
     def top_index(self) -> int:
-        """Largest j >= 0 whose coefficient exceeds COEFF_CUTOFF (0 if none)."""
+        """Largest j >= 0 of a significant coefficient (0 if none)."""
         return int(np.max(self._significant(), initial=0))
 
     # Small arithmetic conveniences.  Products enforce the anti-aliasing
@@ -405,6 +408,39 @@ def gram_defect(rows: np.ndarray, scale: float | None = None) -> float:
     """
     G = rows @ rows.conj().T / (rows.shape[1] if scale is None else scale)
     return float(np.max(np.abs(G - np.eye(rows.shape[0]))))
+
+
+def _joint_gram_defect(mult: Union[np.ndarray, int],
+                       members: Sequence[np.ndarray], m_max: int) -> float:
+    """max |G - I| for the Gram G of {S^m v : v in members, m <= m_max},
+    S an isometry: multiplication by the unimodular samples ``mult`` on
+    sample rows, or for an int mult = n, z^n on coefficient rows in
+    storage order.  The one shift-Gram kernel.
+
+    G is block Toeplitz, <S^a v_i, S^b v_j> = <S^(a-b) v_i, v_j> or its
+    adjoint, so only the blocks d = a - b = 0 .. m_max are formed: on
+    samples the means of v_i conj(v_j) mult^d, a running product; on
+    coefficients the exact lag sums sum_k v_i[k] conj(v_j[k + n d]),
+    which no grid wraps.  Sums, not BLAS products: a product this small
+    wakes OpenBLAS's threads, which then spin through the caller.
+    """
+    V = np.asarray(members)
+    W = V.conj()
+    r, N = V.shape
+    blocks = np.empty((r * r, m_max + 1), dtype=complex)  # (i, j), a - b
+    if isinstance(mult, int):
+        for d in range(m_max + 1):
+            lag = min(mult * d, N)
+            blocks[:, d] = (V[:, None, :N - lag] * W[None, :, lag:]
+                            ).reshape(r * r, N - lag).sum(axis=1)
+    else:
+        shifted = (V[:, None, :] * W[None, :, :]).reshape(r * r, N)
+        for d in range(m_max + 1):
+            if d:
+                shifted = shifted * mult
+            blocks[:, d] = shifted.sum(axis=1) / N
+    blocks[:, 0] -= np.eye(r).ravel()
+    return float(np.max(np.abs(blocks)))
 
 
 def horner(taylor: np.ndarray, z) -> np.ndarray:

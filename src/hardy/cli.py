@@ -379,7 +379,7 @@ def _experiment_maximal_k(args) -> dict:
 
     if args.r < 1:
         raise ParameterError("--r must be >= 1")
-    N = args.n_samples
+    N = _grid_arg(args, 1024)  # the band D = 400 below
     r = args.r
     n = r
     rng = np.random.default_rng(args.seed)

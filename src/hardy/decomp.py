@@ -28,7 +28,6 @@ import numpy as np
 
 from .blaschke import BlaschkeSpec, _basis_carriers, blaschke_eval
 from .circlefn import (
-    COEFF_CUTOFF,
     CircleFunction,
     _count,
     _frozen,
@@ -56,9 +55,7 @@ MAX_PHASE_NODES = 2 ** 20
 # moves the phase by psi' times that.  Converged nodes read 0.3 - 1.
 _PHASE_ROUNDING = 16.0
 _EPS = float(np.finfo(float).eps)
-# Newton on the phase gives up once its largest miss has not reached a
-# new low for this many steps, or after the step cap.
-_STALL_STEPS = 16
+# Newton on the phase gives up after this many steps.
 _MAX_NEWTON_STEPS = 100
 
 
@@ -100,14 +97,6 @@ class DecompositionResult:
             return tuple(float(np.linalg.norm(row))
                          for row in self.basis_coefficients)
         return tuple(norm2(c) for c in self.components)
-
-
-def _taylor_degree(f: CircleFunction) -> int:
-    """Last Taylor index whose coefficient exceeds COEFF_CUTOFF times the
-    largest one, 0 for the zero function; c * f has the degree of f."""
-    taylor = np.abs(f.coeffs[f.n_samples // 2:])
-    idx = np.nonzero(taylor > COEFF_CUTOFF * np.max(taylor))[0]
-    return int(idx[-1]) if idx.size else 0
 
 
 def _auto_m_max(spec: BlaschkeSpec, degree: int) -> int:
@@ -154,8 +143,8 @@ def _phase_nodes(spec: BlaschkeSpec, M: int) -> Tuple[np.ndarray, float]:
     land on another sheet, is replaced by bisection.  After the first
     four steps it stops once every node's phase miss is at rounding level,
     _PHASE_ROUNDING units of eps (1 + 2 pi psi') (a zero near the circle
-    makes psi' large), and raises ParameterError if its largest miss
-    reaches no new low in _STALL_STEPS steps.
+    makes psi' large); a node still above it after _MAX_NEWTON_STEPS
+    steps raises ParameterError.
     """
     P = max(M, 4 * spec.degree)
     w = np.exp(2j * np.pi * np.arange(P) / P)
@@ -175,22 +164,18 @@ def _phase_nodes(spec: BlaschkeSpec, M: int) -> Tuple[np.ndarray, float]:
     lo = np.interp(targets - 0.5 * np.pi, around_psi, around)
     hi = np.interp(targets + 0.5 * np.pi, around_psi, around)
     theta = np.interp(targets, psi, theta)
-    best, since = np.inf, 0
     for step in range(_MAX_NEWTON_STEPS + 1):
         z = np.exp(1j * theta)
         miss = np.angle(blaschke_eval(spec, z) * np.exp(-1j * targets))
         speed = _phase_speed(spec, z)
         units = np.abs(miss) / (_EPS * (1.0 + 2.0 * np.pi * speed))
-        if step >= 4:
-            worst = float(np.max(units))
-            if worst <= _PHASE_ROUNDING:
-                break
-            best, since = (worst, 0) if worst < best else (best, since + 1)
-            if since == _STALL_STEPS or step == _MAX_NEWTON_STEPS:
-                raise ParameterError(
-                    f"the phase nodes did not converge: largest phase miss "
-                    f"{np.max(np.abs(miss)):.1e} after {step} Newton steps; "
-                    f"move the zeros inward")
+        if step >= 4 and float(np.max(units)) <= _PHASE_ROUNDING:
+            break
+        if step == _MAX_NEWTON_STEPS:
+            raise ParameterError(
+                f"the phase nodes did not converge: largest phase miss "
+                f"{np.max(np.abs(miss)):.1e} after {step} Newton steps; "
+                f"move the zeros inward")
         # Above rounding the sign of a miss inside the bracket is exact.
         far = units > _PHASE_ROUNDING
         lo = np.where(far & (miss < 0.0), theta, lo)
@@ -207,9 +192,10 @@ def decompose_blaschke(f: CircleFunction, spec: BlaschkeSpec,
 
     Component j is sum_m <f, e(j, m)> B^m, a series in B; carrier j is
     e(j, 0).  With m_max=None the cutoff is sized automatically from
-    the input's scale-free degree d (see _auto_m_max): when B has k >= 1
-    zeros at the origin it is at most d // k, past which every pairing
-    is exactly zero, else it follows the slowest winding rate of B.
+    the input's degree d = f.top_index(), which c * f shares with f (see
+    _auto_m_max): when B has k >= 1 zeros at the origin it is at most
+    d // k, past which every pairing is exactly zero, else it follows
+    the slowest winding rate of B.
 
     The pairings come by a change of variables to the phase psi of B,
     which rises by 2 pi * degree once round the circle at speed psi':
@@ -237,7 +223,7 @@ def _split_blaschke(fs: Sequence[CircleFunction], spec: BlaschkeSpec,
     m_max=None takes the largest of their automatic cutoffs."""
     for f in fs:
         require_analytic(f, "decompose_blaschke")
-    degrees = [_taylor_degree(f) for f in fs]
+    degrees = [f.top_index() for f in fs]
     m_auto = _auto_m_max(spec, max(degrees))  # grows with the degree
     m_max = m_auto if m_max is None else _count(m_max, "m_max")
     n = spec.degree

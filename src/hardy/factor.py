@@ -44,6 +44,7 @@ from .circlefn import (
     _analyze_array,
     _count,
     _frozen,
+    _joint_gram_defect,
     grid,
     norm2,
     require_analytic,
@@ -326,30 +327,6 @@ def is_outer(f: CircleFunction, regularize: bool = False) -> OuterReport:
     return OuterReport(passed=defect <= TOL_OUTER, defect=defect)
 
 
-def _joint_gram_defect(mult: np.ndarray, members: Sequence[np.ndarray],
-                       m_max: int) -> float:
-    """Orthonormality defect max |G - I| of {mult^m v : v in members,
-    m <= m_max} for a unimodular multiplier.
-
-    G is block Toeplitz: <mult^a v_i, mult^b v_j> = mean(v_i conj(v_j)
-    mult^(a-b)), and the block at b - a is the adjoint of the one at
-    a - b, so the defect needs only the means of the r^2 products
-    v_i conj(v_j) times mult^0 .. mult^m_max, a running product.  Sums,
-    not BLAS products: a product this small wakes OpenBLAS's threads,
-    which then spin through the caller.
-    """
-    V = np.asarray(members)
-    r, N = V.shape
-    shifted = (V[:, None, :] * V.conj()[None, :, :]).reshape(r * r, N)
-    blocks = np.empty((r * r, m_max + 1), dtype=complex)  # (i, j), a - b
-    for d in range(m_max + 1):
-        if d:
-            shifted = shifted * mult
-        blocks[:, d] = shifted.sum(axis=1) / N
-    blocks[:, 0] -= np.eye(r).ravel()
-    return float(np.max(np.abs(blocks)))
-
-
 def b_inner_matrix_from(phis: Sequence[CircleFunction], spec: BlaschkeSpec,
                         m_max: int) -> BInnerMatrix:
     """Expand each phi_j = sum_i e(i, 0) h_ij(B) over the factor slots of
@@ -404,15 +381,9 @@ def n_inner_outer_factorize(f: CircleFunction, n: int,
     J, f1, f_work, tail = _factor(f, n, regularize)
     n_work = f_work.n_samples
     residual = _residual(J, f1, f_work)
-    # A shift z^(n d), d <= m_max_check, past half the grid wraps J's
-    # band onto itself (at n d = n_work it reads mean |J|^2 = 1), so J
-    # is zero-padded, which is exact, until every shift stays within it.
-    n_gram = n_work
-    while n_gram < 2 * n * m_max_check:
-        n_gram *= 2
-    z_n = grid(n_gram)[n * np.arange(n_gram) % n_gram]
-    gram = _joint_gram_defect(z_n, [resample(J, n_gram).samples],
-                              m_max_check)
+    # <z^(n d) J, J> as lag sums of J's coefficients: on samples a shift
+    # past half the grid would wrap J's band onto itself.
+    gram = _joint_gram_defect(n, [J.coeffs], m_max_check)
     parseval = abs(norm2(f_work) ** 2 - norm2(f1) ** 2)
     # A modulus that vanishes on the grid, or an outer part that is not
     # analytic at the grid cap, fails the outer test rather than the call.
@@ -465,7 +436,7 @@ def is_n_outer(f: CircleFunction, n: int,
         raise DomainError("the zero function has no n-outer verdict")
     pivot = int(np.argmax(norms))
     a_pivot = A[:, pivot]
-    # an einsum, not a BLAS vector-matrix product (see _joint_gram_defect)
+    # an einsum, not a BLAS product (see circlefn._joint_gram_defect)
     c = np.einsum("k,ki->i", a_pivot.conj(), A) / norms[pivot] ** 2
     worst = float(np.max(np.linalg.norm(A - np.outer(a_pivot, c), axis=0)))
     rank1_defect = worst / total

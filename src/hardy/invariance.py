@@ -229,7 +229,8 @@ def span_invariant(generators: Sequence[CircleFunction],
     if multiplier.n_samples != N:
         raise SizeError("multiplier must live on the generators' grid")
     D = _check_band(D, N)
-    low = _lowest_index(multiplier)
+    # unimodular, so it has a significant coefficient
+    low = max(0, int(multiplier._significant()[0]))
     if k_max * low > D:
         raise TruncationError(
             f"k_max = {k_max} shifts of a multiplier starting at index "
@@ -264,13 +265,6 @@ def _check_band(D: int, N: int) -> int:
     if D < 0 or D >= N // 2:
         raise SizeError(f"D = {D} does not fit the grid band 0..{N//2 - 1}")
     return D
-
-
-def _lowest_index(f: CircleFunction) -> int:
-    nz = np.nonzero(np.abs(f.coeffs) > 1e-13)[0]
-    if nz.size == 0:
-        return 0
-    return max(0, int(nz[0]) - f.n_samples // 2)
 
 
 def _image(space: SubspaceBasis,

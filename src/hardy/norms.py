@@ -17,7 +17,7 @@ import numpy as np
 
 from .circlefn import (CircleFunction, DEFAULT_N_SAMPLES, _check_n_samples,
                        _integer)
-from .errors import ParameterError
+from .errors import ParameterError, SizeError
 
 __all__ = [
     "AXIOM_TOL",
@@ -237,7 +237,7 @@ def check_gauge_axioms(spec: GaugeNormSpec, trials: int = 200,
     if trials < 1:
         raise ParameterError("trials must be positive")
     rng = np.random.default_rng(seed)
-    n = n_samples
+    n = _check_n_samples(n_samples)
     worst = {"normalization": abs(spec._eval(np.ones(n)) - 1.0),
              "modulus_invariance": 0.0,
              "l1_domination": 0.0,
@@ -293,13 +293,17 @@ def check_continuity(spec: GaugeNormSpec,
     """Evaluate alpha on indicators of arcs of measure 2^-k.
 
     k runs from 1 to log2(N) - 2, so the finest arc still holds four
-    grid points.  Passing means the values never increase and the last
+    grid points; a grid below 8 points, which holds no such arc, raises
+    SizeError.  Passing means the values never increase and the last
     one drops below 0.1.  The sup norm is expected to fail
     (its profile is constantly one); norms close to the sup may fail on
     coarse grids even though they are continuous; the profile itself is
     the informative part.
     """
-    n = n_samples
+    n = _check_n_samples(n_samples)
+    if n < 8:
+        raise SizeError(f"the continuity audit needs n_samples >= 8, "
+                        f"got {n}")
     ks = range(1, int(np.log2(n)) - 1)
     measures = []
     values = []

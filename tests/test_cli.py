@@ -589,6 +589,8 @@ def _mistyped_numbers(workdir):
     (["norm", "audit", "--spec", "{arc_short}"], "index out of range"),
     (["norm", "audit", "--spec", "{arc_n_48}"], "power of two"),
     ([*_C44, "--n-samples", "64"], "needs --n-samples >= 256"),
+    (["experiment", "maximal-k", "--n-samples", "512"],
+     "needs --n-samples >= 1024"),
 ])
 def test_refused_flag_value_is_input_error(workdir, capsys, argv, says):
     from hardy import cli

@@ -480,7 +480,8 @@ def test_blaschke_near_circle_with_a_zero_at_the_origin_resolves_or_raises(
 
 
 def test_phase_nodes_that_cannot_converge_raise(monkeypatch):
-    # with no room for rounding the largest miss stalls, which raises
+    # with no room for rounding no node converges, which raises at the
+    # step cap
     monkeypatch.setattr(decomp, "_PHASE_ROUNDING", 0.0)
     f = synthesize(dict(enumerate(_random_taylor(3))), 1024)
     with pytest.raises(ParameterError, match="phase nodes"):

@@ -29,13 +29,12 @@ from hardy import (
     resample,
     synthesize,
 )
-from hardy.circlefn import CircleFunction, gram_defect
+from hardy.circlefn import CircleFunction, _joint_gram_defect, gram_defect
 from hardy.factor import (
     TOL_B_INNER,
     WORK_GRID_CAP,
     WORK_TAIL_TARGET,
     _factor,
-    _joint_gram_defect,
 )
 from hardy.verify import _random_poly
 from oracles import zn_series_components

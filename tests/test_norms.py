@@ -95,6 +95,19 @@ def test_continuity_shrinking_arcs():
     sup = check_continuity(SupNorm(), n_samples=1024)
     # an indicator has sup 1 no matter how small the arc
     assert not sup.passed
+    # eight points hold one arc of four, the smallest audit there is
+    assert len(check_continuity(PNorm(2.0), n_samples=8).values) == 1
+
+
+@pytest.mark.parametrize("audit, n, says", [
+    (check_continuity, 4, "needs n_samples >= 8"),
+    (check_continuity, 6, "power of two"),
+    (check_gauge_axioms, 6, "power of two"),
+    (check_gauge_axioms, 48, "power of two"),
+])
+def test_norm_audits_refuse_unusable_grids(audit, n, says):
+    with pytest.raises(SizeError, match=says):
+        audit(PNorm(2.0), n_samples=n)
 
 
 def test_holder_pairing():
