@@ -254,10 +254,12 @@ class CircleFunction:
 
     def _significant(self) -> np.ndarray:
         """Indices j, ascending, whose coefficient exceeds COEFF_CUTOFF
-        times the largest |coefficient|; the zero function has none, and
-        c * f has those of f."""
+        times the largest |coefficient|; the zero function has none, c * f
+        has those of f, and a non-finite one raises ParameterError."""
         a = np.abs(self.coeffs)
-        return np.nonzero(a > COEFF_CUTOFF * np.max(a))[0] - self.n_samples // 2
+        if not np.isfinite(top := np.max(a)):
+            raise ParameterError(f"a coefficient is not finite ({top})")
+        return np.nonzero(a > COEFF_CUTOFF * top)[0] - self.n_samples // 2
 
     def bandwidth(self) -> int:
         """Largest |j| of a significant coefficient (0 if none)."""

@@ -105,6 +105,16 @@ class GradedRecipe:
             rows.extend(grade)
         return np.array(rows, dtype=complex).reshape(-1, step.size)
 
+    def power(self, m: CircleFunction) -> Tuple[int, float]:
+        """First p in 1..3 with g = max|m - step^p| <= 1e-8 (else 0), and g."""
+        acc = self.step.samples
+        for p in (1, 2, 3):
+            g = float(np.max(np.abs(m.samples - acc)))
+            if g <= 1e-8:
+                return p, g
+            acc = acc * self.step.samples
+        return 0, g
+
     def count(self, p: int = 0) -> int:
         """Number of rows in rows(p)."""
         return len(self.head) + len(self.starts) * max(self.k_max + 1 - p, 0)
@@ -114,15 +124,16 @@ class GradedRecipe:
 class SubspaceBasis:
     """Orthonormal Taylor columns on the band 0..D of an N-point grid:
     ``taylor`` is the read-only (D+1, k) matrix of the coefficients 0..D
-    of the basis vectors, ``generators`` the scalar provenance."""
+    of the basis vectors, ``generators`` the scalar provenance.  Only
+    _recipe_space sets ``recipe``, and for a Cholesky basis taylor = A U
+    (A the rows' Taylor block) keeps the triangular U as ``_factor``."""
 
     taylor: np.ndarray
     n_samples: int
     generators: Dict[str, object] = field(default_factory=dict)
-    # Set by _recipe_space alone; after a Cholesky QR of the recipe's
-    # rows, taylor[:, :recipe.count(p)] spans recipe.rows(p).
     recipe: Optional[GradedRecipe] = field(default=None, init=False)
-    _prefix_tested: bool = field(default=False, init=False, repr=False)
+    _factor: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+    _wrap: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         Q = np.array(self.taylor, dtype=complex)
@@ -179,9 +190,10 @@ def _svd(mat: np.ndarray):
         return Q @ U, S, Vh
 
 
-def _orthonormal_columns(mat: np.ndarray) -> Tuple[np.ndarray, bool]:
+def _orthonormal_columns(
+        mat: np.ndarray) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """Orthonormal basis of the column span, rank-revealing and
-    deterministic, and whether Cholesky QR made it.
+    deterministic, and the factor U = L^{-H} of Cholesky QR (else None).
 
     Columns that are already orthonormal to within GRAM_TOL are
     polished by Cholesky QR, mat L^{-H} with G = mat^H mat = L L^H: the
@@ -194,11 +206,12 @@ def _orthonormal_columns(mat: np.ndarray) -> Tuple[np.ndarray, bool]:
     """
     G = mat.conj().T @ mat
     if G.size and np.max(np.abs(G - np.eye(G.shape[0]))) <= GRAM_TOL:
-        return mat @ np.linalg.inv(np.linalg.cholesky(G)).conj().T, True
+        U = np.linalg.inv(np.linalg.cholesky(G)).conj().T
+        return mat @ U, U
     U, S, _ = _svd(mat)
     if S.size == 0 or S[0] <= 0.0:
         raise ConstructionError("the given columns span nothing")
-    return U[:, :int(np.sum(S > 1e-10 * S[0]))], False
+    return U[:, :int(np.sum(S > 1e-10 * S[0]))], None
 
 
 def _check_multiplier(m: CircleFunction, who: str):
@@ -250,13 +263,17 @@ def _recipe_space(recipe: GradedRecipe, rows: np.ndarray, D: int,
                   prov: Dict[str, object]) -> SubspaceBasis:
     """The space of the recipe's sample rows on the band 0..D (``rows``
     is recipe.rows(), overwritten): the one way a space gets a recipe,
-    for a builder and for a file alike.  A basis made by Cholesky QR
-    keeps the row order in its column prefixes, and the space records
-    that for _image."""
-    Q, prefix = _orthonormal_columns(taylor_block(rows, D))
+    for a builder and for a file alike.  A Cholesky-built space keeps
+    its factor and the rows' wrap profile, read off the spectrum left in
+    ``rows``: their l2 mass outside 0..D, then at each index -i < 0."""
+    Q, U = _orthonormal_columns(taylor_block(rows, D))
     space = SubspaceBasis(Q, recipe.step.n_samples, prov)
     object.__setattr__(space, "recipe", recipe)
-    object.__setattr__(space, "_prefix_tested", prefix)
+    if U is not None:
+        c = sum(np.einsum("ij,ij->j", x, x) for x in (rows.real, rows.imag))
+        object.__setattr__(space, "_factor", U)
+        object.__setattr__(space, "_wrap", np.sqrt(
+            np.r_[np.sum(c[D + 1:]), c[:c.size // 2:-1]]) / c.size)
     return space
 
 
@@ -272,36 +289,27 @@ def _image(space: SubspaceBasis,
     """The space's Taylor matrix Q and the image W, under the
     multiplier, of the vectors the space is tested on; columns on 0..D.
 
-    Under a multiplier equal to step^p, p in 1..3, a space with a build
-    recipe is tested on an orthonormal basis of recipe.rows(p), the
-    build rows whose image stays inside the built grades (the top
-    grade's image lies in a grade the finite model never held).  A
-    space made by Cholesky QR already holds that basis as its first
-    recipe.count(p) columns; a space made by the SVD path
-    orthonormalizes the rows again.
+    Under a multiplier within 1e-8 of step^p, p in 1..3, a recipe space
+    is tested on an orthonormal basis of recipe.rows(p), the build rows
+    whose image stays inside the built grades (the top grade's image
+    lies in a grade the finite model never held): a Cholesky-built
+    space's first recipe.count(p) columns, else the rows orthonormalized
+    again; invariance_defect needs W only off its grade-shift route.
     Else every basis vector is tested.  Test vectors and products are
     truncated to the band 0..D, so only spill past the band is forgiven.
     """
     _check_multiplier(multiplier, "invariance_defect")
-    D = space.ambient_bandwidth
-    N = space.n_samples
+    D, N = space.ambient_bandwidth, space.n_samples
     if multiplier.n_samples != N:
         raise SizeError("multiplier must live on the space's grid")
-    Q = space.taylor
+    Q, r = space.taylor, space.recipe
     m, rows = Q.shape[1], None
-    r = space.recipe
-    if r is not None:
-        acc = r.step.samples
-        for p in (1, 2, 3):
-            if np.max(np.abs(multiplier.samples - acc)) <= 1e-8:
-                if r.count(p):
-                    m = r.count(p)
-                    if not space._prefix_tested:
-                        tested, _ = _orthonormal_columns(
-                            taylor_block(r.rows(p), D))
-                        rows = samples_of_taylor(tested, N)
-                break
-            acc = acc * r.step.samples
+    p = 0 if r is None else r.power(multiplier)[0]
+    if p and r.count(p):
+        m = r.count(p)
+        if space._factor is None:
+            tested, _ = _orthonormal_columns(taylor_block(r.rows(p), D))
+            rows = samples_of_taylor(tested, N)
     if rows is None:
         rows = space._samples[:m]
     return Q, taylor_block(rows * multiplier.samples, D)
@@ -330,7 +338,33 @@ def invariance_defect(space: SubspaceBasis,
     does not depend on which orthonormal basis happens to represent
     the space.  It is 0 for an invariant space and 1 when some unit
     test vector is mapped wholly outside it.
+
+    On a Cholesky-built recipe space under M = step^p, p in 1..3, M maps
+    grade k of the rows into grade k + p (the band cut commutes with an
+    analytic M), so of the test vectors A_m U_m (A the rows' Taylor
+    block, U = _factor, m = recipe.count(p)) only the h head rows leave:
+    X = E U[:h, :m], E = (I - QQ^H) T(M head), via a QR of E and an h x m
+    SVD (0 if h = 0).  This omits at most (g + w) ||U||_2 (to first order
+    in n GRAM_TOL) for g = max|M - step^p| and the wrap w = _wrap . c, c
+    being M's l1 mass at indices < 0 plus g, then its l2 mass at indices
+    >= i.  Only g + w <= (2 log2 N + 1) 7u sqrt(m), the FFT route's
+    rounding bound (Higham 2002, Thm 24.2), takes this route.
     """
+    r, U, N = space.recipe, space._factor, space.n_samples
+    if U is not None and multiplier.n_samples == N:
+        _check_multiplier(multiplier, "invariance_defect")
+        p, g = r.power(multiplier)
+        m, h, c = r.count(p), len(r.head), np.abs(multiplier.coeffs)
+        c = np.r_[np.sum(c[:N // 2]) + g,
+                  np.sqrt(np.cumsum(c[:N // 2:-1] ** 2)[::-1])]
+        if p and m and g + space._wrap @ c <= (
+                2 * np.log2(N) + 1) * 7 * 2.0 ** -53 * np.sqrt(m):
+            if not h:
+                return 0.0
+            E = taylor_block(np.array([f.samples for f in r.head])
+                             * multiplier.samples, space.ambient_bandwidth)
+            E -= space.taylor @ (space.taylor.conj().T @ E)
+            return float(np.linalg.norm(np.linalg.qr(E, "r") @ U[:h, :m], 2))
     return _defect(*_image(space, multiplier))
 
 
@@ -497,15 +531,9 @@ def build_constrained(spec: ConstrainedSpec, D: int,
 def verify_constrained(space: SubspaceBasis,
                        spec: ConstrainedSpec) -> ConstrainedReport:
     """Measure the space's invariance defects under B, B^2, B^3."""
-    N = space.n_samples
-    z = grid(N)
-    bz = blaschke_eval(spec.blaschke(), z)
-    mult_b = CircleFunction.from_samples(bz)
-    mult_b2 = CircleFunction.from_samples(bz * bz)
-    mult_b3 = CircleFunction.from_samples(bz * bz * bz)
-    d1 = invariance_defect(space, mult_b)
-    d2 = invariance_defect(space, mult_b2)
-    d3 = invariance_defect(space, mult_b3)
+    bz = blaschke_eval(spec.blaschke(), grid(space.n_samples))
+    d1, d2, d3 = (invariance_defect(space, CircleFunction.from_samples(m))
+                  for m in (bz, bz * bz, bz * bz * bz))
     noninv = d1 >= GENERIC_NONINVARIANCE
     return ConstrainedReport(
         b_defect=d1, b2_defect=d2, b3_defect=d3,

@@ -9,6 +9,7 @@ import pytest
 from hardy import (
     CircleFunction,
     DomainError,
+    ParameterError,
     PNorm,
     SizeError,
     SupNorm,
@@ -106,6 +107,18 @@ def test_product_antialias_guard():
     a = monomial(200, 1024)
     with pytest.raises(SizeError):
         a * a  # needs 4 * 400 = 1600 samples
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_non_finite_coefficient_is_refused(value):
+    # 1e-13 times an infinite largest coefficient counts no index, so
+    # the product guard would pass g * g and return non-finite samples.
+    c = np.zeros(1024, dtype=complex)
+    c[512], c[512 + 200] = 1.0, value
+    g = CircleFunction.from_coeffs(c)
+    for read in (g.bandwidth, g.top_index, lambda: g * g):
+        with pytest.raises(ParameterError, match="not finite"):
+            read()
 
 
 def test_mixed_grids_rejected():

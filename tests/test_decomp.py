@@ -479,6 +479,16 @@ def test_blaschke_near_circle_with_a_zero_at_the_origin_resolves_or_raises(
     assert res.residual <= 1e-10 * np.linalg.norm(taylor)
 
 
+def test_blaschke_split_refuses_an_infinite_coefficient():
+    # Read as finite, a_3 = inf once gave finite pieces and a residual
+    # of 2e-17.
+    c = np.zeros(1024, dtype=complex)
+    c[512], c[515] = 1.0, np.inf
+    with pytest.raises(ParameterError, match="not finite"):
+        decompose_blaschke(CircleFunction.from_coeffs(c),
+                           BlaschkeSpec((0, 0.5)))
+
+
 def test_phase_nodes_that_cannot_converge_raise(monkeypatch):
     # with no room for rounding no node converges, which raises at the
     # step cap

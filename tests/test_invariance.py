@@ -143,9 +143,9 @@ def test_one_generator_span_keeps_its_start_major_bytes():
     z = monomial(1, 1024)
     space = span_invariant([J], z, k_max=40, D=120)
     r = space.recipe
-    old, cholesky = invariance._orthonormal_columns(taylor_block(
+    old, factor = invariance._orthonormal_columns(taylor_block(
         _start_major_rows([r.starts[0].samples], r.step.samples, 41), 120))
-    assert cholesky and np.array_equal(space.taylor, old)
+    assert factor is not None and np.array_equal(space.taylor, old)
     # With two generators the rows are the same numbers in a new order.
     K = as_circle_function(BlaschkeSpec((0.5j,)), 1024)
     r = span_invariant([J, K], z, k_max=40, D=120).recipe
@@ -535,10 +535,125 @@ def test_prefix_test_basis_matches_reorthonormalized_oracle(monkeypatch,
     built = _spy_constrained_spaces(monkeypatch, suite, seed=1)
     assert built
     for space, spec in built:
-        assert space._prefix_tested
+        assert space._factor is not None
         sine, gap = _prefix_against_reorthonormalized(space, spec)
         assert sine <= 1e-12
         assert gap <= 1e-13
+
+
+def _routes(monkeypatch, space, multiplier):
+    """invariance_defect's value, whether it took the FFT route, and the
+    FFT route's value."""
+    calls, real_image = [], invariance._image
+
+    def image(*args):
+        calls.append(True)
+        return real_image(*args)
+
+    monkeypatch.setattr(invariance, "_image", image)
+    got = invariance_defect(space, multiplier)
+    monkeypatch.undo()
+    return got, bool(calls), invariance._defect(*real_image(space,
+                                                            multiplier))
+
+
+def _powers(space, spec):
+    bz = invariance.blaschke_eval(spec.blaschke(), grid(space.n_samples))
+    return [CircleFunction.from_samples(bz ** p) for p in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+@pytest.mark.parametrize("suite", ["thm-3.5", "thm-4.5"])
+def test_grade_shift_route_matches_fft_route_on_two_layer_spaces(
+        monkeypatch, suite, seed):
+    built = _spy_constrained_spaces(monkeypatch, suite, seed)
+    assert built
+    for space, spec in built:
+        for multiplier in _powers(space, spec):
+            got, fft, want = _routes(monkeypatch, space, multiplier)
+            assert not fft
+            assert abs(got - want) <= 1e-13
+
+
+def _span_spaces():
+    """Cholesky-built spans under z, z^2 and a curved B of degree 2."""
+    N = 1024
+    rng = np.random.default_rng(8)
+    bspec = BlaschkeSpec((0.3j, -0.5))
+    z = monomial(1, N)
+    return [
+        (span_invariant([as_circle_function(BlaschkeSpec((0.4, 0.2j)), N)],
+                        z, k_max=150, D=250), z),
+        (span_invariant(list(_power_inner_family(rng, 2, 2, N)),
+                        monomial(2, N), k_max=100, D=300), monomial(2, N)),
+        (span_invariant([basis_element(bspec, BasisIndex(j, 0), N)
+                         for j in range(2)], as_circle_function(bspec, N),
+                        k_max=60, D=400), as_circle_function(bspec, N)),
+    ]
+
+
+def test_grade_shift_route_reads_zero_on_spans(monkeypatch):
+    # A span has no head rows, so its own step's powers map every
+    # tested grade into a built one.
+    for space, step in _span_spaces():
+        assert space._factor is not None
+        power = step.samples
+        for p in (1, 2, 3):
+            got, fft, want = _routes(monkeypatch, space,
+                                     CircleFunction.from_samples(power))
+            assert got == 0.0 and not fft
+            assert want <= 1e-13
+            power = power * step.samples
+
+
+def test_perturbed_head_fails_on_both_routes(monkeypatch):
+    # Each head row gains eps g, g a unit polynomial in the band outside
+    # the space: the rows stay orthonormal to rounding, so the space is
+    # Cholesky-built, and B^2 and B^3 now lead out by about eps.
+    eps = 1e-9
+    space, spec = _two_layer_space()
+    r, N, D = space.recipe, space.n_samples, space.ambient_bandwidth
+    rng = np.random.default_rng(9)
+    v = rng.standard_normal(D + 1) + 1j * rng.standard_normal(D + 1)
+    v -= space.taylor @ (space.taylor.conj().T @ v)
+    g = samples_of_taylor((v / np.linalg.norm(v))[:, None], N)[0]
+    recipe = invariance.GradedRecipe(
+        tuple(CircleFunction.from_samples(h.samples + eps * g)
+              for h in r.head), r.starts, r.step, r.k_max)
+    bent = invariance._recipe_space(recipe, recipe.rows(), D, {})
+    assert bent._factor is not None
+    for multiplier in _powers(space, spec)[1:]:
+        assert invariance_defect(space, multiplier) <= 1e-13
+        got, fft, want = _routes(monkeypatch, bent, multiplier)
+        assert not fft
+        assert 0.1 * eps <= got <= 2 * eps
+        assert abs(got - want) <= 1e-13
+
+
+def test_guard_sends_unmatched_rounding_to_the_fft_route(monkeypatch):
+    # A multiplier 1e-9 off step^p still matches within 1e-8, but the
+    # grade-shift identity no longer holds to rounding.
+    space, spec = _two_layer_space()
+    for multiplier in _powers(space, spec):
+        tilted = CircleFunction.from_samples(np.exp(1e-9j)
+                                             * multiplier.samples)
+        got, fft, want = _routes(monkeypatch, space, tilted)
+        assert fft and got == want
+
+
+def test_guard_sends_wrapped_rows_to_the_fft_route(monkeypatch):
+    # A generator with mass 1e-11 at index -1 is analytic to TOL_ANALYTIC
+    # and its shifts pass the Cholesky gate, but z moves that mass into
+    # the band, which the identity does not see.
+    N = 1024
+    g = synthesize({0: 1.0, -1: 1e-11}, N)
+    z = monomial(1, N)
+    space = span_invariant([g], z, k_max=40, D=100)
+    assert space._factor is not None and space._wrap[1] > 0.9e-11
+    got, fft, want = _routes(monkeypatch, space, z)
+    assert fft and got == want
+    assert _routes(monkeypatch, span_invariant(
+        [monomial(0, N)], z, k_max=40, D=100), z)[:2] == (0.0, False)
 
 
 def _count_orthonormalizations(monkeypatch):
@@ -572,13 +687,13 @@ def test_only_a_cholesky_built_space_skips_reorthonormalization(monkeypatch):
     assert d1 >= 0.05 and d2 <= 1e-13 and d3 <= 1e-13
     # A file is rebuilt from its recipe, so a loaded Cholesky span tests
     # its own column prefix too.
-    assert loaded._prefix_tested
+    assert loaded._factor is not None
     for p in (1, 2, 3):
         assert invariance_defect(loaded, monomial(p, N)) <= 1e-12
     assert len(wandering_basis(loaded, z)) == 1
     assert calls == []
     # The SVD basis of the non-orthonormal shifts keeps no row prefix.
-    assert not poly._prefix_tested
+    assert poly._factor is None
     assert invariance_defect(poly, z) <= 1e-12
     assert len(calls) == 1
 
@@ -636,8 +751,8 @@ def test_cholesky_basis_matches_svd_basis_on_constrained_spaces(
     assert seen and svds == []
     monkeypatch.undo()
     for mat in seen:
-        Q, cholesky = invariance._orthonormal_columns(mat)
-        assert cholesky
+        Q, factor = invariance._orthonormal_columns(mat)
+        assert factor is not None
         U = _svd_basis(mat)
         assert Q.shape == U.shape
         assert np.max(np.abs(Q @ Q.conj().T - U @ U.conj().T)) <= 1e-12
@@ -654,8 +769,8 @@ def test_cholesky_qr_polishes_nearly_orthonormal_columns(monkeypatch):
     mat = Q0 @ (np.eye(40) + 3e-12 * E)
     G = mat.conj().T @ mat
     assert 1e-12 < np.max(np.abs(G - np.eye(40))) <= invariance.GRAM_TOL
-    Q, cholesky = invariance._orthonormal_columns(mat)
-    assert cholesky and svds == []
+    Q, factor = invariance._orthonormal_columns(mat)
+    assert factor is not None and svds == []
     assert np.max(np.abs(Q.conj().T @ Q - np.eye(40))) <= 1e-14
     assert np.max(np.abs(Q @ Q.conj().T - Q0 @ Q0.conj().T)) <= 1e-13
 
