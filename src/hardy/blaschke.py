@@ -57,7 +57,7 @@ class BlaschkeSpec:
         zs = tuple(complex(z) for z in self.zeros)
         if len(zs) == 0:
             raise ParameterError("a Blaschke product needs at least one zero")
-        bad = [z for z in zs if abs(z) > MAX_ZERO_MODULUS]
+        bad = [z for z in zs if not abs(z) <= MAX_ZERO_MODULUS]  # or NaN
         if bad:
             raise ParameterError(
                 f"zeros must satisfy |a| <= {MAX_ZERO_MODULUS}; offending: {bad}"

@@ -220,7 +220,16 @@ def decompose_blaschke(f: CircleFunction, spec: BlaschkeSpec,
 def _split_blaschke(fs: Sequence[CircleFunction], spec: BlaschkeSpec,
                     m_max: Optional[int]) -> List[DecompositionResult]:
     """decompose_blaschke for inputs on one grid, on one phase grid;
-    m_max=None takes the largest of their automatic cutoffs."""
+    m_max=None takes the largest of their automatic cutoffs.  The half
+    that does not depend on the inputs is kept per B, keyed on its zeros'
+    bits (-0.0 and 0.0 never alias): the phase quadrature per M, (n + 2)
+    n M points (node, weight and n carriers at each of n M nodes), and
+    B's grid view per N, (2 n + 1) N points (B and the n carriers'
+    samples and coefficients).  The 64 latest tables of at most
+    _KEPT_BLASCHKE_POINTS points are kept, 128 KiB each and 8 MiB in all
+    at 16 bytes a point; a larger one is built for its split and freed
+    with its result.  Kept or fresh, tables and results are the same
+    bits."""
     for f in fs:
         require_analytic(f, "decompose_blaschke")
     degrees = [f.top_index() for f in fs]
@@ -232,9 +241,8 @@ def _split_blaschke(fs: Sequence[CircleFunction], spec: BlaschkeSpec,
     if M * n > MAX_PHASE_NODES:
         raise ParameterError(f"decomposition needs {M * n} phase nodes, more "
                              f"than {MAX_PHASE_NODES}; move the zeros inward")
-    nodes, psi0 = _phase_nodes(spec, M)
-    weights = 1.0 / _phase_speed(spec, nodes)
-    at_nodes, _ = _basis_carriers(spec, nodes)
+    nodes, psi0, weights, at_nodes = _kept(_phase_quadrature, spec, M,
+                                           (n + 2) * n * M)
     # The negative-index part of f pairs to zero with every e(j, m), and
     # the Taylor tail beyond the degree is rounding dust.  Zeros padded
     # above a lower degree leave Horner's sums as they are.
@@ -252,8 +260,7 @@ def _split_blaschke(fs: Sequence[CircleFunction], spec: BlaschkeSpec,
     # identity f = sum_j e(j, 0) h_j(B) on every sheet.
     h = np.fft.ifft(np.where(np.arange(M) <= m_max, spectrum, 0.0), axis=2)
     recomposed = sum(e * h[:, j, None] for j, e in enumerate(at_nodes))
-    carrier_samples, bz = _basis_carriers(spec, grid(fs[0].n_samples))
-    carriers = tuple(CircleFunction.from_samples(s) for s in carrier_samples)
+    bz, carriers = _grid_view(spec, fs[0].n_samples)
     # piece j of input k: sum_m c_kjm B^m
     pieces = horner(coeffs.transpose(2, 0, 1)[:, :, :, None], bz)
     return [DecompositionResult(
@@ -263,6 +270,39 @@ def _split_blaschke(fs: Sequence[CircleFunction], spec: BlaschkeSpec,
         residual=float(np.sqrt(np.sum(
             np.abs(f_nodes[k] - recomposed[k]) ** 2 * weights) / M)),
         basis_coefficients=coeffs[k], phase_grid=M) for k in range(len(fs))]
+
+
+# Largest table a Blaschke split keeps for later calls (see _split_blaschke).
+_KEPT_BLASCHKE_POINTS = 1 << 13
+
+
+def _kept(build, spec: BlaschkeSpec, size: int, points: int):
+    if points > _KEPT_BLASCHKE_POINTS:
+        return build(spec, size)
+    return _kept_tables(build, np.asarray(spec.zeros, complex).tobytes(), size)
+
+
+@functools.lru_cache(maxsize=64)
+def _kept_tables(build, zeros: bytes, size: int):
+    return build(BlaschkeSpec(tuple(np.frombuffer(zeros, complex))), size)
+
+
+def _phase_quadrature(spec: BlaschkeSpec, M: int):
+    """Read-only phase nodes, psi_0, weights 1 / psi' and carriers there."""
+    nodes, psi0 = _phase_nodes(spec, M)
+    at_nodes, _ = _basis_carriers(spec, nodes)
+    return (_frozen(nodes), psi0, _frozen(1.0 / _phase_speed(spec, nodes)),
+            tuple(map(_frozen, at_nodes)))
+
+
+def _grid_view(spec: BlaschkeSpec, N: int):
+    """B's read-only samples on the N-point grid and the carriers e(j, 0)."""
+    return _kept(_build_grid_view, spec, N, (2 * spec.degree + 1) * N)
+
+
+def _build_grid_view(spec: BlaschkeSpec, N: int):
+    carriers, bz = _basis_carriers(spec, grid(N))
+    return _frozen(bz), tuple(CircleFunction.from_samples(s) for s in carriers)
 
 
 def _check_modulus(n: int, N: int) -> int:

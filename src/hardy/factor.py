@@ -37,7 +37,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .blaschke import BlaschkeSpec, blaschke_eval
+from .blaschke import BlaschkeSpec
 from .circlefn import (
     EPS_LOG,
     CircleFunction,
@@ -45,12 +45,11 @@ from .circlefn import (
     _count,
     _frozen,
     _joint_gram_defect,
-    grid,
     norm2,
     require_analytic,
     resample,
 )
-from .decomp import _check_modulus, _residue_rows, _split_blaschke
+from .decomp import _check_modulus, _grid_view, _residue_rows, _split_blaschke
 from .errors import (
     DomainError,
     FactorizationError,
@@ -354,7 +353,7 @@ def b_inner_matrix_from(phis: Sequence[CircleFunction], spec: BlaschkeSpec,
                         n=M, axis=1)
     gram = np.einsum("ila,ilb->lab", H.conj(), H)
     defect = float(np.max(np.abs(gram - np.eye(r))))
-    joint = _joint_gram_defect(blaschke_eval(spec, grid(N)),
+    joint = _joint_gram_defect(_grid_view(spec, N)[0],
                                [phi.samples for phi in phis], m_max)
     entries = tuple(tuple(d.components[i] for d in decs) for i in range(n))
     return BInnerMatrix(rows=n, cols=r, entries=entries, defect=defect,

@@ -12,6 +12,7 @@ from hardy import (
     basis_element,
     blaschke_eval,
     check_basis_orthonormality,
+    decompose_blaschke,
     grid,
     power_spec,
     synthesize,
@@ -24,6 +25,19 @@ def test_spec_rejects_zeros_on_or_outside_circle():
     with pytest.raises(ParameterError):
         BlaschkeSpec((1.2j,))
     assert BlaschkeSpec((0.0, 0.5)).degree == 2
+
+
+@pytest.mark.parametrize("zeros", [(np.nan,), (np.nan, 0.5),
+                                   (complex(0.2, np.nan),)])
+def test_spec_refuses_nan_zeros(zeros):
+    # abs(nan) > MAX_ZERO_MODULUS is False: such a spec once reached a
+    # bare ValueError in decompose_blaschke and a nan orthonormality
+    # defect with RuntimeWarnings
+    f = synthesize({0: 1.0, 3: 0.5}, 256)
+    with pytest.raises(ParameterError, match="offending"):
+        decompose_blaschke(f, BlaschkeSpec(zeros))
+    with pytest.raises(ParameterError, match="offending"):
+        check_basis_orthonormality(BlaschkeSpec(zeros), m_max=4)
 
 
 def test_eval_is_unimodular_on_grid_and_zero_at_zeros():

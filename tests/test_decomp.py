@@ -13,6 +13,7 @@ from hardy import (
     GradedRecipe,
     ParameterError,
     PNorm,
+    b_inner_matrix_from,
     builtin_specs,
     cesaro_convergence_profile,
     check_basis_orthonormality,
@@ -489,7 +490,18 @@ def test_blaschke_split_refuses_an_infinite_coefficient():
                            BlaschkeSpec((0, 0.5)))
 
 
-def test_phase_nodes_that_cannot_converge_raise(monkeypatch):
+@pytest.fixture
+def cold_blaschke_tables():
+    """No kept Blaschke tables before or after the test, so a test that
+    patches what builds them neither reads a table built without the
+    patch nor leaves one built with it."""
+    decomp._kept_tables.cache_clear()
+    yield
+    decomp._kept_tables.cache_clear()
+
+
+def test_phase_nodes_that_cannot_converge_raise(monkeypatch,
+                                                cold_blaschke_tables):
     # with no room for rounding no node converges, which raises at the
     # step cap
     monkeypatch.setattr(decomp, "_PHASE_ROUNDING", 0.0)
@@ -513,3 +525,77 @@ def test_only_small_carrier_blocks_outlive_their_split():
     as_dict = dataclasses.asdict(small)
     assert as_dict["carriers"][3].coeffs.tobytes() == \
         small.carriers[3].coeffs.tobytes()
+
+
+def _function_bits(g):
+    return g.samples.tobytes(), g.coeffs.tobytes()
+
+
+def _split_bits(res):
+    return (res.basis_coefficients.tobytes(), repr(res.residual),
+            res.phase_grid, [_function_bits(g) for g in res.components],
+            [_function_bits(g) for g in res.carriers])
+
+
+def _matrix_bits(mat):
+    return (repr((mat.defect, mat.joint_defect, mat.decomposition_residual)),
+            [[_function_bits(g) for g in row] for row in mat.entries])
+
+
+@pytest.mark.parametrize("zeros", [(0.3, -0.5j, 0.2 + 0.4j),
+                                   (0.0, 0.85, -0.85j)])
+def test_kept_blaschke_tables_give_the_bits_of_a_fresh_build(
+        zeros, cold_blaschke_tables):
+    spec = BlaschkeSpec(zeros)
+    f, g = (synthesize(dict(enumerate(_random_taylor(seed, 11))), 1024)
+            for seed in (41, 42))
+    kept = decomp._kept_tables
+    for call, bits in ((lambda: decompose_blaschke(f, spec), _split_bits),
+                       (lambda: b_inner_matrix_from([f, g], spec, 6),
+                        _matrix_bits)):
+        kept.cache_clear()
+        cold = bits(call())
+        assert kept.cache_info().currsize == 2  # quadrature and grid view
+        hits = kept.cache_info().hits
+        assert bits(call()) == cold
+        assert kept.cache_info().hits > hits
+
+
+def test_signed_zero_zeros_get_their_own_blaschke_tables(
+        cold_blaschke_tables):
+    f = synthesize(dict(enumerate(_random_taylor(43, 11))), 1024)
+    plus = decompose_blaschke(f, BlaschkeSpec((0.0, 0.5)))
+    minus = decompose_blaschke(f, BlaschkeSpec((complex(-0.0, 0.0), 0.5)))
+    assert decomp._kept_tables.cache_info().hits == 0
+    assert decomp._kept_tables.cache_info().currsize == 4
+    assert plus.carriers is not minus.carriers
+
+
+def test_only_small_blaschke_tables_outlive_their_split(
+        cold_blaschke_tables):
+    # no zero at the origin: 8192 phase targets on 2 sheets, whose
+    # quadrature is built and freed with the split; B's grid view on
+    # 1024 points is kept
+    r = 0.99
+    f = synthesize(dict(enumerate(_random_taylor(44, 7))), 1024)
+    res = decompose_blaschke(f, BlaschkeSpec((r, -1j * r)))
+    assert res.phase_grid * 2 * 4 > decomp._KEPT_BLASCHKE_POINTS
+    assert decomp._kept_tables.cache_info().currsize == 1
+    # a grid view of (2 * 3 + 1) * 4096 points is not kept either; the
+    # 64-target quadrature of that split is
+    f = synthesize(dict(enumerate(_random_taylor(44, 7))), 4096)
+    decompose_blaschke(f, BlaschkeSpec((0.0, 0.3, 0.4j)))
+    assert decomp._kept_tables.cache_info().currsize == 2
+
+
+def test_kept_blaschke_tables_are_read_only(cold_blaschke_tables):
+    spec = BlaschkeSpec((0.0, 0.6, -0.6j))
+    nodes, _, weights, at_nodes = decomp._kept(decomp._phase_quadrature,
+                                               spec, 64, 0)
+    bz, carriers = decomp._grid_view(spec, 1024)
+    assert decomp._kept_tables.cache_info().currsize == 2
+    for table in (nodes, weights, *at_nodes, bz,
+                  *(c.samples for c in carriers),
+                  *(c.coeffs for c in carriers)):
+        with pytest.raises(ValueError, match="read-only"):
+            table[...] = 0.0
