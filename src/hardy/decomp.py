@@ -213,12 +213,13 @@ def decompose_blaschke(f: CircleFunction, spec: BlaschkeSpec,
     not raised.  The returned functions are point values on the input's
     grid (see DecompositionResult).
     """
-    res, = _split_blaschke([f], spec, m_max)
+    res, = _split_blaschke([f], spec, m_max, "decompose_blaschke")
     return res
 
 
 def _split_blaschke(fs: Sequence[CircleFunction], spec: BlaschkeSpec,
-                    m_max: Optional[int]) -> List[DecompositionResult]:
+                    m_max: Optional[int],
+                    who: str) -> List[DecompositionResult]:
     """decompose_blaschke for inputs on one grid, on one phase grid;
     m_max=None takes the largest of their automatic cutoffs.  The half
     that does not depend on the inputs is kept per B, keyed on its zeros'
@@ -229,9 +230,9 @@ def _split_blaschke(fs: Sequence[CircleFunction], spec: BlaschkeSpec,
     _KEPT_BLASCHKE_POINTS points are kept, 128 KiB each and 8 MiB in all
     at 16 bytes a point; a larger one is built for its split and freed
     with its result.  Kept or fresh, tables and results are the same
-    bits."""
+    bits.  A non-analytic input is refused in the name of the caller who."""
     for f in fs:
-        require_analytic(f, "decompose_blaschke")
+        require_analytic(f, who)
     degrees = [f.top_index() for f in fs]
     m_auto = _auto_m_max(spec, max(degrees))  # grows with the degree
     m_max = m_auto if m_max is None else _count(m_max, "m_max")

@@ -346,7 +346,7 @@ def b_inner_matrix_from(phis: Sequence[CircleFunction], spec: BlaschkeSpec,
     N = phis[0].n_samples
     if any(phi.n_samples != N for phi in phis):
         raise SizeError("all columns must share one grid")
-    decs = _split_blaschke(phis, spec, None)
+    decs = _split_blaschke(phis, spec, None, "b_inner_matrix_from")
     M = decs[0].phase_grid
     # H[i, l, j] = h_ij(exp(2 pi i l / M))
     H = M * np.fft.ifft(np.stack([d.basis_coefficients for d in decs], 2),

@@ -15,10 +15,10 @@ Formats:
 A subspace with a recipe loads as the space the recipe rebuilds, bit
 for bit the one written, and is refused unless its basis spans that.
 
-Numbers pass through float() so every emitted value is a plain Python
-float rendered by its shortest exact decimal form; identical inputs
-produce byte-identical files.  NaN and infinity are refused on reading
-and on writing, since JSON has no token for them.  A field that holds
+dump_json writes every file, byte for byte the standard library's
+sorted, indented output; each number is its shortest exact decimal
+form, so identical inputs produce byte-identical files.  NaN and
+infinity are refused on reading and on writing, having no JSON token.  A field that holds
 an integer refuses a fraction or a boolean rather than truncating it,
 and one that holds a real number refuses a boolean or a string.
 Files are written to a temporary in the same directory and renamed
@@ -27,10 +27,12 @@ into place, never left half-written.
 
 from __future__ import annotations
 
-import json
+import math
 import numbers
 import os
 import tempfile
+from itertools import chain
+from json.encoder import encode_basestring
 from typing import Mapping
 
 import numpy as np
@@ -80,11 +82,11 @@ def _real(x, name: str) -> float:
 
 def function_to_json(f: CircleFunction) -> dict:
     N = f.n_samples
-    half = N // 2
-    entries = []
-    for pos in np.nonzero(f.coeffs)[0]:
-        c = f.coeffs[pos]
-        entries.append([int(pos) - half, float(c.real), float(c.imag)])
+    pos = np.flatnonzero(f.coeffs)
+    c = f.coeffs[pos]
+    # tolist() gives the same Python ints and floats as int() and float()
+    entries = list(map(list, zip((pos - N // 2).tolist(), c.real.tolist(),
+                                 c.imag.tolist())))
     return {"n_samples": N, "coeffs": entries}
 
 
@@ -174,8 +176,8 @@ def subspace_to_json(space: SubspaceBasis) -> dict:
     out = {
         "ambient_bandwidth": space.ambient_bandwidth,
         "n_samples": space.n_samples,
-        "basis": [[[float(c.real), float(c.imag)] for c in col]
-                  for col in space.taylor.T],
+        "basis": np.stack((space.taylor.T.real, space.taylor.T.imag),
+                          axis=-1).tolist(),
         "generators": dict(space.generators),
     }
     # The build recipe rides along in its own coefficients, so a
@@ -229,8 +231,13 @@ def subspace_from_json(obj: Mapping) -> SubspaceBasis:
     _check_band(D, N)
     taylor = np.zeros((D + 1, len(rows)), dtype=complex)
     for j, row in enumerate(rows):
-        col = np.array([_finite(complex(float(re), float(im)))
-                        for re, im in row], dtype=complex)
+        pairs = np.asarray(row, dtype=float)
+        if (pairs.shape[1:] != (2,) and pairs.shape != (0,)
+                or not np.all(np.isfinite(pairs))):
+            raise ParameterError(f"basis row {j} is not a list of finite "
+                                 f"[re, im] pairs")
+        # a view, not re + 1j * im, which would turn -0.0 into 0.0
+        col = pairs.reshape(-1, 2).view(complex)[:, 0]
         if col.size > N // 2 or np.any(np.abs(col[D + 1:]) > COEFF_CUTOFF):
             raise TruncationError(f"basis row {j} does not fit the band "
                                   f"0..{D} of a {N}-point grid")
@@ -261,34 +268,70 @@ def _constrained_spec_from_json(obj: Mapping) -> ConstrainedSpec:
     return ConstrainedSpec(inners=inners, beta=beta, multiplier=multiplier)
 
 
-def _plain(value):
-    """Recursively coerce numpy scalars and sequences into JSON types."""
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    if isinstance(value, complex):
-        return [value.real, value.imag]
-    if isinstance(value, np.complexfloating):
-        return [float(value.real), float(value.imag)]
-    if isinstance(value, np.ndarray):
-        return [_plain(v) for v in value.tolist()]
-    if isinstance(value, Mapping):
-        return {str(k): _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    return value
-
-
 def dump_json(obj) -> str:
-    """Canonical text: sorted keys, two-space indent, trailing newline.
-
-    A NaN or infinite value raises ValueError.
+    """Canonical text, byte for byte ``json.dumps(obj, sort_keys=True,
+    indent=2, ensure_ascii=False, allow_nan=False) + "\n"`` with numpy
+    scalars and arrays read as Python numbers and lists, a complex number
+    as [re, im] and each key as str(key), the last of colliding keys
+    winning.  NaN or infinity raises ValueError, another type TypeError.
     """
-    return json.dumps(_plain(obj), sort_keys=True, indent=2,
-                      ensure_ascii=False, allow_nan=False) + "\n"
+    return _text(obj, "\n") + "\n"
+
+
+def _text(value, nl: str) -> str:
+    """value as JSON; nl is the newline and indent of its first line."""
+    if isinstance(value, str):
+        return encode_basestring(value)
+    if value is None:
+        return "null"
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return int.__repr__(int(value))
+    if isinstance(value, (float, np.floating)):
+        x = float(value)
+        if not math.isfinite(x):
+            raise ValueError(f"Out of range float values are not JSON "
+                             f"compliant: {x!r}")
+        return float.__repr__(x)
+    if isinstance(value, (complex, np.complexfloating)):
+        return _text([value.real, value.imag], nl)
+    if isinstance(value, np.ndarray):
+        return _text(list(value.tolist()), nl)  # a 0-d array is refused
+    inner = nl + "  "
+    if isinstance(value, Mapping):
+        plain = {str(k): v for k, v in value.items()}
+        if not plain:
+            return "{}"
+        return ("{" + inner + ("," + inner).join(
+            [encode_basestring(k) + ": " + _text(plain[k], inner)
+             for k in sorted(plain)]) + nl + "}")
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return _number_rows(value, nl) or (
+            "[" + inner + ("," + inner).join([_text(v, inner) for v in value])
+            + nl + "]")
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON "
+                    f"serializable")
+
+
+def _number_rows(rows, nl: str):
+    """_text of a list of equal-length lists of finite Python ints and
+    floats, in one template fill; None for any other value."""
+    if (type(rows) is not list or set(map(type, rows)) != {list}
+            or len(set(map(len, rows))) != 1):
+        return None
+    flat = list(chain.from_iterable(rows))
+    if not flat or not set(map(type, flat)) <= {int, float}:
+        return None
+    cells = tuple(map(repr, flat))
+    if not {"nan", "inf", "-inf"}.isdisjoint(cells):
+        return None  # _text raises on the value
+    inner, cell = nl + "  ", nl + "    "
+    row = "[" + cell + ("," + cell).join(["%s"] * len(rows[0])) + inner + "]"
+    return ("[" + inner + ("," + inner).join([row] * len(rows)) + nl
+            + "]") % cells
 
 
 def atomic_write_text(path: str, text: str):

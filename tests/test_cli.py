@@ -492,6 +492,21 @@ def test_malformed_recipe_is_input_error(workdir, capsys, edit):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("pair", [[1.0], None, "x", "NaN", ["NaN", 0.0],
+                                  [0.0, 1e999], [[1.0, 0.0]]],
+                         ids=["one-element", "null", "x", "NaN-pair",
+                              "NaN-part", "infinite-part", "nested"])
+def test_malformed_basis_pair_is_input_error_naming_the_file(workdir, capsys,
+                                                             pair):
+    from hardy import cli
+    path = _span_file(workdir, lambda o: o["basis"][0].__setitem__(0, pair))
+    code = cli.main(["invariance", "defect", "--power", "1", "--subspace",
+                     str(path)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and str(path) in captured.err
+
+
 def test_recipe_free_span_file_tests_every_basis_vector(workdir, capsys):
     # Intact, the recipe tests the grades 0..19, whose images stay in
     # the space; without it z^21 is tested too, and z^22 is in the band

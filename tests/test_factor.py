@@ -660,6 +660,12 @@ def test_factor_rejects_nonanalytic():
         is_n_outer(monomial(-1, 512), 2)
 
 
+def test_b_inner_matrix_refuses_a_non_analytic_column_in_its_own_name():
+    conj_z = CircleFunction.from_samples(np.conj(grid(64)))
+    with pytest.raises(DomainError, match="^b_inner_matrix_from needs"):
+        b_inner_matrix_from([conj_z], BlaschkeSpec((0.5,)), 4)
+
+
 def test_zero_function_has_no_verdict():
     with pytest.raises(DomainError):
         is_n_outer(synthesize({0: 0.0}, 512), 2)

@@ -1,10 +1,15 @@
 """JSON round trips and deterministic formatting."""
 
 import json
+import sys
 import warnings
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hardy import (
     ArcWeighted,
@@ -17,13 +22,17 @@ from hardy import (
     SizeError,
     SupNorm,
     TruncationError,
+    as_circle_function,
     dump_json,
     function_from_json,
     function_to_json,
     gauge_eval,
+    monomial,
     norm_spec_from_json,
     norm_spec_to_json,
+    span_invariant,
     subspace_from_json,
+    subspace_to_json,
     synthesize,
     zeros_from_json,
     zeros_to_json,
@@ -176,7 +185,183 @@ def test_subspace_rows_may_carry_zeros_beyond_the_band():
     (_space_json(2, [[0, 1, 0, 1]]), TruncationError),  # index 3 beyond D
     (_space_json(40, [[1]]), SizeError),  # band beyond the grid
     (_space_json(2, [[1]], N=48), SizeError),  # not a power of two
+    ({**_space_json(2, []), "basis": [[1.0, 0.0]]}, ParameterError),  # flat
+    ({**_space_json(2, []), "basis": [[[[1.0, 0.0]]]]}, ParameterError),
+    ({**_space_json(2, []), "basis": [[[]]]}, ParameterError),  # empty pair
 ])
 def test_malformed_subspace_rows_raise_typed_errors(obj, error):
     with pytest.raises(error):
         subspace_from_json(obj)
+
+
+def test_recipe_free_basis_keeps_its_signed_zeros():
+    obj = {**_space_json(2, []),
+           "basis": [[[-0.0, -0.0], [1.0, -0.0]], [[0.0, 1.0]]]}
+    # rows (band index) by columns (basis vector) by [re, im]
+    expected = np.array([[[-0.0, -0.0], [0.0, 1.0]], [[1.0, -0.0], [0.0, 0.0]],
+                         [[0.0, 0.0], [0.0, 0.0]]]).view(complex)[..., 0]
+    loaded = subspace_from_json(obj).taylor
+    assert loaded.tobytes() == np.ascontiguousarray(expected).tobytes()
+
+
+# --- dump_json against the standard library's indented encoder -----------
+
+def _plain(value):
+    """The oracle's pre-pass: numpy scalars and sequences as JSON types."""
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        return float(value)
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    if isinstance(value, np.complexfloating):
+        return [float(value.real), float(value.imag)]
+    if isinstance(value, np.ndarray):
+        return [_plain(v) for v in value.tolist()]
+    if isinstance(value, Mapping):
+        return {str(k): _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value
+
+
+def _oracle(obj):
+    return json.dumps(_plain(obj), sort_keys=True, indent=2,
+                      ensure_ascii=False, allow_nan=False) + "\n"
+
+
+_EDGE_FLOATS = [-0.0, 0.0, 5e-324, 1e16, 1e-5, sys.float_info.max,
+                -sys.float_info.max, 1.0 / 3.0]
+_finite = (st.floats(allow_nan=False, allow_infinity=False)
+           | st.sampled_from(_EDGE_FLOATS))
+_ints = st.integers() | st.sampled_from([10 ** 400, -(2 ** 1000), 2 ** 63])
+_f32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
+_text = st.text() | st.sampled_from(
+    ['"', "\\", '\\"', "\x00\x01\x1f\x7f", "\b\f\n\r\t", "é ∞ 😀", " "])
+
+
+def _arrays(dtype, elements):
+    return hnp.arrays(dtype, hnp.array_shapes(min_dims=1, max_dims=2,
+                                              min_side=0, max_side=3),
+                      elements=elements)
+
+
+_numpy = st.one_of(
+    st.booleans().map(np.bool_),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    _finite.map(np.float64),
+    _f32.map(np.float32),
+    st.builds(complex, _finite, _finite).map(np.complex128),
+    _arrays(np.float64, _finite),
+    _arrays(np.float32, _f32),
+    _arrays(np.int64, st.integers(-2 ** 63, 2 ** 63 - 1)),
+    _arrays(np.bool_, st.booleans()),
+    _arrays(np.complex128, st.complex_numbers(allow_nan=False,
+                                              allow_infinity=False)),
+)
+# Lists of equal-length rows of Python numbers, the shape of a function's
+# coefficient entries and a basis column's [re, im] pairs.
+_number_rows = st.integers(0, 4).flatmap(lambda w: st.lists(
+    st.lists(_finite | _ints, min_size=w, max_size=w), max_size=5))
+_leaves = (st.none() | st.booleans() | _ints | _finite | _text | _numpy
+           | st.builds(complex, _finite, _finite) | _number_rows)
+_values = st.recursive(_leaves, lambda kids: (
+    st.lists(kids, max_size=4)
+    | st.lists(kids, max_size=3).map(tuple)
+    | st.dictionaries(st.integers(-3, 3) | st.text(max_size=2), kids,
+                      max_size=4)), max_leaves=24)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_values)
+@example({1: "int key", "1": "str key"})
+@example(list(_EDGE_FLOATS))
+@example([[10 ** 400, 1.0], [1, -0.0]])
+@example([[1, 2.5, -0.0], [3, 1e16, 5e-324]])
+@example([[1.0], [2.0, 3.0]])
+@example([[], []])
+@example([[1.0, [2.0]], [3.0, 4.0]])
+@example({"rows": [[True, 1.0]], "empty": [{}, [], ()]})
+def test_dump_json_matches_the_stdlib_encoder(obj):
+    assert dump_json(obj) == _oracle(obj)
+
+
+def test_colliding_keys_keep_the_last_value():
+    assert dump_json({1: "a", "1": "b"}) == '{\n  "1": "b"\n}\n'
+
+
+@pytest.mark.parametrize("bad", [
+    float("nan"), float("inf"), -float("inf"), np.float32("inf"),
+    complex(0.0, float("nan")), np.array([1.0, float("inf")]),
+    [[1.0, float("nan")]], {"a": [[0, 1.0, -float("inf")]]},
+    [[10 ** 400, float("inf")]],
+])
+def test_dump_json_refuses_non_finite_numbers(bad):
+    with pytest.raises(ValueError):
+        _oracle(bad)
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        dump_json(bad)
+
+
+@pytest.mark.parametrize("bad", [
+    object(), {1, 2}, b"bytes", np.array(0.5), {"a": [object()]},
+    [[1.0, object()]], (x for x in [1]),
+])
+def test_dump_json_refuses_unknown_objects(bad):
+    with pytest.raises(TypeError):
+        _oracle(bad)
+    with pytest.raises(TypeError):
+        dump_json(bad)
+
+
+def test_dump_json_matches_the_stdlib_encoder_on_payloads(tmp_path):
+    rng = np.random.default_rng(28)
+    c = rng.standard_normal(8192) + 1j * rng.standard_normal(8192)
+    c[rng.random(8192) < 0.1] = complex(-0.0, 0.5)
+    c[rng.random(8192) < 0.1] = complex(1.5, -0.0)
+    c[rng.random(8192) < 0.1] = 0.0
+    f_obj = function_to_json(CircleFunction.from_coeffs(c))
+    z = monomial(1, 1024)
+    space = span_invariant([z, monomial(3, 1024)], z, k_max=20, D=40)
+    assert space.recipe is not None
+    for obj in (f_obj, subspace_to_json(space)):
+        text = dump_json(obj)
+        assert text == _oracle(obj)
+        atomic_write_text(str(tmp_path / "out.json"), text)
+        assert (tmp_path / "out.json").read_text(encoding="utf-8") == text
+
+
+def test_cli_payloads_match_the_stdlib_encoder(tmp_path, monkeypatch):
+    from hardy import cli
+    texts = []
+
+    def recorded(payload):
+        texts.append(dump_json(payload))
+        assert texts[-1] == _oracle(payload)
+        return texts[-1]
+
+    monkeypatch.setattr(cli, "dump_json", recorded)
+    rng = np.random.default_rng(28)
+    taylor = rng.standard_normal(25) + 1j * rng.standard_normal(25)
+    for name, obj in (
+            ("f", function_to_json(synthesize(dict(enumerate(taylor)), 1024))),
+            ("g", function_to_json(as_circle_function(
+                BlaschkeSpec((0.3, -0.2j)), 1024))),
+            ("z", zeros_to_json(BlaschkeSpec((0.0, 0.5, -0.5j))))):
+        atomic_write_text(str(tmp_path / f"{name}.json"), dump_json(obj))
+    f, g, z, span = (str(tmp_path / name) for name in
+                     ("f.json", "g.json", "z.json", "span.json"))
+    for argv in (["factor", "ninner", "--fn", f, "--n", "2"],
+                 ["decompose", "--fn", f, "--mode", "blaschke", "--zeros", z],
+                 ["invariance", "span", "--generators", g, "--power", "2",
+                  "--kmax", "20", "--band", "60"],
+                 ["invariance", "defect", "--subspace", span, "--power", "2"],
+                 ["invariance", "wandering", "--subspace", span, "--power",
+                  "2"]):
+        out = span if argv[1] == "span" else str(tmp_path / "out.json")
+        assert cli.main([*argv, "--out", out]) == 0
+        with open(out, encoding="utf-8") as handle:
+            assert handle.read() == texts[-1]
+    assert len(texts) == 5
