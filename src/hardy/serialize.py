@@ -15,12 +15,13 @@ Formats:
 A subspace with a recipe loads as the space the recipe rebuilds, bit
 for bit the one written, and is refused unless its basis spans that.
 
-dump_json writes every file, byte for byte the standard library's
+dump_json writes every JSON file, byte for byte the standard library's
 sorted, indented output; each number is its shortest exact decimal
 form, so identical inputs produce byte-identical files.  NaN and
-infinity are refused on reading and on writing, having no JSON token.  A field that holds
-an integer refuses a fraction or a boolean rather than truncating it,
-and one that holds a real number refuses a boolean or a string.
+infinity are refused on reading and on writing, having no JSON token.
+A field that holds an integer refuses a fraction or a boolean rather
+than truncating it, and one that holds a real number refuses a boolean
+or a string.
 Files are written to a temporary in the same directory and renamed
 into place, never left half-written.
 """
