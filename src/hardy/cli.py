@@ -41,7 +41,7 @@ from .errors import (
     SizeError,
     TruncationError,
 )
-from .factor import b_inner_matrix_from, inner_outer, n_inner_outer_factorize
+from .factor import b_inner_matrix_from, n_inner_outer_factorize
 from .invariance import (
     ConstrainedSpec,
     build_constrained,
@@ -97,6 +97,8 @@ def _load_json_file(path: str):
             f"{path}: parse error at line {exc.lineno} column {exc.colno}: "
             f"{exc.msg}"
         )
+    except ValueError as exc:  # an integer past Python's digit limit
+        raise ParameterError(f"{path}: {exc}")
 
 
 def _parsed_file(path: str, parse):
@@ -162,7 +164,7 @@ def _write_csv(path: str, header: List[str], rows):
 
 
 # --- subcommand handlers ----------------------------------------------------
-# Each returns (payload, passed), and factor classic a CSV (path, header,
+# Each returns (payload, passed), and factor ninner a CSV (path, header,
 # rows) after them; main() writes, maps errors and picks the exit code.
 
 def _grid_arg(args, smallest: int) -> int:
@@ -228,26 +230,6 @@ def _cmd_decompose(args):
     return payload, True
 
 
-def _cmd_factor_classic(args):
-    f = _function_arg(args.fn)
-    pair = inner_outer(f, regularize=args.regularize)
-    payload = {
-        "inner": function_to_json(pair.inner),
-        "outer": function_to_json(pair.outer),
-        "residual": pair.residual,
-        "unimodularity_defect": pair.unimodularity_defect,
-        "inner_tail": pair.inner_tail,
-    }
-    if not args.emit_plot_data:
-        return payload, pair.meets_invariants()
-    N = pair.inner.n_samples
-    theta = 2.0 * np.pi * np.arange(N) / N
-    rows = zip(theta, np.abs(pair.inner.samples),
-               np.log(np.abs(pair.outer.samples)))
-    plot = (args.emit_plot_data, ["theta", "abs_inner", "log_abs_outer"], rows)
-    return payload, pair.meets_invariants(), plot
-
-
 def _cmd_factor_ninner(args):
     f = _function_arg(args.fn)
     bundle = n_inner_outer_factorize(f, args.n, regularize=args.regularize)
@@ -259,11 +241,18 @@ def _cmd_factor_ninner(args):
         "gram_defect": bundle.gram_defect,
         "parseval_gap": bundle.parseval_gap,
         "inner_tail": bundle.inner_tail,
+        "inner_defect": bundle.inner_defect,
         "inners": [function_to_json(g) for g in bundle.inners],
         "outers": [function_to_json(g) for g in bundle.outers],
         "outers_passed": [rep.passed for rep in bundle.outer_reports],
     }
-    return payload, bundle.meets_invariants()
+    if not args.emit_plot_data:
+        return payload, bundle.meets_invariants()
+    J, F = bundle.inners[0], bundle.outers[0]
+    theta = 2.0 * np.pi * np.arange(J.n_samples) / J.n_samples
+    rows = zip(theta, np.abs(J.samples), np.log(np.abs(F.samples)))
+    plot = (args.emit_plot_data, ["theta", "abs_inner", "log_abs_outer"], rows)
+    return payload, bundle.meets_invariants(), plot
 
 
 def _cmd_factor_checkbinner(args):
@@ -474,19 +463,14 @@ def build_parser() -> argparse.ArgumentParser:
                           "(default: sized from the input)")
 
     factor = group("factor", "factorization commands")
-    classic = _command(factor, "classic", _cmd_factor_classic,
-                       "inner times outer factorization")
-    classic.add_argument("--fn", required=True)
-    classic.add_argument("--regularize", action="store_true",
-                         help="lift grid zeros of the modulus")
-    classic.add_argument("--emit-plot-data", metavar="CSV", default=None,
-                         help="write theta, |inner|, log|outer| columns")
-
     ninner = _command(factor, "ninner", _cmd_factor_ninner,
                       "n-inner times n-outer factorization")
     ninner.add_argument("--fn", required=True)
     ninner.add_argument("--n", type=int, required=True)
-    ninner.add_argument("--regularize", action="store_true")
+    ninner.add_argument("--regularize", action="store_true",
+                        help="lift grid zeros of the modulus")
+    ninner.add_argument("--emit-plot-data", metavar="CSV", default=None,
+                        help="write theta, |inner|, log|outer| columns")
 
     binner = _command(factor, "check-binner", _cmd_factor_checkbinner,
                       "matrix test for a jointly B-inner family")

@@ -60,14 +60,12 @@ from .errors import (
 )
 
 __all__ = [
-    "InnerOuterPair",
     "NInnerOuterBundle",
     "BInnerMatrix",
     "OuterReport",
     "NOuterReport",
     "harmonic_conjugate",
     "outer_from_modulus",
-    "inner_outer",
     "is_outer",
     "b_inner_matrix_from",
     "n_inner_outer_factorize",
@@ -77,28 +75,12 @@ __all__ = [
 TOL_OUTER = 1e-6
 TOL_B_INNER = 1e-7
 TOL_FACTOR_RESIDUAL = 1e-6
+TOL_FACTOR_VERDICT = 1e-7  # the verdict's residual and inner_defect bound
 
 # Work-grid control for the inner-outer construction.  The grid starts
 # on the input's and doubles until the quotient's Taylor tail has decayed.
 WORK_TAIL_TARGET = 1e-11
 WORK_GRID_CAP = 1 << 17
-
-
-@dataclass(frozen=True, eq=False)
-class InnerOuterPair:
-    """f = inner * outer with the measured quality numbers; inner_tail
-    is the inner part's Taylor tail on the final work grid."""
-
-    inner: CircleFunction
-    outer: CircleFunction
-    residual: float
-    unimodularity_defect: float
-    inner_tail: float
-
-    def meets_invariants(self) -> bool:
-        return (self.residual <= 1e-7 and self.unimodularity_defect <= 1e-7
-                and self.inner_tail <= WORK_TAIL_TARGET
-                and self.outer.is_analytic())
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,9 +158,11 @@ class NInnerOuterBundle:
     parseval_gap: float
     outer_reports: Tuple[NOuterReport, ...]
     inner_tail: float
+    inner_defect: float  # sup of |phi / |O| - 1| on the last fibre grid
 
     def meets_invariants(self) -> bool:
-        return (self.residual <= TOL_FACTOR_RESIDUAL
+        return (self.residual <= TOL_FACTOR_VERDICT
+                and self.inner_defect <= TOL_FACTOR_VERDICT
                 and self.gram_defect <= TOL_FACTOR_RESIDUAL
                 and self.inner_tail <= WORK_TAIL_TARGET
                 and all(rep.passed for rep in self.outer_reports))
@@ -249,10 +233,12 @@ def _tiled(samples: np.ndarray, g: int) -> CircleFunction:
 
 
 def _factor(f: CircleFunction, n: int, regularize: bool
-            ) -> Tuple[CircleFunction, CircleFunction, CircleFunction, float]:
-    """The construction of the module docstring: (J, F, f, tail) with f
-    resampled to the work grid that J and F live on, and tail J's Taylor
-    tail there."""
+            ) -> Tuple[CircleFunction, CircleFunction, CircleFunction, float,
+                       float]:
+    """The construction of the module docstring: (J, F, f, tail, defect)
+    with f resampled to the work grid that J and F live on, tail J's
+    Taylor tail there and defect the sup of |phi / |O| - 1| on the fibre
+    grid."""
     n_work = f.n_samples
     while True:
         f_work = resample(f, n_work)
@@ -269,7 +255,8 @@ def _factor(f: CircleFunction, n: int, regularize: bool
         inner = CircleFunction.from_samples(quotient)
         tail = float(np.linalg.norm(inner.coeffs[3 * n_work // 4:]))
         if tail <= WORK_TAIL_TARGET or n_work >= WORK_GRID_CAP:
-            return inner, outer, f_work, tail
+            defect = float(np.max(np.abs(phi / np.abs(o) - 1.0)))
+            return inner, outer, f_work, tail, defect
         n_work *= 2
 
 
@@ -280,29 +267,6 @@ def _require_finite(values: np.ndarray, what: str, n: int, n_work: int):
         raise FactorizationError(
             f"the {what} is not finite on the {n_work}-point work grid",
             diagnostics={"n": n, "n_samples": n_work})
-
-
-def _residual(inner: CircleFunction, outer: CircleFunction,
-              f: CircleFunction) -> float:
-    """RMS of inner * outer - f, formed sample-wise: a verification
-    number, not a new bandwidth-guarded function."""
-    return float(np.sqrt(np.mean(
-        np.abs(inner.samples * outer.samples - f.samples) ** 2)))
-
-
-def inner_outer(f: CircleFunction, regularize: bool = False) -> InnerOuterPair:
-    """Split f into a unimodular part times the outer part of |f|.
-
-    The construction is n_inner_outer_factorize's at n = 1, so both
-    parts live on its work grid, which starts on f's grid and doubles
-    until the inner part's Taylor tail has decayed.
-    """
-    require_analytic(f, "inner_outer")
-    inner, outer, f_work, tail = _factor(f, 1, regularize)
-    unimod = float(np.max(np.abs(np.abs(inner.samples) - 1.0)))
-    return InnerOuterPair(inner=inner, outer=outer,
-                          residual=_residual(inner, outer, f_work),
-                          unimodularity_defect=unimod, inner_tail=tail)
 
 
 def is_outer(f: CircleFunction, regularize: bool = False) -> OuterReport:
@@ -377,25 +341,13 @@ def n_inner_outer_factorize(f: CircleFunction, n: int,
     with np.errstate(over="ignore"):  # an overflowing norm is not zero
         if norm2(f) < EPS_LOG:
             raise DomainError("cannot factor the zero function")
-    J, f1, f_work, tail = _factor(f, n, regularize)
-    n_work = f_work.n_samples
-    residual = _residual(J, f1, f_work)
+    J, f1, f_work, tail, inner_defect = _factor(f, n, regularize)
+    # the RMS of J f1 - f, formed sample-wise: a verification number
+    residual = float(np.sqrt(np.mean(
+        np.abs(J.samples * f1.samples - f_work.samples) ** 2)))
     # <z^(n d) J, J> as lag sums of J's coefficients: on samples a shift
     # past half the grid would wrap J's band onto itself.
     gram = _joint_gram_defect(n, [J.coeffs], m_max_check)
-    parseval = abs(norm2(f_work) ** 2 - norm2(f1) ** 2)
-    # A modulus that vanishes on the grid, or an outer part that is not
-    # analytic at the grid cap, fails the outer test rather than the call.
-    try:
-        outer_report = is_n_outer(f1, n, regularize=regularize)
-    except (SingularityError, DomainError):
-        outer_report = NOuterReport(
-            passed=False, rank1_defect=float("inf"),
-            outer_defect=float("inf"))
-    bundle = NInnerOuterBundle(
-        n=n, r=1, inners=(J,), outers=(f1,), residual=residual,
-        gram_defect=gram, n_samples=n_work, parseval_gap=parseval,
-        outer_reports=(outer_report,), inner_tail=tail)
     if residual > TOL_FACTOR_RESIDUAL:
         raise FactorizationError(
             f"factorization residual {residual:.3e} exceeds "
@@ -405,7 +357,20 @@ def n_inner_outer_factorize(f: CircleFunction, n: int,
                 "gram_defect": gram,
                 "r": 1,
             })
-    return bundle
+    parseval = abs(norm2(f_work) ** 2 - norm2(f1) ** 2)
+    # A modulus that vanishes on the grid, or an outer part that is not
+    # analytic at the grid cap, fails the outer test rather than the call.
+    try:
+        outer_report = is_n_outer(f1, n, regularize=regularize)
+    except (SingularityError, DomainError):
+        outer_report = NOuterReport(
+            passed=False, rank1_defect=float("inf"),
+            outer_defect=float("inf"))
+    return NInnerOuterBundle(
+        n=n, r=1, inners=(J,), outers=(f1,), residual=residual,
+        gram_defect=gram, n_samples=f_work.n_samples, parseval_gap=parseval,
+        outer_reports=(outer_report,), inner_tail=tail,
+        inner_defect=inner_defect)
 
 
 def is_n_outer(f: CircleFunction, n: int,

@@ -73,6 +73,14 @@ def _finite(x: complex) -> complex:
     return x
 
 
+def _complex(re, im) -> complex:
+    """complex(float(re), float(im)); an out-of-range integer is refused."""
+    try:
+        return complex(float(re), float(im))
+    except OverflowError:
+        raise ParameterError("a number is beyond the float range") from None
+
+
 def _real(x, name: str) -> float:
     """x as a finite float; a boolean or a non-number is refused, the
     real counterpart of circlefn._integer."""
@@ -101,7 +109,7 @@ def function_from_json(obj: Mapping) -> CircleFunction:
     coeffs = {}
     for j, re, im in entries:
         # the first entry is kept as written, so a signed zero survives
-        j, c = _integer(j, "coefficient index"), complex(float(re), float(im))
+        j, c = _integer(j, "coefficient index"), _complex(re, im)
         coeffs[j] = coeffs[j] + c if j in coeffs else c
     # NaN, inf and overflow in the inverse FFT leave non-finite samples;
     # the samples are synthesized where they are first read, so here.
@@ -121,8 +129,7 @@ def zeros_from_json(obj: Mapping) -> BlaschkeSpec:
         pairs = obj["zeros"]
     except (KeyError, TypeError) as exc:
         raise ParameterError("zeros JSON needs a 'zeros' list") from exc
-    return BlaschkeSpec(tuple(_finite(complex(float(re), float(im)))
-                              for re, im in pairs))
+    return BlaschkeSpec(tuple(_finite(_complex(re, im)) for re, im in pairs))
 
 
 def norm_spec_to_json(spec: GaugeNormSpec) -> dict:
@@ -232,7 +239,10 @@ def subspace_from_json(obj: Mapping) -> SubspaceBasis:
     _check_band(D, N)
     taylor = np.zeros((D + 1, len(rows)), dtype=complex)
     for j, row in enumerate(rows):
-        pairs = np.asarray(row, dtype=float)
+        try:
+            pairs = np.asarray(row, dtype=float)
+        except OverflowError:  # an integer beyond the float range
+            pairs = np.array([np.inf])
         if (pairs.shape[1:] != (2,) and pairs.shape != (0,)
                 or not np.all(np.isfinite(pairs))):
             raise ParameterError(f"basis row {j} is not a list of finite "
@@ -261,7 +271,7 @@ def subspace_from_json(obj: Mapping) -> SubspaceBasis:
 
 def _constrained_spec_from_json(obj: Mapping) -> ConstrainedSpec:
     inners = tuple(function_from_json(o) for o in obj["inners"])
-    beta = np.array([[_finite(complex(float(re), float(im))) for re, im in row]
+    beta = np.array([[_finite(_complex(re, im)) for re, im in row]
                      for row in obj["beta"]], dtype=complex)
     mult = obj["multiplier"]
     multiplier = (_integer(mult["power"], "power") if "power" in mult

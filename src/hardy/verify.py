@@ -494,7 +494,7 @@ def _run_n_factorization(config: RunConfig) -> Tuple[Check, ...]:
     N = config.n_samples
     worst_residual = 0.0
     worst_gram = 0.0
-    worst_rank = 0
+    verdict_failures = 0
     worst_parseval = 0.0
     outer_failures = 0
     for trial in range(50):
@@ -504,14 +504,14 @@ def _run_n_factorization(config: RunConfig) -> Tuple[Check, ...]:
             bundle = n_inner_outer_factorize(f, n, m_max_check=6)
             worst_residual = max(worst_residual, bundle.residual)
             worst_gram = max(worst_gram, bundle.gram_defect)
-            worst_rank = max(worst_rank, bundle.r - n)
+            verdict_failures += not bundle.meets_invariants()
             worst_parseval = max(worst_parseval, bundle.parseval_gap)
             outer_failures += sum(
                 0 if rep.passed else 1 for rep in bundle.outer_reports)
     return (
         _check("reconstruction_residual", worst_residual, 1e-6),
         _check("joint_gram_defect", worst_gram, 1e-6),
-        _check("rank_bound_excess", float(worst_rank), 0.0),
+        _check("verdict_failures", float(verdict_failures), 0.0),
         _check("energy_sum_gap", worst_parseval, 1e-6),
         _check("outer_component_failures", float(outer_failures), 0.0),
     )

@@ -2,8 +2,9 @@
 
 import numpy as np
 
-from hardy.circlefn import CircleFunction, require_analytic
+from hardy.circlefn import CircleFunction, require_analytic, resample
 from hardy.decomp import _check_modulus
+from hardy.factor import WORK_TAIL_TARGET
 
 
 def zn_series_components(f, n):
@@ -25,3 +26,19 @@ def zn_series_components(f, n):
         arr[half:half + sel.size] = sel
         out.append(CircleFunction.from_coeffs(arr))
     return tuple(out)
+
+
+def classical_pair_verdict(f, inner, outer):
+    """The verdict the classical inner/outer pair once carried, read off
+    the parts alone: the RMS of inner * outer - f on their grid at most
+    1e-7, the sup of ||inner| - 1| at most 1e-7, the inner part's Taylor
+    tail past three quarters of the band at most WORK_TAIL_TARGET, and an
+    analytic outer part."""
+    N = inner.n_samples
+    f = resample(f, N)
+    residual = np.sqrt(np.mean(np.abs(inner.samples * outer.samples
+                                      - f.samples) ** 2))
+    unimodularity = np.max(np.abs(np.abs(inner.samples) - 1.0))
+    tail = np.linalg.norm(inner.coeffs[3 * N // 4:])
+    return bool(residual <= 1e-7 and unimodularity <= 1e-7
+                and tail <= WORK_TAIL_TARGET and outer.is_analytic())

@@ -22,9 +22,9 @@ from hardy import (
     builtin_specs,
     gauge_eval,
     grid,
-    inner_outer,
     is_outer,
     blaschke_eval,
+    n_inner_outer_factorize,
     norm2,
     run_verification,
     synthesize,
@@ -116,7 +116,7 @@ def test_criterion_07_n_factorization_properties():
     by_name = {c.name: c for c in rep.checks}
     assert by_name["reconstruction_residual"].measured <= 1e-6
     assert by_name["joint_gram_defect"].measured <= 1e-6
-    assert by_name["rank_bound_excess"].measured <= 0
+    assert by_name["verdict_failures"].measured == 0
     assert by_name["energy_sum_gap"].measured <= 1e-6
     assert by_name["outer_component_failures"].measured == 0
     assert rep.passed
@@ -141,9 +141,9 @@ def test_criterion_09_inner_outer_consistency():
         for j in range(1, deg + 1):
             coeffs[j] = c[j - 1]
         f = synthesize(coeffs, N)
-        pair = inner_outer(f)
-        assert pair.residual <= 1e-7
-        assert pair.unimodularity_defect <= 1e-7
+        bundle = n_inner_outer_factorize(f, 1)  # the classical split
+        assert bundle.residual <= 1e-7
+        assert np.max(np.abs(np.abs(bundle.inners[0].samples) - 1)) <= 1e-7
     for a in (0.2, 0.45j, -0.7, 0.3 - 0.4j):
         single = synthesize({0: -a, 1: 1.0}, N)
         gap = is_outer(single).defect

@@ -15,8 +15,8 @@ from hardy import (
     decompose_zn,
     errors,
     function_to_json,
-    inner_outer,
     monomial,
+    n_inner_outer_factorize,
     span_invariant,
     synthesize,
     wandering_basis,
@@ -54,12 +54,13 @@ def test_help_screens():
 
 
 def test_factor_classic_oracle(workdir):
+    # the classical inner/outer split is factor ninner at n = 1
     out = workdir / "pair.json"
-    res = run_cli("factor", "classic", "--fn", str(workdir / "poly.json"),
-                  "--out", str(out))
+    res = run_cli("factor", "ninner", "--n", "1", "--fn",
+                  str(workdir / "poly.json"), "--out", str(out))
     assert res.returncode == 0
     payload = json.loads(out.read_text())
-    inner = {j: complex(re, im) for j, re, im in payload["inner"]["coeffs"]
+    inner = {j: complex(re, im) for j, re, im in payload["inners"][0]["coeffs"]
              if abs(complex(re, im)) > 1e-9}
     assert set(inner) == {1}
     assert inner[1] == pytest.approx(1.0, abs=1e-9)
@@ -68,13 +69,14 @@ def test_factor_classic_oracle(workdir):
 
 def test_factor_classic_plot_csv(workdir):
     csv_path = workdir / "plot.csv"
-    res = run_cli("factor", "classic", "--fn", str(workdir / "poly.json"),
-                  "--emit-plot-data", str(csv_path))
+    res = run_cli("factor", "ninner", "--n", "1", "--fn",
+                  str(workdir / "poly.json"), "--emit-plot-data", str(csv_path))
     assert res.returncode == 0
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "theta,abs_inner,log_abs_outer"
-    # the pair lives on the work grid, and so do the rows
-    N = inner_outer(synthesize({1: 2.0, 2: 1.0}, 1024)).inner.n_samples
+    # the parts live on the work grid, and so do the rows
+    N = n_inner_outer_factorize(synthesize({1: 2.0, 2: 1.0}, 1024),
+                                1).n_samples
     assert len(lines) == N + 1
     theta = np.array([float(line.split(",")[0]) for line in lines[1:]])
     assert np.allclose(np.diff(theta), 2.0 * np.pi / N, rtol=0, atol=1e-12)
@@ -85,16 +87,18 @@ def test_factor_payloads_carry_the_inner_tail(workdir):
     # rule and the verdict read
     from hardy import cli
     from hardy.factor import WORK_TAIL_TARGET
-    for args in (["classic"], ["ninner", "--n", "2"]):
+    for n in ("1", "2"):
         out = workdir / "payload.json"
-        assert cli.main(["factor", *args, "--fn", str(workdir / "poly.json"),
-                         "--out", str(out)]) == 0
-        assert 0.0 <= json.loads(out.read_text())["inner_tail"] \
-            <= WORK_TAIL_TARGET
+        assert cli.main(["factor", "ninner", "--n", n, "--fn",
+                         str(workdir / "poly.json"), "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert 0.0 <= payload["inner_tail"] <= WORK_TAIL_TARGET
+        assert 0.0 <= payload["inner_defect"] <= 1e-7
 
 
 def test_factor_grid_zero_diagnostic(workdir):
-    res = run_cli("factor", "classic", "--fn", str(workdir / "gridzero.json"))
+    res = run_cli("factor", "ninner", "--n", "1", "--fn",
+                  str(workdir / "gridzero.json"))
     assert res.returncode == 2
     assert "singular" in res.stderr
 
@@ -226,12 +230,47 @@ def test_overflowing_coefficients_are_input_error(workdir):
     huge.write_text('{"n_samples": 1024, '
                     '"coeffs": [[0, 1e308, 0.0], [1, 1e308, 0.0]]}')
     for args in (["decompose", "--mode", "zn", "--n", "2"],
-                 ["factor", "classic"], ["factor", "ninner", "--n", "2"]):
+                 ["factor", "ninner", "--n", "1"],
+                 ["factor", "ninner", "--n", "2"]):
         res = run_cli(*args, "--fn", str(huge))
         assert res.returncode == 1
         assert "overflow" in res.stderr
         assert "Warning" not in res.stderr
         assert res.stdout == ""
+
+
+def test_integer_beyond_float_range_is_input_error_naming_the_file(workdir):
+    # json reads 10**400 as an int, which float() cannot take
+    fn, zeros = workdir / "bigint.json", workdir / "bigint_zeros.json"
+    fn.write_text('{"n_samples": 64, "coeffs": [[0, 1%s, 0]]}' % ("0" * 400))
+    zeros.write_text('{"zeros": [[0, 1%s]]}' % ("0" * 400))
+    # past 4300 digits json itself refuses the integer
+    longer = workdir / "longint.json"
+    longer.write_text('{"n_samples": 64, "coeffs": [[0, 1%s, 0]]}'
+                      % ("0" * 5000))
+    for args, message in (
+            (["decompose", "--mode", "zn", "--n", "2", "--fn", str(fn)],
+             "float range"),
+            (["blaschke", "basis", "--zeros", str(zeros)], "float range"),
+            (["decompose", "--mode", "zn", "--n", "2", "--fn", str(longer)],
+             "digits")):
+        res = run_cli(*args)
+        assert res.returncode == 1
+        assert message in res.stderr and args[-1] in res.stderr
+        assert "Traceback" not in res.stderr and res.stdout == ""
+
+
+def test_factor_ninner_plot_csv_at_n_2(workdir):
+    from hardy import cli
+    csv_path = workdir / "plot2.csv"
+    assert cli.main(["factor", "ninner", "--n", "2", "--fn",
+                     str(workdir / "poly.json"), "--emit-plot-data",
+                     str(csv_path), "--out", str(workdir / "n2.json")]) == 0
+    bundle = n_inner_outer_factorize(synthesize({1: 2.0, 2: 1.0}, 1024), 2)
+    rows = np.loadtxt(csv_path, delimiter=",", skiprows=1)
+    assert rows.shape == (bundle.n_samples, 3)
+    assert np.array_equal(rows[:, 1], np.abs(bundle.inners[0].samples))
+    assert np.array_equal(rows[:, 2], np.log(np.abs(bundle.outers[0].samples)))
 
 
 def test_factor_classic_near_circle_zero_passes(workdir):
@@ -240,7 +279,8 @@ def test_factor_classic_near_circle_zero_passes(workdir):
     c = rng.standard_normal(25) + 1j * rng.standard_normal(25)
     atomic_write_text(str(workdir / "rand.json"), dump_json(
         function_to_json(synthesize(dict(enumerate(c)), 1024))))
-    res = run_cli("factor", "classic", "--fn", str(workdir / "rand.json"))
+    res = run_cli("factor", "ninner", "--n", "1", "--fn",
+                  str(workdir / "rand.json"))
     assert res.returncode == 0
     assert json.loads(res.stdout)["residual"] <= 1e-9
 
@@ -493,9 +533,10 @@ def test_malformed_recipe_is_input_error(workdir, capsys, edit):
 
 
 @pytest.mark.parametrize("pair", [[1.0], None, "x", "NaN", ["NaN", 0.0],
-                                  [0.0, 1e999], [[1.0, 0.0]]],
+                                  [0.0, 1e999], [[1.0, 0.0]], [10**400, 0]],
                          ids=["one-element", "null", "x", "NaN-pair",
-                              "NaN-part", "infinite-part", "nested"])
+                              "NaN-part", "infinite-part", "nested",
+                              "integer-beyond-float-range"])
 def test_malformed_basis_pair_is_input_error_naming_the_file(workdir, capsys,
                                                              pair):
     from hardy import cli
@@ -639,8 +680,8 @@ def test_each_error_type_has_one_exit_code(monkeypatch, capsys, name):
     def stub(args):
         raise getattr(errors, name)("stub failure")
 
-    monkeypatch.setattr(cli, "_cmd_factor_classic", stub)
-    code = cli.main(["factor", "classic", "--fn", "unread.json"])
+    monkeypatch.setattr(cli, "_cmd_factor_ninner", stub)
+    code = cli.main(["factor", "ninner", "--n", "1", "--fn", "unread.json"])
     assert code == (1 if name in _INPUT_ERRORS else 2)
     out, err = capsys.readouterr()
     assert out == ""
@@ -662,14 +703,16 @@ def test_unwritable_payload_leaves_no_plot_csv(workdir, monkeypatch, capsys):
     # command before the plot rows land.
     from hardy import cli
 
-    def nan_pair(f, regularize=False):
-        return dataclasses.replace(inner_outer(f, regularize=regularize),
-                                   residual=float("nan"))
+    def nan_split(f, n, regularize=False):
+        return dataclasses.replace(
+            n_inner_outer_factorize(f, n, regularize=regularize),
+            residual=float("nan"))
 
-    monkeypatch.setattr(cli, "inner_outer", nan_pair)
+    monkeypatch.setattr(cli, "n_inner_outer_factorize", nan_split)
     csv_path, out = workdir / "plot.csv", workdir / "pair.json"
-    code = cli.main(["factor", "classic", "--fn", str(workdir / "poly.json"),
-                     "--emit-plot-data", str(csv_path), "--out", str(out)])
+    code = cli.main(["factor", "ninner", "--n", "1", "--fn",
+                     str(workdir / "poly.json"), "--emit-plot-data",
+                     str(csv_path), "--out", str(out)])
     assert code == 2
     assert "not finite" in capsys.readouterr().err
     assert not out.exists()
@@ -702,10 +745,8 @@ def test_flag_surface_is_unchanged():
                            **n_samples, **out},
         "decompose": {"--fn": None, "--mode": None, "--n": None,
                       "--zeros": None, "--mmax": None, **out},
-        "factor classic": {"--fn": None, "--regularize": False,
-                           "--emit-plot-data": None, **out},
         "factor ninner": {"--fn": None, "--n": None, "--regularize": False,
-                          **out},
+                          "--emit-plot-data": None, **out},
         "factor check-binner": {"--fn": None, "--zeros": None, "--mmax": 8,
                                 **out},
         "invariance span": {"--generators": None, "--kmax": None,

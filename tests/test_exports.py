@@ -48,7 +48,7 @@ def test_cli_exports_only_main():
     (hardy.CircleFunction.is_analytic, "tol"),
     (hardy.CircleFunction.bandwidth, "cutoff"),
     (hardy.CircleFunction.top_index, "cutoff"),
-    (hardy.InnerOuterPair.meets_invariants, "tol"),
+    (hardy.n_inner_outer_factorize, "tol"),
     (hardy.NInnerOuterBundle.meets_invariants, "tol"),
     (hardy.is_n_outer, "tol"),
     (hardy.b_inner_matrix_from, "tol"),

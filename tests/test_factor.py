@@ -1,5 +1,6 @@
 """Factorization: conjugates, outer parts, joint inner families."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -18,7 +19,6 @@ from hardy import (
     decompose_zn,
     grid,
     harmonic_conjugate,
-    inner_outer,
     is_n_outer,
     is_outer,
     monomial,
@@ -29,7 +29,8 @@ from hardy import (
     resample,
     synthesize,
 )
-from hardy.circlefn import CircleFunction, _joint_gram_defect, gram_defect
+from hardy.circlefn import (EPS_LOG, CircleFunction, _joint_gram_defect,
+                            gram_defect)
 from hardy.factor import (
     TOL_B_INNER,
     WORK_GRID_CAP,
@@ -37,7 +38,7 @@ from hardy.factor import (
     _factor,
 )
 from hardy.verify import _random_poly
-from oracles import zn_series_components
+from oracles import classical_pair_verdict, zn_series_components
 
 
 def _from_mod(values):
@@ -83,21 +84,22 @@ def test_geometric_mean_normalization():
 
 def test_inner_outer_oracle():
     f = synthesize({1: 2.0, 2: 1.0}, 1024)  # z (2 + z)
-    pair = inner_outer(f)
-    assert pair.meets_invariants()
-    assert np.max(np.abs(pair.inner.samples
-                         - grid(pair.inner.n_samples))) < 1e-9
-    assert pair.outer.coeff(0) == pytest.approx(2.0, abs=1e-9)
-    assert pair.outer.coeff(1) == pytest.approx(1.0, abs=1e-9)
+    bundle = n_inner_outer_factorize(f, 1)
+    inner, outer = bundle.inners[0], bundle.outers[0]
+    assert bundle.meets_invariants()
+    assert np.max(np.abs(inner.samples - grid(inner.n_samples))) < 1e-9
+    assert outer.coeff(0) == pytest.approx(2.0, abs=1e-9)
+    assert outer.coeff(1) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_inner_outer_moebius_inner():
     f = synthesize({0: -0.5, 1: 1.0}, 1024)  # z - 1/2
-    pair = inner_outer(f)
-    assert pair.meets_invariants()
-    assert pair.inner.coeff(0) == pytest.approx(-0.5, abs=1e-9)
-    assert pair.inner.coeff(1) == pytest.approx(0.75, abs=1e-9)
-    assert pair.outer.coeff(1) == pytest.approx(-0.5, abs=1e-9)
+    bundle = n_inner_outer_factorize(f, 1)
+    inner, outer = bundle.inners[0], bundle.outers[0]
+    assert bundle.meets_invariants()
+    assert inner.coeff(0) == pytest.approx(-0.5, abs=1e-9)
+    assert inner.coeff(1) == pytest.approx(0.75, abs=1e-9)
+    assert outer.coeff(1) == pytest.approx(-0.5, abs=1e-9)
 
 
 def test_inner_outer_near_circle_zero_outer_is_analytic():
@@ -105,10 +107,10 @@ def test_inner_outer_near_circle_zero_outer_is_analytic():
     # aliases on the input grid; the work grid grows until it does not.
     rng = np.random.default_rng(1)
     c = rng.standard_normal(25) + 1j * rng.standard_normal(25)
-    pair = inner_outer(synthesize(dict(enumerate(c)), 1024))
-    assert pair.outer.is_analytic()
-    assert pair.outer.negative_energy <= 1e-12
-    assert pair.meets_invariants()
+    bundle = n_inner_outer_factorize(synthesize(dict(enumerate(c)), 1024), 1)
+    assert bundle.outers[0].is_analytic()
+    assert bundle.outers[0].negative_energy <= 1e-12
+    assert bundle.meets_invariants()
 
 
 def _classic_oracle(f, n_samples):
@@ -258,7 +260,7 @@ def test_factor_runs_residue_rows_on_the_z_g_grid(transforms, n, rows):
     # part need 1024 / g points.  This f is outer, J's tail meets the
     # target there, and no second pass runs.
     f = synthesize({0: 2.0, 1: 0.5, 3: 0.25}, 1024)
-    J, F, f_work, tail = _factor(f, n, False)
+    J, F, f_work, tail, _ = _factor(f, n, False)
     assert J.n_samples == F.n_samples == f_work.n_samples == 1024
     assert tail <= WORK_TAIL_TARGET
     assert [shape for name, shape in transforms if name == "ifft"
@@ -276,9 +278,6 @@ def test_factor_refuses_overflow_on_the_first_pass(transforms, n):
     with pytest.raises(FactorizationError, match="not finite") as info:
         n_inner_outer_factorize(f, n)
     assert info.value.diagnostics == {"n": n, "n_samples": 1024}
-    if n == 1:
-        with pytest.raises(FactorizationError, match="not finite"):
-            inner_outer(f)
     assert max((shape[-1] for _, shape in transforms),
                default=0) <= 1024
 
@@ -369,10 +368,7 @@ def test_factorization_matches_old_constructions(n):
         assert bundle.meets_invariants() == resolved
         oracles = [_base_variable_oracle(f, n)]
         if n == 1:
-            pair = inner_outer(f)
-            assert pair.meets_invariants() == resolved
-            assert np.array_equal(pair.inner.samples, J.samples)
-            assert np.array_equal(pair.outer.samples, F.samples)
+            assert classical_pair_verdict(f, J, F) == resolved
             # the finer of 2^15 and the work grid, for inputs whose
             # log-modulus still aliases on 2^15 points
             oracles.append(_classic_oracle(f, max(1 << 15, J.n_samples)))
@@ -411,27 +407,99 @@ def test_inner_tail_is_part_of_the_verdict():
     # above the target: every other check passes, the tail alone fails.
     f = _oracle_inputs()[3]
     bundle = n_inner_outer_factorize(f, 1)
-    pair = inner_outer(f)
     assert bundle.n_samples == WORK_GRID_CAP
-    assert WORK_TAIL_TARGET < bundle.inner_tail == pair.inner_tail < 1e-10
+    assert WORK_TAIL_TARGET < bundle.inner_tail < 1e-10
     assert bundle.residual <= 1e-14 and bundle.gram_defect <= 1e-14
-    assert bundle.outer_reports[0].passed and pair.outer.is_analytic()
-    assert pair.unimodularity_defect <= 1e-7
+    assert bundle.outer_reports[0].passed and bundle.outers[0].is_analytic()
+    assert bundle.inner_defect <= 1e-7
     assert not bundle.meets_invariants()
-    assert not pair.meets_invariants()
+    assert not classical_pair_verdict(f, bundle.inners[0], bundle.outers[0])
     for n in (2, 3):
         bundle = n_inner_outer_factorize(f, n)
         assert bundle.inner_tail <= WORK_TAIL_TARGET
         assert bundle.meets_invariants()
 
 
+# Inputs at the edge of the classical split: zeros just inside, just
+# outside and on the circle (regularized), at 1 + delta for deltas on
+# both sides of the 1e-12 modulus floor, and a zero at the origin.
+_CLASSICAL_EDGES = [
+    ({0: -0.9999, 1: 1.0}, False), ({0: -1.0001, 1: 1.0}, False),
+    ({0: -1.0, 1: 1.0}, True), ({1: 2.0, 2: 1.0}, False), ({1: 1.0}, False),
+] + [({0: -(1.0 + d), 1: 1.0}, r)
+     for d in (5e-13, 9.9e-13, 2e-12) for r in (False, True)]
+
+
+@pytest.fixture(scope="module")
+def classical_splits():
+    """(f, regularize, bundle) for the 100 rng(7) degree-24 inputs and
+    the edge inputs, bundle None where a modulus below the floor on the
+    grid refuses the split unregularized."""
+    rng = np.random.default_rng(7)
+    inputs = ([(_random_poly(rng, 24, 1024), False) for _ in range(100)]
+              + [(synthesize(c, 1024), r) for c, r in _CLASSICAL_EDGES])
+    out = []
+    for f, regularize in inputs:
+        if np.min(np.abs(f.samples)) < EPS_LOG and not regularize:
+            with pytest.raises(SingularityError):
+                n_inner_outer_factorize(f, 1)
+            out.append((f, regularize, None))
+        else:
+            out.append((f, regularize,
+                        n_inner_outer_factorize(f, 1, regularize=regularize)))
+    return out
+
+
+def test_verdict_at_n_1_is_the_classical_pair_verdict(classical_splits):
+    # The one verdict at n = 1 against the classical pair's (residual,
+    # sup||J| - 1|, J's tail, analytic outer part), recomputed from the
+    # parts.
+    verdicts = [bundle.meets_invariants()
+                for _, _, bundle in classical_splits if bundle is not None]
+    assert verdicts == [
+        classical_pair_verdict(f, bundle.inners[0], bundle.outers[0])
+        for f, _, bundle in classical_splits if bundle is not None]
+    # both verdicts are met and failed on this set, not one of them only
+    assert len(verdicts) == 109 and 0 < sum(verdicts) < 109
+
+
+def test_inner_defect_at_n_1_is_the_unimodularity_defect(classical_splits):
+    compared = 0
+    for f, _, bundle in classical_splits:
+        if bundle is None or np.min(np.abs(resample(
+                f, bundle.n_samples).samples)) < EPS_LOG:
+            continue  # refused, or a floored sample on the work grid
+        unimodularity = np.max(np.abs(np.abs(bundle.inners[0].samples) - 1))
+        assert abs(bundle.inner_defect - unimodularity) <= 1e-15
+        compared += 1
+    assert compared == 106
+
+
+@pytest.mark.parametrize("field", ["residual", "inner_defect"])
+def test_verdict_bounds_residual_and_inner_defect_at_1e_7(field):
+    bundle = n_inner_outer_factorize(synthesize({1: 2.0, 2: 1.0}, 1024), 2)
+    assert bundle.meets_invariants()
+    assert dataclasses.replace(bundle, **{field: 1e-7}).meets_invariants()
+    assert not dataclasses.replace(bundle,
+                                   **{field: 1.5e-7}).meets_invariants()
+
+
+def test_classical_split_raises_where_the_pair_returned():
+    # a residual above 1e-6 and the zero function raise at n = 1 too
+    with pytest.raises(FactorizationError, match="residual"):
+        n_inner_outer_factorize(synthesize({0: 2e150, 3: 1e150}, 1024), 1)
+    with pytest.raises(DomainError, match="zero function"):
+        n_inner_outer_factorize(synthesize({0: 0.0}, 1024), 1)
+
+
 def test_inner_outer_grid_zero_needs_regularize():
     f = synthesize({0: -1.0, 1: 1.0}, 1024)  # vanishes at z = 1
     with pytest.raises(SingularityError):
-        inner_outer(f)
-    pair = inner_outer(f, regularize=True)
-    assert pair.residual < 1e-7  # product still reproduces f
-    assert pair.unimodularity_defect > 0.1  # boundary zero is honest
+        n_inner_outer_factorize(f, 1)
+    bundle = n_inner_outer_factorize(f, 1, regularize=True)
+    assert bundle.residual < 1e-7  # product still reproduces f
+    assert bundle.inner_defect > 0.1  # boundary zero is honest
+    assert not bundle.meets_invariants()
 
 
 def test_is_outer_verdicts():
@@ -655,7 +723,7 @@ def test_is_n_outer_rejects_rank_two():
 
 def test_factor_rejects_nonanalytic():
     with pytest.raises(DomainError):
-        inner_outer(monomial(-1, 512))
+        n_inner_outer_factorize(monomial(-1, 512), 1)
     with pytest.raises(DomainError):
         is_n_outer(monomial(-1, 512), 2)
 

@@ -169,6 +169,28 @@ def test_non_finite_numbers_are_refused(bad):
         dump_json({"residual": bad})
 
 
+# json reads an integer literal beyond the float range as a Python int
+_BEYOND_FLOAT = 10 ** 400
+
+
+def test_function_reader_refuses_an_integer_beyond_float_range():
+    with pytest.raises(ParameterError, match="float range"):
+        function_from_json({"n_samples": 8,
+                            "coeffs": [[0, 1.0, _BEYOND_FLOAT]]})
+
+
+def test_zeros_reader_refuses_an_integer_beyond_float_range():
+    with pytest.raises(ParameterError, match="float range"):
+        zeros_from_json({"zeros": [[-_BEYOND_FLOAT, 0.0]]})
+
+
+def test_subspace_reader_refuses_an_integer_beyond_float_range():
+    with pytest.raises(ParameterError, match="basis row 1"):
+        subspace_from_json({"ambient_bandwidth": 1, "n_samples": 8,
+                            "basis": [[[1.0, 0.0]],
+                                      [[0.0, 0.0], [_BEYOND_FLOAT, 0]]]})
+
+
 def _space_json(D, rows, N=64):
     return {"ambient_bandwidth": D, "n_samples": N,
             "basis": [[[float(re), 0.0] for re in row] for row in rows]}
