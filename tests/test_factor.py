@@ -499,6 +499,9 @@ def test_inner_outer_grid_zero_needs_regularize():
     bundle = n_inner_outer_factorize(f, 1, regularize=True)
     assert bundle.residual < 1e-7  # product still reproduces f
     assert bundle.inner_defect > 0.1  # boundary zero is honest
+    # the floored sample is where |J| misses 1 most
+    assert bundle.inner_defect == pytest.approx(
+        np.max(np.abs(np.abs(bundle.inners[0].samples) - 1)), abs=1e-12)
     assert not bundle.meets_invariants()
 
 
