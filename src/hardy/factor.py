@@ -2,9 +2,11 @@
 
 A function J is n-inner when the shifted family {z^(n m) J} is
 orthonormal; a function of the form s(z^n) is n-outer when s is outer.
-Every f factors as f = J F with one n-inner J and one n-outer F, and
-n = 1 is the classical split into an inner part and the outer part of
-|f|.  One construction serves every n, on an N-point work grid in z.
+is_n_outer is the one outer test, and at n = 1 it is Jensen's equality
+log|f(0)| = mean of log|f|.  Every f factors as f = J F with one n-inner
+J and one n-outer F, and n = 1 is the classical split into an inner part
+and the outer part of |f|.  One construction serves every n, on an
+N-point work grid in z.
 With g = gcd(n, N), z^n takes only the M = N/g values of u^(n/g),
 u = z^g, which are the M-point grid reindexed by j -> j n/g mod M:
 
@@ -62,11 +64,9 @@ from .errors import (
 __all__ = [
     "NInnerOuterBundle",
     "BInnerMatrix",
-    "OuterReport",
     "NOuterReport",
     "harmonic_conjugate",
     "outer_from_modulus",
-    "is_outer",
     "b_inner_matrix_from",
     "n_inner_outer_factorize",
     "is_n_outer",
@@ -81,17 +81,6 @@ TOL_FACTOR_VERDICT = 1e-7  # the verdict's residual and inner_defect bound
 # on the input's and doubles until the quotient's Taylor tail has decayed.
 WORK_TAIL_TARGET = 1e-11
 WORK_GRID_CAP = 1 << 17
-
-
-@dataclass(frozen=True, eq=False)
-class OuterReport:
-    """Jensen-equality verdict: log|f(0)| against the log-modulus mean."""
-
-    passed: bool
-    defect: float
-
-    def __bool__(self) -> bool:
-        return self.passed
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,9 +164,18 @@ def harmonic_conjugate(u: CircleFunction) -> CircleFunction:
     keeps the output real; u + i*conjugate is then analytic except for
     whatever mass u carried at that unpaired index.
     """
-    if float(np.max(np.abs(u.samples.imag))) > 1e-10:
-        raise DomainError("harmonic_conjugate needs a real-valued input")
-    return CircleFunction.from_samples(_conjugate(u.samples.real))
+    u = _real_samples(u, "harmonic_conjugate needs a real-valued input")
+    return CircleFunction.from_samples(_conjugate(u))
+
+
+def _real_samples(w: CircleFunction, refusal: str) -> np.ndarray:
+    """w's samples as reals.  One that is not finite (NaN too) raises
+    ParameterError; an imaginary part above 1e-10, DomainError(refusal)."""
+    if not np.all(np.isfinite(w.samples)):
+        raise ParameterError("a sample is not finite")
+    if float(np.max(np.abs(w.samples.imag))) > 1e-10:
+        raise DomainError(refusal)
+    return w.samples.real
 
 
 def _conjugate(u: np.ndarray) -> np.ndarray:
@@ -197,10 +195,7 @@ def outer_from_modulus(w: CircleFunction, regularize: bool = False) -> CircleFun
     O = exp(u + i*conj(u)) with u = log w.  Moduli below EPS_LOG raise
     SingularityError unless ``regularize`` floors them there.
     """
-    vals = w.samples
-    if float(np.max(np.abs(vals.imag))) > 1e-10:
-        raise DomainError("outer_from_modulus needs a real-valued modulus")
-    mod = vals.real
+    mod = _real_samples(w, "outer_from_modulus needs a real-valued modulus")
     if float(np.min(mod)) < -1e-10:
         raise DomainError("outer_from_modulus needs a nonnegative modulus")
     return CircleFunction.from_samples(
@@ -209,8 +204,16 @@ def outer_from_modulus(w: CircleFunction, regularize: bool = False) -> CircleFun
 
 def _outer(mod: np.ndarray, regularize: bool, g: int) -> np.ndarray:
     """Samples of the outer function of the nonnegative modulus ``mod``
-    on its own grid.  ``mod`` is phi(u) for u = z^g, so the refused
-    points are counted on the z-grid, g per point of u."""
+    on its own grid (see _log_modulus for ``g``)."""
+    u = _log_modulus(mod, regularize, g)
+    return np.exp(u + 1j * _conjugate(u))
+
+
+def _log_modulus(mod: np.ndarray, regularize: bool, g: int) -> np.ndarray:
+    """log max(mod, EPS_LOG): the one rule for the log of a modulus.  A
+    modulus below EPS_LOG raises SingularityError unless ``regularize``
+    floors it.  ``mod`` is phi(u) for u = z^g, so the refused points are
+    counted on the z-grid, g per point of u."""
     low = mod < EPS_LOG
     if not regularize and low.any():
         bad = np.nonzero(np.tile(low, g))[0]
@@ -218,8 +221,7 @@ def _outer(mod: np.ndarray, regularize: bool, g: int) -> np.ndarray:
             f"modulus below {EPS_LOG:g} at {bad.size} grid points; "
             f"pass regularize=True to floor it", bad[:16]
         )
-    u = np.log(np.maximum(mod, EPS_LOG))
-    return np.exp(u + 1j * _conjugate(u))
+    return np.log(np.maximum(mod, EPS_LOG))
 
 
 def _tiled(samples: np.ndarray, g: int) -> CircleFunction:
@@ -267,27 +269,6 @@ def _require_finite(values: np.ndarray, what: str, n: int, n_work: int):
         raise FactorizationError(
             f"the {what} is not finite on the {n_work}-point work grid",
             diagnostics={"n": n, "n_samples": n_work})
-
-
-def is_outer(f: CircleFunction, regularize: bool = False) -> OuterReport:
-    """Test the Jensen equality log|f(0)| = mean of log|f|.
-
-    A zero value at the origin short-circuits to a failed report with
-    an infinite defect.
-    """
-    require_analytic(f, "is_outer")
-    a0 = f.coeff(0)
-    if abs(a0) < EPS_LOG:
-        return OuterReport(passed=False, defect=float("inf"))
-    mod = np.abs(f.samples)
-    bad = np.nonzero(mod < EPS_LOG)[0]
-    if bad.size and not regularize:
-        raise SingularityError(
-            f"modulus below {EPS_LOG:g} at {bad.size} grid points", bad[:16]
-        )
-    mean_log = float(np.mean(np.log(np.maximum(mod, EPS_LOG))))
-    defect = abs(float(np.log(abs(a0))) - mean_log)
-    return OuterReport(passed=defect <= TOL_OUTER, defect=defect)
 
 
 def b_inner_matrix_from(phis: Sequence[CircleFunction], spec: BlaschkeSpec,
@@ -389,14 +370,19 @@ def is_n_outer(f: CircleFunction, n: int,
     N = f.n_samples
     n = _check_modulus(n, N)
     half = N // 2
-    # A[k, i] = a_(kn+i): column i is the Taylor series of component i.
     K = -(-half // n)
-    A = np.zeros(K * n, dtype=complex)
-    A[:half] = f.coeffs[half:]
-    A = A.reshape(K, n)
+    a = np.zeros(K * n, dtype=complex)
+    a[:half] = f.coeffs[half:]
+    if not np.isfinite(top := np.max(np.abs(a.view(float)))):
+        raise ParameterError(f"a coefficient is not finite ({top})")
+    # A[k, i] = 2^-e a_(kn+i): column i is the Taylor series of component
+    # i, scaled by the power of two 2^e just above the largest part so that
+    # no norm overflows.  The scaling is exact and moves no ratio below.
+    _, e = np.frexp(top)
+    A = np.ldexp(a.view(float), -e).view(complex).reshape(K, n)
     norms = np.linalg.norm(A, axis=0)
     total = float(np.linalg.norm(norms))
-    if total < EPS_LOG:
+    if np.ldexp(total, e) < EPS_LOG:
         raise DomainError("the zero function has no n-outer verdict")
     pivot = int(np.argmax(norms))
     a_pivot = A[:, pivot]
@@ -413,15 +399,15 @@ def is_n_outer(f: CircleFunction, n: int,
     carrier_arr[half:half + n] = c / scale
     carrier = CircleFunction.from_coeffs(carrier_arr)
     base_arr = np.zeros(N, dtype=complex)
-    base_arr[half:half + K] = scale * a_pivot
+    base_arr[half:half + K] = scale * a[pivot::n]
     base = CircleFunction.from_coeffs(base_arr)
-    outer_ok = False
+    # Jensen's equality log|base(0)| = mean of log|base|, or infinite gap
     outer_defect = float("inf")
-    if rank1_defect <= TOL_B_INNER:
-        rep = is_outer(base, regularize=regularize)
-        outer_ok = rep.passed
-        outer_defect = rep.defect
-    return NOuterReport(passed=(rank1_defect <= TOL_B_INNER and outer_ok),
+    b0 = abs(base.coeff(0))
+    if rank1_defect <= TOL_B_INNER and b0 >= EPS_LOG:
+        log_mod = _log_modulus(np.abs(base.samples), regularize, 1)
+        outer_defect = abs(float(np.log(b0)) - float(np.mean(log_mod)))
+    return NOuterReport(passed=outer_defect <= TOL_OUTER,
                         rank1_defect=rank1_defect,
                         outer_defect=outer_defect,
                         carrier_polynomial=carrier,

@@ -2,8 +2,9 @@
 
 import numpy as np
 
-from hardy.circlefn import CircleFunction, require_analytic, resample
+from hardy.circlefn import EPS_LOG, CircleFunction, require_analytic, resample
 from hardy.decomp import _check_modulus
+from hardy.errors import SingularityError
 from hardy.factor import WORK_TAIL_TARGET
 
 
@@ -42,3 +43,23 @@ def classical_pair_verdict(f, inner, outer):
     tail = np.linalg.norm(inner.coeffs[3 * N // 4:])
     return bool(residual <= 1e-7 and unimodularity <= 1e-7
                 and tail <= WORK_TAIL_TARGET and outer.is_analytic())
+
+
+def jensen_outer_verdict(f, regularize=False):
+    """Jensen's outer test from f's samples alone, as (passed, gap).
+
+    f(0) is the mean of the samples.  The gap is |log|f(0)| - mean of
+    log max(|f|, EPS_LOG)| and passes at most 1e-6; |f(0)| below EPS_LOG
+    fails with an infinite gap.  A modulus below EPS_LOG on the grid
+    raises SingularityError unless ``regularize`` floors it.
+    """
+    require_analytic(f, "jensen_outer_verdict")
+    f0 = np.mean(f.samples)
+    if abs(f0) < EPS_LOG:
+        return False, float("inf")
+    mod = np.abs(f.samples)
+    low = np.nonzero(mod < EPS_LOG)[0]
+    if low.size and not regularize:
+        raise SingularityError(f"modulus below {EPS_LOG:g}", low[:16])
+    gap = abs(np.log(abs(f0)) - np.mean(np.log(np.maximum(mod, EPS_LOG))))
+    return bool(gap <= 1e-6), float(gap)

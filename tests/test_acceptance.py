@@ -22,7 +22,7 @@ from hardy import (
     builtin_specs,
     gauge_eval,
     grid,
-    is_outer,
+    is_n_outer,
     blaschke_eval,
     n_inner_outer_factorize,
     norm2,
@@ -146,7 +146,7 @@ def test_criterion_09_inner_outer_consistency():
         assert np.max(np.abs(np.abs(bundle.inners[0].samples) - 1)) <= 1e-7
     for a in (0.2, 0.45j, -0.7, 0.3 - 0.4j):
         single = synthesize({0: -a, 1: 1.0}, N)
-        gap = is_outer(single).defect
+        gap = is_n_outer(single, 1).outer_defect
         assert abs(gap - (-np.log(abs(a)))) <= 1e-5
 
 

@@ -20,7 +20,6 @@ from hardy import (
     grid,
     harmonic_conjugate,
     is_n_outer,
-    is_outer,
     monomial,
     n_inner_outer_factorize,
     norm2,
@@ -38,7 +37,8 @@ from hardy.factor import (
     _factor,
 )
 from hardy.verify import _random_poly
-from oracles import classical_pair_verdict, zn_series_components
+from oracles import (classical_pair_verdict, jensen_outer_verdict,
+                     zn_series_components)
 
 
 def _from_mod(values):
@@ -72,6 +72,29 @@ def test_outer_from_modulus_flips_inner_zero():
     F = outer_from_modulus(_from_mod(np.abs(z - 0.5)))
     assert F.coeff(0) == pytest.approx(1.0, abs=1e-10)
     assert F.coeff(1) == pytest.approx(-0.5, abs=1e-10)
+
+
+@pytest.mark.parametrize("fn", [outer_from_modulus, harmonic_conjugate],
+                         ids=lambda fn: fn.__name__)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1, np.nan),
+                                 complex(1, np.inf)],
+                         ids=["nan", "inf", "-inf", "nan-imag", "inf-imag"])
+def test_non_finite_sample_is_refused(fn, bad):
+    # NaN passes no comparison, so it must fail the check, not slip by
+    # it and come out as all-NaN samples.
+    samples = np.ones(8, dtype=complex)
+    samples[0] = bad
+    with pytest.raises(ParameterError, match="not finite"):
+        fn(CircleFunction.from_samples(samples))
+
+
+@pytest.mark.parametrize("fn", [outer_from_modulus, harmonic_conjugate],
+                         ids=lambda fn: fn.__name__)
+def test_complex_sample_is_refused(fn):
+    samples = np.ones(8, dtype=complex)
+    samples[0] = 1 + 1e-9j
+    with pytest.raises(DomainError, match="real-valued"):
+        fn(CircleFunction.from_samples(samples))
 
 
 def test_geometric_mean_normalization():
@@ -209,8 +232,7 @@ def _is_n_outer_samples(f, n, regularize=False):
     outer_defect = float("inf")
     passed = False
     if rank1_defect <= TOL_B_INNER:
-        rep = is_outer(base, regularize=regularize)
-        passed, outer_defect = rep.passed, rep.defect
+        passed, outer_defect = jensen_outer_verdict(base, regularize)
     return passed, rank1_defect, outer_defect
 
 
@@ -506,17 +528,76 @@ def test_inner_outer_grid_zero_needs_regularize():
 
 
 def test_is_outer_verdicts():
-    assert is_outer(synthesize({0: 2.0, 1: 1.0}, 1024)).passed
-    rep = is_outer(synthesize({0: -0.5, 1: 1.0}, 1024))
+    # the classical outer test is the n-outer test at n = 1
+    assert is_n_outer(synthesize({0: 2.0, 1: 1.0}, 1024), 1).passed
+    rep = is_n_outer(synthesize({0: -0.5, 1: 1.0}, 1024), 1)
     assert not rep.passed
-    assert rep.defect == pytest.approx(np.log(2.0), abs=1e-6)
+    assert rep.outer_defect == pytest.approx(np.log(2.0), abs=1e-6)
 
 
 def test_jensen_gap_single_zero():
     for a in (0.3, 0.5j, -0.62):
         f = synthesize({0: -a, 1: 1.0}, 1024)  # z - a
-        rep = is_outer(f)
-        assert rep.defect == pytest.approx(-np.log(abs(a)), abs=1e-5)
+        rep = is_n_outer(f, 1)
+        assert rep.outer_defect == pytest.approx(-np.log(abs(a)), abs=1e-5)
+
+
+def test_outer_test_at_n_1_is_the_jensen_oracle():
+    # The oracle reads f(0) as the mean of the samples, the library as
+    # the Taylor coefficient of the base series.  The random polynomials
+    # and z - a are not outer; the outer parts of ten of them and 2 + z
+    # are.
+    rng = np.random.default_rng(7)
+    polys = [_random_poly(rng, 24, 1024) for _ in range(100)]
+    cases = polys + [synthesize({0: -a, 1: 1.0}, 1024)
+                     for a in (0.3, 0.5j, -0.62)]
+    cases += [n_inner_outer_factorize(f, 1).outers[0] for f in polys[:10]]
+    cases.append(synthesize({0: 2.0, 1: 1.0}, 1024))
+    verdicts = []
+    for f in cases:
+        got = is_n_outer(f, 1)
+        passed, gap = jensen_outer_verdict(f)
+        assert got.passed == passed
+        assert abs(got.outer_defect - gap) <= 1e-13
+        verdicts.append(passed)
+    assert verdicts == [False] * 103 + [True] * 11
+
+
+def test_outer_test_refuses_the_zero_function():
+    with pytest.raises(DomainError, match="zero function"):
+        is_n_outer(synthesize({}, 1024), 1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("j", [0, 1])
+def test_outer_test_refuses_a_non_finite_coefficient(bad, j):
+    f = synthesize({0: 2.0, 1: 1.0, j: bad}, 1024)
+    with pytest.raises(ParameterError, match="not finite"):
+        is_n_outer(f, 1)
+
+
+def test_outer_test_scales_before_taking_norms():
+    # The norms of 1 + 1e200 z overflow unscaled; the verdict is Jensen's
+    # gap log 1e200, read with no RuntimeWarning (pytest makes it an error).
+    rep = is_n_outer(synthesize({0: 1.0, 1: 1e200}, 1024), 1)
+    assert not rep.passed
+    assert rep.rank1_defect == 0.0
+    assert rep.outer_defect == pytest.approx(200 * np.log(10), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_outer_test_is_exact_under_power_of_two_scaling(n):
+    # Scaling f by 2^k scales every coefficient exactly, so the rank-one
+    # defect and the carrier do not move a bit, and the base scales.
+    f = _random_poly(np.random.default_rng(30 + n), 24, 1024)
+    want = is_n_outer(f, n)
+    for k in (-30, -1, 1, 900):
+        got = is_n_outer(synthesize(f.coeffs * 2.0 ** k, 1024), n)
+        assert got.rank1_defect == want.rank1_defect
+        assert np.array_equal(got.carrier_polynomial.coeffs,
+                              want.carrier_polynomial.coeffs)
+        assert np.array_equal(got.base_series.coeffs,
+                              want.base_series.coeffs * 2.0 ** k)
 
 
 def test_is_b_inner_monomial_cases():
@@ -686,7 +767,7 @@ def test_is_n_outer_matches_sample_domain_oracle(n):
         assert got.carrier_polynomial is not None
         assert got.base_series is not None
     # outer, not rank one (for n > 1), rank one but not outer
-    assert verdicts == [True, n == 1 and is_outer(f).passed, False]
+    assert verdicts == [True, n == 1 and jensen_outer_verdict(f)[0], False]
     if n > 1:
         assert is_n_outer(f, n).rank1_defect > TOL_B_INNER
     assert is_n_outer(cases[2], n).rank1_defect <= 1e-13
