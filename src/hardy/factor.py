@@ -164,8 +164,8 @@ def harmonic_conjugate(u: CircleFunction) -> CircleFunction:
     keeps the output real; u + i*conjugate is then analytic except for
     whatever mass u carried at that unpaired index.
     """
-    u = _real_samples(u, "harmonic_conjugate needs a real-valued input")
-    return CircleFunction.from_samples(_conjugate(u))
+    real = _real_samples(u, "harmonic_conjugate needs a real-valued input")
+    return CircleFunction.from_samples(_conjugate(real))
 
 
 def _real_samples(w: CircleFunction, refusal: str) -> np.ndarray:

@@ -563,9 +563,11 @@ def test_outer_test_at_n_1_is_the_jensen_oracle():
     assert verdicts == [False] * 103 + [True] * 11
 
 
-def test_outer_test_refuses_the_zero_function():
+@pytest.mark.parametrize("f0", [0.0, 1e-13, 1e-300])
+def test_outer_test_refuses_the_zero_function(f0):
+    # the norm meets EPS_LOG at its own size, not at the scaled one
     with pytest.raises(DomainError, match="zero function"):
-        is_n_outer(synthesize({}, 1024), 1)
+        is_n_outer(synthesize({0: f0}, 1024), 1)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
