@@ -230,7 +230,10 @@ def _split_blaschke(fs: Sequence[CircleFunction], spec: BlaschkeSpec,
     _KEPT_BLASCHKE_POINTS points are kept, 128 KiB each and 8 MiB in all
     at 16 bytes a point; a larger one is built for its split and freed
     with its result.  Kept or fresh, tables and results are the same
-    bits.  A non-analytic input is refused in the name of the caller who."""
+    bits.  f is summed at the nodes by Horner's rule, whose bits the
+    pairings and the recorded thm-3.6 report carry; the pieces on the
+    grid are read-only rows of one block (see _series_in).  A
+    non-analytic input is refused in the name of the caller who."""
     for f in fs:
         require_analytic(f, who)
     degrees = [f.top_index() for f in fs]
@@ -262,15 +265,55 @@ def _split_blaschke(fs: Sequence[CircleFunction], spec: BlaschkeSpec,
     h = np.fft.ifft(np.where(np.arange(M) <= m_max, spectrum, 0.0), axis=2)
     recomposed = sum(e * h[:, j, None] for j, e in enumerate(at_nodes))
     bz, carriers = _grid_view(spec, fs[0].n_samples)
-    # piece j of input k: sum_m c_kjm B^m
-    pieces = horner(coeffs.transpose(2, 0, 1)[:, :, :, None], bz)
+    # piece j of input k: sum_m c_kjm B^m, a read-only row of one block
+    pieces = _frozen(_series_in(coeffs, bz))
     return [DecompositionResult(
         mode="blaschke",
-        components=tuple(CircleFunction.from_samples(p) for p in pieces[k]),
+        components=tuple(CircleFunction._of(bz.size, p) for p in pieces[k]),
         carriers=carriers,
         residual=float(np.sqrt(np.sum(
             np.abs(f_nodes[k] - recomposed[k]) ** 2 * weights) / M)),
         basis_coefficients=coeffs[k], phase_grid=M) for k in range(len(fs))]
+
+
+# OpenBLAS runs a complex matrix product of two or more rows and fewer
+# multiply-adds than this on one thread.  At the sizes of a Blaschke
+# split's pieces a second thread saves about a quarter of the wall time
+# for twice the CPU time, and stalls while another process holds a CPU,
+# so their products stay below it (see _series_in).
+_ONE_THREAD_PRODUCT = 1 << 16
+
+
+def _baby_steps(bz: np.ndarray, L: int) -> np.ndarray:
+    """B^0 .. B^(L-1) on the grid by a running product."""
+    powers = np.empty((L, bz.size), dtype=complex)
+    powers[0] = 1.0
+    for l in range(1, L):
+        np.multiply(powers[l - 1], bz, out=powers[l])
+    return powers
+
+
+def _series_in(coeffs: np.ndarray, bz: np.ndarray) -> np.ndarray:
+    """sum_m coeffs[k, j, m] B^m on the N-point grid for every k and j, by
+    baby and giant steps (Paterson and Stockmeyer): one matrix product of
+    each block of L coefficients with B^0 .. B^(L-1), then Horner's rule
+    in B^L from the top block down.  L is the number of terms, but n L N
+    stays below _ONE_THREAD_PRODUCT for n sheets (L >= 1), so the table
+    holds fewer than 2^16 points (1 MiB) unless N alone exceeds that.
+    It agrees with Horner's rule to rounding.  The product is stacked
+    per input k, so an input's bits do not depend on the others: a
+    one-row BLAS product runs another kernel than a product of more
+    rows."""
+    n, terms = coeffs.shape[-2:]
+    L = min(terms, max(1, (_ONE_THREAD_PRODUCT - 1) // (n * bz.size)))
+    powers = _baby_steps(bz, L)
+    top = (terms - 1) // L * L
+    acc = coeffs[..., top:] @ powers[:terms - top]
+    giant = powers[-1] * bz  # B^L
+    for start in range(top - L, -1, -L):
+        acc *= giant
+        acc += coeffs[..., start:start + L] @ powers
+    return acc
 
 
 # Largest table a Blaschke split keeps for later calls (see _split_blaschke).

@@ -505,7 +505,7 @@ def build_constrained(spec: ConstrainedSpec, D: int,
     z = grid(N)
     bz, phis = _constrained_vectors(spec, z)
     dev = gram_defect(np.array(phis))
-    if dev > 1e-8:
+    if not dev <= 1e-8:  # written so that NaN fails too
         raise ConstructionError(
             f"the phi_i are not orthonormal (deviation {dev:.3e}); "
             f"check that the inners are jointly B-inner and the beta "
@@ -518,7 +518,7 @@ def build_constrained(spec: ConstrainedSpec, D: int,
         CircleFunction.from_samples(bz), k_max)
     rows = recipe.rows()
     dev_all = gram_defect(rows)
-    if dev_all > 1e-8:
+    if not dev_all <= 1e-8:  # written so that NaN fails too
         raise ConstructionError(
             f"the slot family is not orthonormal (deviation {dev_all:.3e}); "
             f"the inners must form a jointly B-inner family with "

@@ -23,6 +23,7 @@ from hardy import (
     dual_norm_estimate,
     freq_indices,
     gauge_eval,
+    horner,
     is_n_outer,
     monomial,
     n_inner_outer_factorize,
@@ -599,3 +600,97 @@ def test_kept_blaschke_tables_are_read_only(cold_blaschke_tables):
                   *(c.coeffs for c in carriers)):
         with pytest.raises(ValueError, match="read-only"):
             table[...] = 0.0
+
+
+# Rounding of the two evaluations of a piece sum_m c_m B^m, T = m_max + 1
+# terms, to first order in the unit roundoff u.  A complex product is
+# off by at most sqrt(5) u relative (Brent, Percival and Zimmermann,
+# 2007), a complex sum by u, and a complex dot product of L terms, in any
+# order, by sqrt(2) gamma_2L times the sum of the terms' moduli.
+# * Horner's rule: term m passes m products and m + 1 sums, at most
+#   (sqrt(5) + 1) T u.
+# * Baby and giant steps, term m = b L + l: the running product B^l
+#   (sqrt(5) l u), the dot product of its block (2 sqrt(2) L u), and b
+#   Horner steps in B^L, whose running product is off by sqrt(5) L u
+#   (sqrt(5) b (L + 1) u + b u).  With l + b L = m, b <= m and L <= T
+#   that is at most (2 sqrt(5) + 2 sqrt(2) + 1) T u.
+# Each term's modulus is at most |c_m| rho^m, rho the largest |B| on the
+# grid, so the two differ by at most K T u sum_m |c_m| rho^m with
+# K = 3 sqrt(5) + 2 sqrt(2) + 2; gamma(K T) = K T u / (1 - K T u) also
+# covers the terms of higher order.
+_TWO_EVALUATIONS = 3 * np.sqrt(5) + 2 * np.sqrt(2) + 2
+
+
+def _piece_rounding_bound(row, bz):
+    Ku = _TWO_EVALUATIONS * row.size * np.finfo(float).eps / 2
+    rho = max(1.0, float(np.max(np.abs(bz))))
+    return Ku / (1 - Ku) * float(np.sum(np.abs(row)
+                                        * rho ** np.arange(row.size)))
+
+
+def _assert_pieces_match_horner(pieces, coeffs, bz):
+    for piece, row in zip(pieces, coeffs):
+        gap = float(np.max(np.abs(piece.samples - horner(row, bz))))
+        assert gap <= _piece_rounding_bound(row, bz)
+
+
+@pytest.mark.parametrize("zeros, m_max, blocks", [
+    ((0.0, 0.5, -0.5j), 16, 1),
+    ((0.0, 0.5, -0.5j), 24, 2),
+    ((0.9,), 978, 16),
+    ((0.99, -0.99j), 5083, 164),
+])
+def test_blaschke_pieces_match_horner_on_the_grid(zeros, m_max, blocks):
+    spec = BlaschkeSpec(zeros)
+    f = synthesize(dict(enumerate(_random_taylor(45))), 1024)
+    res = decompose_blaschke(f, spec, m_max)
+    L = (decomp._ONE_THREAD_PRODUCT - 1) // (len(zeros) * 1024)
+    assert -(-(m_max + 1) // L) == blocks  # one block or many
+    bz, _ = decomp._grid_view(spec, 1024)
+    _assert_pieces_match_horner(res.components, res.basis_coefficients, bz)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_b_inner_matrix_entries_match_horner_on_the_grid(k):
+    spec = BlaschkeSpec((0.0, 0.5, -0.5j))
+    phis = [synthesize(dict(enumerate(_random_taylor(50 + i, 20 + 2 * i))),
+                       1024) for i in range(k)]
+    mat = b_inner_matrix_from(phis, spec, 4)
+    decs = decomp._split_blaschke(phis, spec, None, "test")
+    bz, _ = decomp._grid_view(spec, 1024)
+    for col, dec in enumerate(decs):
+        assert dec.basis_coefficients.shape[1] == 20 + 2 * (k - 1) + 1
+        _assert_pieces_match_horner([row[col] for row in mat.entries],
+                                    dec.basis_coefficients, bz)
+
+
+@pytest.mark.parametrize("zeros", [(0.9,), (0.0, 0.5, -0.5j),
+                                   (0.99, -0.99j)])
+def test_a_blaschke_split_has_the_bits_of_its_own_split(
+        zeros, cold_blaschke_tables):
+    # one batch on cold tables, then each input alone on what is kept;
+    # with one zero a lone input's product has a single row
+    spec = BlaschkeSpec(zeros)
+    fs = [synthesize(dict(enumerate(_random_taylor(seed))), 1024)
+          for seed in (46, 47, 48)]
+    together = decomp._split_blaschke(fs, spec, None, "test")
+    for f, res in zip(fs, together):
+        assert _split_bits(decompose_blaschke(f, spec)) == _split_bits(res)
+
+
+def test_baby_step_table_stays_within_its_bound(monkeypatch):
+    tables = []
+
+    def spy(bz, L):
+        tables.append(real(bz, L))
+        return tables[-1]
+
+    real = decomp._baby_steps
+    monkeypatch.setattr(decomp, "_baby_steps", spy)
+    spec = BlaschkeSpec((0.99, -0.99j))
+    for N in (1024, 4096):
+        f = synthesize(dict(enumerate(_random_taylor(49))), N)
+        assert decompose_blaschke(f, spec).basis_coefficients.shape[1] == 5084
+    # n L N below 2^16 for n = 2 sheets: a product on one thread
+    assert [t.shape for t in tables] == [(31, 1024), (7, 4096)]
+    assert all(2 * t.size < decomp._ONE_THREAD_PRODUCT for t in tables)

@@ -336,6 +336,30 @@ def test_constrained_rejects_correlated_slots():
         build_constrained(spec, D=400, k_max=40)
 
 
+def _nan_inner_spec():
+    samples = monomial(0, 1024).samples.copy()
+    samples[7] = np.nan
+    return ConstrainedSpec(inners=(CircleFunction.from_samples(samples),),
+                           beta=np.array([[0.6], [0.8]], dtype=complex),
+                           multiplier=1)
+
+
+def test_constrained_refuses_a_nan_inner():
+    # NaN > 1e-8 is False: a NaN inner once passed both Gram gates and
+    # ended in a bare LinAlgError from the SVD
+    with pytest.raises(ConstructionError, match=r"phi_i .*deviation nan"):
+        build_constrained(_nan_inner_spec(), D=400, k_max=40)
+
+
+def test_constrained_slot_family_gate_refuses_nan(monkeypatch):
+    # the second gate on its own: the phi_i pass, the slot family's Gram
+    # defect reads NaN
+    defects = iter([0.0, np.nan])
+    monkeypatch.setattr(invariance, "gram_defect", lambda rows: next(defects))
+    with pytest.raises(ConstructionError, match=r"slot family .* nan"):
+        build_constrained(_nan_inner_spec(), D=400, k_max=40)
+
+
 @pytest.mark.parametrize("D", [-1, 512, 9999])
 def test_constrained_refuses_a_band_off_the_grid(D):
     # D once reached the build unchecked: 9999 was clipped to the grid
