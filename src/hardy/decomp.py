@@ -298,12 +298,11 @@ def _series_in(coeffs: np.ndarray, bz: np.ndarray) -> np.ndarray:
     baby and giant steps (Paterson and Stockmeyer): one matrix product of
     each block of L coefficients with B^0 .. B^(L-1), then Horner's rule
     in B^L from the top block down.  L is the number of terms, but n L N
-    stays below _ONE_THREAD_PRODUCT for n sheets (L >= 1), so the table
-    holds fewer than 2^16 points (1 MiB) unless N alone exceeds that.
-    It agrees with Horner's rule to rounding.  The product is stacked
-    per input k, so an input's bits do not depend on the others: a
-    one-row BLAS product runs another kernel than a product of more
-    rows."""
+    stays below _ONE_THREAD_PRODUCT for n sheets, so the table holds
+    fewer than 2^16 points (1 MiB) unless N alone exceeds that.  The sums
+    agree with Horner's rule to rounding.  The product is stacked per
+    input k, so an input's bits do not depend on the others: a one-row
+    BLAS product runs another kernel than a product of more rows."""
     n, terms = coeffs.shape[-2:]
     L = min(terms, max(1, (_ONE_THREAD_PRODUCT - 1) // (n * bz.size)))
     powers = _baby_steps(bz, L)
