@@ -90,6 +90,18 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _form(op, *args) -> np.ndarray:
+    """op(*args) as a read-only form of a function.  A NaN or an
+    infinite value in it, an overflow in op included, raises
+    ParameterError rather than a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = op(*args)
+    if not np.isfinite(a).all():
+        raise ParameterError("a function value is not finite "
+                             "(NaN, infinity or overflow)")
+    return _frozen(a)
+
+
 def grid(n_samples: int) -> np.ndarray:
     """Sample points z_k = exp(2*pi*i*k/N), k = 0..N-1, as one shared
     read-only array per N."""
@@ -165,37 +177,23 @@ class CircleFunction:
     A function built from one form (``from_samples``, ``from_coeffs``)
     keeps that array and derives the other form the first time it is
     read, by the forward or by the inverse transform, then keeps it
-    too.  Both arrays are read-only.  The constructor takes both forms,
-    which must describe the same function.
+    too.  Both arrays are read-only.  Every value of both forms is
+    finite: a function with a NaN or an infinite value has no norm, so a
+    construction, a derived form or a sum or scalar multiple that holds
+    one (an overflow included) raises ParameterError.
     """
 
     __slots__ = ("n_samples", "_samples", "_coeffs")
-
-    def __init__(self, n_samples: int, samples: np.ndarray,
-                 coeffs: np.ndarray):
-        n = _check_n_samples(n_samples)
-        s = np.array(samples, dtype=complex)
-        c = np.array(coeffs, dtype=complex)
-        if s.shape != (n,) or c.shape != (n,):
-            raise SizeError(
-                f"samples and coeffs must both have length {n}, "
-                f"got {s.shape} and {c.shape}"
-            )
-        self._hold(n, _frozen(s), _frozen(c))
-
-    def _hold(self, n: int, samples: Optional[np.ndarray],
-              coeffs: Optional[np.ndarray]):
-        object.__setattr__(self, "n_samples", n)
-        object.__setattr__(self, "_samples", samples)
-        object.__setattr__(self, "_coeffs", coeffs)
 
     @classmethod
     def _of(cls, n: int, samples: Optional[np.ndarray] = None,
             coeffs: Optional[np.ndarray] = None) -> "CircleFunction":
         """A function holding read-only complex arrays of shape (n,) as
-        they are, at least one of them given."""
+        they are, unchecked, at least one of them given."""
         f = cls.__new__(cls)
-        f._hold(n, samples, coeffs)
+        object.__setattr__(f, "n_samples", n)
+        object.__setattr__(f, "_samples", samples)
+        object.__setattr__(f, "_coeffs", coeffs)
         return f
 
     def __setattr__(self, name, value):
@@ -212,29 +210,29 @@ class CircleFunction:
     def samples(self) -> np.ndarray:
         if self._samples is None:
             object.__setattr__(self, "_samples",
-                               _frozen(_synthesize_array(self._coeffs)))
+                               _form(_synthesize_array, self._coeffs))
         return self._samples
 
     @property
     def coeffs(self) -> np.ndarray:
         if self._coeffs is None:
             object.__setattr__(self, "_coeffs",
-                               _frozen(_analyze_array(self._samples)))
+                               _form(_analyze_array, self._samples))
         return self._coeffs
 
     @classmethod
     def from_samples(cls, samples: np.ndarray) -> "CircleFunction":
-        s = np.array(samples, dtype=complex)
+        s = _form(np.array, samples, complex)
         if s.ndim != 1:
             raise SizeError("samples must be a one dimensional array")
-        return cls._of(_check_n_samples(s.size), samples=_frozen(s))
+        return cls._of(_check_n_samples(s.size), samples=s)
 
     @classmethod
     def from_coeffs(cls, coeffs: np.ndarray) -> "CircleFunction":
-        c = np.array(coeffs, dtype=complex)
+        c = _form(np.array, coeffs, complex)
         if c.ndim != 1:
             raise SizeError("coeffs must be a one dimensional array")
-        return cls._of(_check_n_samples(c.size), coeffs=_frozen(c))
+        return cls._of(_check_n_samples(c.size), coeffs=c)
 
     def coeff(self, j: int) -> complex:
         """Coefficient a_j, zero outside the stored band."""
@@ -254,11 +252,10 @@ class CircleFunction:
 
     def _significant(self) -> np.ndarray:
         """Indices j, ascending, whose coefficient exceeds COEFF_CUTOFF
-        times the largest |coefficient|; the zero function has none, c * f
-        has those of f, and a non-finite one raises ParameterError."""
+        times the largest |coefficient|; the zero function has none, and
+        c * f has those of f."""
         a = np.abs(self.coeffs)
-        if not np.isfinite(top := np.max(a)):
-            raise ParameterError(f"a coefficient is not finite ({top})")
+        top = np.max(a)
         return np.nonzero(a > COEFF_CUTOFF * top)[0] - self.n_samples // 2
 
     def bandwidth(self) -> int:
@@ -272,20 +269,23 @@ class CircleFunction:
     # Small arithmetic conveniences.  Products enforce the anti-aliasing
     # margin N >= 4 * (bandwidth(f) + bandwidth(g)).
 
+    def _pointwise(self, op, samples, coeffs) -> "CircleFunction":
+        """op(self, g) taken on both forms, where g has the given samples
+        and coefficients (or is the scalar given for both)."""
+        return CircleFunction._of(self.n_samples,
+                                  _form(op, self.samples, samples),
+                                  _form(op, self.coeffs, coeffs))
+
     def __add__(self, other):
         if isinstance(other, CircleFunction):
             _check_same_grid(self, other)
-            return CircleFunction._of(self.n_samples,
-                                      _frozen(self.samples + other.samples),
-                                      _frozen(self.coeffs + other.coeffs))
+            return self._pointwise(np.add, other.samples, other.coeffs)
         return NotImplemented
 
     def __sub__(self, other):
         if isinstance(other, CircleFunction):
             _check_same_grid(self, other)
-            return CircleFunction._of(self.n_samples,
-                                      _frozen(self.samples - other.samples),
-                                      _frozen(self.coeffs - other.coeffs))
+            return self._pointwise(np.subtract, other.samples, other.coeffs)
         return NotImplemented
 
     def __mul__(self, other):
@@ -297,11 +297,10 @@ class CircleFunction:
                     f"product needs n_samples >= {need} to avoid aliasing, "
                     f"got {self.n_samples}; resample the operands first"
                 )
-            return CircleFunction.from_samples(self.samples * other.samples)
+            return CircleFunction._of(self.n_samples, _form(
+                np.multiply, self.samples, other.samples))
         if isinstance(other, (int, float, complex)):
-            return CircleFunction._of(self.n_samples,
-                                      _frozen(self.samples * other),
-                                      _frozen(self.coeffs * other))
+            return self._pointwise(np.multiply, other, other)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -387,9 +386,13 @@ def monomial(j: int, n_samples: int = DEFAULT_N_SAMPLES) -> CircleFunction:
 
 
 def norm2(f: CircleFunction) -> float:
-    """The L2 norm sqrt(integral |f|^2 dm) by grid quadrature."""
-    a = np.abs(f.samples)
-    return float(np.sqrt(np.add.reduce(a * a) / f.n_samples))
+    """The L2 norm sqrt(integral |f|^2 dm) by grid quadrature, taken of
+    f 2^-e for the power of two 2^e just above the largest sample part,
+    so that no square overflows or vanishes; the scaling is exact."""
+    x = f.samples.view(float)
+    _, e = np.frexp(np.max(np.abs(x)))
+    a = np.abs(np.ldexp(x, -e).view(complex))
+    return float(np.ldexp(np.sqrt(np.add.reduce(a * a) / f.n_samples), e))
 
 
 def require_analytic(f: CircleFunction, who: str):

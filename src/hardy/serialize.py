@@ -111,12 +111,10 @@ def function_from_json(obj: Mapping) -> CircleFunction:
         # the first entry is kept as written, so a signed zero survives
         j, c = _integer(j, "coefficient index"), _complex(re, im)
         coeffs[j] = coeffs[j] + c if j in coeffs else c
-    # NaN, inf and overflow in the inverse FFT leave non-finite samples;
-    # the samples are synthesized where they are first read, so here.
-    with np.errstate(over="ignore", invalid="ignore"):
-        f = synthesize(coeffs, n)
-        if not np.all(np.isfinite(f.samples)):
-            raise ParameterError("non-finite or overflowing function input")
+    f = synthesize(coeffs, n)
+    # Reading the samples here refuses, at the file boundary, finite
+    # coefficients whose samples overflow.
+    f.samples
     return f
 
 

@@ -221,7 +221,7 @@ def test_nan_coefficient_is_input_error(workdir):
                    '"coeffs": [[0, NaN, 0.0], [1, 1.0, 0.0]]}')
     res = run_cli("decompose", "--fn", str(bad), "--mode", "zn", "--n", "2")
     assert res.returncode == 1
-    assert "non-finite" in res.stderr
+    assert "not finite" in res.stderr
     assert res.stdout == ""
 
 

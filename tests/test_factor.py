@@ -2,6 +2,7 @@
 
 import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -573,9 +574,20 @@ def test_outer_test_refuses_the_zero_function(f0):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("j", [0, 1])
 def test_outer_test_refuses_a_non_finite_coefficient(bad, j):
-    f = synthesize({0: 2.0, 1: 1.0, j: bad}, 1024)
+    # refused where the function is made, before the test reads it
     with pytest.raises(ParameterError, match="not finite"):
-        is_n_outer(f, 1)
+        is_n_outer(synthesize({0: 2.0, 1: 1.0, j: bad}, 1024), 1)
+
+
+def test_outer_test_refuses_a_base_series_that_overflows():
+    # The coefficients are finite and scaled before any norm; the base
+    # series' samples overflow where they are synthesized, and are
+    # refused there rather than read as NaN with a RuntimeWarning.
+    f = synthesize({0: 1e308, 1: 1e308, 2: 1e308}, 1024)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match="overflow"):
+            is_n_outer(f, 1)
 
 
 def test_outer_test_scales_before_taking_norms():

@@ -336,28 +336,39 @@ def test_constrained_rejects_correlated_slots():
         build_constrained(spec, D=400, k_max=40)
 
 
-def _nan_inner_spec():
-    samples = monomial(0, 1024).samples.copy()
-    samples[7] = np.nan
-    return ConstrainedSpec(inners=(CircleFunction.from_samples(samples),),
+def _one_inner_spec(inner):
+    return ConstrainedSpec(inners=(inner,),
                            beta=np.array([[0.6], [0.8]], dtype=complex),
                            multiplier=1)
+
+
+def _nan_inner():
+    # from_samples refuses a NaN; the gates behind it are reached through
+    # the unchecked constructor the library keeps for its own results.
+    samples = monomial(0, 1024).samples.copy()
+    samples[7] = np.nan
+    with pytest.raises(ParameterError, match="not finite"):
+        CircleFunction.from_samples(samples)
+    samples.setflags(write=False)
+    return CircleFunction._of(1024, samples)
 
 
 def test_constrained_refuses_a_nan_inner():
     # NaN > 1e-8 is False: a NaN inner once passed both Gram gates and
     # ended in a bare LinAlgError from the SVD
     with pytest.raises(ConstructionError, match=r"phi_i .*deviation nan"):
-        build_constrained(_nan_inner_spec(), D=400, k_max=40)
+        build_constrained(_one_inner_spec(_nan_inner()), D=400, k_max=40)
 
 
 def test_constrained_slot_family_gate_refuses_nan(monkeypatch):
     # the second gate on its own: the phi_i pass, the slot family's Gram
-    # defect reads NaN
+    # defect reads NaN.  The inner is finite, since the recipe's functions
+    # are made by from_samples, which would refuse a NaN before the gate.
     defects = iter([0.0, np.nan])
     monkeypatch.setattr(invariance, "gram_defect", lambda rows: next(defects))
     with pytest.raises(ConstructionError, match=r"slot family .* nan"):
-        build_constrained(_nan_inner_spec(), D=400, k_max=40)
+        build_constrained(_one_inner_spec(monomial(0, 1024)), D=400,
+                          k_max=40)
 
 
 @pytest.mark.parametrize("D", [-1, 512, 9999])

@@ -97,14 +97,14 @@ def test_function_json_requires_fields():
 
 
 def test_overflowing_function_file_is_refused_without_warning(tmp_path):
-    # the samples are synthesized where they are first read, which must
-    # be inside the overflow check
+    # the reader synthesizes the samples, so a file whose finite
+    # coefficients overflow there is refused at the file boundary
     path = tmp_path / "huge.json"
     path.write_text('{"n_samples": 1024, '
                     '"coeffs": [[0, 1e308, 0.0], [1, 1e308, 0.0]]}')
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ParameterError, match="overflowing"):
+        with pytest.raises(ParameterError, match="overflow"):
             function_from_json(json.loads(path.read_text()))
 
 
