@@ -19,6 +19,7 @@ with.
 from __future__ import annotations
 
 import functools
+import math
 from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -91,9 +92,8 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def _form(op, *args) -> np.ndarray:
-    """op(*args) as a read-only form of a function.  A NaN or an
-    infinite value in it, an overflow in op included, raises
-    ParameterError rather than a warning."""
+    """op(*args) as a read-only form of a function; a NaN or an infinite
+    value, an overflow in op included, raises ParameterError."""
     with np.errstate(over="ignore", invalid="ignore"):
         a = op(*args)
     if not np.isfinite(a).all():
@@ -179,8 +179,8 @@ class CircleFunction:
     read, by the forward or by the inverse transform, then keeps it
     too.  Both arrays are read-only.  Every value of both forms is
     finite: a function with a NaN or an infinite value has no norm, so a
-    construction, a derived form or a sum or scalar multiple that holds
-    one (an overflow included) raises ParameterError.
+    construction, a derived form or an arithmetic result that holds one
+    (an overflow included) raises ParameterError.
     """
 
     __slots__ = ("n_samples", "_samples", "_coeffs")
@@ -386,13 +386,17 @@ def monomial(j: int, n_samples: int = DEFAULT_N_SAMPLES) -> CircleFunction:
 
 
 def norm2(f: CircleFunction) -> float:
-    """The L2 norm sqrt(integral |f|^2 dm) by grid quadrature, taken of
-    f 2^-e for the power of two 2^e just above the largest sample part,
-    so that no square overflows or vanishes; the scaling is exact."""
-    x = f.samples.view(float)
-    _, e = np.frexp(np.max(np.abs(x)))
-    a = np.abs(np.ldexp(x, -e).view(complex))
-    return float(np.ldexp(np.sqrt(np.add.reduce(a * a) / f.n_samples), e))
+    """The L2 norm sqrt(integral |f|^2 dm) by grid quadrature.  Where
+    squares could overflow or lose bits to underflow, max|f| outside
+    [2^-300, 2^500), it is taken of f 2^-e, for the power of two 2^e just
+    above max|f|, and multiplied back by 2^e; the scaling is exact."""
+    a = np.abs(f.samples)
+    _, e = math.frexp(np.maximum.reduce(a))
+    if not -300 < e <= 500:
+        a = np.ldexp(a, -e)
+    else:
+        e = 0
+    return math.ldexp(math.sqrt(np.add.reduce(a * a) / f.n_samples), e)
 
 
 def require_analytic(f: CircleFunction, who: str):

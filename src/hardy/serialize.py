@@ -112,9 +112,7 @@ def function_from_json(obj: Mapping) -> CircleFunction:
         j, c = _integer(j, "coefficient index"), _complex(re, im)
         coeffs[j] = coeffs[j] + c if j in coeffs else c
     f = synthesize(coeffs, n)
-    # Reading the samples here refuses, at the file boundary, finite
-    # coefficients whose samples overflow.
-    f.samples
+    f.samples  # read here, so a file whose samples overflow is refused
     return f
 
 
