@@ -91,15 +91,18 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _form(op, *args) -> np.ndarray:
-    """op(*args) as a read-only form of a function; a NaN or an infinite
-    value, an overflow in op included, raises ParameterError."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        a = op(*args)
-    if not np.isfinite(a).all():
+def _finite(a: np.ndarray) -> np.ndarray:
+    """a, read-only; a NaN or an infinite value raises ParameterError."""
+    if not np.isfinite(a.view(float)).all():
         raise ParameterError("a function value is not finite "
                              "(NaN, infinity or overflow)")
     return _frozen(a)
+
+
+def _form(op, *args) -> np.ndarray:
+    """_finite(op(*args)), with an overflow in op refused, not warned."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite(op(*args))
 
 
 def grid(n_samples: int) -> np.ndarray:
@@ -177,10 +180,9 @@ class CircleFunction:
     A function built from one form (``from_samples``, ``from_coeffs``)
     keeps that array and derives the other form the first time it is
     read, by the forward or by the inverse transform, then keeps it
-    too.  Both arrays are read-only.  Every value of both forms is
-    finite: a function with a NaN or an infinite value has no norm, so a
-    construction, a derived form or an arithmetic result that holds one
-    (an overflow included) raises ParameterError.
+    too.  Both arrays are read-only, and every value in them is finite:
+    a function with a NaN or an infinite value, an overflow included, has
+    no norm, and making one raises ParameterError.
     """
 
     __slots__ = ("n_samples", "_samples", "_coeffs")
@@ -222,17 +224,17 @@ class CircleFunction:
 
     @classmethod
     def from_samples(cls, samples: np.ndarray) -> "CircleFunction":
-        s = _form(np.array, samples, complex)
+        s = np.array(samples, dtype=complex)
         if s.ndim != 1:
             raise SizeError("samples must be a one dimensional array")
-        return cls._of(_check_n_samples(s.size), samples=s)
+        return cls._of(_check_n_samples(s.size), samples=_finite(s))
 
     @classmethod
     def from_coeffs(cls, coeffs: np.ndarray) -> "CircleFunction":
-        c = _form(np.array, coeffs, complex)
+        c = np.array(coeffs, dtype=complex)
         if c.ndim != 1:
             raise SizeError("coeffs must be a one dimensional array")
-        return cls._of(_check_n_samples(c.size), coeffs=c)
+        return cls._of(_check_n_samples(c.size), coeffs=_finite(c))
 
     def coeff(self, j: int) -> complex:
         """Coefficient a_j, zero outside the stored band."""
@@ -270,8 +272,7 @@ class CircleFunction:
     # margin N >= 4 * (bandwidth(f) + bandwidth(g)).
 
     def _pointwise(self, op, samples, coeffs) -> "CircleFunction":
-        """op(self, g) taken on both forms, where g has the given samples
-        and coefficients (or is the scalar given for both)."""
+        """op(self, g) on both forms, given g's two forms or one scalar."""
         return CircleFunction._of(self.n_samples,
                                   _form(op, self.samples, samples),
                                   _form(op, self.coeffs, coeffs))
@@ -386,10 +387,9 @@ def monomial(j: int, n_samples: int = DEFAULT_N_SAMPLES) -> CircleFunction:
 
 
 def norm2(f: CircleFunction) -> float:
-    """The L2 norm sqrt(integral |f|^2 dm) by grid quadrature.  Where
-    squares could overflow or lose bits to underflow, max|f| outside
-    [2^-300, 2^500), it is taken of f 2^-e, for the power of two 2^e just
-    above max|f|, and multiplied back by 2^e; the scaling is exact."""
+    """The L2 norm sqrt(integral |f|^2 dm) by grid quadrature; for max|f|
+    outside [2^-300, 2^500), where squares over- or underflow, it is 2^e
+    times that of f 2^-e, 2^e the power of two just above max|f|."""
     a = np.abs(f.samples)
     _, e = math.frexp(np.maximum.reduce(a))
     if not -300 < e <= 500:
