@@ -18,8 +18,10 @@ with.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
+import threading
 from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -84,6 +86,68 @@ def _check_n_samples(n_samples: int) -> int:
     if n < 4 or not _is_power_of_two(n):
         raise SizeError(f"n_samples must be a power of two >= 4, got {n_samples}")
     return n
+
+
+@functools.lru_cache(maxsize=1)
+def _openblas():
+    """(get, set) thread-count functions of the OpenBLAS numpy loaded,
+    ILP64 names first, or None when none is found (no /proc/self/maps
+    outside Linux, or another BLAS)."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths = sorted({line.split()[-1] for line in maps
+                            if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "64_"),
+                               ("openblas_", "")):
+            get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                return get, set_
+    return None
+
+
+_pin_lock = threading.Lock()
+_pin_depth = 0
+_pin_saved = 0
+
+
+def _one_blas_thread(fn):
+    """fn, run with OpenBLAS on one thread and the caller's count restored
+    after, on return and on an exception.  After a threaded call OpenBLAS's
+    idle worker spins for hundreds of milliseconds, through whatever the
+    caller does next, so hardy's products above its threading threshold
+    run here.  Re-entrant and shared by threads: only the outermost call
+    sets and restores the count, and a BLAS call another thread makes
+    meanwhile runs on one thread too.  Without OpenBLAS it is fn."""
+
+    @functools.wraps(fn)
+    def pinned(*args, **kwargs):
+        global _pin_depth, _pin_saved
+        blas = _openblas()
+        if blas is None:
+            return fn(*args, **kwargs)
+        get, set_ = blas
+        with _pin_lock:
+            if not _pin_depth:
+                _pin_saved = int(get())
+                set_(ctypes.c_int(1))
+            _pin_depth += 1
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            with _pin_lock:
+                _pin_depth -= 1
+                if not _pin_depth:
+                    set_(ctypes.c_int(_pin_saved))
+
+    return pinned
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -408,6 +472,7 @@ def require_analytic(f: CircleFunction, who: str):
         )
 
 
+@_one_blas_thread
 def gram_defect(rows: np.ndarray, scale: float | None = None) -> float:
     """max |G - I| for the Gram matrix G = rows @ rows^H / scale.
 

@@ -32,6 +32,7 @@ from .circlefn import (
     _count,
     _frozen,
     _integer,
+    _one_blas_thread,
     _synthesize_array,
     grid,
     horner,
@@ -217,6 +218,7 @@ def decompose_blaschke(f: CircleFunction, spec: BlaschkeSpec,
     return res
 
 
+@_one_blas_thread
 def _split_blaschke(fs: Sequence[CircleFunction], spec: BlaschkeSpec,
                     m_max: Optional[int],
                     who: str) -> List[DecompositionResult]:
@@ -276,11 +278,11 @@ def _split_blaschke(fs: Sequence[CircleFunction], spec: BlaschkeSpec,
         basis_coefficients=coeffs[k], phase_grid=M) for k in range(len(fs))]
 
 
-# OpenBLAS runs a complex matrix product of two or more rows and fewer
-# multiply-adds than this on one thread.  At the sizes of a Blaschke
-# split's pieces a second thread saves about a quarter of the wall time
-# for twice the CPU time, and stalls while another process holds a CPU,
-# so their products stay below it (see _series_in).
+# Cap on n L N for the baby-step table of a Blaschke split (see
+# _series_in): the table stays under 1 MiB, and the block length L it
+# gives depends on B, N and the number of terms, not on the inputs split
+# together, so neither do a piece's bits.  _split_blaschke runs on one
+# BLAS thread whatever the size; another cap would move digits.
 _ONE_THREAD_PRODUCT = 1 << 16
 
 
@@ -445,6 +447,7 @@ def decompose_zn(f: CircleFunction, n: int) -> DecompositionResult:
                                carriers=carriers)
 
 
+@_one_blas_thread
 def cesaro_convergence_profile(f: CircleFunction, spec: GaugeNormSpec,
                                l_max: int) -> np.ndarray:
     """alpha(sigma_l(f) - f) for l = 0 .. l_max.

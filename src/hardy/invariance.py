@@ -32,6 +32,8 @@ from .circlefn import (
     _check_n_samples,
     _count,
     _integer,
+    _joint_gram_defect,
+    _one_blas_thread,
     gram_defect,
     grid,
     require_analytic,
@@ -190,6 +192,7 @@ def _svd(mat: np.ndarray):
         return Q @ U, S, Vh
 
 
+@_one_blas_thread
 def _orthonormal_columns(
         mat: np.ndarray) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """Orthonormal basis of the column span, rank-revealing and
@@ -259,6 +262,7 @@ def span_invariant(generators: Sequence[CircleFunction],
     return _recipe_space(recipe, recipe.rows(), D, prov)
 
 
+@_one_blas_thread
 def _recipe_space(recipe: GradedRecipe, rows: np.ndarray, D: int,
                   prov: Dict[str, object]) -> SubspaceBasis:
     """The space of the recipe's sample rows on the band 0..D (``rows``
@@ -315,20 +319,30 @@ def _image(space: SubspaceBasis,
     return Q, taylor_block(rows * multiplier.samples, D)
 
 
-def _defect(Q: np.ndarray, W: np.ndarray,
-            C: Optional[np.ndarray] = None) -> float:
+@_one_blas_thread
+def _defect(Q: np.ndarray, W: np.ndarray, C: Optional[np.ndarray] = None,
+            gate: Optional[float] = None) -> float:
     """Largest singular value of X = W - Q C, the part of W outside the
     span of Q (C = Q^H W unless given), as the root of the largest
     eigenvalue of X^H X.
 
     That eigenvalue is accurate to eps ||X||^2, so the root is accurate
     to rounding relative to itself.  Forming X first matters: W^H W -
-    C^H C would cancel down to about 1e-8 on an invariant space.
+    C^H C would cancel down to about 1e-8 on an invariant space.  With a
+    ``gate``, the Frobenius norm of X, which bounds the largest singular
+    value, is returned instead when it is at most the gate: the gate
+    decides the same, with no X^H X and no eigenproblem (a NaN takes the
+    exact route).
     """
     X = W - Q @ (Q.conj().T @ W if C is None else C)
+    if gate is not None:
+        bound = float(np.linalg.norm(X))
+        if bound <= gate:
+            return bound
     return float(np.sqrt(max(np.linalg.eigvalsh(X.conj().T @ X)[-1], 0.0)))
 
 
+@_one_blas_thread
 def invariance_defect(space: SubspaceBasis,
                       multiplier: CircleFunction) -> float:
     """How far multiplication leads out of the space.
@@ -368,6 +382,7 @@ def invariance_defect(space: SubspaceBasis,
     return _defect(*_image(space, multiplier))
 
 
+@_one_blas_thread
 def wandering_basis(space: SubspaceBasis,
                     multiplier: CircleFunction) -> List[CircleFunction]:
     """Orthonormal basis of space minus (multiplier times space).
@@ -376,11 +391,12 @@ def wandering_basis(space: SubspaceBasis,
     measures; a defect above RANK_CUTOFF raises DomainError.  With
     C = Q^H W the result is Q times the eigenvectors of C C^H with
     eigenvalue at most RANK_CUTOFF^2: the directions W reaches with a
-    singular value of at most RANK_CUTOFF, images that left the band.
+    singular value of at most RANK_CUTOFF, images that left the band;
+    below the gate the defect is only bounded (see _defect).
     """
     Q, W = _image(space, multiplier)
     C = Q.conj().T @ W
-    defect = _defect(Q, W, C)
+    defect = _defect(Q, W, C, gate=RANK_CUTOFF)
     if defect > RANK_CUTOFF:
         raise DomainError(
             f"space is not invariant under the multiplier "
@@ -487,6 +503,22 @@ def _constrained_vectors(spec: ConstrainedSpec, z: np.ndarray):
     return bz, phis
 
 
+@_one_blas_thread
+def _slot_family_defect(recipe: GradedRecipe, rows: np.ndarray) -> float:
+    """gram_defect(rows) for the build rows of a recipe whose step B is
+    unimodular, without their K x K Gram: the largest of the head rows'
+    defect, the head-grade inner products, and the grades' block-Toeplitz
+    defect, exact since <s_a B^p, s_b B^q> = mean(s_a conj(s_b) B^(p-q))
+    (see _joint_gram_defect).  A NaN in any part reads NaN."""
+    h = len(recipe.head)
+    head, grades = rows[:h], rows[h:]
+    return float(np.max([
+        gram_defect(head),
+        np.max(np.abs(head @ grades.conj().T)) / rows.shape[1],
+        _joint_gram_defect(recipe.step.samples, grades[:len(recipe.starts)],
+                           recipe.k_max)]))
+
+
 def build_constrained(spec: ConstrainedSpec, D: int,
                       k_max: int) -> SubspaceBasis:
     """Span of the phi_i together with B^2 times all shifts of the J_j.
@@ -517,7 +549,7 @@ def build_constrained(spec: ConstrainedSpec, D: int,
               for J in spec.inners),
         CircleFunction.from_samples(bz), k_max)
     rows = recipe.rows()
-    dev_all = gram_defect(rows)
+    dev_all = _slot_family_defect(recipe, rows)
     if not dev_all <= 1e-8:  # written so that NaN fails too
         raise ConstructionError(
             f"the slot family is not orthonormal (deviation {dev_all:.3e}); "

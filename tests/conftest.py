@@ -53,3 +53,20 @@ def failing_suite(monkeypatch):
                 verify._check("averaging_agreement", 1e-3, 1e-12))
 
     monkeypatch.setitem(verify.REGISTRY, "lemma-4.2", suite)
+
+
+@pytest.fixture()
+def blas_threads():
+    """The get and set thread-count functions of the OpenBLAS numpy
+    loaded, its count set to 2 for the test and restored after; the test
+    is skipped when no OpenBLAS is found."""
+    from hardy import circlefn
+
+    blas = circlefn._openblas()
+    if blas is None:
+        pytest.skip("no OpenBLAS found in this process")
+    get, set_ = blas
+    before = int(get())
+    set_(2)
+    yield blas
+    set_(before)

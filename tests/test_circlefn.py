@@ -22,6 +22,7 @@ from hardy import (
     resample,
     synthesize,
 )
+from hardy import circlefn
 from hardy.circlefn import _synthesize_array
 
 
@@ -267,3 +268,46 @@ def test_pickle_and_copies_keep_the_function(build):
         for a, b in ((again.samples, f.samples), (again.coeffs, f.coeffs)):
             assert not a.flags.writeable
             assert a.tobytes() == b.tobytes()
+
+
+def test_one_blas_thread_restores_the_callers_count(blas_threads):
+    get, _ = blas_threads
+    seen = []
+
+    @circlefn._one_blas_thread
+    def inner():
+        seen.append(int(get()))
+
+    @circlefn._one_blas_thread
+    def outer():
+        inner()  # the nested call leaves the count at 1
+        seen.append(int(get()))
+        return "done"
+
+    @circlefn._one_blas_thread
+    def fails():
+        outer()
+        raise ValueError("inside")
+
+    assert outer() == "done"
+    assert seen == [1, 1] and int(get()) == 2
+    with pytest.raises(ValueError, match="inside"):
+        fails()
+    assert seen == [1, 1, 1, 1] and int(get()) == 2
+    assert circlefn._pin_depth == 0
+
+
+def test_one_blas_thread_without_openblas_is_the_call(monkeypatch):
+    blas = circlefn._openblas()
+    counts = []
+
+    @circlefn._one_blas_thread
+    def call(x, y=1):
+        counts.append(None if blas is None else int(blas[0]()))
+        assert circlefn._pin_depth == 0
+        return x + y
+
+    monkeypatch.setattr(circlefn, "_openblas", lambda: None)
+    before = None if blas is None else int(blas[0]())
+    assert call(2, y=3) == 5
+    assert counts == [before]  # the caller's count, untouched

@@ -678,6 +678,25 @@ def test_a_blaschke_split_has_the_bits_of_its_own_split(
         assert _split_bits(decompose_blaschke(f, spec)) == _split_bits(res)
 
 
+def test_one_zero_split_runs_its_product_on_one_blas_thread(monkeypatch,
+                                                           blas_threads):
+    # with one zero each input's product is a single row, which OpenBLAS
+    # threads as a matrix-vector product from about 2^13 multiply-adds
+    get, _ = blas_threads
+    seen = []
+
+    def spy(coeffs, bz):
+        seen.append(int(get()))
+        return real(coeffs, bz)
+
+    real = decomp._series_in
+    monkeypatch.setattr(decomp, "_series_in", spy)
+    f = synthesize(dict(enumerate(_random_taylor(51))), 1024)
+    res = decompose_blaschke(f, BlaschkeSpec((0.9,)))
+    assert res.basis_coefficients.shape[0] == 1
+    assert seen == [1] and int(get()) == 2
+
+
 def test_baby_step_table_stays_within_its_bound(monkeypatch):
     tables = []
 
@@ -691,6 +710,6 @@ def test_baby_step_table_stays_within_its_bound(monkeypatch):
     for N in (1024, 4096):
         f = synthesize(dict(enumerate(_random_taylor(49))), N)
         assert decompose_blaschke(f, spec).basis_coefficients.shape[1] == 5084
-    # n L N below 2^16 for n = 2 sheets: a product on one thread
+    # n L N below 2^16 for n = 2 sheets: a table under 1 MiB
     assert [t.shape for t in tables] == [(31, 1024), (7, 4096)]
     assert all(2 * t.size < decomp._ONE_THREAD_PRODUCT for t in tables)

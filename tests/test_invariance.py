@@ -195,6 +195,27 @@ def test_wandering_requires_invariance():
         wandering_basis(space, monomial(1, 1024))
 
 
+def test_wandering_gate_reports_the_exact_defect_and_skips_it_below(
+        monkeypatch):
+    # above the cutoff the message names the largest singular value, not
+    # the Frobenius bound (sqrt(2) here: two unit vectors leave the space)
+    space = _monomial_space([0, 1], D=64)
+    assert invariance_defect(space, monomial(2, 1024)) == pytest.approx(1.0)
+    with pytest.raises(DomainError, match=r"defect 1\.000e\+00"):
+        wandering_basis(space, monomial(2, 1024))
+    # an invariant space passes the gate on the bound alone
+    calls = []
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a: calls.append(a.shape) or real(a))
+    space = _monomial_space(range(65), D=64)
+    assert len(wandering_basis(space, monomial(1, 1024))) == 1
+    assert calls == []
+    Q, W = invariance._image(space, monomial(1, 1024))
+    assert invariance._defect(Q, W, gate=1e-6) <= 1e-6
+    assert calls == []
+
+
 def test_band_filling_ladder_is_not_invariant():
     # z^2 * z^61 = z^63 lies in the band 0..64 but not in the space.
     space = _monomial_space(range(63), D=64)
@@ -361,14 +382,73 @@ def test_constrained_refuses_a_nan_inner():
 
 
 def test_constrained_slot_family_gate_refuses_nan(monkeypatch):
-    # the second gate on its own: the phi_i pass, the slot family's Gram
-    # defect reads NaN.  The inner is finite, since the recipe's functions
-    # are made by from_samples, which would refuse a NaN before the gate.
+    # the second gate on its own: the phi_i pass, and one of the three
+    # parts of the slot family's defect reads NaN, the others finite (a
+    # max over them must not drop it, as max(0.0, nan) does).  The inner
+    # is finite, since the recipe's functions are made by from_samples,
+    # which would refuse a NaN before the gate.
+    real_rows = invariance.GradedRecipe.rows
+
+    def poisoned_rows(recipe, p=0):
+        rows = real_rows(recipe, p)
+        rows[-1, 3] = np.nan  # the top grade: only head x grade sees it
+        return rows
+
     defects = iter([0.0, np.nan])
-    monkeypatch.setattr(invariance, "gram_defect", lambda rows: next(defects))
-    with pytest.raises(ConstructionError, match=r"slot family .* nan"):
-        build_constrained(_one_inner_spec(monomial(0, 1024)), D=400,
-                          k_max=40)
+    for part, patch in (
+            ("head", ("gram_defect", lambda rows: next(defects))),
+            ("head x grade", ("GradedRecipe.rows", poisoned_rows)),
+            ("grades", ("_joint_gram_defect", lambda *args: np.nan))):
+        name, value = patch
+        if name == "GradedRecipe.rows":
+            monkeypatch.setattr(invariance.GradedRecipe, "rows", value)
+        else:
+            monkeypatch.setattr(invariance, name, value)
+        with pytest.raises(ConstructionError, match=r"slot family .* nan"):
+            build_constrained(_one_inner_spec(monomial(0, 1024)), D=400,
+                              k_max=40)
+        monkeypatch.undo()
+
+
+def test_constrained_refuses_a_non_inner_slot_family():
+    # J = (1 + z)/sqrt(2) is a unit vector, so the one phi = J passes, but
+    # <J z^(m+2), J z^(m+3)> = 1/2 between neighbouring grades
+    J = synthesize({0: 2 ** -0.5, 1: 2 ** -0.5}, 1024)
+    spec = ConstrainedSpec(inners=(J,), beta=np.array([[1.0], [0.0]]),
+                           multiplier=1)
+    with pytest.raises(ConstructionError,
+                       match=r"slot family .*deviation 5\.000e-01"):
+        build_constrained(spec, D=400, k_max=40)
+
+
+def _slot_recipes(monkeypatch):
+    """The recipes the two-layer suites build at seed 1, with a recipe
+    whose rows are far from orthonormal: random head and starts and a
+    Blaschke step."""
+    recipes = [space.recipe for suite in ("thm-3.5", "thm-4.5")
+               for space, _ in _spy_constrained_spaces(monkeypatch, suite, 1)]
+    rng = np.random.default_rng(12)
+    N = 1024
+
+    def poly():
+        return synthesize(dict(enumerate(rng.standard_normal(20)
+                                         + 1j * rng.standard_normal(20))), N)
+
+    bz = invariance.blaschke_eval(BlaschkeSpec((0.0, 0.3 - 0.2j)), grid(N))
+    recipes.append(invariance.GradedRecipe(
+        (poly(), poly()), (poly(), poly()), CircleFunction.from_samples(bz),
+        40))
+    return recipes
+
+
+def test_slot_family_defect_matches_the_full_gram(monkeypatch):
+    recipes = _slot_recipes(monkeypatch)
+    assert len(recipes) == 30  # 21 thm-3.5, 8 thm-4.5, 1 random
+    for recipe in recipes:
+        rows = recipe.rows()
+        full = invariance.gram_defect(rows)
+        assert abs(invariance._slot_family_defect(recipe, rows)
+                   - full) <= 1e-13 * max(1.0, full)
 
 
 @pytest.mark.parametrize("D", [-1, 512, 9999])

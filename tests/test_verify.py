@@ -99,9 +99,11 @@ def test_a_failing_row_fails_the_report(failing_suite):
 
 
 # The SHA-256 of every suite's canonical report at seed 1, computed in a
-# child process with one BLAS thread so the bytes do not depend on the
-# thread count.  tests/data/verify_digests.json holds the digests as
-# recorded with
+# child process with OPENBLAS_NUM_THREADS set.  hardy runs its dense
+# linear algebra on one OpenBLAS thread whatever the caller's setting,
+# so the bytes must not depend on it: the digests are checked with one
+# thread and again with two.  tests/data/verify_digests.json holds the
+# digests as recorded with
 # `PYTHONPATH=src python tests/test_verify.py > tests/data/verify_digests.json`;
 # a change that moves a digit of any report shows up here.  The record
 # also names what picks the floating-point kernels: numpy's version, the
@@ -130,10 +132,11 @@ def platform_record():
     }
 
 
-def report_digests(src=os.path.join(os.path.dirname(__file__), "..", "src")):
+def report_digests(src=os.path.join(os.path.dirname(__file__), "..", "src"),
+                   threads="1"):
     """The digest record of the hardy under ``src``, the digests from a
-    child process."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+    child process with ``threads`` OpenBLAS threads."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                PYTHONPATH=os.pathsep.join(
                    filter(None, [os.path.abspath(src),
                                  os.environ.get("PYTHONPATH")])))
@@ -145,7 +148,7 @@ def report_digests(src=os.path.join(os.path.dirname(__file__), "..", "src")):
                       indent=2, sort_keys=True) + "\n"
 
 
-def test_reports_match_recorded_digests():
+def _assert_recorded_digests(threads):
     with open(DIGESTS, encoding="utf-8") as handle:
         recorded = json.load(handle)
     here = platform_record()
@@ -154,11 +157,22 @@ def test_reports_match_recorded_digests():
     if differs:
         pytest.skip(f"digests recorded on another platform "
                     f"({', '.join(differs)} differ)")
-    now = json.loads(report_digests())
+    now = json.loads(report_digests(threads=threads))
     assert sorted(now["digests"]) == sorted(recorded["digests"])
     moved = [tid for tid in recorded["digests"]
              if now["digests"][tid] != recorded["digests"][tid]]
-    assert moved == [], f"reports changed at seed 1: {moved}"
+    assert moved == [], (f"reports changed at seed 1 with {threads} BLAS "
+                         f"thread(s): {moved}")
+
+
+def test_reports_match_recorded_digests():
+    _assert_recorded_digests("1")
+
+
+def test_reports_do_not_depend_on_the_blas_thread_count():
+    # at the default two threads thm-3.5, thm-3.6 and thm-4.5 once hashed
+    # differently: their Gram, Cholesky and eigen products ran threaded
+    _assert_recorded_digests("2")
 
 
 if __name__ == "__main__":
