@@ -104,8 +104,8 @@ def _openblas():
             lib = ctypes.CDLL(path)
         except OSError:
             continue
-        for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "64_"),
-                               ("openblas_", "")):
+        for prefix, suffix in (("scipy_openblas_", "64_"),
+                               ("openblas_", "64_"), ("openblas_", "")):
             get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
             set_ = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
             if get is not None and set_ is not None:

@@ -218,7 +218,6 @@ def decompose_blaschke(f: CircleFunction, spec: BlaschkeSpec,
     return res
 
 
-@_one_blas_thread
 def _split_blaschke(fs: Sequence[CircleFunction], spec: BlaschkeSpec,
                     m_max: Optional[int],
                     who: str) -> List[DecompositionResult]:
@@ -268,7 +267,8 @@ def _split_blaschke(fs: Sequence[CircleFunction], spec: BlaschkeSpec,
     recomposed = sum(e * h[:, j, None] for j, e in enumerate(at_nodes))
     bz, carriers = _grid_view(spec, fs[0].n_samples)
     # piece j of input k: sum_m c_kjm B^m, a read-only row of one block
-    pieces = _frozen(_series_in(coeffs, bz))
+    series = _series_in if n > 1 else _one_row_series_in
+    pieces = _frozen(series(coeffs, bz))
     return [DecompositionResult(
         mode="blaschke",
         components=tuple(CircleFunction._of(bz.size, p) for p in pieces[k]),
@@ -281,8 +281,9 @@ def _split_blaschke(fs: Sequence[CircleFunction], spec: BlaschkeSpec,
 # Cap on n L N for the baby-step table of a Blaschke split (see
 # _series_in): the table stays under 1 MiB, and the block length L it
 # gives depends on B, N and the number of terms, not on the inputs split
-# together, so neither do a piece's bits.  _split_blaschke runs on one
-# BLAS thread whatever the size; another cap would move digits.
+# together, so neither do a piece's bits.  It also keeps a product of
+# two or more rows below the size OpenBLAS threads (2^18 multiply-adds);
+# another cap would move digits.
 _ONE_THREAD_PRODUCT = 1 << 16
 
 
@@ -315,6 +316,16 @@ def _series_in(coeffs: np.ndarray, bz: np.ndarray) -> np.ndarray:
         acc *= giant
         acc += coeffs[..., start:start + L] @ powers
     return acc
+
+
+@_one_blas_thread
+def _one_row_series_in(coeffs: np.ndarray, bz: np.ndarray) -> np.ndarray:
+    """_series_in for one zero, on one BLAS thread: each input's product
+    is then a single row, which OpenBLAS threads as a matrix-vector
+    product from about 2^13 multiply-adds.  With more zeros the cap keeps
+    every product below the size it threads, and setting the thread count
+    would only cost its set and restore, about 8 us a split."""
+    return _series_in(coeffs, bz)
 
 
 # Largest table a Blaschke split keeps for later calls (see _split_blaschke).

@@ -424,7 +424,7 @@ def test_constrained_refuses_a_non_inner_slot_family():
 def _slot_recipes(monkeypatch):
     """The recipes the two-layer suites build at seed 1, with a recipe
     whose rows are far from orthonormal: random head and starts and a
-    Blaschke step."""
+    Blaschke step, the head small, so the grades' part is the largest."""
     recipes = [space.recipe for suite in ("thm-3.5", "thm-4.5")
                for space, _ in _spy_constrained_spaces(monkeypatch, suite, 1)]
     rng = np.random.default_rng(12)
@@ -436,8 +436,8 @@ def _slot_recipes(monkeypatch):
 
     bz = invariance.blaschke_eval(BlaschkeSpec((0.0, 0.3 - 0.2j)), grid(N))
     recipes.append(invariance.GradedRecipe(
-        (poly(), poly()), (poly(), poly()), CircleFunction.from_samples(bz),
-        40))
+        (0.1 * poly(), 0.1 * poly()), (poly(), poly()),
+        CircleFunction.from_samples(bz), 40))
     return recipes
 
 
