@@ -226,7 +226,6 @@ def _cmd_decompose(args):
     }
     if result.basis_coefficients is not None:
         payload["m_max"] = int(result.basis_coefficients.shape[1]) - 1
-        payload["phase_grid"] = result.phase_grid
     return payload, True
 
 

@@ -26,7 +26,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .blaschke import BlaschkeSpec, _basis_carriers, blaschke_eval
+from .blaschke import BlaschkeSpec, _basis_carriers
 from .circlefn import (
     CircleFunction,
     _count,
@@ -35,7 +35,6 @@ from .circlefn import (
     _one_blas_thread,
     _synthesize_array,
     grid,
-    horner,
     norm2,
     require_analytic,
 )
@@ -49,35 +48,28 @@ __all__ = [
     "cesaro_convergence_profile",
 ]
 
-# Largest phase-grid node count (grid size times degree) in Blaschke mode.
-MAX_PHASE_NODES = 2 ** 20
-# A phase node is converged once its phase miss is at most this many
-# units of eps * (1 + 2 pi psi'): rounding in theta (|theta| < 2 pi)
-# moves the phase by psi' times that.  Converged nodes read 0.3 - 1.
-_PHASE_ROUNDING = 16.0
-_EPS = float(np.finfo(float).eps)
-# Newton on the phase gives up after this many steps.
-_MAX_NEWTON_STEPS = 100
+# Most series terms, n (m + 1) for n zeros and m powers, a Blaschke
+# split computes.
+MAX_SERIES_TERMS = 2 ** 19
 
 
 @dataclass(frozen=True, eq=False)
 class DecompositionResult:
-    """Components, their carriers, and the recomposition residual.
+    """Components, their carriers, and the residual.
 
     The reconstruction is sum_i carrier_i * component_i on samples.  In
     Blaschke mode component j at z_k is the point value sum_m c_jm
     B(z_k)^m, so the pieces add back up to f at every grid point to
-    about the residual, a quadrature at the preimages of a
-    ``phase_grid``-point grid (None in z^n mode).  The price is the
-    coefficient view of a piece: once the spectrum of B^m exceeds the
-    grid (zero radii above about 0.85 at N = 1024) its ``coeffs``
-    alias; for the zeros (0, r, -ir) and ten seeded degree-24 inputs
-    the largest ``negative_energy`` of a piece is 5e-3 at r = 0.9 and
-    0.8 at r = 0.958.  Piece j is exactly row j of
-    ``basis_coefficients`` (slot j by power m), whose squared l2 norm is
-    the squared subspace norm the Pythagoras identity refers to.  When
-    B vanishes at the origin the rows end at the exact cutoff (see
-    decompose_blaschke): the pairings beyond it are zero, not small.
+    about the residual, the L2 norm of what the powers leave of f (see
+    decompose_blaschke).  The price is the coefficient view of a piece:
+    once the spectrum of B^m exceeds the grid (zero radii above about
+    0.85 at N = 1024) its ``coeffs`` alias; for the zeros (0, r, -ir) and
+    ten seeded degree-24 inputs the largest ``negative_energy`` of a
+    piece is 5e-3 at r = 0.9 and 0.8 at r = 0.958.  Piece j is exactly
+    row j of ``basis_coefficients`` (slot j by power m), whose squared
+    l2 norm is the squared subspace norm the Pythagoras identity refers
+    to.  When B vanishes at the origin the rows end at the exact cutoff:
+    the pairings beyond it and the residual are exact zeros.
     """
 
     mode: str
@@ -85,7 +77,6 @@ class DecompositionResult:
     carriers: Tuple[CircleFunction, ...]
     residual: float
     basis_coefficients: Optional[np.ndarray] = None
-    phase_grid: Optional[int] = None
 
     def component_norms(self) -> Tuple[float, ...]:
         """Subspace norms of the components.
@@ -126,67 +117,6 @@ def _auto_m_max(spec: BlaschkeSpec, degree: int) -> int:
     return min(cutoffs)
 
 
-def _phase_speed(spec: BlaschkeSpec, z: np.ndarray) -> np.ndarray:
-    """psi'(theta) = sum_a (1 - |a|^2) / |z - a|^2 at z = exp(i theta)."""
-    return sum((1.0 - abs(a) ** 2) / np.abs(z - a) ** 2 for a in spec.zeros)
-
-
-def _phase_nodes(spec: BlaschkeSpec, M: int) -> Tuple[np.ndarray, float]:
-    """The preimages under B of the phase targets psi_0 + 2 pi l / M.
-
-    Returns them as a (degree, M) array, sheet s of target l at [s, l],
-    and psi_0 = arg B(1).  The unwrapped phase is sampled on a uniform
-    grid of P points joined with each nonzero zero's Moebius image of
-    it, so between neighbours every factor's phase moves by at most
-    2 pi / P and np.unwrap is exact for P > 2 * degree.  Linear
-    interpolation of the inverse seeds Newton's method on the phase,
-    which runs inside a bracket per node: a step out of it, which would
-    land on another sheet, is replaced by bisection.  After the first
-    four steps it stops once every node's phase miss is at rounding level,
-    _PHASE_ROUNDING units of eps (1 + 2 pi psi') (a zero near the circle
-    makes psi' large); a node still above it after _MAX_NEWTON_STEPS
-    steps raises ParameterError.
-    """
-    P = max(M, 4 * spec.degree)
-    w = np.exp(2j * np.pi * np.arange(P) / P)
-    pts = [w] + [(w + a) / (1.0 + np.conj(a) * w) for a in spec.zeros if a != 0]
-    theta = np.append(np.sort(np.angle(np.concatenate(pts)) % (2.0 * np.pi)),
-                      2.0 * np.pi)
-    psi = np.unwrap(np.angle(blaschke_eval(spec, np.exp(1j * theta))))
-    targets = psi[0] + 2.0 * np.pi * np.arange(spec.degree * M) / M
-    # Each node lies between the points whose interpolated phase is pi/2
-    # below and above its target; as the samples lie at most pi/2 apart
-    # in phase, the phase there is less than pi from the target, so the
-    # sign of the miss is exact.
-    turn = 2.0 * np.pi * spec.degree
-    around_psi = np.concatenate([psi[:-1] - turn, psi, psi[1:] + turn])
-    around = np.concatenate([theta[:-1] - 2.0 * np.pi, theta,
-                             theta[1:] + 2.0 * np.pi])
-    lo = np.interp(targets - 0.5 * np.pi, around_psi, around)
-    hi = np.interp(targets + 0.5 * np.pi, around_psi, around)
-    theta = np.interp(targets, psi, theta)
-    for step in range(_MAX_NEWTON_STEPS + 1):
-        z = np.exp(1j * theta)
-        miss = np.angle(blaschke_eval(spec, z) * np.exp(-1j * targets))
-        speed = _phase_speed(spec, z)
-        units = np.abs(miss) / (_EPS * (1.0 + 2.0 * np.pi * speed))
-        if step >= 4 and float(np.max(units)) <= _PHASE_ROUNDING:
-            break
-        if step == _MAX_NEWTON_STEPS:
-            raise ParameterError(
-                f"the phase nodes did not converge: largest phase miss "
-                f"{np.max(np.abs(miss)):.1e} after {step} Newton steps; "
-                f"move the zeros inward")
-        # Above rounding the sign of a miss inside the bracket is exact.
-        far = units > _PHASE_ROUNDING
-        lo = np.where(far & (miss < 0.0), theta, lo)
-        hi = np.where(far & (miss > 0.0), theta, hi)
-        theta = theta - miss / speed
-        # a step out of the bracket would go to another sheet: bisect
-        theta = np.where((lo <= theta) & (theta <= hi), theta, 0.5 * (lo + hi))
-    return np.exp(1j * theta).reshape(spec.degree, M), float(psi[0])
-
-
 def decompose_blaschke(f: CircleFunction, spec: BlaschkeSpec,
                        m_max: Optional[int] = None) -> DecompositionResult:
     """Split f along the factor slots of B up to basis power m_max.
@@ -198,21 +128,20 @@ def decompose_blaschke(f: CircleFunction, spec: BlaschkeSpec,
     d // k, past which every pairing is exactly zero, else it follows
     the slowest winding rate of B.
 
-    The pairings come by a change of variables to the phase psi of B,
-    which rises by 2 pi * degree once round the circle at speed psi':
-    <f, e(j, m)> is the m-th Fourier coefficient in phi of G_j(phi),
-    the sum of f conj(e(j, 0)) / psi' over the preimages of exp(i phi),
-    so one FFT of G_j on an M-point phase grid gives every power (G_j
-    has no negative frequencies, as e(j, 0) is orthogonal to B H^2, and
-    with k >= 1 none past d // k).  M is the smallest power of two >= 64
-    and >= 2 (m + 1), m the larger of m_max and the automatic cutoff;
-    more than 2^20 nodes (M * degree) raise ParameterError before
-    anything is allocated.  Phase nodes that Newton's method cannot bring
-    to rounding level raise it too (see _phase_nodes).  The residual is
-    the L2 distance between f and the recomposition, by quadrature at
-    the nodes; it measures the basis tail beyond m_max and is reported,
-    not raised.  The returned functions are point values on the input's
-    grid (see DecompositionResult).
+    The pairings are exact finite sums on the Taylor band 0 .. d of f.
+    P+(conj(B) g) is in the band with g, so the adjoint of multiplication
+    by B acts there as T^H, T the lower-triangular Toeplitz matrix of B's
+    Taylor coefficients 0 .. d, and <f, e(j, m)> = <(T^H)^m f, e(j, 0)>
+    (see _build_step).  As ||T|| <= sup |B| = 1, rounding does not grow
+    with m.  With k zeros at the origin T^H moves the band down by k, so
+    every pairing past d // k is an exact zero.  More than
+    MAX_SERIES_TERMS = 2^19 series terms, n (m + 1) for n zeros and m
+    the larger of m_max and the automatic cutoff, raise ParameterError
+    before anything is allocated.  The residual, ||(T^H)^(m_max + 1) f||
+    as multiplication by B is an isometry, is the L2 norm of what the
+    powers up to m_max leave of f (0.0 at an exact cutoff); it is
+    reported, not raised.  The returned functions are point values on
+    the input's grid (see DecompositionResult).
     """
     res, = _split_blaschke([f], spec, m_max, "decompose_blaschke")
     return res
@@ -221,50 +150,35 @@ def decompose_blaschke(f: CircleFunction, spec: BlaschkeSpec,
 def _split_blaschke(fs: Sequence[CircleFunction], spec: BlaschkeSpec,
                     m_max: Optional[int],
                     who: str) -> List[DecompositionResult]:
-    """decompose_blaschke for inputs on one grid, on one phase grid;
-    m_max=None takes the largest of their automatic cutoffs.  The half
-    that does not depend on the inputs is kept per B, keyed on its zeros'
-    bits (-0.0 and 0.0 never alias): the phase quadrature per M, (n + 2)
-    n M points (node, weight and n carriers at each of n M nodes), and
-    B's grid view per N, (2 n + 1) N points (B and the n carriers'
-    samples and coefficients).  The 64 latest tables of at most
-    _KEPT_BLASCHKE_POINTS points are kept, 128 KiB each and 8 MiB in all
-    at 16 bytes a point; a larger one is built for its split and freed
-    with its result.  Kept or fresh, tables and results are the same
-    bits.  f is summed at the nodes by Horner's rule, whose bits the
-    pairings and the recorded thm-3.6 report carry; the pieces on the
-    grid are read-only rows of one block (see _series_in).  A
-    non-analytic input is refused in the name of the caller who."""
+    """decompose_blaschke for inputs on one grid, on the band of the
+    largest degree d; m_max=None takes the largest of their automatic
+    cutoffs.  What does not depend on the inputs is kept per B (see
+    _kept): the step matrix per d (see _build_step) and B's grid view per
+    N.  A step is one product of the step matrix with each input's band:
+    the first p n entries are the next p powers' pairings and the rest
+    is the band p powers on (see _pairings).  The pieces on the grid are
+    read-only rows of one block (see _series_in).
+    A non-analytic input is refused in the name of the caller who."""
     for f in fs:
         require_analytic(f, who)
     degrees = [f.top_index() for f in fs]
-    m_auto = _auto_m_max(spec, max(degrees))  # grows with the degree
+    d = max(degrees)
+    m_auto = _auto_m_max(spec, d)  # grows with the degree
     m_max = m_auto if m_max is None else _count(m_max, "m_max")
     n = spec.degree
-    # Sized from the automatic cutoff too, so G_j does not alias.
-    M = 1 << max(6, (2 * max(m_max, m_auto) + 1).bit_length())
-    if M * n > MAX_PHASE_NODES:
-        raise ParameterError(f"decomposition needs {M * n} phase nodes, more "
-                             f"than {MAX_PHASE_NODES}; move the zeros inward")
-    nodes, psi0, weights, at_nodes = _kept(_phase_quadrature, spec, M,
-                                           (n + 2) * n * M)
+    terms = n * (max(m_max, m_auto) + 1)
+    if terms > MAX_SERIES_TERMS:
+        raise ParameterError(f"decomposition needs {terms} series terms, more "
+                             f"than {MAX_SERIES_TERMS}; move the zeros inward")
+    step = _kept(_build_step, _zeros_bits(spec), d,  # at most as many points
+                 (max(n, _STEP_PAIRINGS) + d + 1) * (d + 1))
     # The negative-index part of f pairs to zero with every e(j, m), and
-    # the Taylor tail beyond the degree is rounding dust.  Zeros padded
-    # above a lower degree leave Horner's sums as they are.
+    # the Taylor tail beyond the degree is rounding dust.
     half = fs[0].n_samples // 2
-    taylor = np.zeros((max(degrees) + 1, len(fs)), dtype=complex)
+    v = np.zeros((len(fs), d + 1, 1), dtype=complex)
     for k, (f, degree) in enumerate(zip(fs, degrees)):
-        taylor[:degree + 1, k] = f.coeffs[half:half + degree + 1]
-    f_nodes = horner(taylor[:, :, None, None], nodes)  # input, sheet, target
-    G = np.array([[np.sum(fk * np.conj(e) * weights, axis=0)
-                   for e in at_nodes] for fk in f_nodes])
-    spectrum = np.fft.fft(G, axis=2)
-    coeffs = spectrum[:, :, :m_max + 1] * np.exp(
-        -1j * psi0 * np.arange(m_max + 1)) / M
-    # h_j(exp(i phi_l)) = sum_m c_jm exp(i m phi_l), then the fibre
-    # identity f = sum_j e(j, 0) h_j(B) on every sheet.
-    h = np.fft.ifft(np.where(np.arange(M) <= m_max, spectrum, 0.0), axis=2)
-    recomposed = sum(e * h[:, j, None] for j, e in enumerate(at_nodes))
+        v[k, :degree + 1, 0] = f.coeffs[half:half + degree + 1]
+    coeffs, rest = _pairings(step, v, n, m_max + 1)
     bz, carriers = _grid_view(spec, fs[0].n_samples)
     # piece j of input k: sum_m c_kjm B^m, a read-only row of one block
     series = _series_in if n > 1 else _one_row_series_in
@@ -272,10 +186,28 @@ def _split_blaschke(fs: Sequence[CircleFunction], spec: BlaschkeSpec,
     return [DecompositionResult(
         mode="blaschke",
         components=tuple(CircleFunction._of(bz.size, p) for p in pieces[k]),
-        carriers=carriers,
-        residual=float(np.sqrt(np.sum(
-            np.abs(f_nodes[k] - recomposed[k]) ** 2 * weights) / M)),
-        basis_coefficients=coeffs[k], phase_grid=M) for k in range(len(fs))]
+        carriers=carriers, residual=float(np.linalg.norm(rest[k])),
+        basis_coefficients=coeffs[k]) for k in range(len(fs))]
+
+
+@_one_blas_thread
+def _pairings(step: np.ndarray, v: np.ndarray, n: int, terms: int):
+    """The pairings of each band in the (k, d + 1, 1) stack v with powers
+    0 .. terms - 1, as (k, n, terms), and the rest, whose l2 norm is what
+    they leave of the band: the last step's pairings past them and the
+    band after it.  One product per input and step, so an input's bits do
+    not depend on the others split with it at its degree, on one BLAS
+    thread: OpenBLAS threads one of 2^13 points (degree 90, three zeros)."""
+    k, width = v.shape[:2]
+    block = step.shape[0] - width  # pairings per step
+    out = np.empty((k, -(-terms * n // block) * block), dtype=complex)
+    for start in range(0, terms * n, block):
+        w = step @ v
+        out[:, start:start + block] = w[:, :block, 0]
+        v = w[:, block:]
+    rest = np.concatenate([out[:, terms * n:], v[:, :, 0]], axis=1)
+    return np.ascontiguousarray(
+        out[:, :terms * n].reshape(k, terms, n).transpose(0, 2, 1)), rest
 
 
 # Cap on n L N for the baby-step table of a Blaschke split (see
@@ -328,35 +260,77 @@ def _one_row_series_in(coeffs: np.ndarray, bz: np.ndarray) -> np.ndarray:
     return _series_in(coeffs, bz)
 
 
-# Largest table a Blaschke split keeps for later calls (see _split_blaschke).
-_KEPT_BLASCHKE_POINTS = 1 << 13
+# Largest table a split keeps for later calls (see _kept).
+_KEPT_POINTS = 1 << 13
 
 
-def _kept(build, spec: BlaschkeSpec, size: int, points: int):
-    if points > _KEPT_BLASCHKE_POINTS:
-        return build(spec, size)
-    return _kept_tables(build, np.asarray(spec.zeros, complex).tobytes(), size)
+def _kept(build, key, size: int, points: int):
+    """build(key, size), kept for later calls with the same arguments when
+    it has at most _KEPT_POINTS points (128 KiB at 16 bytes a point; a
+    carrier block of decompose_zn counts its samples, not its unit
+    coefficients).  The 64 latest are kept; a larger table is built for
+    its call and freed with its result.  Tables are read-only, so kept or
+    fresh, tables and results are the same bits."""
+    if points > _KEPT_POINTS:
+        return build(key, size)
+    return _kept_tables(build, key, size)
 
 
 @functools.lru_cache(maxsize=64)
-def _kept_tables(build, zeros: bytes, size: int):
-    return build(BlaschkeSpec(tuple(np.frombuffer(zeros, complex))), size)
+def _kept_tables(build, key, size: int):
+    return build(key, size)
 
 
-def _phase_quadrature(spec: BlaschkeSpec, M: int):
-    """Read-only phase nodes, psi_0, weights 1 / psi' and carriers there."""
-    nodes, psi0 = _phase_nodes(spec, M)
-    at_nodes, _ = _basis_carriers(spec, nodes)
-    return (_frozen(nodes), psi0, _frozen(1.0 / _phase_speed(spec, nodes)),
-            tuple(map(_frozen, at_nodes)))
+def _zeros_bits(spec: BlaschkeSpec) -> bytes:
+    """B's key in the kept store: -0.0 and 0.0 never alias."""
+    return np.asarray(spec.zeros, complex).tobytes()
+
+
+# About this many pairings come from one step of a Blaschke split (see
+# _build_step): a power then costs a share of one product, and the step
+# matrix of a degree-24 input holds about 1000 points.
+_STEP_PAIRINGS = 16
+
+
+def _build_step(zeros: bytes, d: int) -> np.ndarray:
+    """B's read-only step matrix on the Taylor band 0 .. d for p powers,
+    p = max(1, _STEP_PAIRINGS // n): in row q n + j the conjugated
+    coefficients of e(j, q) = e(j, 0) B^q, q < p, then (T^H)^p, the
+    Toeplitz matrix of B^p's conjugated coefficients, so that one product
+    with a band gives the next p powers' pairings and the band p powers
+    on.  By truncated convolution over the zeros: (z - a)/(1 - conj(a) z)
+    is -a + (1 - |a|^2) sum_(i>=1) conj(a)^(i-1) z^i, and e(j, 0) is
+    sqrt(1 - |a|^2) sum_i conj(a)^i z^i times B_j.  A zero at the origin
+    gives z exactly, so the first q k coefficients of B^q and e(j, q) are
+    exact zeros when k zeros are there."""
+    spec = BlaschkeSpec(tuple(np.frombuffer(zeros, complex)))
+    unit = np.eye(1, d + 1, dtype=complex)[0]
+    carriers, b = [], unit  # b: B_j, then B
+    for a in spec.zeros:
+        powers = np.cumprod(np.append(1.0 + 0.0j, np.full(d, np.conj(a))))
+        kernel = np.sqrt(1.0 - abs(a) ** 2) * powers
+        carriers.append(np.convolve(kernel, b)[:d + 1])
+        factor = np.append(-a, (1.0 - abs(a) ** 2) * powers[:-1])
+        b = np.convolve(factor, b)[:d + 1]
+    rows, bq = [], unit  # bq: B^q
+    for _ in range(max(1, _STEP_PAIRINGS // spec.degree)):
+        rows += [np.convolve(e, bq)[:d + 1] for e in carriers]
+        bq = np.convolve(bq, b)[:d + 1]
+    # (T^H)^p[i, l] = conj(B^p_(l - i)) for l >= i
+    lag = np.arange(d + 1) - np.arange(d + 1)[:, None]
+    shift = np.where(lag >= 0, np.conj(bq)[np.maximum(lag, 0)], 0.0)
+    return _frozen(np.vstack([np.conj(rows), shift]))
 
 
 def _grid_view(spec: BlaschkeSpec, N: int):
-    """B's read-only samples on the N-point grid and the carriers e(j, 0)."""
-    return _kept(_build_grid_view, spec, N, (2 * spec.degree + 1) * N)
+    """B's read-only samples on the N-point grid and the carriers e(j, 0),
+    (2 n + 1) N points counting the carriers' coefficients."""
+    return _kept(_build_grid_view, _zeros_bits(spec), N,
+                 (2 * spec.degree + 1) * N)
 
 
-def _build_grid_view(spec: BlaschkeSpec, N: int):
+def _build_grid_view(zeros: bytes, N: int):
+    spec = BlaschkeSpec(tuple(np.frombuffer(zeros, complex)))
     carriers, bz = _basis_carriers(spec, grid(N))
     return _frozen(bz), tuple(CircleFunction.from_samples(s) for s in carriers)
 
@@ -406,28 +380,12 @@ def _functions(samples: np.ndarray, coeffs: np.ndarray
                  for s, c in zip(samples, coeffs))
 
 
-# A split of at most this many points (n * N) takes its carriers as the
-# first n rows of one kept block of at most as many points per grid
-# size, for the four latest sizes; a larger split builds its own, freed
-# with its result.
-_KEPT_CARRIER_POINTS = 1 << 13
-
-
 def _zn_carriers(n: int, N: int
                  ) -> Tuple[np.ndarray, Tuple[CircleFunction, ...]]:
     """The carriers z^0 .. z^(n-1) on the N-point grid, 1 <= n <= N/2:
-    their read-only (n, N) sample block and the functions.  A row of a
-    block transform is bit for bit its own 1-D transform, so a kept
-    block serves every smaller n."""
-    if n * N > _KEPT_CARRIER_POINTS:
-        return _build_carriers(n, N)
-    samples, carriers = _kept_carriers(N)
-    return samples[:n], carriers[:n]
-
-
-@functools.lru_cache(maxsize=4)
-def _kept_carriers(N: int) -> Tuple[np.ndarray, Tuple[CircleFunction, ...]]:
-    return _build_carriers(min(_KEPT_CARRIER_POINTS // N, N // 2), N)
+    their read-only (n, N) sample block and the functions, kept when the
+    block has at most _KEPT_POINTS samples (see _kept)."""
+    return _kept(_build_carriers, n, N, n * N)
 
 
 def _build_carriers(n: int, N: int
@@ -445,7 +403,7 @@ def decompose_zn(f: CircleFunction, n: int) -> DecompositionResult:
     Component i holds the coefficients of f with index congruent to i
     mod n, moved down by i; every other coefficient is an exact zero.
     The components come from one block transform; small splits share
-    their carriers with earlier calls on the same grid.
+    their carriers with earlier calls of the same n on the same grid.
     """
     require_analytic(f, "decompose_zn")
     n = _check_modulus(n, f.n_samples)

@@ -276,8 +276,9 @@ def b_inner_matrix_from(phis: Sequence[CircleFunction], spec: BlaschkeSpec,
 
     <B^m phi_a, phi_b> is the m-th Fourier coefficient of (H^* H)_ba, so
     the family is jointly B-inner exactly when H^* H = I on the circle.
-    The columns are split at the family's largest automatic cutoff, on
-    one phase grid where an inverse FFT of the rows gives the h_ij.
+    The columns are split at the family's largest automatic cutoff m; an
+    inverse FFT of the rows gives the h_ij on M >= 64 points, the power
+    of two above 2 m, so that H^* H's coefficients up to m do not alias.
     """
     m_max = _count(m_max, "m_max")
     r = len(phis)
@@ -290,7 +291,8 @@ def b_inner_matrix_from(phis: Sequence[CircleFunction], spec: BlaschkeSpec,
     if any(phi.n_samples != N for phi in phis):
         raise SizeError("all columns must share one grid")
     decs = _split_blaschke(phis, spec, None, "b_inner_matrix_from")
-    M = decs[0].phase_grid
+    m = decs[0].basis_coefficients.shape[1] - 1
+    M = 1 << max(6, (2 * m + 1).bit_length())
     # H[i, l, j] = h_ij(exp(2 pi i l / M))
     H = M * np.fft.ifft(np.stack([d.basis_coefficients for d in decs], 2),
                         n=M, axis=1)

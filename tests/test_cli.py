@@ -137,11 +137,11 @@ def test_decompose_blaschke_zeros_near_circle(workdir):
     assert res.returncode == 0
     payload = json.loads(res.stdout)
     assert payload["residual"] <= 1e-10
-    assert payload["phase_grid"] >= 2 * (payload["m_max"] + 1)
+    assert payload["m_max"] == 2  # 2z + z^2 along B = z B~
 
 
 def test_decompose_blaschke_refuses_zeros_at_max_modulus(workdir):
-    # no zero at the origin: the phase-node budget binds
+    # no zero at the origin: the budget of series terms binds
     r = MAX_ZERO_MODULUS
     zeros = workdir / "edge.json"
     atomic_write_text(str(zeros), dump_json(
@@ -149,7 +149,7 @@ def test_decompose_blaschke_refuses_zeros_at_max_modulus(workdir):
     res = run_cli("decompose", "--fn", str(workdir / "poly.json"),
                   "--mode", "blaschke", "--zeros", str(zeros))
     assert res.returncode == 1
-    assert "phase nodes" in res.stderr
+    assert "series terms" in res.stderr
     assert res.stdout == ""
 
 
@@ -164,8 +164,7 @@ def test_decompose_blaschke_at_max_modulus_with_a_zero_at_the_origin(workdir):
     assert res.returncode == 0
     payload = json.loads(res.stdout)
     assert payload["m_max"] == 2
-    assert payload["phase_grid"] == 64
-    assert payload["residual"] <= 1e-10 * np.sqrt(5.0)
+    assert payload["residual"] == 0.0
 
 
 def test_norm_audit_passes_for_p2():

@@ -342,34 +342,54 @@ def test_blaschke_splits_a_tiny_monomial():
 
 
 def test_blaschke_zeros_near_circle_decompose():
-    zeros = (0.0, 0.99, -0.99j)
+    # with a zero at the origin, without one, and along a single zero
     taylor = _random_taylor(7)
     f = synthesize(dict(enumerate(taylor)), 1024)
-    res = decompose_blaschke(f, BlaschkeSpec(zeros))
     energy = float(np.sum(np.abs(taylor) ** 2))
-    c = res.basis_coefficients
-    assert res.residual <= 1e-10
-    assert abs(float(np.sum(np.abs(c) ** 2)) - energy) <= 1e-9 * energy
-    assert res.phase_grid >= 2 * c.shape[1]
     # Closed form: e(j, m) = e(j, 0) B^m sampled on a grid fine enough
     # that conj(e(j, m)) aliases nothing onto f's band (0.99^16384 ~ 1e-72).
     z = np.exp(2j * np.pi * np.arange(16384) / 16384)
-    carriers, b = _circle_factors(zeros, z)
     fz = np.polynomial.polynomial.polyval(z, taylor)
-    for j, m in ((0, 0), (1, 1), (2, 4)):
-        want = np.mean(fz * np.conj(carriers[j] * b ** m))
-        assert abs(c[j, m] - want) <= 1e-10 * np.sqrt(energy)
+    for zeros in ((0.0, 0.99, -0.99j), (0.99, -0.99j), (0.97,)):
+        res = decompose_blaschke(f, BlaschkeSpec(zeros))
+        c = res.basis_coefficients
+        assert res.residual <= 1e-10
+        assert abs(float(np.sum(np.abs(c) ** 2)) - energy) <= 1e-9 * energy
+        carriers, b = _circle_factors(zeros, z)
+        for j, m in ((0, 0), (1, 1), (2, 4), (0, 9)):
+            j = min(j, len(zeros) - 1)
+            want = np.mean(fz * np.conj(carriers[j] * b ** m))
+            assert abs(c[j, m] - want) <= 1e-10 * np.sqrt(energy)
+
+
+@pytest.mark.parametrize("zeros", [(0.0, 0.5, -0.5j), (0.3,), (0.9,),
+                                   (0.1 + 0.2j, -0.4, 0.6j), (0.97,)])
+def test_blaschke_pythagoras_holds_with_the_residual(zeros):
+    # below the automatic cutoff the residual is the exact norm of the
+    # rest: sum |c_jm|^2 + residual^2 = ||f||^2
+    spec = BlaschkeSpec(zeros)
+    for seed in range(3):
+        taylor = _random_taylor(60 + seed)
+        f = synthesize(dict(enumerate(taylor)), 1024)
+        auto = decompose_blaschke(f, spec).basis_coefficients.shape[1] - 1
+        energy = float(np.sum(np.abs(taylor) ** 2))
+        for m_max in (0, 3, auto // 2):
+            res = decompose_blaschke(f, spec, m_max)
+            assert res.residual > 0.0
+            total = (float(np.sum(np.abs(res.basis_coefficients) ** 2))
+                     + res.residual ** 2)
+            assert abs(total - energy) <= 1e-13 * energy
 
 
 def test_blaschke_refuses_zeros_at_max_modulus_before_allocating():
     # with no zero at the origin the cutoff follows the winding rate, and
-    # the phase-node budget binds
+    # the budget of series terms binds
     f = synthesize(dict(enumerate(_random_taylor(7))), 1024)
     r = MAX_ZERO_MODULUS
     spec = BlaschkeSpec((r, -1j * r))
     tracemalloc.start()
     try:
-        with pytest.raises(ParameterError, match="phase nodes"):
+        with pytest.raises(ParameterError, match="series terms"):
             decompose_blaschke(f, spec)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -378,7 +398,8 @@ def test_blaschke_refuses_zeros_at_max_modulus_before_allocating():
 
 
 def test_blaschke_accepts_zeros_at_max_modulus_with_a_zero_at_the_origin():
-    # B = z B~: the cutoff is exact at degree // 1 = 24, on 64 phase nodes
+    # B = z B~: the cutoff is exact at degree // 1 = 24, and so is the
+    # residual
     taylor = _random_taylor(7)
     f = synthesize(dict(enumerate(taylor)), 1024)
     r = MAX_ZERO_MODULUS
@@ -386,8 +407,7 @@ def test_blaschke_accepts_zeros_at_max_modulus_with_a_zero_at_the_origin():
     energy = float(np.sum(np.abs(taylor) ** 2))
     c = res.basis_coefficients
     assert c.shape == (3, 25)
-    assert res.phase_grid == 64
-    assert res.residual <= 1e-10 * np.sqrt(energy)
+    assert res.residual == 0.0
     assert abs(float(np.sum(np.abs(c) ** 2)) - energy) <= 1e-10 * energy
 
 
@@ -404,7 +424,8 @@ _ORIGIN_SETS = {
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_blaschke_cutoff_is_exact_with_zeros_at_the_origin(k, r):
     # Every e(j, m) lies in z^(m k) H^2, so past m = 24 // k the pairings
-    # of a degree-24 input are zero: a run to m = 300 adds only rounding.
+    # of a degree-24 input, and the rest they leave, are exact zeros: the
+    # step moves the band down by k, and a run to m = 300 adds only zeros.
     spec = BlaschkeSpec(_ORIGIN_SETS[k](r))
     for seed in range(3):
         taylor = _random_taylor(seed)
@@ -414,11 +435,10 @@ def test_blaschke_cutoff_is_exact_with_zeros_at_the_origin(k, r):
         scale = np.linalg.norm(taylor)
         c = auto.basis_coefficients
         assert c.shape == (spec.degree, 24 // k + 1)
-        assert auto.phase_grid == 64
         assert np.max(np.abs(c - full.basis_coefficients[:, :c.shape[1]])
                       ) <= 1e-13 * scale
-        assert np.max(np.abs(full.basis_coefficients[:, c.shape[1]:])
-                      ) <= 1e-14 * scale
+        assert np.all(full.basis_coefficients[:, c.shape[1]:] == 0.0)
+        assert auto.residual == 0.0 and full.residual == 0.0
 
 
 @pytest.mark.parametrize("r", [0.9, 0.999])
@@ -468,17 +488,16 @@ def _origin_zero_sets():
 @pytest.mark.parametrize("zeros", _origin_zero_sets())
 def test_blaschke_near_circle_with_a_zero_at_the_origin_resolves_or_raises(
         zeros):
-    # Newton on the phase must bring every node to its own sheet: a node
-    # left unconverged or on a neighbouring sheet once gave a quiet
-    # residual of 0.1
+    # every such set resolves, to an exact residual: a quadrature at the
+    # preimages of a phase grid, with a node on a neighbouring sheet, once
+    # gave a quiet residual of 0.1 here
     taylor = _random_taylor(len(zeros))
     f = synthesize(dict(enumerate(taylor)), 1024)
-    try:
-        res = decompose_blaschke(f, BlaschkeSpec(zeros))
-    except ParameterError as exc:
-        assert "phase nodes" in str(exc)
-        return
-    assert res.residual <= 1e-10 * np.linalg.norm(taylor)
+    res = decompose_blaschke(f, BlaschkeSpec(zeros))
+    energy = float(np.sum(np.abs(taylor) ** 2))
+    assert res.residual == 0.0
+    assert abs(float(np.sum(np.abs(res.basis_coefficients) ** 2)) - energy
+               ) <= 1e-13 * energy
 
 
 def test_blaschke_split_refuses_an_infinite_coefficient():
@@ -493,35 +512,26 @@ def test_blaschke_split_refuses_an_infinite_coefficient():
 
 @pytest.fixture
 def cold_blaschke_tables():
-    """No kept Blaschke tables before or after the test, so a test that
-    patches what builds them neither reads a table built without the
-    patch nor leaves one built with it."""
+    """No kept tables (Blaschke tables and carrier blocks) before or after
+    the test, so a test that counts or patches them neither reads a table
+    built before it nor leaves one built with a patch."""
     decomp._kept_tables.cache_clear()
     yield
     decomp._kept_tables.cache_clear()
 
 
-def test_phase_nodes_that_cannot_converge_raise(monkeypatch,
-                                                cold_blaschke_tables):
-    # with no room for rounding no node converges, which raises at the
-    # step cap
-    monkeypatch.setattr(decomp, "_PHASE_ROUNDING", 0.0)
-    f = synthesize(dict(enumerate(_random_taylor(3))), 1024)
-    with pytest.raises(ParameterError, match="phase nodes"):
-        decompose_blaschke(f, BlaschkeSpec((0.0, 0.9, -0.9j)))
-
-
-def test_only_small_carrier_blocks_outlive_their_split():
-    decomp._kept_carriers.cache_clear()
+def test_only_small_carrier_blocks_outlive_their_split(cold_blaschke_tables):
     f = synthesize({j: 1.0 for j in range(200)}, 512)
     dec = decompose_zn(f, 128)  # a 128 x 512 block: built, not kept
     assert len(dec.carriers) == 128
-    assert decomp._kept_carriers.cache_info().currsize == 0
+    assert decomp._kept_tables.cache_info().currsize == 0
     small = decompose_zn(f, 4)
-    assert decomp._kept_carriers.cache_info().currsize == 1
-    kept_samples, _ = decomp._kept_carriers(512)
-    assert kept_samples.size <= decomp._KEPT_CARRIER_POINTS
-    assert decompose_zn(f, 3).carriers == small.carriers[:3]
+    assert decomp._kept_tables.cache_info().currsize == 1
+    assert decompose_zn(f, 4).carriers is small.carriers
+    # a row of a block transform is bit for bit its own 1-D transform
+    three = [_function_bits(g) for g in decompose_zn(f, 3).carriers]
+    assert three == [_function_bits(g) for g in small.carriers[:3]]
+    assert three == [_function_bits(g) for g in dec.carriers[:3]]
     # a result holding functions converts and copies like any dataclass
     as_dict = dataclasses.asdict(small)
     assert as_dict["carriers"][3].coeffs.tobytes() == \
@@ -534,7 +544,7 @@ def _function_bits(g):
 
 def _split_bits(res):
     return (res.basis_coefficients.tobytes(), repr(res.residual),
-            res.phase_grid, [_function_bits(g) for g in res.components],
+            [_function_bits(g) for g in res.components],
             [_function_bits(g) for g in res.carriers])
 
 
@@ -556,7 +566,7 @@ def test_kept_blaschke_tables_give_the_bits_of_a_fresh_build(
                         _matrix_bits)):
         kept.cache_clear()
         cold = bits(call())
-        assert kept.cache_info().currsize == 2  # quadrature and grid view
+        assert kept.cache_info().currsize == 2  # step matrix, grid view
         hits = kept.cache_info().hits
         assert bits(call()) == cold
         assert kept.cache_info().hits > hits
@@ -574,30 +584,28 @@ def test_signed_zero_zeros_get_their_own_blaschke_tables(
 
 def test_only_small_blaschke_tables_outlive_their_split(
         cold_blaschke_tables):
-    # no zero at the origin: 8192 phase targets on 2 sheets, whose
-    # quadrature is built and freed with the split; B's grid view on
-    # 1024 points is kept
-    r = 0.99
-    f = synthesize(dict(enumerate(_random_taylor(44, 7))), 1024)
-    res = decompose_blaschke(f, BlaschkeSpec((r, -1j * r)))
-    assert res.phase_grid * 2 * 4 > decomp._KEPT_BLASCHKE_POINTS
+    # degree 100 along two zeros: a (2 + 101) x 101 step matrix, built and
+    # freed with the split; B's grid view on 1024 points is kept
+    f = synthesize(dict(enumerate(_random_taylor(44, 100))), 1024)
+    decompose_blaschke(f, BlaschkeSpec((0.3, -0.4j)))
+    assert 103 * 101 > decomp._KEPT_POINTS
     assert decomp._kept_tables.cache_info().currsize == 1
     # a grid view of (2 * 3 + 1) * 4096 points is not kept either; the
-    # 64-target quadrature of that split is
-    f = synthesize(dict(enumerate(_random_taylor(44, 7))), 4096)
+    # 10 x 7 step matrix of that split is
+    f = synthesize(dict(enumerate(_random_taylor(44, 6))), 4096)
     decompose_blaschke(f, BlaschkeSpec((0.0, 0.3, 0.4j)))
     assert decomp._kept_tables.cache_info().currsize == 2
 
 
 def test_kept_blaschke_tables_are_read_only(cold_blaschke_tables):
     spec = BlaschkeSpec((0.0, 0.6, -0.6j))
-    nodes, _, weights, at_nodes = decomp._kept(decomp._phase_quadrature,
-                                               spec, 64, 0)
+    step = decomp._kept(decomp._build_step, decomp._zeros_bits(spec), 24, 0)
     bz, carriers = decomp._grid_view(spec, 1024)
-    assert decomp._kept_tables.cache_info().currsize == 2
-    for table in (nodes, weights, *at_nodes, bz,
-                  *(c.samples for c in carriers),
-                  *(c.coeffs for c in carriers)):
+    block, zn_carriers = decomp._zn_carriers(4, 1024)
+    assert decomp._kept_tables.cache_info().currsize == 3
+    for table in (step, bz, block, *(c.samples for c in carriers),
+                  *(c.coeffs for c in carriers),
+                  *(c.coeffs for c in zn_carriers)):
         with pytest.raises(ValueError, match="read-only"):
             table[...] = 0.0
 

@@ -65,11 +65,13 @@ def test_significance_and_fejer_profile_are_scale_free(f, c):
                      derandomize=True)
 @hypothesis.given(poly, scale, st.sampled_from([
     (0.0, 0.5, -0.5j), (0.0,) * 3, (0.3 + 0.2j, -0.6), (0.8j,)]))
-def test_blaschke_cutoff_and_phase_grid_are_scale_free(f, c, zeros):
+def test_blaschke_cutoff_and_exact_zeros_are_scale_free(f, c, zeros):
     spec = BlaschkeSpec(zeros)
     unit, scaled = (decompose_blaschke(g, spec) for g in (f, c * f))
     assert scaled.basis_coefficients.shape == unit.basis_coefficients.shape
-    assert scaled.phase_grid == unit.phase_grid
+    np.testing.assert_array_equal(scaled.basis_coefficients == 0.0,
+                                  unit.basis_coefficients == 0.0)
+    assert (scaled.residual == 0.0) == (unit.residual == 0.0)
 
 
 @pytest.mark.parametrize("c", [1.0, 1e-14, 1e-100])
