@@ -157,8 +157,8 @@ def _split_blaschke(fs: Sequence[CircleFunction], spec: BlaschkeSpec,
     N.  A step is one product of the step matrix with each input's band:
     the first p n entries are the next p powers' pairings and the rest
     is the band p powers on (see _pairings).  The pieces on the grid are
-    read-only rows of one block (see _series_in).
-    A non-analytic input is refused in the name of the caller who."""
+    read-only rows of one block (see _series_in).  A non-analytic input
+    is refused in the name of the caller who."""
     for f in fs:
         require_analytic(f, who)
     degrees = [f.top_index() for f in fs]
@@ -170,7 +170,7 @@ def _split_blaschke(fs: Sequence[CircleFunction], spec: BlaschkeSpec,
     if terms > MAX_SERIES_TERMS:
         raise ParameterError(f"decomposition needs {terms} series terms, more "
                              f"than {MAX_SERIES_TERMS}; move the zeros inward")
-    step = _kept(_build_step, _zeros_bits(spec), d,  # at most as many points
+    step = _kept(_build_step, _zeros_bits(spec), d,  # a bound on its points
                  (max(n, _STEP_PAIRINGS) + d + 1) * (d + 1))
     # The negative-index part of f pairs to zero with every e(j, m), and
     # the Taylor tail beyond the degree is rounding dust.

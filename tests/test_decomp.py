@@ -383,14 +383,16 @@ def test_blaschke_pythagoras_holds_with_the_residual(zeros):
 
 def test_blaschke_refuses_zeros_at_max_modulus_before_allocating():
     # with no zero at the origin the cutoff follows the winding rate, and
-    # the budget of series terms binds
+    # the budget of series terms binds, on the automatic cutoff even when
+    # a lower m_max is asked for
     f = synthesize(dict(enumerate(_random_taylor(7))), 1024)
     r = MAX_ZERO_MODULUS
     spec = BlaschkeSpec((r, -1j * r))
     tracemalloc.start()
     try:
-        with pytest.raises(ParameterError, match="series terms"):
-            decompose_blaschke(f, spec)
+        for m_max in (None, 5):
+            with pytest.raises(ParameterError, match="series terms"):
+                decompose_blaschke(f, spec, m_max)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -703,6 +705,25 @@ def test_one_zero_split_runs_its_product_on_one_blas_thread(monkeypatch,
     res = decompose_blaschke(f, BlaschkeSpec((0.9,)))
     assert res.basis_coefficients.shape[0] == 1
     assert seen == [1] and int(get()) == 2
+
+
+def test_pairing_steps_run_on_one_blas_thread(blas_threads):
+    # from about 2^13 points (degree 90 along three zeros) OpenBLAS would
+    # thread each step's matrix-vector product
+    get, _ = blas_threads
+    seen = []
+
+    class Spy(np.ndarray):
+        def __matmul__(self, other):
+            seen.append(int(get()))
+            return np.asarray(self) @ other
+
+    spec = BlaschkeSpec((0.0, 0.5, -0.5j))
+    step = decomp._build_step(decomp._zeros_bits(spec), 120).view(Spy)
+    assert step.size > 1 << 13
+    v = _random_taylor(52, 120)[None, :, None]
+    decomp._pairings(step, v, 3, 30)
+    assert seen and set(seen) == {1} and int(get()) == 2
 
 
 def test_baby_step_table_stays_within_its_bound(monkeypatch):
