@@ -153,12 +153,12 @@ def _split_blaschke(fs: Sequence[CircleFunction], spec: BlaschkeSpec,
     """decompose_blaschke for inputs on one grid, on the band of the
     largest degree d; m_max=None takes the largest of their automatic
     cutoffs.  What does not depend on the inputs is kept per B (see
-    _kept): the step matrix per d (see _build_step) and B's grid view per
-    N.  A step is one product of the step matrix with each input's band:
-    the first p n entries are the next p powers' pairings and the rest
-    is the band p powers on (see _pairings).  The pieces on the grid are
-    read-only rows of one block (see _series_in).  A non-analytic input
-    is refused in the name of the caller who."""
+    _kept): the step per d and p (see _build_step) and B's grid view per
+    N.  A step pairs each input's band with the step's rows, the next p
+    powers' pairings, and correlates it with B^p, the band p powers on
+    (see _pairings).  The pieces on the grid are read-only rows of one
+    block (see _series_in).  A non-analytic input is refused in the name
+    of the caller who."""
     for f in fs:
         require_analytic(f, who)
     degrees = [f.top_index() for f in fs]
@@ -170,15 +170,17 @@ def _split_blaschke(fs: Sequence[CircleFunction], spec: BlaschkeSpec,
     if terms > MAX_SERIES_TERMS:
         raise ParameterError(f"decomposition needs {terms} series terms, more "
                              f"than {MAX_SERIES_TERMS}; move the zeros inward")
-    step = _kept(_build_step, _zeros_bits(spec), d,  # a bound on its points
-                 (max(n, _STEP_PAIRINGS) + d + 1) * (d + 1))
+    p = _step_powers(n, d, m_max + 1)
+    at_origin = int(np.count_nonzero(np.asarray(spec.zeros) == 0))
+    step = _kept(_build_step, _zeros_bits(spec), (d, p),
+                 p * n * (d + 1) + _product_size(d))
     # The negative-index part of f pairs to zero with every e(j, m), and
     # the Taylor tail beyond the degree is rounding dust.
     half = fs[0].n_samples // 2
-    v = np.zeros((len(fs), d + 1, 1), dtype=complex)
+    v = np.zeros((len(fs), d + 1), dtype=complex)
     for k, (f, degree) in enumerate(zip(fs, degrees)):
-        v[k, :degree + 1, 0] = f.coeffs[half:half + degree + 1]
-    coeffs, rest = _pairings(step, v, n, m_max + 1)
+        v[k, :degree + 1] = f.coeffs[half:half + degree + 1]
+    coeffs, rest = _pairings(step, v, n, m_max + 1, at_origin * p)
     bz, carriers = _grid_view(spec, fs[0].n_samples)
     # piece j of input k: sum_m c_kjm B^m, a read-only row of one block
     series = _series_in if n > 1 else _one_row_series_in
@@ -191,21 +193,30 @@ def _split_blaschke(fs: Sequence[CircleFunction], spec: BlaschkeSpec,
 
 
 @_one_blas_thread
-def _pairings(step: np.ndarray, v: np.ndarray, n: int, terms: int):
-    """The pairings of each band in the (k, d + 1, 1) stack v with powers
+def _pairings(step, v: np.ndarray, n: int, terms: int, drop: int):
+    """The pairings of each band in the (k, d + 1) stack v with powers
     0 .. terms - 1, as (k, n, terms), and the rest, whose l2 norm is what
     they leave of the band: the last step's pairings past them and the
-    band after it.  One product per input and step, so an input's bits do
-    not depend on the others split with it at its degree, on one BLAS
-    thread: OpenBLAS threads one of 2^13 points (degree 90, three zeros)."""
-    k, width = v.shape[:2]
-    block = step.shape[0] - width  # pairings per step
-    out = np.empty((k, -(-terms * n // block) * block), dtype=complex)
+    band after it.  A step of p powers (see _build_step) pairs the band
+    with the kept rows, one product per input, and correlates it with
+    B^p by one FFT of each row, so an input's bits do not depend on the
+    others split with it at its degree.  B^p has drop = k p leading
+    coefficients that are exact zeros, k zeros at the origin, so the
+    band loses its top drop entries a step and ends empty at the exact
+    cutoff.  On one BLAS thread: OpenBLAS threads a product of 2^13
+    points (degree 90, three zeros)."""
+    rows, kernel = step
+    k = v.shape[0]
+    block = rows.shape[0]  # pairings per step
+    out = np.zeros((k, -(-terms * n // block) * block), dtype=complex)
     for start in range(0, terms * n, block):
-        w = step @ v
-        out[:, start:start + block] = w[:, :block, 0]
-        v = w[:, block:]
-    rest = np.concatenate([out[:, terms * n:], v[:, :, 0]], axis=1)
+        width = v.shape[1]
+        if not width:
+            break
+        out[:, start:start + block] = (rows[:, :width] @ v[..., None])[..., 0]
+        v = np.fft.ifft(np.fft.fft(v, kernel.size) * kernel)[
+            :, :max(width - drop, 0)]
+    rest = np.concatenate([out[:, terms * n:], v], axis=1)
     return np.ascontiguousarray(
         out[:, :terms * n].reshape(k, terms, n).transpose(0, 2, 1)), rest
 
@@ -286,40 +297,72 @@ def _zeros_bits(spec: BlaschkeSpec) -> bytes:
     return np.asarray(spec.zeros, complex).tobytes()
 
 
-# About this many pairings come from one step of a Blaschke split (see
-# _build_step): a power then costs a share of one product, and the step
-# matrix of a degree-24 input holds about 1000 points.
-_STEP_PAIRINGS = 16
+# A step of a Blaschke split gives up to this many pairings when a larger
+# step would not fit the kept store (see _step_powers).
+_STEP_PAIRINGS = 32
 
 
-def _build_step(zeros: bytes, d: int) -> np.ndarray:
-    """B's read-only step matrix on the Taylor band 0 .. d for p powers,
-    p = max(1, _STEP_PAIRINGS // n): in row q n + j the conjugated
-    coefficients of e(j, q) = e(j, 0) B^q, q < p, then (T^H)^p, the
-    Toeplitz matrix of B^p's conjugated coefficients, so that one product
-    with a band gives the next p powers' pairings and the band p powers
-    on.  By truncated convolution over the zeros: (z - a)/(1 - conj(a) z)
-    is -a + (1 - |a|^2) sum_(i>=1) conj(a)^(i-1) z^i, and e(j, 0) is
-    sqrt(1 - |a|^2) sum_i conj(a)^i z^i times B_j.  A zero at the origin
-    gives z exactly, so the first q k coefficients of B^q and e(j, q) are
-    exact zeros when k zeros are there."""
-    spec = BlaschkeSpec(tuple(np.frombuffer(zeros, complex)))
-    unit = np.eye(1, d + 1, dtype=complex)[0]
-    carriers, b = [], unit  # b: B_j, then B
-    for a in spec.zeros:
-        powers = np.cumprod(np.append(1.0 + 0.0j, np.full(d, np.conj(a))))
-        kernel = np.sqrt(1.0 - abs(a) ** 2) * powers
-        carriers.append(np.convolve(kernel, b)[:d + 1])
-        factor = np.append(-a, (1.0 - abs(a) ** 2) * powers[:-1])
-        b = np.convolve(factor, b)[:d + 1]
-    rows, bq = [], unit  # bq: B^q
-    for _ in range(max(1, _STEP_PAIRINGS // spec.degree)):
-        rows += [np.convolve(e, bq)[:d + 1] for e in carriers]
-        bq = np.convolve(bq, b)[:d + 1]
-    # (T^H)^p[i, l] = conj(B^p_(l - i)) for l >= i
-    lag = np.arange(d + 1) - np.arange(d + 1)[:, None]
-    shift = np.where(lag >= 0, np.conj(bq)[np.maximum(lag, 0)], 0.0)
-    return _frozen(np.vstack([np.conj(rows), shift]))
+def _step_powers(n: int, d: int, terms: int) -> int:
+    """p, the powers of B one step of a split advances, n zeros and degree
+    d: the smallest power of two that covers the terms, cut to the
+    largest whose step (see _build_step) the store keeps, or to the
+    largest with p n <= _STEP_PAIRINGS if that is more.  A step then
+    holds at most about max(_KEPT_POINTS, 32 (d + 1)) points, and costs
+    one FFT of the band per p powers on top of n (d + 1) multiply-adds
+    per power."""
+    p = 1
+    while p < terms and (2 * p * n * (d + 1) + _product_size(d) <= _KEPT_POINTS
+                         or 2 * p * n <= _STEP_PAIRINGS):
+        p *= 2
+    return p
+
+
+def _product_size(d: int) -> int:
+    """FFT length for products of Taylor rows 0 .. d: above 2 d, so
+    neither a product cut to 0 .. d nor a correlation wraps."""
+    return 1 << (2 * d).bit_length()
+
+
+def _build_step(zeros: bytes, shape: Tuple[int, int]):
+    """B's read-only step on the Taylor band 0 .. d for p powers, shape
+    (d, p), p a power of two: the (p n, d + 1) rows whose row q n + j
+    holds the conjugated coefficients of e(j, q) = e(j, 0) B^q, and the
+    spectrum of the correlation with B^p, (T^H)^p, so that a band's
+    product with the rows gives the next p powers' pairings and its
+    correlation the band p powers on.  The coefficients come by closed
+    form per zero and FFT products cut to the band: (z - a)/(1 - conj(a)
+    z) is -a + (1 - |a|^2) sum_(i>=1) conj(a)^(i-1) z^i, and e(j, 0) is
+    sqrt(1 - |a|^2) sum_i conj(a)^i z^i times B_j; rows and B^p double
+    from q = 1.  A zero at the origin gives z exactly, so the leading
+    coefficients of B^q and e(j, q) that vanish are set to exact zeros."""
+    d, p = shape
+    zeros = np.frombuffer(zeros, complex)
+    size = _product_size(d)
+
+    def times(x, y):  # Taylor rows 0 .. d of x y, in their precision
+        return np.fft.ifft(np.fft.fft(x, size) * np.fft.fft(y, size))[
+            ..., :d + 1]
+
+    i = np.arange(d + 1)
+    # B is built in extended precision: each product adds rounding to
+    # B^p, and the split applies it m / p times
+    carriers, b = [], np.eye(1, d + 1, dtype=np.clongdouble)[0]
+    for a in zeros.astype(np.clongdouble):  # b: B_j, then B
+        powers = np.cumprod(np.append(np.clongdouble(1.0),
+                                      np.full(d, np.conj(a))))
+        carriers.append(times(np.sqrt(1.0 - abs(a) ** 2) * powers, b))
+        b = times(np.append(-a, (1.0 - abs(a) ** 2) * powers[:-1]), b)
+    rows = np.array(carriers, dtype=complex)[None]  # (q, n, d + 1)
+    while rows.shape[0] < p:  # rows 0 .. q - 1 and b = B^q
+        rows = np.concatenate([rows, times(rows, b.astype(complex))])
+        b = times(b, b)
+    # leading zeros: one per zero at the origin before slot j, k per power
+    origin = np.append(0, np.cumsum(zeros == 0))
+    lead = origin[:-1] + origin[-1] * np.arange(p)[:, None]
+    rows[i < lead[..., None]] = 0.0
+    b[:origin[-1] * p] = 0.0
+    return (_frozen(np.conj(rows).reshape(p * len(zeros), d + 1)),
+            _frozen(np.conj(np.fft.fft(b.astype(complex), size))))
 
 
 def _grid_view(spec: BlaschkeSpec, N: int):

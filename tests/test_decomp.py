@@ -381,6 +381,26 @@ def test_blaschke_pythagoras_holds_with_the_residual(zeros):
             assert abs(total - energy) <= 1e-13 * energy
 
 
+@pytest.mark.parametrize("zeros", [(0.5, 0.2j), (0.0, 0.5, -0.5j)])
+def test_a_full_band_blaschke_split_stays_in_linear_memory(zeros):
+    # degree 2047 on 4096 points: a dense step on the band would hold
+    # (d + 1)^2 points, 64 MiB; its rows and band FFTs hold O(d), and the
+    # whole split peaks near 3 MiB
+    taylor = _random_taylor(61, 2047)
+    f = synthesize(dict(enumerate(taylor)), 4096)
+    tracemalloc.start()
+    try:
+        res = decompose_blaschke(f, BlaschkeSpec(zeros))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+    energy = float(np.sum(np.abs(taylor) ** 2))
+    total = (float(np.sum(np.abs(res.basis_coefficients) ** 2))
+             + res.residual ** 2)
+    assert abs(total - energy) <= 1e-13 * energy
+
+
 def test_blaschke_refuses_zeros_at_max_modulus_before_allocating():
     # with no zero at the origin the cutoff follows the winding rate, and
     # the budget of series terms binds, on the automatic cutoff even when
@@ -586,14 +606,16 @@ def test_signed_zero_zeros_get_their_own_blaschke_tables(
 
 def test_only_small_blaschke_tables_outlive_their_split(
         cold_blaschke_tables):
-    # degree 100 along two zeros: a (2 + 101) x 101 step matrix, built and
-    # freed with the split; B's grid view on 1024 points is kept
-    f = synthesize(dict(enumerate(_random_taylor(44, 100))), 1024)
+    # degree 300 along two zeros: a step of 32 rows of 301 points and a
+    # 1024-point spectrum, built and freed with the split; B's grid view
+    # on 1024 points is kept
+    f = synthesize(dict(enumerate(_random_taylor(44, 300))), 1024)
     decompose_blaschke(f, BlaschkeSpec((0.3, -0.4j)))
-    assert 103 * 101 > decomp._KEPT_POINTS
+    assert decomp._step_powers(2, 300, 400) == 16
+    assert 32 * 301 + 1024 > decomp._KEPT_POINTS
     assert decomp._kept_tables.cache_info().currsize == 1
     # a grid view of (2 * 3 + 1) * 4096 points is not kept either; the
-    # 10 x 7 step matrix of that split is
+    # step of that split is
     f = synthesize(dict(enumerate(_random_taylor(44, 6))), 4096)
     decompose_blaschke(f, BlaschkeSpec((0.0, 0.3, 0.4j)))
     assert decomp._kept_tables.cache_info().currsize == 2
@@ -601,11 +623,12 @@ def test_only_small_blaschke_tables_outlive_their_split(
 
 def test_kept_blaschke_tables_are_read_only(cold_blaschke_tables):
     spec = BlaschkeSpec((0.0, 0.6, -0.6j))
-    step = decomp._kept(decomp._build_step, decomp._zeros_bits(spec), 24, 0)
+    rows, kernel = decomp._kept(decomp._build_step, decomp._zeros_bits(spec),
+                                (24, 4), 0)
     bz, carriers = decomp._grid_view(spec, 1024)
     block, zn_carriers = decomp._zn_carriers(4, 1024)
     assert decomp._kept_tables.cache_info().currsize == 3
-    for table in (step, bz, block, *(c.samples for c in carriers),
+    for table in (rows, kernel, bz, block, *(c.samples for c in carriers),
                   *(c.coeffs for c in carriers),
                   *(c.coeffs for c in zn_carriers)):
         with pytest.raises(ValueError, match="read-only"):
@@ -719,10 +742,11 @@ def test_pairing_steps_run_on_one_blas_thread(blas_threads):
             return np.asarray(self) @ other
 
     spec = BlaschkeSpec((0.0, 0.5, -0.5j))
-    step = decomp._build_step(decomp._zeros_bits(spec), 120).view(Spy)
-    assert step.size > 1 << 13
-    v = _random_taylor(52, 120)[None, :, None]
-    decomp._pairings(step, v, 3, 30)
+    p = decomp._step_powers(3, 500, 30)
+    rows, kernel = decomp._build_step(decomp._zeros_bits(spec), (500, p))
+    assert rows.size > 1 << 13
+    v = _random_taylor(52, 500)[None, :]
+    decomp._pairings((rows.view(Spy), kernel), v, 3, 30, p)
     assert seen and set(seen) == {1} and int(get()) == 2
 
 
