@@ -131,10 +131,11 @@ def decompose_blaschke(f: CircleFunction, spec: BlaschkeSpec,
     The pairings are exact finite sums on the Taylor band 0 .. d of f.
     P+(conj(B) g) is in the band with g, so the adjoint of multiplication
     by B acts there as T^H, T the lower-triangular Toeplitz matrix of B's
-    Taylor coefficients 0 .. d, and <f, e(j, m)> = <(T^H)^m f, e(j, 0)>
-    (see _build_step).  As ||T|| <= sup |B| = 1, rounding does not grow
-    with m.  With k zeros at the origin T^H moves the band down by k, so
-    every pairing past d // k is an exact zero.  More than
+    Taylor coefficients 0 .. d, and <f, e(j, m)> = <(T^H)^m f, e(j, 0)>,
+    with (T^H)^p an FFT correlation (see _build_step).  As ||T|| <= 1,
+    rounding is not amplified from step to step.  With k zeros at the
+    origin T^H moves the band down by k, so every pairing past d // k is
+    an exact zero.  More than
     MAX_SERIES_TERMS = 2^19 series terms, n (m + 1) for n zeros and m
     the larger of m_max and the automatic cutoff, raise ParameterError
     before anything is allocated.  The residual, ||(T^H)^(m_max + 1) f||
@@ -153,10 +154,8 @@ def _split_blaschke(fs: Sequence[CircleFunction], spec: BlaschkeSpec,
     """decompose_blaschke for inputs on one grid, on the band of the
     largest degree d; m_max=None takes the largest of their automatic
     cutoffs.  What does not depend on the inputs is kept per B (see
-    _kept): the step per d and p (see _build_step) and B's grid view per
-    N.  A step pairs each input's band with the step's rows, the next p
-    powers' pairings, and correlates it with B^p, the band p powers on
-    (see _pairings).  The pieces on the grid are read-only rows of one
+    _kept): the step of p powers per d and p (see _build_step) and B's
+    grid view per N.  The pieces on the grid are read-only rows of one
     block (see _series_in).  A non-analytic input is refused in the name
     of the caller who."""
     for f in fs:
@@ -170,17 +169,19 @@ def _split_blaschke(fs: Sequence[CircleFunction], spec: BlaschkeSpec,
     if terms > MAX_SERIES_TERMS:
         raise ParameterError(f"decomposition needs {terms} series terms, more "
                              f"than {MAX_SERIES_TERMS}; move the zeros inward")
-    p = _step_powers(n, d, m_max + 1)
-    at_origin = int(np.count_nonzero(np.asarray(spec.zeros) == 0))
+    p = 1  # powers a step: past the terms while kept, else 32 pairings
+    while p <= m_max and ((2 * p * n + 4) * (d + 1) <= _KEPT_POINTS
+                          or 2 * p * n <= 32):
+        p *= 2
     step = _kept(_build_step, _zeros_bits(spec), (d, p),
-                 p * n * (d + 1) + _product_size(d))
+                 (p * n + 4) * (d + 1))  # a bound on its points
     # The negative-index part of f pairs to zero with every e(j, m), and
     # the Taylor tail beyond the degree is rounding dust.
     half = fs[0].n_samples // 2
     v = np.zeros((len(fs), d + 1), dtype=complex)
     for k, (f, degree) in enumerate(zip(fs, degrees)):
         v[k, :degree + 1] = f.coeffs[half:half + degree + 1]
-    coeffs, rest = _pairings(step, v, n, m_max + 1, at_origin * p)
+    coeffs, rest = _pairings(step, v, n, m_max + 1)
     bz, carriers = _grid_view(spec, fs[0].n_samples)
     # piece j of input k: sum_m c_kjm B^m, a read-only row of one block
     series = _series_in if n > 1 else _one_row_series_in
@@ -193,32 +194,24 @@ def _split_blaschke(fs: Sequence[CircleFunction], spec: BlaschkeSpec,
 
 
 @_one_blas_thread
-def _pairings(step, v: np.ndarray, n: int, terms: int, drop: int):
+def _pairings(step, v: np.ndarray, n: int, terms: int):
     """The pairings of each band in the (k, d + 1) stack v with powers
     0 .. terms - 1, as (k, n, terms), and the rest, whose l2 norm is what
-    they leave of the band: the last step's pairings past them and the
-    band after it.  A step of p powers (see _build_step) pairs the band
-    with the kept rows, one product per input, and correlates it with
-    B^p by one FFT of each row, so an input's bits do not depend on the
-    others split with it at its degree.  B^p has drop = k p leading
-    coefficients that are exact zeros, k zeros at the origin, so the
-    band loses its top drop entries a step and ends empty at the exact
-    cutoff.  On one BLAS thread: OpenBLAS threads a product of 2^13
-    points (degree 90, three zeros)."""
-    rows, kernel = step
-    k = v.shape[0]
+    they leave: the last step's pairings past them and the band after
+    it.  One product and FFT per input, so its bits do not depend on the
+    others split with it at its degree, on one BLAS thread: OpenBLAS
+    threads a product of 2^13 points (degree 90, three zeros)."""
+    rows, kernel, drop = step
     block = rows.shape[0]  # pairings per step
-    out = np.zeros((k, -(-terms * n // block) * block), dtype=complex)
+    out = np.zeros((len(v), -(-terms * n // block) * block), dtype=complex)
     for start in range(0, terms * n, block):
-        width = v.shape[1]
-        if not width:
-            break
-        out[:, start:start + block] = (rows[:, :width] @ v[..., None])[..., 0]
+        out[:, start:start + block] = (
+            rows[:, :v.shape[1]] @ v[..., None])[..., 0]
         v = np.fft.ifft(np.fft.fft(v, kernel.size) * kernel)[
-            :, :max(width - drop, 0)]
+            :, :max(v.shape[1] - drop, 0)]
     rest = np.concatenate([out[:, terms * n:], v], axis=1)
     return np.ascontiguousarray(
-        out[:, :terms * n].reshape(k, terms, n).transpose(0, 2, 1)), rest
+        out[:, :terms * n].reshape(len(v), terms, n).transpose(0, 2, 1)), rest
 
 
 # Cap on n L N for the baby-step table of a Blaschke split (see
@@ -297,72 +290,37 @@ def _zeros_bits(spec: BlaschkeSpec) -> bytes:
     return np.asarray(spec.zeros, complex).tobytes()
 
 
-# A step of a Blaschke split gives up to this many pairings when a larger
-# step would not fit the kept store (see _step_powers).
-_STEP_PAIRINGS = 32
-
-
-def _step_powers(n: int, d: int, terms: int) -> int:
-    """p, the powers of B one step of a split advances, n zeros and degree
-    d: the smallest power of two that covers the terms, cut to the
-    largest whose step (see _build_step) the store keeps, or to the
-    largest with p n <= _STEP_PAIRINGS if that is more.  A step then
-    holds at most about max(_KEPT_POINTS, 32 (d + 1)) points, and costs
-    one FFT of the band per p powers on top of n (d + 1) multiply-adds
-    per power."""
-    p = 1
-    while p < terms and (2 * p * n * (d + 1) + _product_size(d) <= _KEPT_POINTS
-                         or 2 * p * n <= _STEP_PAIRINGS):
-        p *= 2
-    return p
-
-
-def _product_size(d: int) -> int:
-    """FFT length for products of Taylor rows 0 .. d: above 2 d, so
-    neither a product cut to 0 .. d nor a correlation wraps."""
-    return 1 << (2 * d).bit_length()
-
-
 def _build_step(zeros: bytes, shape: Tuple[int, int]):
     """B's read-only step on the Taylor band 0 .. d for p powers, shape
-    (d, p), p a power of two: the (p n, d + 1) rows whose row q n + j
-    holds the conjugated coefficients of e(j, q) = e(j, 0) B^q, and the
-    spectrum of the correlation with B^p, (T^H)^p, so that a band's
-    product with the rows gives the next p powers' pairings and its
-    correlation the band p powers on.  The coefficients come by closed
-    form per zero and FFT products cut to the band: (z - a)/(1 - conj(a)
-    z) is -a + (1 - |a|^2) sum_(i>=1) conj(a)^(i-1) z^i, and e(j, 0) is
-    sqrt(1 - |a|^2) sum_i conj(a)^i z^i times B_j; rows and B^p double
-    from q = 1.  A zero at the origin gives z exactly, so the leading
-    coefficients of B^q and e(j, q) that vanish are set to exact zeros."""
+    (d, p): the rows q n + j, q < p, of the conjugated coefficients of
+    e(j, q) = e(j, 0) B^q, which pair a band with the next p powers; the
+    spectrum of B^p, whose FFT correlation (T^H)^p moves a band p powers
+    on; and k p for k zeros at the origin, the entries it then drops.
+    FFT products cut to the band build these from (z - a)/(1 - conj(a) z)
+    = -a + (1 - |a|^2) sum_(i>=1) conj(a)^(i-1) z^i and e(j, 0) =
+    sqrt(1 - |a|^2) sum_i conj(a)^i z^i B_j."""
     d, p = shape
     zeros = np.frombuffer(zeros, complex)
-    size = _product_size(d)
+    size = 1 << (2 * d).bit_length()  # above 2 d: nothing wraps
 
     def times(x, y):  # Taylor rows 0 .. d of x y, in their precision
         return np.fft.ifft(np.fft.fft(x, size) * np.fft.fft(y, size))[
             ..., :d + 1]
 
-    i = np.arange(d + 1)
-    # B is built in extended precision: each product adds rounding to
-    # B^p, and the split applies it m / p times
+    # B in extended precision: the split applies B^p's rounding m / p times
     carriers, b = [], np.eye(1, d + 1, dtype=np.clongdouble)[0]
     for a in zeros.astype(np.clongdouble):  # b: B_j, then B
-        powers = np.cumprod(np.append(np.clongdouble(1.0),
-                                      np.full(d, np.conj(a))))
+        powers = np.cumprod(np.r_[1, np.full(d, np.conj(a))])
         carriers.append(times(np.sqrt(1.0 - abs(a) ** 2) * powers, b))
         b = times(np.append(-a, (1.0 - abs(a) ** 2) * powers[:-1]), b)
     rows = np.array(carriers, dtype=complex)[None]  # (q, n, d + 1)
     while rows.shape[0] < p:  # rows 0 .. q - 1 and b = B^q
         rows = np.concatenate([rows, times(rows, b.astype(complex))])
         b = times(b, b)
-    # leading zeros: one per zero at the origin before slot j, k per power
-    origin = np.append(0, np.cumsum(zeros == 0))
-    lead = origin[:-1] + origin[-1] * np.arange(p)[:, None]
-    rows[i < lead[..., None]] = 0.0
-    b[:origin[-1] * p] = 0.0
+    k = int(np.count_nonzero(zeros == 0))  # B^q: k q leading zeros
+    rows = np.where(np.r_[:d + 1] < k * np.arange(p)[:, None, None], 0, rows)
     return (_frozen(np.conj(rows).reshape(p * len(zeros), d + 1)),
-            _frozen(np.conj(np.fft.fft(b.astype(complex), size))))
+            _frozen(np.conj(np.fft.fft(b.astype(complex), size))), k * p)
 
 
 def _grid_view(spec: BlaschkeSpec, N: int):

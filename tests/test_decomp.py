@@ -588,7 +588,7 @@ def test_kept_blaschke_tables_give_the_bits_of_a_fresh_build(
                         _matrix_bits)):
         kept.cache_clear()
         cold = bits(call())
-        assert kept.cache_info().currsize == 2  # step matrix, grid view
+        assert kept.cache_info().currsize == 2  # step, grid view
         hits = kept.cache_info().hits
         assert bits(call()) == cold
         assert kept.cache_info().hits > hits
@@ -611,7 +611,6 @@ def test_only_small_blaschke_tables_outlive_their_split(
     # on 1024 points is kept
     f = synthesize(dict(enumerate(_random_taylor(44, 300))), 1024)
     decompose_blaschke(f, BlaschkeSpec((0.3, -0.4j)))
-    assert decomp._step_powers(2, 300, 400) == 16
     assert 32 * 301 + 1024 > decomp._KEPT_POINTS
     assert decomp._kept_tables.cache_info().currsize == 1
     # a grid view of (2 * 3 + 1) * 4096 points is not kept either; the
@@ -623,8 +622,8 @@ def test_only_small_blaschke_tables_outlive_their_split(
 
 def test_kept_blaschke_tables_are_read_only(cold_blaschke_tables):
     spec = BlaschkeSpec((0.0, 0.6, -0.6j))
-    rows, kernel = decomp._kept(decomp._build_step, decomp._zeros_bits(spec),
-                                (24, 4), 0)
+    rows, kernel, _ = decomp._kept(decomp._build_step,
+                                   decomp._zeros_bits(spec), (24, 4), 0)
     bz, carriers = decomp._grid_view(spec, 1024)
     block, zn_carriers = decomp._zn_carriers(4, 1024)
     assert decomp._kept_tables.cache_info().currsize == 3
@@ -742,11 +741,11 @@ def test_pairing_steps_run_on_one_blas_thread(blas_threads):
             return np.asarray(self) @ other
 
     spec = BlaschkeSpec((0.0, 0.5, -0.5j))
-    p = decomp._step_powers(3, 500, 30)
-    rows, kernel = decomp._build_step(decomp._zeros_bits(spec), (500, p))
+    # the 8 powers a step of a degree-500 split along three zeros takes
+    rows, kernel, drop = decomp._build_step(decomp._zeros_bits(spec), (500, 8))
     assert rows.size > 1 << 13
     v = _random_taylor(52, 500)[None, :]
-    decomp._pairings((rows.view(Spy), kernel), v, 3, 30, p)
+    decomp._pairings((rows.view(Spy), kernel, drop), v, 3, 30)
     assert seen and set(seen) == {1} and int(get()) == 2
 
 
