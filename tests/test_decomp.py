@@ -395,10 +395,12 @@ def test_a_full_band_blaschke_split_stays_in_linear_memory(zeros):
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2 ** 20
+    # B^p is built in extended precision, as the split applies its
+    # rounding m / p times: built in double the gap read 6e-14 and 9e-14
     energy = float(np.sum(np.abs(taylor) ** 2))
     total = (float(np.sum(np.abs(res.basis_coefficients) ** 2))
              + res.residual ** 2)
-    assert abs(total - energy) <= 1e-13 * energy
+    assert abs(total - energy) <= 5e-14 * energy
 
 
 def test_blaschke_refuses_zeros_at_max_modulus_before_allocating():
