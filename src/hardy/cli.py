@@ -16,6 +16,11 @@ carry).
 
 from __future__ import annotations
 
+if __name__ == "__main__":
+    # run as the program: the thread default must precede numpy's import
+    from . import _one_openblas_thread_by_default
+    _one_openblas_thread_by_default()
+
 import argparse
 import csv
 import io

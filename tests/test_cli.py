@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from hardy import (
+    _THREAD_VARIABLES,
     BlaschkeSpec,
     as_circle_function,
     decompose_zn,
@@ -759,3 +760,70 @@ def test_flag_surface_is_unchanged():
                        "--trials": 50, "--r": 2, "--seed": 0, **n_samples,
                        **out},
     }
+
+
+# --- the OpenBLAS thread default of a CLI process ------------------------------
+
+PYPROJECT = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "pyproject.toml")
+# Runs `hardy --help` by one entry, then prints the thread count of the
+# OpenBLAS numpy loaded ("none" when none is found).  runpy runs the
+# module as `python -m hardy.cli` does.
+_ENTRY_CHILD = """
+import sys
+sys.argv = ["hardy", "--help"]
+try:
+    {entry}
+except SystemExit:
+    pass
+from hardy import circlefn
+blas = circlefn._openblas()
+print(blas[0]() if blas else "none")
+"""
+
+
+def _script_entry():
+    """The call the `hardy` console script of pyproject.toml makes."""
+    tomllib = pytest.importorskip("tomllib")
+    with open(PYPROJECT, "rb") as handle:
+        module, fn = tomllib.load(handle)["project"]["scripts"]["hardy"].split(":")
+    return f"import importlib; importlib.import_module({module!r}).{fn}()"
+
+
+def _last_line_of_child(code, **thread_env):
+    """The last line a child prints, started with none of the thread
+    variables but ``thread_env``."""
+    env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARIABLES}
+    env.update(thread_env)
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True,
+                          timeout=120).stdout.splitlines()[-1]
+
+
+@pytest.mark.parametrize("entry", ["module", "script"])
+@pytest.mark.parametrize("thread_env, count", [
+    ({}, "1"),
+    ({"OPENBLAS_NUM_THREADS": "2"}, "2"),
+    ({"GOTO_NUM_THREADS": "2"}, "2"),
+    ({"OMP_NUM_THREADS": "2"}, "2"),
+], ids=["unset", "openblas", "goto", "omp"])
+def test_cli_starts_openblas_on_one_thread_unless_the_caller_chose(
+        entry, thread_env, count):
+    # OpenBLAS caps a count at the CPUs it may use
+    if count != "1" and len(os.sched_getaffinity(0)) < int(count):
+        pytest.skip(f"fewer than {count} CPUs")
+    call = (_script_entry() if entry == "script" else
+            'import runpy; runpy.run_module("hardy.cli", run_name="__main__",'
+            ' alter_sys=True)')
+    found = _last_line_of_child(_ENTRY_CHILD.format(entry=call), **thread_env)
+    if found == "none":
+        pytest.skip("no OpenBLAS found in the child")
+    assert found == count
+
+
+def test_importing_hardy_cli_leaves_the_environment_alone():
+    # as a library, here with none of the thread variables set: only the
+    # program that starts Python may choose numpy's thread count
+    code = ("import os; before = dict(os.environ); import hardy.cli, hardy; "
+            "hardy.__all__; print(dict(os.environ) == before)")
+    assert _last_line_of_child(code) == "True"

@@ -2,7 +2,10 @@
 
 import importlib
 import inspect
+import json
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -29,6 +32,39 @@ def test_module_exports_resolve(module):
 def test_library_module_declares_its_exports(module):
     assert isinstance(importlib.import_module(f"hardy.{module}").__all__,
                       list)
+
+
+def _fresh_import(code):
+    """What a fresh interpreter prints after ``import hardy`` and code."""
+    return json.loads(subprocess.run(
+        [sys.executable, "-c", f"import json, sys, hardy\n{code}"],
+        capture_output=True, text=True, check=True, timeout=60).stdout)
+
+
+def test_import_hardy_leaves_numpy_unloaded():
+    # python -m hardy.cli runs the package first; the CLI must get to set
+    # its thread default before numpy loads
+    assert _fresh_import("print(json.dumps('numpy' in sys.modules))") is False
+
+
+def test_dunder_probes_load_nothing():
+    assert _fresh_import(
+        "print(json.dumps([hasattr(hardy, '__wrapped__'), "
+        "hasattr(hardy, '__test__'), 'numpy' in sys.modules]))") == [
+            False, False, False]
+
+
+def test_dir_lists_the_public_names_before_any_is_asked_for():
+    listed = _fresh_import("print(json.dumps(dir(hardy)))")
+    assert set(hardy.__all__) <= set(listed)
+    assert set(MODULES) - {"cli"} <= set(listed)
+
+
+def test_star_import_binds_exactly_the_package_exports():
+    # first thing after a fresh import: __all__ itself loads the modules
+    bound = _fresh_import("namespace = {}\nexec('from hardy import *', "
+                          "namespace)\nprint(json.dumps(sorted(namespace)))")
+    assert bound == sorted(["__builtins__", *hardy.__all__])
 
 
 def test_package_exports_the_union_of_the_module_lists():

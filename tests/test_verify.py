@@ -2,6 +2,7 @@
 
 import json
 import os
+import pathlib
 import platform
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import pytest
 from numpy._core._multiarray_umath import __cpu_features__
 
 from hardy import (
+    _THREAD_VARIABLES,
     ParameterError,
     RunConfig,
     SizeError,
@@ -148,7 +150,8 @@ def report_digests(src=os.path.join(os.path.dirname(__file__), "..", "src"),
                       indent=2, sort_keys=True) + "\n"
 
 
-def _assert_recorded_digests(threads):
+def _recorded_or_skip():
+    """The digest record, or a skip on another platform than its own."""
     with open(DIGESTS, encoding="utf-8") as handle:
         recorded = json.load(handle)
     here = platform_record()
@@ -157,6 +160,11 @@ def _assert_recorded_digests(threads):
     if differs:
         pytest.skip(f"digests recorded on another platform "
                     f"({', '.join(differs)} differ)")
+    return recorded
+
+
+def _assert_recorded_digests(threads):
+    recorded = _recorded_or_skip()
     now = json.loads(report_digests(threads=threads))
     assert sorted(now["digests"]) == sorted(recorded["digests"])
     moved = [tid for tid in recorded["digests"]
@@ -173,6 +181,44 @@ def test_reports_do_not_depend_on_the_blas_thread_count():
     # at the default two threads thm-3.5, thm-3.6 and thm-4.5 once hashed
     # differently: their Gram, Cholesky and eigen products ran threaded
     _assert_recorded_digests("2")
+
+
+# The cli benchmark workload's commands at seed 1 (perfbench/workloads.py),
+# each argv with its --out file, in the workload's order; the workload
+# writes its input files to the directory given first.
+_CLI_COMMANDS_CHILD = """
+import json, sys
+sys.path.insert(0, sys.argv[2])
+import hardy, workloads
+cli = workloads.CliWorkload(hardy, 1, sys.argv[1])
+print(json.dumps([[*argv, "--out", cli._out(kind)]
+                  for kind, argv, *_ in cli.commands]))
+"""
+
+
+def test_cli_payloads_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # A CLI child starts OpenBLAS on one thread when the caller sets no
+    # count; that may make it faster, never change its answers.
+    _recorded_or_skip()
+    perfbench = os.path.join(os.path.dirname(__file__), "..", "perfbench")
+    commands = json.loads(subprocess.run(
+        [sys.executable, "-c", _CLI_COMMANDS_CHILD, str(tmp_path), perfbench],
+        capture_output=True, text=True, check=True, timeout=120).stdout)
+    assert len(commands) == 9
+    payloads = []
+    for thread_env in ({}, {"OPENBLAS_NUM_THREADS": "2"}):
+        env = {k: v for k, v in os.environ.items()
+               if k not in _THREAD_VARIABLES}
+        env.update(thread_env)
+        for argv in commands:
+            subprocess.run([sys.executable, "-m", "hardy.cli", *argv],
+                           env=env, capture_output=True, check=True,
+                           timeout=120)
+        payloads.append([pathlib.Path(argv[-1]).read_bytes()
+                         for argv in commands])
+    moved = [" ".join(argv[:2]) for argv, one, two
+             in zip(commands, *payloads) if one != two]
+    assert moved == []
 
 
 if __name__ == "__main__":
