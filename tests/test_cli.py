@@ -762,7 +762,7 @@ def test_flag_surface_is_unchanged():
     }
 
 
-# --- the OpenBLAS thread default of a CLI process ------------------------------
+# --- the OpenBLAS thread default of a CLI process -----------------------------
 
 PYPROJECT = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "pyproject.toml")
@@ -786,7 +786,8 @@ def _script_entry():
     """The call the `hardy` console script of pyproject.toml makes."""
     tomllib = pytest.importorskip("tomllib")
     with open(PYPROJECT, "rb") as handle:
-        module, fn = tomllib.load(handle)["project"]["scripts"]["hardy"].split(":")
+        entry = tomllib.load(handle)["project"]["scripts"]["hardy"]
+    module, fn = entry.split(":")
     return f"import importlib; importlib.import_module({module!r}).{fn}()"
 
 
